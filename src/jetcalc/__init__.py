@@ -38,6 +38,7 @@ from .variational import (
     NotExactDerivative,
     NotGeneratingFunction,
     NotVariational,
+    VerificationFailed,
     current_from_gf,
     dx_inverse,
     euler,
@@ -68,7 +69,6 @@ from .hamrec import (
     NonlocalObstruction,
     NotFlat,
     PreconditionFailed,
-    VerificationFailed,
     apply_shadow,
     dx_inverse_extended,
     gf_to_symmetry,

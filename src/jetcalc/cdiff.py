@@ -29,6 +29,7 @@ from .jetspace import (
     EvolutionSystem,
     GeneralSystem,
     JetContext,
+    total_derivative,
     total_derivative_iterated,
 )
 
@@ -109,10 +110,23 @@ class CDiffOp:
     def entry(self, r: int, c: int) -> Entry:
         return self.entries[r][c]
 
-    def _derive(self, sigma: MultiIndex, p: DiffPoly) -> DiffPoly:
-        if self.system is not None:
-            return self.system.restricted_iterated(sigma, p)
-        return total_derivative_iterated(self.ctx, sigma, p)
+    def _derivatives(self, p: DiffPoly) -> Callable[[MultiIndex], DiffPoly]:
+        """sigma -> D_sigma(p), memoized so that multi-indices sharing a
+        prefix derive it once."""
+        memo = {(): p}
+
+        def derive(sigma: MultiIndex) -> DiffPoly:
+            got = memo.get(sigma)
+            if got is None:
+                prev = derive(sigma[:-1])
+                if self.system is not None:
+                    got = self.system.restricted_derivative(sigma[-1], prev)
+                else:
+                    got = total_derivative(self.ctx, sigma[-1], prev)
+                memo[sigma] = got
+            return got
+
+        return derive
 
     def _check_compatible(self, other: "CDiffOp"):
         if self.system != other.system:
@@ -155,22 +169,19 @@ class CDiffOp:
                 self.system.check_internal(v)
             elif v.has_kind(NONLOCAL):
                 raise RegimeMismatch("free-jet operator applied to a covering expression")
-        out = []
-        for r in range(self.rows):
-            acc = DiffPoly.zero()
-            for c in range(self.cols):
-                for sigma, a in self.entries[r][c].items():
-                    acc = acc + a * self._derive(sigma, vec[c])
-            out.append(acc)
-        return out
+        derivs = [self._derivatives(v) for v in vec]
+        return [DiffPoly.sum(a * derivs[c](sigma)
+                             for c in range(self.cols) for sigma, a in self.entries[r][c].items())
+                for r in range(self.rows)]
 
     def _compose_scalar(self, e2: Entry, e1: Entry) -> Entry:
         """Normal form of (sum a_s D_s) o (sum b_t D_t) with D pushed right."""
         out: Entry = {}
         for s, a in e2.items():
             for t, b in e1.items():
+                db = self._derivatives(b)
                 for rho, rest, w in mi_splittings(s):
-                    coef = a * self._derive(rho, b).scale(w)
+                    coef = a * db(rho).scale(w)
                     if not coef:
                         continue
                     key = tuple(sorted(rest + t))
@@ -207,8 +218,9 @@ class CDiffOp:
                 acc: Entry = out[c][r]
                 for s, a in self.entries[r][c].items():
                     sign = -1 if len(s) % 2 else 1
+                    da = self._derivatives(a)
                     for rho, rest, w in mi_splittings(s):
-                        coef = self._derive(rho, a).scale(w * sign)
+                        coef = da(rho).scale(w * sign)
                         if not coef:
                             continue
                         acc[rest] = acc.get(rest, DiffPoly.zero()) + coef
@@ -314,12 +326,8 @@ def evolutionary(ctx: JetContext, phi: Sequence[DiffPoly], p: DiffPoly) -> DiffP
     """The evolutionary derivation: sum_{j,sigma} D_sigma(phi^j) dp/du^j_sigma."""
     if len(phi) != ctx.m:
         raise DimensionMismatch(f"generating section needs {ctx.m} components")
-    out = DiffPoly.zero()
-    for v in p.variables():
-        if v.kind == JET:
-            j, sigma = v.idx
-            out = out + total_derivative_iterated(ctx, sigma, phi[j]) * p.partial(v)
-    return out
+    return DiffPoly.sum(total_derivative_iterated(ctx, v.idx[1], phi[v.idx[0]]) * p.partial(v)
+                        for v in p.variables() if v.kind == JET)
 
 
 def jacobi_bracket(ctx: JetContext, phi: Sequence[DiffPoly], psi: Sequence[DiffPoly]) -> list[DiffPoly]:
@@ -619,14 +627,14 @@ def contract(phi: Sequence[DiffPoly], sh: CartanShadow) -> tuple[list[DiffPoly],
     local = []
     residues: list[dict[int, DiffPoly]] = []
     for cmap in sh.comps:
-        acc = DiffPoly.zero()
+        parts = []
         res: dict[int, DiffPoly] = {}
         for key, coef in cmap.items():
             if key[0] == "u":
                 j, sigma = key[1], key[2]
-                acc = acc + coef * total_derivative_iterated(ctx, sigma, phi[j])
+                parts.append(coef * total_derivative_iterated(ctx, sigma, phi[j]))
             else:
                 res[key[1]] = res.get(key[1], DiffPoly.zero()) + coef
-        local.append(acc)
+        local.append(DiffPoly.sum(parts))
         residues.append(res)
     return local, residues

@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .dalg import DiffPoly, ParseError, split_identifier, tokenize
 from .jetspace import EvolutionSystem, JetContext, NotInternal
@@ -21,6 +22,7 @@ from .variational import (
     Density,
     NotExactDerivative,
     NotVariational,
+    VerificationFailed,
     current_from_gf,
     divergence_residual,
     euler,
@@ -138,7 +140,7 @@ class _OpParser:
                 c = rhs.entries[0][0].get((), DiffPoly.zero()).as_constant()
                 if c == 0:
                     raise ParseError("division by zero", pos)
-                acc = acc.scale(1 / c)
+                acc = acc.scale(Fraction(1) / c)
             else:
                 return acc
 
@@ -206,6 +208,13 @@ def parse_equation_file(path: str) -> EquationFile:
     evolution: dict[str, tuple[str, int]] = {}
     covering_lines: list[tuple[str, str, int]] = []
     named: list[tuple[str, str, str, int]] = []  # kind, name, payload, line
+    declared: dict[tuple[str, str], int] = {}  # (kind, name) -> line
+
+    def declare(kind: str, name: str, no: int):
+        """Names are declared once: a repeat is rejected, never last-wins."""
+        if (kind, name) in declared:
+            raise InputError(f"{kind} '{name}' is already declared on line {declared[kind, name]}", no)
+        declared[kind, name] = no
 
     for no, rawline in enumerate(lines, start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -217,6 +226,7 @@ def parse_equation_file(path: str) -> EquationFile:
             name, eqsign, payload = rest.partition("=")
             if not eqsign or not name.strip():
                 raise InputError(f"expected '{first} NAME = ...'", no)
+            declare(first, name.strip(), no)
             named.append((first, name.strip(), payload.strip(), no))
             continue
         if ":" not in line:
@@ -237,11 +247,13 @@ def parse_equation_file(path: str) -> EquationFile:
             params += [s for s in _split_top_level(body, ",") if s]
         elif head == "evolution":
             lhs, _, rhs = body.partition("=")
+            declare("evolution", lhs.strip(), no)
             evolution[lhs.strip()] = (rhs.strip(), no)
         elif head.startswith("covering"):
             name = head[len("covering"):].strip()
             if not name:
                 raise InputError("covering needs a name", no)
+            declare("covering", name, no)
             covering_lines.append((name, body, no))
         else:
             raise InputError(f"unknown declaration '{head}'", no)
@@ -389,7 +401,7 @@ def cmd_symmetries(eq: EquationFile, args) -> tuple[Report, int]:
     rep = Report("symmetries", eq)
     rep.set("ansatz", a.as_dict())
     rep.set("basis", [_vec_str(s) for s in basis.solutions])
-    rep.set("verified", [True] * len(basis))
+    rep.set("verified", [True] * len(basis))  # _solve raises VerificationFailed on any failed check
     if not len(basis):
         rep.text("no solutions in ansatz")
     else:
@@ -406,7 +418,7 @@ def cmd_conslaws(eq: EquationFile, args) -> tuple[Report, int]:
     rep = Report("conslaws", eq)
     rep.set("ansatz", a.as_dict())
     rep.set("basis", [_vec_str(s) for s in basis.solutions])
-    rep.set("verified", [True] * len(basis))
+    rep.set("verified", [True] * len(basis))  # _solve raises VerificationFailed on any failed check
     if not len(basis):
         rep.text("no solutions in ansatz")
     else:
@@ -543,7 +555,7 @@ def cmd_recursion(eq: EquationFile, args) -> tuple[Report, int]:
     rep = Report("recursion", eq)
     rep.set("ansatz", _ansatz_of(args).as_dict())
     rep.set("basis", [str(s) for s in basis.solutions])
-    rep.set("verified", [True] * len(basis))
+    rep.set("verified", [True] * len(basis))  # _solve raises VerificationFailed on any failed check
     if not len(basis):
         rep.text("no solutions in ansatz")
     else:
@@ -570,18 +582,25 @@ def cmd_apply_recursion(eq: EquationFile, args) -> tuple[Report, int]:
         raise InputError(f"--to needs {eq.ctx.m} components")
     rep = Report("apply-recursion", eq)
     rep.set("shadow", str(sh))
-    results = []
-    try:
-        for _ in range(args.times):
+    results, verified = [], []
+    for _ in range(args.times):
+        try:
             phi = apply_shadow(sh, phi, sys=sysm, cov=cov)
-            results.append(_vec_str(phi))
-    except NonlocalObstruction as exc:
-        rep.set("result", results)
-        rep.set("obstruction", str(exc))
-        rep.text(f"obstruction: {exc}")
-        return rep, 1
+        except NonlocalObstruction as exc:
+            rep.set("result", results)
+            rep.set("obstruction", str(exc))
+            rep.text(f"obstruction: {exc}")
+            return rep, 1
+        except VerificationFailed as exc:
+            rep.set("result", results)
+            rep.set("verified", verified + [False])
+            rep.set("failure", str(exc))
+            rep.text(f"verification failed: {exc}")
+            return rep, 1
+        results.append(_vec_str(phi))
+        verified.append(True)
     rep.set("result", results)
-    rep.set("verified", [True] * len(results))
+    rep.set("verified", verified)
     rep.text(f"shadow: {sh}")
     for k, r in enumerate(results, start=1):
         rep.text(f"  iterate {k}: {r}")
@@ -604,7 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--deg", type=int, default=1, help="max total degree in jet variables")
             p.add_argument("--xt-deg", type=int, default=0, help="max total degree in base variables")
             p.add_argument("--params", action="store_true", help="include declared parameters in the ansatz")
-            p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; output is identical")
 
     p = sub.add_parser("symmetries", help="solve the linearization equation")
     common(p, ansatz=True)
@@ -675,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     from .variational import NotConserved, NotGeneratingFunction
-    from .hamrec import PreconditionFailed, VerificationFailed
+    from .hamrec import PreconditionFailed
 
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -6,16 +6,43 @@ nonlocal variables of a covering, named parameters, test covectors, and an
 auxiliary scalar used by the homotopy integral.  Everything is immutable
 and canonical: equal values have equal representations, so equality of
 expressions is dictionary equality.
+
+Kernel invariants, which every operation keeps:
+
+- A coefficient is never zero, and it is an int or a Fraction, never a
+  float: a quotient of coefficients is always taken with a Fraction
+  operand.  Constructors store integral values as ints (`rational`), so
+  the common all-integer arithmetic runs on machine ints; an integral
+  Fraction left by mixed arithmetic equals, and hashes like, the int.
+- `DiffPoly(terms)` cleans its input; the trusted `DiffPoly._make` is only
+  for dicts that are already clean and owned by the new value.
+- `DiffPoly.sum` is the only accumulator.  A sum of many polynomials is
+  never a chain of `+`, which copies the partial sum at every step.
+- A `VarId` is the tuple of its canonical sort key, so hashing, equality
+  and ordering of variables and factor tuples never run Python code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Mapping
 
 Rational = Fraction
+Coef = int | Fraction
+
+
+def rational(c) -> Coef:
+    """Canonical coefficient: an int when the value is integral, otherwise a
+    Fraction.  Integer coefficients, the common case, keep ring operations
+    on machine-level int arithmetic; mixed int/Fraction arithmetic is exact
+    and compares and hashes by value."""
+    if c.__class__ is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
 
 # Variable kinds, in the fixed total order used for canonical forms.
 BASE = 0
@@ -74,27 +101,42 @@ def mi_splittings(sigma: MultiIndex) -> Iterator[tuple[MultiIndex, MultiIndex, i
     yield from rec(0, [], [], 1)
 
 
-@dataclass(frozen=True)
-class VarId:
+class VarId(tuple):
     """Identity of a formal variable.
 
     `idx` is the identity payload (per-kind encoding); `name` is display-only
     and excluded from equality so that bookkeeping never depends on how a
     variable happens to be rendered.
+
+    The tuple itself is the canonical sort key, computed once at
+    construction: the kind, then for jets (component, order, multi-index),
+    for test covectors (name, component, order, multi-index), and the
+    payload for every other kind.  The key determines (kind, idx), so
+    hashing, equality and ordering are plain tuple operations; `kind`,
+    `idx` and `name` ride along as attributes.
     """
 
-    kind: int
-    idx: tuple
-    name: str = field(default="", compare=False)
+    def __new__(cls, kind: int, idx: tuple, name: str = ""):
+        if kind == JET:
+            key = (JET, idx[0], len(idx[1]), idx[1])
+        elif kind == TESTCOV:
+            key = (TESTCOV, idx[0], idx[1], len(idx[2]), idx[2])
+        else:
+            key = (kind,) + idx
+        self = tuple.__new__(cls, key)
+        attrs = self.__dict__
+        attrs["kind"] = kind
+        attrs["idx"] = idx
+        attrs["name"] = name
+        return self
 
-    def sort_key(self) -> tuple:
-        if self.kind == JET:
-            j, sigma = self.idx
-            return (JET, j, len(sigma), sigma)
-        if self.kind == TESTCOV:
-            nm, comp, sigma = self.idx
-            return (TESTCOV, nm, comp, len(sigma), sigma)
-        return (self.kind,) + self.idx
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"VarId is immutable; cannot set {attr!r}")
+
+    def __getnewargs__(self):
+        # Pickling and copying rebuild a variable from its constructor
+        # arguments, not from the key tuple.
+        return self.kind, self.idx, self.name
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VarId({self.name or self.idx})"
@@ -133,45 +175,61 @@ def testcov_var(name: str, comp: int, sigma: MultiIndex, base_names: tuple[str, 
 HOMOTOPY_SCALAR = VarId(HSCALAR, (), "@s")
 
 
-# A monomial's factor part: ((VarId, exponent), ...) sorted by VarId.sort_key.
+# A monomial's factor part: ((VarId, exponent), ...) sorted by VarId, with
+# positive exponents.
 Factors = tuple[tuple[VarId, int], ...]
 
 
 def _merge_factors(a: Factors, b: Factors) -> Factors:
-    out: dict[VarId, int] = {}
-    for v, e in a:
-        out[v] = out.get(v, 0) + e
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        # One factor, the common case (a variable times a monomial): insert
+        # it at its place in the sorted tuple.
+        (v, e), = b
+        i = bisect_left(a, (v,))
+        if i < len(a) and a[i][0] == v:
+            return a[:i] + ((v, a[i][1] + e),) + a[i + 1:]
+        return a[:i] + b + a[i:]
+    out = dict(a)
     for v, e in b:
         out[v] = out.get(v, 0) + e
-    return tuple(sorted(((v, e) for v, e in out.items() if e), key=lambda p: p[0].sort_key()))
+    return tuple(sorted(out.items()))
 
 
 def _monomial_key(factors: Factors) -> tuple:
     """Canonical order: total degree descending, then exponents read from the
     highest variable downwards ascending.  Makes `u^2 - u_x^2` print with u^2
     first and `u_x^2 + 3/2*u*u_xx` with u_x^2 first."""
-    deg = sum(e for _, e in factors)
-    tail = tuple((v.sort_key(), e) for v, e in reversed(factors))
-    return (-deg, tail)
+    return (-sum(e for _, e in factors), factors[::-1])
 
 
 class DiffPoly:
-    """Immutable multivariate polynomial with Fraction coefficients.
+    """Immutable multivariate polynomial with rational coefficients.
 
     Stored as a map from factor tuples to nonzero coefficients; the zero
-    polynomial is the empty map.  All operations return new canonical values.
+    polynomial is the empty map.  All operations return new canonical values
+    and keep the kernel invariants of the module docstring.
     """
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: Mapping[Factors, Fraction] | None = None):
+    def __init__(self, terms: Mapping[Factors, Coef] | None = None):
         clean = {}
         if terms:
             for f, c in terms.items():
                 if c:
-                    clean[f] = c
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+                    clean[f] = rational(c)
+        self.terms = clean
+        self._hash = None
+
+    @staticmethod
+    def _make(terms: dict[Factors, Coef]) -> "DiffPoly":
+        """Trusted constructor: `terms` is clean and not shared."""
+        p = _new_poly(DiffPoly)
+        p.terms = terms
+        p._hash = None
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -180,13 +238,39 @@ class DiffPoly:
         return _ZERO
 
     @staticmethod
-    def const(c: int | Fraction) -> "DiffPoly":
-        c = Fraction(c)
-        return DiffPoly({(): c}) if c else _ZERO
+    def const(c: Coef) -> "DiffPoly":
+        c = rational(c)
+        return DiffPoly._make({(): c}) if c else _ZERO
 
     @staticmethod
     def var(v: VarId) -> "DiffPoly":
-        return DiffPoly({((v, 1),): Fraction(1)})
+        return DiffPoly._make({((v, 1),): 1})
+
+    @staticmethod
+    def sum(polys: Iterable["DiffPoly"]) -> "DiffPoly":
+        """Sum of any number of polynomials in one accumulator.
+
+        Terms, and their order, are those of the left fold of `+`.
+        """
+        out = None
+        for p in polys:
+            if not p.terms:
+                continue
+            if out is None:
+                out = dict(p.terms)
+                continue
+            get = out.get
+            for f, c in p.terms.items():
+                s = get(f)
+                if s is None:
+                    out[f] = c
+                else:
+                    s += c
+                    if s:
+                        out[f] = s
+                    else:
+                        del out[f]
+        return DiffPoly._make(out) if out else _ZERO
 
     # -- ring operations ---------------------------------------------------
 
@@ -195,17 +279,10 @@ class DiffPoly:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for f, c in other.terms.items():
-            s = out.get(f, _F0) + c
-            if s:
-                out[f] = s
-            elif f in out:
-                del out[f]
-        return DiffPoly(out)
+        return DiffPoly.sum((self, other))
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly({f: -c for f, c in self.terms.items()})
+        return DiffPoly._make({f: -c for f, c in self.terms.items()})
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
         return self + (-other)
@@ -213,22 +290,27 @@ class DiffPoly:
     def __mul__(self, other: "DiffPoly") -> "DiffPoly":
         if not self.terms or not other.terms:
             return _ZERO
-        out: dict[Factors, Fraction] = {}
+        out: dict[Factors, Coef] = {}
+        get = out.get
         for fa, ca in self.terms.items():
             for fb, cb in other.terms.items():
-                f = _merge_factors(fa, fb)
-                s = out.get(f, _F0) + ca * cb
-                if s:
-                    out[f] = s
-                elif f in out:
-                    del out[f]
-        return DiffPoly(out)
+                f = _merge_factors(fa, fb) if fa and fb else fa or fb
+                s = get(f)
+                if s is None:
+                    out[f] = ca * cb
+                else:
+                    s += ca * cb
+                    if s:
+                        out[f] = s
+                    else:
+                        del out[f]
+        return DiffPoly._make(out)
 
-    def scale(self, c: int | Fraction) -> "DiffPoly":
-        c = Fraction(c)
+    def scale(self, c: Coef) -> "DiffPoly":
+        c = rational(c)
         if not c:
             return _ZERO
-        return DiffPoly({f: c * k for f, k in self.terms.items()})
+        return DiffPoly._make({f: c * k for f, k in self.terms.items()})
 
     def __pow__(self, n: int) -> "DiffPoly":
         if n < 0:
@@ -257,8 +339,7 @@ class DiffPoly:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(frozenset(self.terms.items()))
-            object.__setattr__(self, "_hash", h)
+            h = self._hash = hash(frozenset(self.terms.items()))
         return h
 
     def variables(self) -> set[VarId]:
@@ -271,13 +352,13 @@ class DiffPoly:
     def has_kind(self, kind: int) -> bool:
         return any(v.kind == kind for f in self.terms for v, _ in f)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((), _F0)
+    def constant_term(self) -> Coef:
+        return self.terms.get((), 0)
 
-    def as_constant(self) -> Fraction:
+    def as_constant(self) -> Coef:
         """The value of a constant polynomial; raises if variables remain."""
         if not self.terms:
-            return _F0
+            return 0
         if len(self.terms) == 1 and () in self.terms:
             return self.terms[()]
         raise ValueError(f"not a constant polynomial: {self}")
@@ -293,28 +374,23 @@ class DiffPoly:
             best = max(best, d)
         return best
 
-    def sorted_terms(self) -> list[tuple[Factors, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Factors, Coef]]:
         return sorted(self.terms.items(), key=lambda t: _monomial_key(t[0]))
 
     # -- calculus ----------------------------------------------------------
 
+    # Distinct monomials stay distinct once the exponent of one variable is
+    # lowered, so partial derivatives never add coefficients together.
+
     def partial(self, v: VarId) -> "DiffPoly":
         """Formal partial derivative; every VarId is an independent coordinate."""
-        out: dict[Factors, Fraction] = {}
+        out: dict[Factors, Coef] = {}
         for f, c in self.terms.items():
             for pos, (w, e) in enumerate(f):
                 if w == v:
-                    if e == 1:
-                        nf = f[:pos] + f[pos + 1:]
-                    else:
-                        nf = f[:pos] + ((w, e - 1),) + f[pos + 1:]
-                    s = out.get(nf, _F0) + c * e
-                    if s:
-                        out[nf] = s
-                    elif nf in out:
-                        del out[nf]
+                    out[f[:pos] + f[pos + 1:] if e == 1 else f[:pos] + ((w, e - 1),) + f[pos + 1:]] = c * e
                     break
-        return DiffPoly(out)
+        return DiffPoly._make(out)
 
     def substitute(self, bindings: Mapping[VarId, "DiffPoly"]) -> "DiffPoly":
         """Simultaneous substitution of variables by polynomials.
@@ -325,28 +401,57 @@ class DiffPoly:
         """
         if not bindings:
             return self
-        result = _ZERO
-        for f, c in self.terms.items():
-            term = DiffPoly.const(c)
-            for v, e in f:
-                img = bindings.get(v)
-                term = term * (img ** e if img is not None else DiffPoly({((v, e),): _F1}))
-            result = result + term
-        return result
+
+        def terms():
+            for f, c in self.terms.items():
+                kept = []
+                images = []
+                for v, e in f:
+                    img = bindings.get(v)
+                    if img is None:
+                        kept.append((v, e))
+                    else:
+                        images.append(img ** e)
+                term = DiffPoly._make({tuple(kept): c})
+                for img in images:
+                    term = term * img
+                yield term
+
+        return DiffPoly.sum(terms())
+
+    def evaluate(self, values: Mapping[VarId, Coef]) -> "DiffPoly":
+        """Substitution of rational constants: `substitute` with constant
+        images, without building the intermediate products."""
+
+        def terms():
+            for f, c in self.terms.items():
+                kept = []
+                for v, e in f:
+                    val = values.get(v)
+                    if val is None:
+                        kept.append((v, e))
+                    else:
+                        c *= val ** e
+                if c:
+                    yield DiffPoly._make({tuple(kept): c})
+
+        return DiffPoly.sum(terms())
 
     def integrate_scalar_01(self) -> "DiffPoly":
         """Definite integral over the homotopy scalar on [0, 1]."""
-        out = _ZERO
-        for f, c in self.terms.items():
-            k = 0
-            rest = []
-            for v, e in f:
-                if v.kind == HSCALAR:
-                    k = e
-                else:
-                    rest.append((v, e))
-            out = out + DiffPoly({tuple(rest): c / (k + 1)})
-        return out
+
+        def terms():
+            for f, c in self.terms.items():
+                k = 0
+                rest = []
+                for v, e in f:
+                    if v.kind == HSCALAR:
+                        k = e
+                    else:
+                        rest.append((v, e))
+                yield DiffPoly._make({tuple(rest): rational(Fraction(c, k + 1))})
+
+        return DiffPoly.sum(terms())
 
     # -- printing ----------------------------------------------------------
 
@@ -373,9 +478,8 @@ class DiffPoly:
         return f"DiffPoly({self})"
 
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 _ZERO = DiffPoly()
+_new_poly = object.__new__
 
 
 # --------------------------------------------------------------------------

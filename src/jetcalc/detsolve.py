@@ -13,15 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 
-from .dalg import DiffPoly, PARAM, VarId, _monomial_key, param_var
+from .dalg import PARAM, Coef, DiffPoly, VarId, _monomial_key, param_var, rational
 from .jetspace import EvolutionSystem, JetContext, multi_indices_up_to
 from .cdiff import (
     CartanShadow,
     linearization,
     shadow_residual,
 )
-from .variational import gf_residual
+from .variational import VerificationFailed, gf_residual
 
 
 class NonlinearInUnknowns(ValueError):
@@ -72,9 +73,9 @@ def ansatz_monomials(ctx: JetContext, a: Ansatz, spatial_only: bool = True) -> l
             factors: dict[VarId, int] = {}
             for v in jp + bp:
                 factors[v] = factors.get(v, 0) + 1
-            pool.append(tuple(sorted(factors.items(), key=lambda t: t[0].sort_key())))
+            pool.append(tuple(sorted(factors.items())))
     pool = sorted(set(pool), key=_monomial_key)
-    return [DiffPoly({f: Fraction(1)}) for f in pool]
+    return [DiffPoly({f: 1}) for f in pool]
 
 
 def _fresh_prefix(ctx: JetContext) -> str:
@@ -98,10 +99,7 @@ class TemplateBuilder:
         return param_var(name)
 
     def combination(self, monomials: list[DiffPoly]) -> DiffPoly:
-        out = DiffPoly.zero()
-        for mono in monomials:
-            out = out + DiffPoly.var(self.fresh()) * mono
-        return out
+        return DiffPoly.sum(DiffPoly.var(self.fresh()) * mono for mono in monomials)
 
 
 def build_symmetry_template(ctx: JetContext, a: Ansatz) -> tuple[list[DiffPoly], TemplateBuilder]:
@@ -140,10 +138,10 @@ class LinearSystem:
     """Sparse homogeneous rows over an ordered unknown list."""
 
     unknowns: list[str]
-    rows: list[dict[int, Fraction]]
+    rows: list[dict[int, Coef]]
     inconsistent: bool = False
 
-    def add_row(self, row: dict[int, Fraction]):
+    def add_row(self, row: dict[int, Coef]):
         if row:
             self.rows.append(row)
 
@@ -155,8 +153,7 @@ def match_coefficients(expr: DiffPoly, system: LinearSystem):
     marks the whole system as unsolvable.
     """
     index = {name: k for k, name in enumerate(system.unknowns)}
-    grouped: dict[tuple, dict[int, Fraction]] = {}
-    order: dict[tuple, tuple] = {}
+    grouped: dict[tuple, dict[int, Coef]] = {}
     for factors, coef in expr.terms.items():
         unknown = None
         known = []
@@ -170,63 +167,90 @@ def match_coefficients(expr: DiffPoly, system: LinearSystem):
         if unknown is None:
             system.inconsistent = True
             continue
-        key = tuple(known)
-        grouped.setdefault(key, {})
-        grouped[key][unknown] = grouped[key].get(unknown, Fraction(0)) + coef
-        order[key] = _monomial_key(key)
-    for key in sorted(grouped, key=order.get):
-        row = {k: c for k, c in grouped[key].items() if c}
-        system.add_row(row)
+        row = grouped.setdefault(tuple(known), {})
+        s = row.get(unknown)
+        row[unknown] = coef if s is None else s + coef
+    for key in sorted(grouped, key=_monomial_key):
+        system.add_row({k: c for k, c in grouped[key].items() if c})
+
+
+def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, int]:
+    """The integer row a*x - b*y divided by the gcd of its entries."""
+    out = {k: a * v for k, v in x.items()}
+    get = out.get
+    for k, v in y.items():
+        nv = get(k, 0) - b * v
+        if nv:
+            out[k] = nv
+        else:
+            del out[k]
+    g = gcd(*out.values())
+    if g > 1:
+        out = {k: v // g for k, v in out.items()}
+    return out
+
+
+def _integer_row(row: dict[int, Coef]) -> dict[int, int]:
+    """A rational row scaled to coprime integers."""
+    den = 1
+    for c in row.values():
+        if c.__class__ is not int:
+            den = lcm(den, c.denominator)
+    ints = {k: int(c * den) for k, c in row.items()}
+    g = gcd(*ints.values())
+    return {k: v // g for k, v in ints.items()} if g > 1 else ints
 
 
 def nullspace(system: LinearSystem) -> list[dict[str, Fraction]]:
     """Exact reduced nullspace basis; pivots follow unknown declaration order.
 
-    Each basis vector sets one free unknown to 1; that unknown is absent from
-    every other vector, which fixes the echelon-normalized representatives.
+    The reduced row echelon form is built one row at a time: an incoming row
+    is reduced by the pivot rows so far, its lowest remaining column becomes
+    a new pivot, and that column is eliminated from the earlier pivot rows.
+    The form is unique, so the basis does not depend on the row order.  Rows
+    are kept fraction-free, as coprime integers positive at the pivot; the
+    quotients are taken once, for the basis.  Each basis vector sets one
+    free unknown to 1; that unknown is absent from every other vector, which
+    fixes the echelon-normalized representatives.
     """
     if system.inconsistent:
         return []
-    n = len(system.unknowns)
-    rows = [dict(r) for r in system.rows if r]
-    pivot_of_col: dict[int, dict[int, Fraction]] = {}
-    for col in range(n):
-        pivot_row = None
-        for r in rows:
-            if col in r and all(pc not in r for pc in pivot_of_col):
-                pivot_row = r
-                break
-        if pivot_row is None:
+    pivots: dict[int, dict[int, int]] = {}
+    for row in system.rows:
+        if not row:
             continue
-        inv = Fraction(1) / pivot_row[col]
-        for k in list(pivot_row):
-            pivot_row[k] *= inv
-        for r in rows:
-            if r is pivot_row or col not in r:
-                continue
-            factor = r[col]
-            for k, v in pivot_row.items():
-                nv = r.get(k, Fraction(0)) - factor * v
-                if nv:
-                    r[k] = nv
-                elif k in r:
-                    del r[k]
-        pivot_of_col[col] = pivot_row
-    free_cols = [c for c in range(n) if c not in pivot_of_col]
+        r = _integer_row(row)
+        for pc in [c for c in r if c in pivots]:
+            p = pivots[pc]
+            r = _combine(p[pc], r, r[pc], p)
+        if not r:
+            continue
+        col = min(r)
+        a = r[col]
+        if a < 0:
+            r = {k: -v for k, v in r.items()}
+            a = -a
+        for pc in [pc for pc, p in pivots.items() if col in p]:
+            p = pivots[pc]
+            pivots[pc] = _combine(a, p, p[col], r)
+        pivots[col] = r
     basis = []
-    for f in free_cols:
+    for f in range(len(system.unknowns)):
+        if f in pivots:
+            continue
         vec = {system.unknowns[f]: Fraction(1)}
-        for pc, prow in pivot_of_col.items():
-            val = prow.get(f)
+        for pc in sorted(pivots):
+            p = pivots[pc]
+            val = p.get(f)
             if val:
-                vec[system.unknowns[pc]] = -val
+                vec[system.unknowns[pc]] = Fraction(-val, p[pc])
         basis.append(vec)
     return basis
 
 
-def _instantiate(poly: DiffPoly, tb: TemplateBuilder, values: dict[str, Fraction]) -> DiffPoly:
-    bindings = {param_var(name): DiffPoly.const(values.get(name, Fraction(0))) for name in tb.names}
-    return poly.substitute(bindings)
+def _unknown_values(tb: TemplateBuilder, vec: dict[str, Fraction]) -> dict[VarId, Coef]:
+    """Every unknown of the template at its value in a nullspace vector."""
+    return {param_var(name): rational(vec.get(name, 0)) for name in tb.names}
 
 
 @dataclass
@@ -250,8 +274,8 @@ def _solve(residuals, tb: TemplateBuilder, render, verify) -> SolutionBasis:
     for vec in vectors:
         obj = render(vec)
         check = verify(obj)
-        assert all(r.is_zero() for r in check), \
-            f"solver produced a non-solution; residuals {[str(r) for r in check]}"
+        if any(check):
+            raise VerificationFailed(f"solver produced a non-solution; residuals {[str(r) for r in check]}")
         solutions.append(obj)
     return SolutionBasis(solutions, vectors)
 
@@ -264,7 +288,8 @@ def symmetries(sys: EvolutionSystem, a: Ansatz) -> SolutionBasis:
     residuals = ell.apply(templates)
 
     def render(vec):
-        return tuple(_instantiate(t, tb, vec) for t in templates)
+        values = _unknown_values(tb, vec)
+        return tuple(t.evaluate(values) for t in templates)
 
     def verify(phi):
         return ell.apply(list(phi))
@@ -279,7 +304,8 @@ def generating_functions(sys: EvolutionSystem, a: Ansatz) -> SolutionBasis:
     residuals = gf_residual(sys, templates)
 
     def render(vec):
-        return tuple(_instantiate(t, tb, vec) for t in templates)
+        values = _unknown_values(tb, vec)
+        return tuple(t.evaluate(values) for t in templates)
 
     def verify(psi):
         return gf_residual(sys, list(psi))
@@ -295,8 +321,8 @@ def shadows(sys: EvolutionSystem, covering, a: Ansatz) -> SolutionBasis:
     rows = [p for cmap in residual.comps for _, p in sorted(cmap.items(), key=lambda kv: str(kv[0]))]
 
     def render(vec):
-        comps = tuple({key: _instantiate(p, tb, vec) for key, p in cmap.items()}
-                      for cmap in template.comps)
+        values = _unknown_values(tb, vec)
+        comps = tuple({key: p.evaluate(values) for key, p in cmap.items()} for cmap in template.comps)
         return CartanShadow(ctx, comps, covering)
 
     def verify(sh):
@@ -310,42 +336,20 @@ def shadows(sys: EvolutionSystem, covering, a: Ansatz) -> SolutionBasis:
 # Exact span utilities (used by reports and tests)
 
 
-def _vector_coords(vecs: list[tuple[DiffPoly, ...]]) -> tuple[list[tuple], list[list[Fraction]]]:
-    keys = sorted({(i, f) for v in vecs for i, p in enumerate(v) for f in p.terms},
-                  key=lambda t: (t[0], _monomial_key(t[1])))
-    cols = []
-    for v in vecs:
-        cols.append([v[i].terms.get(f, Fraction(0)) for i, f in keys])
-    return keys, cols
-
-
-def _rank(columns: list[list[Fraction]]) -> int:
-    if not columns:
-        return 0
-    rows = [list(r) for r in zip(*columns)]
-    rank = 0
-    ncols = len(columns)
-    for col in range(ncols):
-        piv = next((r for r in rows[rank:] if r[col]), None)
-        if piv is None:
-            continue
-        idx = rows.index(piv, rank)
-        rows[rank], rows[idx] = rows[idx], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r2 in range(len(rows)):
-            if r2 != rank and rows[r2][col]:
-                f = rows[r2][col]
-                rows[r2] = [a - f * b for a, b in zip(rows[r2], rows[rank])]
-        rank += 1
-    return rank
-
-
 def span_contains(basis: list[tuple[DiffPoly, ...]], target: tuple[DiffPoly, ...]) -> bool:
-    """Exact membership of target in the rational span of the basis vectors."""
+    """Exact membership of target in the rational span of the basis vectors.
+
+    With the vectors as the columns of a linear system, target last, the
+    target column is free in the reduced echelon form, and so enters a
+    nullspace vector, exactly when it is a combination of the others.
+    """
     if all(p.is_zero() for p in target):
         return True
-    if not basis:
-        return False
-    _, cols = _vector_coords(list(basis) + [target])
-    return _rank(cols[:-1]) == _rank(cols)
+    vecs = list(basis) + [target]
+    rows: dict[tuple, dict[int, Coef]] = {}
+    for k, vec in enumerate(vecs):
+        for i, p in enumerate(vec):
+            for f, c in p.terms.items():
+                rows.setdefault((i, f), {})[k] = c
+    names = [str(k) for k in range(len(vecs))]
+    return any(names[-1] in v for v in nullspace(LinearSystem(names, list(rows.values()))))

@@ -15,12 +15,13 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from .dalg import JET, NONLOCAL, TESTCOV, DiffPoly, MultiIndex, VarId, param_var
+from .dalg import JET, NONLOCAL, TESTCOV, DiffPoly, MultiIndex, VarId, param_var, rational
 from .jetspace import EvolutionSystem, JetContext, NotInternal, total_derivative_iterated
 from .cdiff import CartanShadow, CDiffOp, DimensionMismatch, contract, evolutionary, linearization
 from .variational import (
     Density,
     NotExactDerivative,
+    VerificationFailed,
     antiderivative,
     dx_inverse,
     euler,
@@ -52,10 +53,6 @@ class NonlocalObstruction(ValueError):
 
 
 class PreconditionFailed(ValueError):
-    pass
-
-
-class VerificationFailed(ValueError):
     pass
 
 
@@ -112,21 +109,21 @@ class Covering:
         """D̃_i p = D̄_i p + sum_a X_i^a dp/dw^a."""
         ctx = self.base.ctx
         t = ctx.time_index
-        out = p.partial(self.ctx.base(i))
+        parts = [p.partial(self.ctx.base(i))]
         for v in p.variables():
             if v.kind == JET:
                 j, sigma = v.idx
                 if t in sigma:
                     raise NotInternal(f"{v.name} is not a covering-ring coordinate")
                 if i == t:
-                    out = out + self.base.dsigma_f(j, sigma) * p.partial(v)
+                    parts.append(self.base.dsigma_f(j, sigma) * p.partial(v))
                 else:
-                    out = out + DiffPoly.var(ctx.jet(j, tuple(sorted(sigma + (i,))))) * p.partial(v)
+                    parts.append(DiffPoly.var(ctx.jet(j, tuple(sorted(sigma + (i,))))) * p.partial(v))
             elif v.kind == NONLOCAL:
-                out = out + self.layers[v.idx[0]].exprs[i] * p.partial(v)
+                parts.append(self.layers[v.idx[0]].exprs[i] * p.partial(v))
             elif v.kind == TESTCOV:
                 raise ScopeError("extended derivatives do not act on test covectors")
-        return out
+        return DiffPoly.sum(parts)
 
     def iterated(self, sigma: MultiIndex, p: DiffPoly) -> DiffPoly:
         for i in sigma:
@@ -152,22 +149,37 @@ def dx_inverse_extended(cov: Covering, g: DiffPoly) -> DiffPoly:
     the jet-free remainder (which may involve nonlocal variables) is matched
     against an exact linear ansatz over the remainder's variables, the
     nonlocal variables, and x.
+
+    Termination.  Let q be the highest jet order in the layers'
+    x-expressions.  While the top order k of g exceeds q, D̃_x h1 and D̄_x h1
+    agree at order k, so on exact input a pass strictly lowers k, as in
+    `dx_inverse`.  Once k <= q it stays there, and the x-expressions may bring
+    order-k terms back (w_x = u_x takes g = w*u_x through two passes at order
+    1).  From then on a pass must instead shrink the multiset of
+    (nonlocal degree, jet order) pairs of g's monomials (`_profile`): it
+    removes every order-k monomial and, when the x-expressions are free of
+    nonlocal variables, adds only monomials of lower order or of lower
+    nonlocal degree.  Both measures are well-founded, so the loop ends; a pass
+    that lowers neither is reported as an obstruction.
     """
     ctx = cov.base.ctx
     if ctx.n != 2:
         raise ValueError("extended integration requires exactly one spatial variable")
     x = ctx.spatial_indices[0]
-    h = DiffPoly.zero()
-    guard = 0
+    q = max((len(v.idx[1]) for layer in cov.layers for v in layer.exprs[x].variables() if v.kind == JET),
+            default=0)
+    parts = []
+    last = None
     while True:
         jets = [v for v in g.variables() if v.kind == JET and v.idx[1]]
         if not jets:
             break
-        guard += 1
-        if guard > 400:
-            raise NonlocalObstruction(g)
         k = max(len(v.idx[1]) for v in jets)
-        top = sorted((v for v in jets if len(v.idx[1]) == k), key=lambda v: v.sort_key())
+        measure = (k,) if k > q else (q, _profile(g))
+        if last is not None and measure >= last:
+            raise NonlocalObstruction(g)
+        last = measure
+        top = sorted(v for v in jets if len(v.idx[1]) == k)
         h1 = DiffPoly.zero()
         plan = []
         for v in top:
@@ -183,23 +195,31 @@ def dx_inverse_extended(cov: Covering, g: DiffPoly) -> DiffPoly:
             if h1.partial(w) != a:
                 raise NonlocalObstruction(g)
         g = g - cov.derive(x, h1)
-        h = h + h1
+        parts.append(h1)
     if not any(v.kind == NONLOCAL for v in g.variables()):
         try:
-            return h + dx_inverse(ctx, g, x)
+            return DiffPoly.sum(parts + [dx_inverse(ctx, g, x)])
         except NotExactDerivative:
             pass  # the preimage may still exist once nonlocal variables are allowed
     h2 = _remainder_ansatz(cov, g, x)
     if h2 is None:
         raise NonlocalObstruction(g)
-    return h + h2
+    return DiffPoly.sum(parts + [h2])
+
+
+def _profile(g: DiffPoly) -> list[tuple[int, int]]:
+    """(nonlocal degree, highest jet order) of each monomial, largest first;
+    as lists these compare like the multisets they list."""
+    return sorted(((sum(e for v, e in mono if v.kind == NONLOCAL),
+                    max((len(v.idx[1]) for v, _ in mono if v.kind == JET), default=0))
+                   for mono in g.terms), reverse=True)
 
 
 def _remainder_ansatz(cov: Covering, r: DiffPoly, x: int) -> DiffPoly | None:
     """Exact linear solve of D̃_x h = r over a finite monomial pool."""
     ctx = cov.base.ctx
     pool_vars = sorted(r.variables() | {cov.nonlocal_var(a) for a in range(len(cov.layers))}
-                       | {ctx.base(x)}, key=lambda v: v.sort_key())
+                       | {ctx.base(x)})
     degree = r.total_degree() + 1
     monos: list[DiffPoly] = []
     for d in range(1, degree + 1):
@@ -207,20 +227,18 @@ def _remainder_ansatz(cov: Covering, r: DiffPoly, x: int) -> DiffPoly | None:
             factors: dict[VarId, int] = {}
             for v in combo:
                 factors[v] = factors.get(v, 0) + 1
-            monos.append(DiffPoly({tuple(sorted(factors.items(), key=lambda t: t[0].sort_key())): Fraction(1)}))
+            monos.append(DiffPoly({tuple(sorted(factors.items())): 1}))
     # reserved names: the grammar cannot produce identifiers containing '#'
     names = [f"#h{k}" for k in range(len(monos))] + ["#rhs"]
-    candidate = DiffPoly.zero()
-    for name, mono in zip(names, monos):
-        candidate = candidate + DiffPoly.var(param_var(name)) * mono
+    candidate = DiffPoly.sum(DiffPoly.var(param_var(name)) * mono for name, mono in zip(names, monos))
     residual = cov.derive(x, candidate) - DiffPoly.var(param_var("#rhs")) * r
     system = LinearSystem(names, [])
     match_coefficients(residual, system)
     for vec in nullspace(system):
         lam = vec.get("#rhs", Fraction(0))
         if lam:
-            bindings = {param_var(n): DiffPoly.const(vec.get(n, Fraction(0)) / lam) for n in names[:-1]}
-            return candidate.substitute({**bindings, param_var("#rhs"): DiffPoly.zero()})
+            values = {param_var(n): rational(vec.get(n, 0) / lam) for n in names[:-1]}
+            return candidate.evaluate(values)
     return None
 
 
@@ -230,12 +248,12 @@ def extended_linearization_residual(cov: Covering, psi: Sequence[DiffPoly]) -> l
     ctx = sys.ctx
     out = []
     for beta in range(ctx.m):
-        acc = cov.derive(ctx.time_index, psi[beta])
+        parts = [cov.derive(ctx.time_index, psi[beta])]
         for v in sys.f[beta].variables():
             if v.kind == JET:
                 alpha, sigma = v.idx
-                acc = acc - sys.f[beta].partial(v) * cov.iterated(sigma, psi[alpha])
-        out.append(acc)
+                parts.append(-sys.f[beta].partial(v) * cov.iterated(sigma, psi[alpha]))
+        out.append(DiffPoly.sum(parts))
     return out
 
 
@@ -264,20 +282,16 @@ def apply_shadow(sh: CartanShadow, phi: Sequence[DiffPoly],
         x = ctx.spatial_indices[0]
         for a in range(max(used_layers) + 1):
             xa = cov.expr(x, a)
-            integrand = DiffPoly.zero()
+            parts = []
             for v in xa.variables():
                 if v.kind == JET:
                     j, sigma = v.idx
-                    integrand = integrand + cov.iterated(sigma, phi[j]) * xa.partial(v)
+                    parts.append(cov.iterated(sigma, phi[j]) * xa.partial(v))
                 elif v.kind == NONLOCAL:
-                    integrand = integrand + resolved[v.idx[0]] * xa.partial(v)
-            resolved[a] = dx_inverse_extended(cov, integrand)
-    result = []
-    for comp, res in zip(local, residues):
-        acc = comp
-        for a, coef in res.items():
-            acc = acc + coef * resolved[a]
-        result.append(acc)
+                    parts.append(resolved[v.idx[0]] * xa.partial(v))
+            resolved[a] = dx_inverse_extended(cov, DiffPoly.sum(parts))
+    result = [DiffPoly.sum([comp] + [coef * resolved[a] for a, coef in res.items()])
+              for comp, res in zip(local, residues)]
     if cov is not None:
         residual = extended_linearization_residual(cov, result)
     else:
@@ -321,14 +335,9 @@ def _test_covector_names(ctx: JetContext, count: int) -> list[str]:
 def _apply_free(op: CDiffOp, vec: list[DiffPoly]) -> list[DiffPoly]:
     """Apply a (possibly equation-owned) spatial operator on free jets."""
     ctx = op.ctx
-    out = []
-    for r in range(op.rows):
-        acc = DiffPoly.zero()
-        for c in range(op.cols):
-            for sigma, a in op.entries[r][c].items():
-                acc = acc + a * total_derivative_iterated(ctx, sigma, vec[c])
-        out.append(acc)
-    return out
+    return [DiffPoly.sum(a * total_derivative_iterated(ctx, sigma, vec[c])
+                         for c in range(op.cols) for sigma, a in op.entries[r][c].items())
+            for r in range(op.rows)]
 
 
 def _coefficient_linearization_applied(op: CDiffOp, phi: list[DiffPoly], psi: list[DiffPoly]) -> list[DiffPoly]:
@@ -337,13 +346,13 @@ def _coefficient_linearization_applied(op: CDiffOp, phi: list[DiffPoly], psi: li
     ctx = op.ctx
     out = []
     for r in range(op.rows):
-        acc = DiffPoly.zero()
+        parts = []
         for c in range(op.cols):
             for sigma, a in op.entries[r][c].items():
                 da = evolutionary(ctx, phi, a)
                 if da:
-                    acc = acc + da * total_derivative_iterated(ctx, sigma, psi[c])
-        out.append(acc)
+                    parts.append(da * total_derivative_iterated(ctx, sigma, psi[c]))
+        out.append(DiffPoly.sum(parts))
     return out
 
 
@@ -355,14 +364,13 @@ def jacobi_criterion_density(A: HamCandidate | CDiffOp) -> Density:
     m = op.rows
     names = _test_covector_names(ctx, 3)
     covecs = [[DiffPoly.var(ctx.testcov(nm, c)) for c in range(m)] for nm in names]
-    density = DiffPoly.zero()
+    parts = []
     for k in range(3):
         p, q, r = covecs[k], covecs[(k + 1) % 3], covecs[(k + 2) % 3]
         ap = _apply_free(op, p)
         lq = _coefficient_linearization_applied(op, ap, q)
-        for comp, rr in zip(lq, r):
-            density = density + comp * rr
-    return Density(ctx, density)
+        parts.extend(comp * rr for comp, rr in zip(lq, r))
+    return Density(ctx, DiffPoly.sum(parts))
 
 
 def jacobi_check(A: HamCandidate | CDiffOp) -> bool:
@@ -407,10 +415,7 @@ def poisson_bracket(A: HamCandidate | CDiffOp, H1: Density, H2: Density) -> Brac
     g1 = euler(H1)
     g2 = euler(H2)
     flow = _apply_free(op, g1)
-    density = DiffPoly.zero()
-    for a, b in zip(flow, g2):
-        density = density + a * b
-    d = Density(ctx, density)
+    d = Density(ctx, DiffPoly.sum(a * b for a, b in zip(flow, g2)))
     return BracketResult(d, tuple(euler(d)))
 
 

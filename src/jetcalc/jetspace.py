@@ -155,7 +155,7 @@ def total_derivative(ctx: JetContext, i: int, p: DiffPoly) -> DiffPoly:
     if p.has_kind(NONLOCAL):
         raise NonlocalVariablePresent(
             "expression contains covering variables; use the covering's extended derivative")
-    out = p.partial(ctx.base(i))
+    parts = [p.partial(ctx.base(i))]
     for v in p.variables():
         if v.kind == JET:
             j, sigma = v.idx
@@ -165,8 +165,8 @@ def total_derivative(ctx: JetContext, i: int, p: DiffPoly) -> DiffPoly:
             shifted = ctx.testcov(nm, comp, mi_add(sigma, i))
         else:
             continue
-        out = out + DiffPoly.var(shifted) * p.partial(v)
-    return out
+        parts.append(DiffPoly.var(shifted) * p.partial(v))
+    return DiffPoly.sum(parts)
 
 
 def total_derivative_iterated(ctx: JetContext, sigma: MultiIndex, p: DiffPoly) -> DiffPoly:
@@ -280,12 +280,12 @@ class EvolutionSystem:
         self.check_internal(p)
         if p.has_kind(TESTCOV):
             raise NotInternal("the restricted time derivative does not act on test covectors")
-        out = p.partial(self.ctx.base(self.ctx.time_index))
+        parts = [p.partial(self.ctx.base(self.ctx.time_index))]
         for v in p.variables():
             if v.kind == JET:
                 j, sigma = v.idx
-                out = out + self.dsigma_f(j, sigma) * p.partial(v)
-        return out
+                parts.append(self.dsigma_f(j, sigma) * p.partial(v))
+        return DiffPoly.sum(parts)
 
     def restricted_derivative(self, i: int, p: DiffPoly) -> DiffPoly:
         """D̄_i on internal expressions: spatial D_i, or D̄_t for the time index."""
@@ -312,7 +312,7 @@ class EvolutionSystem:
             offenders = [v for v in p.variables() if v.kind == JET and t in v.idx[1]]
             if not offenders:
                 return p
-            v = max(offenders, key=lambda w: (len(w.idx[1]), w.sort_key()))
+            v = max(offenders, key=lambda w: (len(w.idx[1]), w))
             j, sigma = v.idx
             rest = mi_remove_one(sigma, t)
             image = total_derivative_iterated(self.ctx, rest, self.f[j])

@@ -9,6 +9,7 @@ operator identities with free covector arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .dalg import (
     HOMOTOPY_SCALAR,
@@ -47,6 +48,13 @@ class NotGeneratingFunction(ValueError):
     pass
 
 
+class VerificationFailed(ValueError):
+    """A computed result failed the exact check of its defining equation.
+
+    Raised, never asserted, so that no certificate disappears under
+    `python -O`."""
+
+
 @dataclass(frozen=True)
 class Density:
     """Lagrangian density: the coefficient of the volume form."""
@@ -81,7 +89,7 @@ def _family_var(ctx: JetContext, fam: tuple, sigma) -> VarId:
 
 
 def _euler_component(ctx: JetContext, L: DiffPoly, fam: tuple) -> DiffPoly:
-    out = DiffPoly.zero()
+    parts = []
     for v in L.variables():
         if fam[0] == "u" and not (v.kind == JET and v.idx[0] == fam[1]):
             continue
@@ -89,8 +97,8 @@ def _euler_component(ctx: JetContext, L: DiffPoly, fam: tuple) -> DiffPoly:
             continue
         sigma = v.idx[-1]
         term = total_derivative_iterated(ctx, sigma, L.partial(v))
-        out = out + term.scale((-1) ** len(sigma))
-    return out
+        parts.append(term.scale((-1) ** len(sigma)))
+    return DiffPoly.sum(parts)
 
 
 def euler(density: Density) -> list[DiffPoly]:
@@ -112,7 +120,7 @@ def is_divergence(density: Density) -> bool:
 
 def antiderivative(p: DiffPoly, v: VarId) -> DiffPoly:
     """Polynomial antiderivative of p in the single variable v."""
-    out = DiffPoly.zero()
+    parts = []
     for f, c in p.terms.items():
         e = 0
         rest = []
@@ -122,9 +130,9 @@ def antiderivative(p: DiffPoly, v: VarId) -> DiffPoly:
             else:
                 rest.append((w, k))
         rest.append((v, e + 1))
-        rest.sort(key=lambda t: t[0].sort_key())
-        out = out + DiffPoly({tuple(rest): c / (e + 1)})
-    return out
+        rest.sort()
+        parts.append(DiffPoly({tuple(rest): Fraction(c, e + 1)}))
+    return DiffPoly.sum(parts)
 
 
 def dx_inverse(ctx: JetContext, g: DiffPoly, i: int = 0) -> DiffPoly:
@@ -135,20 +143,26 @@ def dx_inverse(ctx: JetContext, g: DiffPoly, i: int = 0) -> DiffPoly:
     linearly with coefficients of lower order, and (c) to admit a joint
     antiderivative; any failure proves g is not in the image of D_i and the
     offending remainder is reported.
+
+    Termination: if g = D_i H, the top jets of g come from the jets of H one
+    order lower, whose coefficients are the derivatives of H; these depend
+    on no other jets of that order, so removing D_i h1 strictly lowers the
+    top order.  A pass that does not lower it proves g is not exact, so the
+    loop runs at most as many passes as the initial top order.
     """
     if g.has_kind(NONLOCAL):
         raise ValueError("use the covering-aware inverse for nonlocal expressions")
-    h = DiffPoly.zero()
-    guard = 0
+    parts = []
+    last_order = None
     while True:
         jets = [v for v in g.variables() if v.kind in (JET, TESTCOV) and v.idx[-1]]
         if not jets:
             break
-        guard += 1
-        if guard > 1000:  # unreachable for the supported expression class
-            raise NotExactDerivative(g)
         k = max(len(v.idx[-1]) for v in jets)
-        top = sorted((v for v in jets if len(v.idx[-1]) == k), key=lambda v: v.sort_key())
+        if last_order is not None and k >= last_order:
+            raise NotExactDerivative(g)
+        last_order = k
+        top = sorted(v for v in jets if len(v.idx[-1]) == k)
         coeffs = []
         for v in top:
             if i not in v.idx[-1]:
@@ -167,11 +181,11 @@ def dx_inverse(ctx: JetContext, g: DiffPoly, i: int = 0) -> DiffPoly:
             if h1.partial(w) != a:
                 raise NotExactDerivative(g)
         g = g - total_derivative_iterated(ctx, (i,), h1)
-        h = h + h1
+        parts.append(h1)
     if any(v.kind in (JET, TESTCOV) for v in g.variables()):
         raise NotExactDerivative(g)
-    h = h + antiderivative(g, ctx.base(i))
-    return h
+    parts.append(antiderivative(g, ctx.base(i)))
+    return DiffPoly.sum(parts)
 
 
 def self_adjoint_test(ctx: JetContext, psi: list[DiffPoly]) -> bool:
@@ -192,11 +206,11 @@ def homotopy_lagrangian(ctx: JetContext, psi: list[DiffPoly]) -> Density:
     if not self_adjoint_test(ctx, psi):
         raise NotVariational("linearization of the section is not self-adjoint")
     s = DiffPoly.var(HOMOTOPY_SCALAR)
-    total = DiffPoly.zero()
+    parts = []
     for j, p in enumerate(psi):
         scaling = {v: s * DiffPoly.var(v) for v in p.variables() if v.kind == JET}
-        total = total + DiffPoly.var(ctx.jet(j)) * p.substitute(scaling)
-    return Density(ctx, total.integrate_scalar_01())
+        parts.append(DiffPoly.var(ctx.jet(j)) * p.substitute(scaling))
+    return Density(ctx, DiffPoly.sum(parts).integrate_scalar_01())
 
 
 def divergence_residual(sys: EvolutionSystem, J: ConservedCurrent) -> DiffPoly:
@@ -206,10 +220,10 @@ def divergence_residual(sys: EvolutionSystem, J: ConservedCurrent) -> DiffPoly:
         raise ValueError(f"current needs {ctx.n} components")
     for comp in J.components:
         sys.check_internal(comp)
-    total = sys.restricted_time(J.components[0])
+    parts = [sys.restricted_time(J.components[0])]
     for k, idx in enumerate(ctx.spatial_indices):
-        total = total + total_derivative_iterated(ctx, (idx,), J.components[k + 1])
-    return sys.to_internal(total)
+        parts.append(total_derivative_iterated(ctx, (idx,), J.components[k + 1]))
+    return sys.to_internal(DiffPoly.sum(parts))
 
 
 def verify_conserved_current(sys: EvolutionSystem, J: ConservedCurrent) -> bool:
@@ -235,7 +249,9 @@ def generating_function(sys: EvolutionSystem, J: ConservedCurrent) -> list[DiffP
         raise NotConserved(f"current residual: {divergence_residual(sys, J)}")
     ctx = sys.ctx
     psi = euler(Density(ctx, J.components[0]))[: ctx.m]
-    assert is_generating_function(sys, psi), "generating function failed its defining equation"
+    if not is_generating_function(sys, psi):
+        raise VerificationFailed(
+            f"generating function failed its defining equation; residual {[str(r) for r in gf_residual(sys, psi)]}")
     return psi
 
 
@@ -261,5 +277,7 @@ def current_from_gf(sys: EvolutionSystem, psi: list[DiffPoly]) -> ConservedCurre
     j0 = sys.to_internal(j0)
     jx = dx_inverse(ctx, -sys.restricted_time(j0), ctx.spatial_indices[0])
     J = ConservedCurrent((j0, jx))
-    assert verify_conserved_current(sys, J), "reconstructed current failed verification"
+    residual = divergence_residual(sys, J)
+    if residual:
+        raise VerificationFailed(f"reconstructed current failed verification; residual {residual}")
     return J

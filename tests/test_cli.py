@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from jetcalc.cli import InputError, main, parse_equation_file, parse_operator
 from jetcalc.cdiff import CDiffOp
+from jetcalc.dalg import DiffPoly
 
 BURGERS = """\
 # Burgers equation and its potential covering
@@ -207,3 +211,81 @@ def test_input_error_exit_code(tmp_path, capsys):
 def test_unknown_covering(burgers_file, capsys):
     code, _, err = run(capsys, "recursion", burgers_file, "--covering", "zzz", "--order", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("repeat, first_line", [
+    ("evolution: u_t = u_{xx}", 4),
+    ("covering pot: w_x = u ; w_t = u_x", 5),
+    ("current J = (u, u)", 6),
+    ("operator A = D_x", 8),
+    ("density H = u", 9),
+])
+def test_repeated_declarations_are_rejected(tmp_path, capsys, repeat, first_line):
+    text = BURGERS + "operator A = D_x^2\ndensity H = u^2\n" + repeat + "\n"
+    path = tmp_path / "repeat.eqn"
+    path.write_text(text)
+    with pytest.raises(InputError) as err:
+        parse_equation_file(str(path))
+    assert err.value.line == len(text.splitlines())
+    assert f"already declared on line {first_line}" in str(err.value)
+    code, out, err_text = run(capsys, "linearize", str(path))
+    assert code == 2 and out == ""
+    assert f"line {len(text.splitlines())}:" in err_text
+
+
+def test_same_name_of_different_kinds_is_allowed(tmp_path):
+    path = tmp_path / "kinds.eqn"
+    path.write_text(BURGERS + "density J = u^2\n")
+    eq = parse_equation_file(str(path))
+    assert "J" in eq.currents and "J" in eq.densities
+
+
+def test_jobs_flag_is_gone(burgers_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["symmetries", burgers_file, "--jobs", "2"])
+    assert exc.value.code == 2
+
+
+def test_verified_reports_the_shadow_check(burgers_file, capsys, monkeypatch):
+    from jetcalc import hamrec
+
+    argv = ("apply-recursion", burgers_file, "--covering", "pot", "--order", "1", "--deg", "1",
+            "--to", "u_x", "--times", "2", "--format", "structured")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["verified"] == [True, True]
+    monkeypatch.setattr(hamrec, "extended_linearization_residual", lambda cov, psi: [DiffPoly.const(1)])
+    code, out, _ = run(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["verified"] == [False] and doc["result"] == []
+    assert "not a symmetry" in doc["failure"]
+
+
+SABOTAGE = """\
+import sys
+if __debug__:
+    sys.exit("expected python -O")
+from jetcalc import detsolve, variational
+from jetcalc.cli import main
+from jetcalc.dalg import DiffPoly
+if sys.argv[1] == "solver":
+    solve = detsolve._solve
+    detsolve._solve = lambda residuals, tb, render, verify: solve(
+        residuals, tb, render, lambda obj: [DiffPoly.const(1)])
+else:
+    variational.divergence_residual = lambda sys, J: DiffPoly.const(1)
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("solver", ["symmetries", "--order", "1", "--deg", "1"]),
+    ("current", ["conslaws", "--order", "1", "--deg", "1", "--currents"]),
+])
+def test_certificates_survive_python_O(burgers_file, target, argv):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-O", "-c", SABOTAGE, target, argv[0], burgers_file] + argv[1:]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "verification failed" in proc.stderr

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from jetcalc.dalg import DiffPoly
-from jetcalc.jetspace import JetContext
+from jetcalc.jetspace import EvolutionSystem, JetContext
 from jetcalc.cdiff import CartanShadow, CDiffOp, linearization
 from jetcalc.variational import Density, dx_inverse, is_divergence
 from jetcalc.hamrec import (
@@ -123,6 +123,28 @@ def test_dx_inverse_extended(pot, ctx):
         or pot.derive(0, dx_inverse_extended(pot, pot.parse("u_x*w + u^2"))) == pot.parse("u_x*w + u^2")
     with pytest.raises(NonlocalObstruction):
         dx_inverse_extended(pot, pot.parse("w"))
+
+
+def test_dx_inverse_extended_stops_when_the_top_order_does_not_fall():
+    ctx = JetContext(("x", "t"), ("u", "v"), has_time=True)
+    heat = EvolutionSystem(ctx, [ctx.parse("u_{xx}"), ctx.parse("v_{xx}")])
+    cov = make_covering(heat, [("w", [ctx.parse("u"), ctx.parse("u_x")])])
+    with pytest.raises(NonlocalObstruction) as err:
+        dx_inverse_extended(cov, ctx.parse("v_x*u_{xx}"))
+    assert err.value.remainder == ctx.parse("-u_x*v_{xx}")
+    assert dx_inverse_extended(cov, ctx.parse("v_x*u_{xx} + u_x*v_{xx} + u")) == cov.parse("u_x*v_x + w")
+
+
+def test_dx_inverse_extended_with_jet_dependent_covering():
+    # w_x = u_x brings order-1 terms back: w*u_x takes two passes at order 1
+    ctx = JetContext(("x", "t"), ("u", "v"), has_time=True)
+    heat = EvolutionSystem(ctx, [ctx.parse("u_{xx}"), ctx.parse("v_{xx}")])
+    cov = make_covering(heat, [("w", [ctx.parse("u_x"), ctx.parse("u_{xx}")])])
+    assert dx_inverse_extended(cov, cov.parse("w*u_x")) == cov.parse("w*u - u^2/2")
+    # v*u_x is not exact: the second pass (-u*v_x) does not shrink the profile
+    with pytest.raises(NonlocalObstruction) as err:
+        dx_inverse_extended(cov, cov.parse("v*u_x"))
+    assert err.value.remainder == ctx.parse("-u*v_x")
 
 
 def test_extended_linearization_residual(pot, ctx):

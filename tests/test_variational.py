@@ -9,6 +9,7 @@ from jetcalc.variational import (
     NotExactDerivative,
     NotGeneratingFunction,
     NotVariational,
+    VerificationFailed,
     current_from_gf,
     dx_inverse,
     euler,
@@ -178,6 +179,32 @@ def test_current_from_gf_examples(burgers, kdv, ctx):
 
     with pytest.raises(NotGeneratingFunction):
         current_from_gf(kdv, [ctx.parse("u^2")])
+
+
+def test_postconditions_raise_instead_of_asserting(monkeypatch, burgers, kdv, ctx):
+    import jetcalc
+    from jetcalc import hamrec, variational
+
+    assert jetcalc.VerificationFailed is hamrec.VerificationFailed is VerificationFailed
+    J = ConservedCurrent((ctx.parse("u"), ctx.parse("-(u^2/2 + u_x)")))
+    with monkeypatch.context() as m:
+        m.setattr(variational, "is_generating_function", lambda sys, psi: False)
+        with pytest.raises(VerificationFailed):
+            generating_function(burgers, J)
+    with monkeypatch.context() as m:
+        m.setattr(variational, "divergence_residual", lambda sys, J: DiffPoly.const(1))
+        with pytest.raises(VerificationFailed):
+            current_from_gf(kdv, [ctx.parse("u")])
+
+
+def test_dx_inverse_stops_when_the_top_order_does_not_fall():
+    # One pass turns v_x*u_{xx} into -u_x*v_{xx}: the top order stays 2, which
+    # proves the input is not exact (the next pass would turn it back).
+    ctx = JetContext(("x",), ("u", "v"))
+    with pytest.raises(NotExactDerivative) as err:
+        dx_inverse(ctx, ctx.parse("v_x*u_{xx}"))
+    assert err.value.remainder == ctx.parse("-u_x*v_{xx}")
+    assert dx_inverse(ctx, ctx.parse("v_x*u_{xx} + u_x*v_{xx}")) == ctx.parse("u_x*v_x")
 
 
 def test_euler_with_test_covectors(ctx):
