@@ -65,6 +65,7 @@ from .detsolve import (
 from .hamrec import (
     BracketResult,
     Covering,
+    CovectorNamesExhausted,
     HamCandidate,
     NonlocalObstruction,
     NotFlat,

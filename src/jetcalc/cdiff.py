@@ -29,6 +29,7 @@ from .jetspace import (
     EvolutionSystem,
     GeneralSystem,
     JetContext,
+    prefix_derivatives,
     total_derivative,
     total_derivative_iterated,
 )
@@ -47,6 +48,11 @@ class DegreeOverflow(ValueError):
 
 
 Entry = dict[MultiIndex, DiffPoly]
+
+
+def _free_derivatives(ctx: JetContext, p: DiffPoly) -> Callable[[MultiIndex], DiffPoly]:
+    """sigma -> D_sigma p on the free jet space, deriving shared prefixes once."""
+    return prefix_derivatives(lambda i, q: total_derivative(ctx, i, q), p)
 
 
 def _clean(entry: Entry) -> Entry:
@@ -113,20 +119,9 @@ class CDiffOp:
     def _derivatives(self, p: DiffPoly) -> Callable[[MultiIndex], DiffPoly]:
         """sigma -> D_sigma(p), memoized so that multi-indices sharing a
         prefix derive it once."""
-        memo = {(): p}
-
-        def derive(sigma: MultiIndex) -> DiffPoly:
-            got = memo.get(sigma)
-            if got is None:
-                prev = derive(sigma[:-1])
-                if self.system is not None:
-                    got = self.system.restricted_derivative(sigma[-1], prev)
-                else:
-                    got = total_derivative(self.ctx, sigma[-1], prev)
-                memo[sigma] = got
-            return got
-
-        return derive
+        if self.system is not None:
+            return prefix_derivatives(self.system.restricted_derivative, p)
+        return _free_derivatives(self.ctx, p)
 
     def _check_compatible(self, other: "CDiffOp"):
         if self.system != other.system:
@@ -326,8 +321,8 @@ def evolutionary(ctx: JetContext, phi: Sequence[DiffPoly], p: DiffPoly) -> DiffP
     """The evolutionary derivation: sum_{j,sigma} D_sigma(phi^j) dp/du^j_sigma."""
     if len(phi) != ctx.m:
         raise DimensionMismatch(f"generating section needs {ctx.m} components")
-    return DiffPoly.sum(total_derivative_iterated(ctx, v.idx[1], phi[v.idx[0]]) * p.partial(v)
-                        for v in p.variables() if v.kind == JET)
+    derivs = [_free_derivatives(ctx, c) for c in phi]
+    return p.derivation(lambda v: derivs[v.idx[0]](v.idx[1]) if v.kind == JET else None)
 
 
 def jacobi_bracket(ctx: JetContext, phi: Sequence[DiffPoly], psi: Sequence[DiffPoly]) -> list[DiffPoly]:
@@ -542,14 +537,10 @@ def _cmap_derive(cmap: CartanMap, i: int, sys: EvolutionSystem, covering) -> Car
     generator v to the Cartan differential of D_i(v)."""
     ctx = sys.ctx
     t = ctx.time_index
-    derive: Callable[[DiffPoly], DiffPoly]
-    if covering is not None:
-        derive = lambda q: covering.derive(i, q)
-    else:
-        derive = lambda q: sys.restricted_derivative(i, q)
+    derive = covering.derive if covering is not None else sys.restricted_derivative
     out: CartanMap = {}
     for key, coef in cmap.items():
-        dcoef = derive(coef)
+        dcoef = derive(i, coef)
         if dcoef:
             out = _cmap_add(out, {key: dcoef})
         if key[0] == "u":
@@ -624,6 +615,7 @@ def contract(phi: Sequence[DiffPoly], sh: CartanShadow) -> tuple[list[DiffPoly],
     ctx = sh.ctx
     if len(phi) != ctx.m:
         raise DimensionMismatch(f"symmetry vector needs {ctx.m} components")
+    derivs = [_free_derivatives(ctx, c) for c in phi]
     local = []
     residues: list[dict[int, DiffPoly]] = []
     for cmap in sh.comps:
@@ -632,7 +624,7 @@ def contract(phi: Sequence[DiffPoly], sh: CartanShadow) -> tuple[list[DiffPoly],
         for key, coef in cmap.items():
             if key[0] == "u":
                 j, sigma = key[1], key[2]
-                parts.append(coef * total_derivative_iterated(ctx, sigma, phi[j]))
+                parts.append(coef * derivs[j](sigma))
             else:
                 res[key[1]] = res.get(key[1], DiffPoly.zero()) + coef
         local.append(DiffPoly.sum(parts))

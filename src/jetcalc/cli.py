@@ -108,7 +108,10 @@ class _OpParser:
         return t
 
     def parse(self) -> CDiffOp:
-        op = self.parse_sum()
+        try:
+            op = self.parse_sum()
+        except RecursionError:
+            raise ParseError("operator expression nested too deeply", self.peek()[2]) from None
         typ, _, pos = self.peek()
         if typ != "end":
             raise ParseError("trailing input in operator expression", pos)

@@ -18,6 +18,8 @@ Kernel invariants, which every operation keeps:
   for dicts that are already clean and owned by the new value.
 - `DiffPoly.sum` is the only accumulator.  A sum of many polynomials is
   never a chain of `+`, which copies the partial sum at every step.
+- `DiffPoly.derivation` is the only derivation primitive; total,
+  restricted, extended and evolutionary derivatives are image maps over it.
 - A `VarId` is the tuple of its canonical sort key, so hashing, equality
   and ordering of variables and factor tuples never run Python code.
 """
@@ -26,8 +28,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Iterator, Mapping
+from math import comb, lcm
+from typing import Callable, Iterable, Iterator, Mapping
 
 Rational = Fraction
 Coef = int | Fraction
@@ -388,8 +390,65 @@ class DiffPoly:
         for f, c in self.terms.items():
             for pos, (w, e) in enumerate(f):
                 if w == v:
-                    out[f[:pos] + f[pos + 1:] if e == 1 else f[:pos] + ((w, e - 1),) + f[pos + 1:]] = c * e
+                    if e == 1:
+                        out[f[:pos] + f[pos + 1:]] = c
+                    else:
+                        out[f[:pos] + ((w, e - 1),) + f[pos + 1:]] = c * e
                     break
+        return DiffPoly._make(out)
+
+    def derivation(self, image: Callable[[VarId], "DiffPoly | None"]) -> "DiffPoly":
+        """The derivation sum_v image(v) * dself/dv, in one pass over the terms.
+
+        `image` is asked once for each variable of self, in the order of
+        `variables()`, and returns None for a variable the derivation kills.
+        Each factor (v, e) of a term adds rest * image(v) straight into one
+        accumulator, on integer numerators over a common denominator (the
+        lcm of self's denominators times the lcm of the images'); each
+        output coefficient is reduced once at the end.
+        """
+        images: dict[VarId, dict[Factors, Coef]] = {}
+        for v in self.variables():
+            img = image(v)
+            if img is not None and img.terms:
+                images[v] = img.terms
+        if not images:
+            return _ZERO
+        terms = self.terms
+        den_p = _denominator(terms.values())
+        den_i = _denominator(c for img in images.values() for c in img.values())
+        if den_p:
+            terms = _lift(terms, den_p)
+        if den_i:
+            images = {v: _lift(img, den_i) for v, img in images.items()}
+        out: dict[Factors, int] = {}
+        get = out.get
+        for f, c in terms.items():
+            for pos, (v, e) in enumerate(f):
+                img = images.get(v)
+                if img is None:
+                    continue
+                if e == 1:
+                    rest = f[:pos] + f[pos + 1:]
+                    ce = c
+                else:
+                    rest = f[:pos] + ((v, e - 1),) + f[pos + 1:]
+                    ce = c * e
+                for g, d in img.items():
+                    key = (_merge_factors(rest, g) if g else rest) if rest else g
+                    s = get(key)
+                    if s is None:
+                        out[key] = ce * d
+                    else:
+                        s += ce * d
+                        if s:
+                            out[key] = s
+                        else:
+                            del out[key]
+        den = (den_p or 1) * (den_i or 1)
+        if den != 1:
+            for key, s in out.items():
+                out[key] = s // den if s % den == 0 else Fraction(s, den)
         return DiffPoly._make(out)
 
     def substitute(self, bindings: Mapping[VarId, "DiffPoly"]) -> "DiffPoly":
@@ -480,6 +539,21 @@ class DiffPoly:
 
 _ZERO = DiffPoly()
 _new_poly = object.__new__
+
+
+def _denominator(coefs: Iterable[Coef]) -> int:
+    """The lcm of the denominators of `coefs`, or 0 when they are all ints."""
+    den = 0
+    for c in coefs:
+        if c.__class__ is not int:
+            den = lcm(den or 1, c.denominator)
+    return den
+
+
+def _lift(terms: dict[Factors, Coef], den: int) -> dict[Factors, int]:
+    """Integer numerators of `terms` over the common denominator `den`."""
+    return {f: c * den if c.__class__ is int else c.numerator * (den // c.denominator)
+            for f, c in terms.items()}
 
 
 # --------------------------------------------------------------------------
@@ -666,7 +740,10 @@ def parse(text: str, ctx) -> DiffPoly:
     `ctx` must provide resolve_identifier(base, subscript, pos) -> VarId.
     """
     p = _Parser(text, ctx.resolve_identifier)
-    result = p.parse_expr()
+    try:
+        result = p.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", p.peek()[2]) from None
     typ, _, pos = p.peek()
     if typ != "end":
         raise ParseError("trailing input", pos)

@@ -15,8 +15,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from .dalg import JET, NONLOCAL, TESTCOV, DiffPoly, MultiIndex, VarId, param_var, rational
-from .jetspace import EvolutionSystem, JetContext, NotInternal, total_derivative_iterated
+from .dalg import BASE, JET, NONLOCAL, TESTCOV, DiffPoly, VarId, mi_add, param_var, rational
+from .jetspace import ONE, EvolutionSystem, JetContext, NotInternal, prefix_derivatives, total_derivative_iterated
 from .cdiff import CartanShadow, CDiffOp, DimensionMismatch, contract, evolutionary, linearization
 from .variational import (
     Density,
@@ -54,6 +54,11 @@ class NonlocalObstruction(ValueError):
 
 class PreconditionFailed(ValueError):
     pass
+
+
+class CovectorNamesExhausted(ValueError):
+    """Every candidate name for the test covectors of the Jacobi criterion is
+    already declared."""
 
 
 @dataclass(frozen=True)
@@ -109,26 +114,22 @@ class Covering:
         """D̃_i p = D̄_i p + sum_a X_i^a dp/dw^a."""
         ctx = self.base.ctx
         t = ctx.time_index
-        parts = [p.partial(self.ctx.base(i))]
-        for v in p.variables():
+
+        def image(v: VarId) -> DiffPoly | None:
             if v.kind == JET:
                 j, sigma = v.idx
                 if t in sigma:
                     raise NotInternal(f"{v.name} is not a covering-ring coordinate")
                 if i == t:
-                    parts.append(self.base.dsigma_f(j, sigma) * p.partial(v))
-                else:
-                    parts.append(DiffPoly.var(ctx.jet(j, tuple(sorted(sigma + (i,))))) * p.partial(v))
-            elif v.kind == NONLOCAL:
-                parts.append(self.layers[v.idx[0]].exprs[i] * p.partial(v))
-            elif v.kind == TESTCOV:
+                    return self.base.dsigma_f(j, sigma)
+                return DiffPoly.var(ctx.jet(j, mi_add(sigma, i)))
+            if v.kind == NONLOCAL:
+                return self.layers[v.idx[0]].exprs[i]
+            if v.kind == TESTCOV:
                 raise ScopeError("extended derivatives do not act on test covectors")
-        return DiffPoly.sum(parts)
+            return ONE if v.kind == BASE and v.idx[0] == i else None
 
-    def iterated(self, sigma: MultiIndex, p: DiffPoly) -> DiffPoly:
-        for i in sigma:
-            p = self.derive(i, p)
-        return p
+        return p.derivation(image)
 
     def parse(self, text: str) -> DiffPoly:
         return self.ctx.parse(text)
@@ -243,18 +244,16 @@ def _remainder_ansatz(cov: Covering, r: DiffPoly, x: int) -> DiffPoly | None:
 
 
 def extended_linearization_residual(cov: Covering, psi: Sequence[DiffPoly]) -> list[DiffPoly]:
-    """Components of the linearization equation with extended derivatives."""
+    """Components of the linearization equation with extended derivatives:
+    D̃_t psi^beta - sum df^beta/du^alpha_sigma D̃_sigma psi^alpha."""
     sys = cov.base
-    ctx = sys.ctx
-    out = []
-    for beta in range(ctx.m):
-        parts = [cov.derive(ctx.time_index, psi[beta])]
-        for v in sys.f[beta].variables():
-            if v.kind == JET:
-                alpha, sigma = v.idx
-                parts.append(-sys.f[beta].partial(v) * cov.iterated(sigma, psi[alpha]))
-        out.append(DiffPoly.sum(parts))
-    return out
+    t = sys.ctx.time_index
+    derivs = [prefix_derivatives(cov.derive, q) for q in psi]
+
+    def image(v: VarId) -> DiffPoly | None:
+        return derivs[v.idx[0]](v.idx[1]) if v.kind == JET else None
+
+    return [cov.derive(t, psi[beta]) - f.derivation(image) for beta, f in enumerate(sys.f)]
 
 
 def apply_shadow(sh: CartanShadow, phi: Sequence[DiffPoly],
@@ -278,18 +277,16 @@ def apply_shadow(sh: CartanShadow, phi: Sequence[DiffPoly],
     if used_layers:
         if cov is None:
             raise ValueError("shadow carries covering forms but no covering was supplied")
-        ctx = sys.ctx
-        x = ctx.spatial_indices[0]
+        x = sys.ctx.spatial_indices[0]
+        derivs = [prefix_derivatives(cov.derive, q) for q in phi]
+
+        def image(v: VarId) -> DiffPoly | None:
+            if v.kind == JET:
+                return derivs[v.idx[0]](v.idx[1])
+            return resolved[v.idx[0]] if v.kind == NONLOCAL else None
+
         for a in range(max(used_layers) + 1):
-            xa = cov.expr(x, a)
-            parts = []
-            for v in xa.variables():
-                if v.kind == JET:
-                    j, sigma = v.idx
-                    parts.append(cov.iterated(sigma, phi[j]) * xa.partial(v))
-                elif v.kind == NONLOCAL:
-                    parts.append(resolved[v.idx[0]] * xa.partial(v))
-            resolved[a] = dx_inverse_extended(cov, DiffPoly.sum(parts))
+            resolved[a] = dx_inverse_extended(cov, cov.expr(x, a).derivation(image))
     result = [DiffPoly.sum([comp] + [coef * resolved[a] for a, coef in res.items()])
               for comp, res in zip(local, residues)]
     if cov is not None:
@@ -321,15 +318,20 @@ def is_skew_adjoint(A: HamCandidate | CDiffOp) -> bool:
     return op.is_skew_adjoint()
 
 
+_COVECTOR_NAMES = ("p", "q", "r", "p1", "q1", "r1", "p2", "q2", "r2")
+
+
 def _test_covector_names(ctx: JetContext, count: int) -> list[str]:
     taken = set(ctx.independent) | set(ctx.dependent) | set(ctx.parameters) | set(ctx.nonlocals)
     out = []
-    for base in ("p", "q", "r", "p1", "q1", "r1", "p2", "q2", "r2"):
+    for base in _COVECTOR_NAMES:
         if base not in taken:
             out.append(base)
         if len(out) == count:
             return out
-    raise RuntimeError("could not allocate test covector names")
+    raise CovectorNamesExhausted(
+        f"could not allocate {count} test covector names: at most {len(_COVECTOR_NAMES) - count} of "
+        f"{', '.join(_COVECTOR_NAMES)} may be declared")
 
 
 def _apply_free(op: CDiffOp, vec: list[DiffPoly]) -> list[DiffPoly]:

@@ -10,7 +10,7 @@ expressions into internal coordinates (spatial jets only).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .dalg import (
     BASE,
@@ -31,6 +31,9 @@ from .dalg import (
     param_var,
     testcov_var,
 )
+
+
+ONE = DiffPoly.const(1)
 
 
 class NonlocalVariablePresent(ValueError):
@@ -155,24 +158,38 @@ def total_derivative(ctx: JetContext, i: int, p: DiffPoly) -> DiffPoly:
     if p.has_kind(NONLOCAL):
         raise NonlocalVariablePresent(
             "expression contains covering variables; use the covering's extended derivative")
-    parts = [p.partial(ctx.base(i))]
-    for v in p.variables():
+
+    def image(v: VarId) -> DiffPoly | None:
         if v.kind == JET:
             j, sigma = v.idx
-            shifted = ctx.jet(j, mi_add(sigma, i))
-        elif v.kind == TESTCOV:
+            return DiffPoly.var(ctx.jet(j, mi_add(sigma, i)))
+        if v.kind == TESTCOV:
             nm, comp, sigma = v.idx
-            shifted = ctx.testcov(nm, comp, mi_add(sigma, i))
-        else:
-            continue
-        parts.append(DiffPoly.var(shifted) * p.partial(v))
-    return DiffPoly.sum(parts)
+            return DiffPoly.var(ctx.testcov(nm, comp, mi_add(sigma, i)))
+        return ONE if v.kind == BASE and v.idx[0] == i else None
+
+    return p.derivation(image)
 
 
 def total_derivative_iterated(ctx: JetContext, sigma: MultiIndex, p: DiffPoly) -> DiffPoly:
     for i in sigma:
         p = total_derivative(ctx, i, p)
     return p
+
+
+def prefix_derivatives(derive: Callable[[int, DiffPoly], DiffPoly],
+                       p: DiffPoly) -> Callable[[MultiIndex], DiffPoly]:
+    """sigma -> derive(sigma[-1], ... derive(sigma[0], p)), memoized so that
+    multi-indices sharing a prefix derive it once."""
+    memo = {(): p}
+
+    def at(sigma: MultiIndex) -> DiffPoly:
+        got = memo.get(sigma)
+        if got is None:
+            got = memo[sigma] = derive(sigma[-1], at(sigma[:-1]))
+        return got
+
+    return at
 
 
 def multi_indices_up_to(ctx: JetContext, order: int, spatial_only: bool = False) -> list[MultiIndex]:
@@ -280,12 +297,14 @@ class EvolutionSystem:
         self.check_internal(p)
         if p.has_kind(TESTCOV):
             raise NotInternal("the restricted time derivative does not act on test covectors")
-        parts = [p.partial(self.ctx.base(self.ctx.time_index))]
-        for v in p.variables():
+        t = self.ctx.time_index
+
+        def image(v: VarId) -> DiffPoly | None:
             if v.kind == JET:
-                j, sigma = v.idx
-                parts.append(self.dsigma_f(j, sigma) * p.partial(v))
-        return DiffPoly.sum(parts)
+                return self.dsigma_f(*v.idx)
+            return ONE if v.kind == BASE and v.idx[0] == t else None
+
+        return p.derivation(image)
 
     def restricted_derivative(self, i: int, p: DiffPoly) -> DiffPoly:
         """D̄_i on internal expressions: spatial D_i, or D̄_t for the time index."""

@@ -208,6 +208,27 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("euler", "--density", "(" * 3000 + "u" + ")" * 3000),
+    ("flow", "--op", "(" * 3000 + "D_x" + ")" * 3000, "--density", "u^2"),
+])
+def test_deeply_nested_expression_exits_2(burgers_file, capsys, argv):
+    code, out, err = run(capsys, argv[0], burgers_file, *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert err.count("\n") == 1
+
+
+def test_exhausted_covector_names_exit_2(tmp_path, capsys):
+    path = tmp_path / "names.eqn"
+    path.write_text("independent: x, t(time)\ndependent: u\nparam: p, q, r, p1, q1, r1, p2, q2\n"
+                    "evolution: u_t = u*u_x + u_{xxx}\noperator A = D_x\n")
+    code, out, err = run(capsys, "check-hamiltonian", str(path), "--op", "A")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "test covector names" in err
+    assert err.count("\n") == 1
+
+
 def test_unknown_covering(burgers_file, capsys):
     code, _, err = run(capsys, "recursion", burgers_file, "--covering", "zzz", "--order", "1")
     assert code == 2

@@ -1,7 +1,10 @@
 """Property tests of the polynomial kernel and the exact nullspace.
 
 hypothesis draws the inputs; sympy is the independent oracle for the
-reduced row echelon form.  Both are test-only dependencies.
+reduced row echelon form.  Both are test-only dependencies.  The fused
+`DiffPoly.derivation` is checked against the partial-then-multiply sum it
+replaced, and the derivatives built on it against the identities of the
+variational bicomplex.
 """
 
 import copy
@@ -13,7 +16,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from jetcalc.dalg import (
     BASE,
@@ -27,7 +30,9 @@ from jetcalc.dalg import (
     VarId,
 )
 from jetcalc.detsolve import LinearSystem, nullspace
-from jetcalc.jetspace import JetContext
+from jetcalc.jetspace import EvolutionSystem, JetContext, total_derivative
+from jetcalc.hamrec import make_covering
+from jetcalc.variational import Density, dx_inverse, euler
 
 CTX = JetContext(("x", "t"), ("u", "v"), has_time=True)
 VARS = [CTX.base(0), CTX.base(1), CTX.jet(0), CTX.jet(0, (0,)), CTX.jet(1, (0, 0)), CTX.jet(1, (0, 1)),
@@ -39,12 +44,12 @@ coefficients = st.one_of(st.integers(-6, 6), st.fractions(min_value=-3, max_valu
 
 
 @st.composite
-def polys(draw, max_terms=5):
+def polys(draw, max_terms=5, variables=VARS):
     """Random polynomials, built only through the public ring operations."""
     out = DiffPoly.zero()
     for _ in range(draw(st.integers(0, max_terms))):
         term = DiffPoly.const(draw(coefficients))
-        for v in draw(st.lists(st.sampled_from(VARS), max_size=3)):
+        for v in draw(st.lists(st.sampled_from(variables), max_size=3)):
             term = term * DiffPoly.var(v)
         out = out + term
     return out
@@ -222,3 +227,160 @@ def test_nullspace_of_large_random_system_matches_sympy():
     rows = [{k: c for k, c in r.items() if c} for r in rows]
     names = [f"c{k}" for k in range(n)]
     assert nullspace(LinearSystem(names, rows)) == sympy_nullspace(n, rows, names)
+
+
+# --------------------------------------------------------------------------
+# The derivation primitive
+
+
+def reference_derivation(p: DiffPoly, image) -> DiffPoly:
+    """The partial-then-multiply sum that `DiffPoly.derivation` replaced."""
+    parts = []
+    for v in p.variables():
+        img = image(v)
+        if img is not None:
+            parts.append(img * p.partial(v))
+    return DiffPoly.sum(parts)
+
+
+def assert_canonical(p: DiffPoly):
+    """`assert_clean`, and every integral coefficient an int."""
+    assert_clean(p)
+    for c in p.terms.values():
+        assert type(c) is int or c.denominator != 1
+
+
+fractional_polys = polys().map(lambda q: q.scale(Fraction(1, 6)))
+
+
+@KERNEL
+@given(polys(), st.lists(st.one_of(st.none(), polys(max_terms=3), fractional_polys), min_size=len(VARS),
+                         max_size=len(VARS)))
+def test_derivation_matches_partial_sum(p, imgs):
+    table = dict(zip(VARS, imgs))
+    asked = []
+
+    def image(v):
+        asked.append(v)
+        return table[v]
+
+    got = p.derivation(image)
+    assert asked == list(p.variables())
+    assert got == reference_derivation(p, table.get)
+    assert_canonical(got)
+
+
+@KERNEL
+@given(polys(), polys(max_terms=2), st.sampled_from(VARS), st.sampled_from(VARS))
+def test_derivation_cancels_to_zero(p, q, a, b):
+    """The Hamiltonian field q*(dp/db d/da - dp/da d/db) kills p."""
+    assume(a != b)
+    table = {a: q * p.partial(b), b: -(q * p.partial(a))}
+    got = p.derivation(table.get)
+    assert got.is_zero() and got.terms == {}
+    assert reference_derivation(p, table.get).is_zero()
+
+
+@KERNEL
+@given(polys(), coefficients)
+def test_derivation_keeps_integral_coefficients_int(p, c):
+    """Integral values come back as ints, also from integral Fractions
+    (`scale` may leave one) and from fractions that add up to integers."""
+    half = DiffPoly.const(Fraction(1, 2))
+    one = half.scale(2)
+
+    def image(v):
+        return one if v.kind == JET else half
+
+    got = p.scale(c).derivation(image)
+    assert got == reference_derivation(p.scale(c), image)
+    assert_canonical(got)
+
+
+# --------------------------------------------------------------------------
+# Derivatives built on it
+
+SPACE = JetContext(("x",), ("u", "v"), ("a",))
+SPACE_VARS = [SPACE.base(0), SPACE.jet(0), SPACE.jet(0, (0,)), SPACE.jet(1), SPACE.jet(1, (0, 0)),
+              SPACE.param("a")]
+
+
+jet_polys = polys(max_terms=4, variables=SPACE_VARS)
+
+
+def reference_total_derivative(ctx: JetContext, i: int, p: DiffPoly) -> DiffPoly:
+    parts = [p.partial(ctx.base(i))]
+    for v in p.variables():
+        if v.kind == JET:
+            parts.append(DiffPoly.var(ctx.jet(v.idx[0], tuple(sorted(v.idx[1] + (i,))))) * p.partial(v))
+    return DiffPoly.sum(parts)
+
+
+@KERNEL
+@given(jet_polys)
+def test_total_derivative_matches_reference(h):
+    got = total_derivative(SPACE, 0, h)
+    assert got == reference_total_derivative(SPACE, 0, h)
+    assert_canonical(got)
+
+
+SX = sympy.Symbol("x")
+SFUNCS = [sympy.Function("u")(SX), sympy.Function("v")(SX)]
+
+
+def to_sympy(p: DiffPoly):
+    """p as a sympy expression in functions u(x), v(x) and their derivatives."""
+
+    def atom(v):
+        if v.kind == JET:
+            return sympy.diff(SFUNCS[v.idx[0]], SX, len(v.idx[1]))
+        return SX if v.kind == BASE else sympy.Symbol(v.name)
+
+    return sum((sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(atom(v) ** e for v, e in f))
+                for f, c in p.terms.items()), sympy.Integer(0))
+
+
+@KERNEL
+@given(jet_polys)
+def test_total_derivative_matches_sympy(h):
+    assert sympy.expand(sympy.diff(to_sympy(h), SX) - to_sympy(total_derivative(SPACE, 0, h))) == 0
+
+
+@KERNEL
+@given(jet_polys)
+def test_dx_inverse_inverts_dx(h):
+    g = total_derivative(SPACE, 0, h)
+    assert total_derivative(SPACE, 0, dx_inverse(SPACE, g, 0)) == g
+
+
+@KERNEL
+@given(jet_polys)
+def test_euler_kills_total_derivatives(h):
+    assert all(c.is_zero() for c in euler(Density(SPACE, total_derivative(SPACE, 0, h))))
+
+
+BURGERS = JetContext(("x", "t"), ("u",), has_time=True)
+BURGERS_SYS = EvolutionSystem(BURGERS, [BURGERS.parse("u*u_x + u_{xx}")])
+POT = make_covering(BURGERS_SYS, [("w", [BURGERS.parse("u"), BURGERS.parse("u^2/2 + u_x")])])
+POT_VARS = [BURGERS.base(0), BURGERS.base(1), BURGERS.jet(0), BURGERS.jet(0, (0,)), BURGERS.jet(0, (0, 0)),
+            POT.nonlocal_var(0)]
+
+
+def reference_covering_derive(i: int, p: DiffPoly) -> DiffPoly:
+    parts = [p.partial(BURGERS.base(i))]
+    for v in p.variables():
+        if v.kind == JET:
+            j, sigma = v.idx
+            img = BURGERS_SYS.dsigma_f(j, sigma) if i == 1 else DiffPoly.var(BURGERS.jet(j, sigma + (i,)))
+            parts.append(img * p.partial(v))
+        elif v.kind == NONLOCAL:
+            parts.append(POT.expr(i, v.idx[0]) * p.partial(v))
+    return DiffPoly.sum(parts)
+
+
+@KERNEL
+@given(polys(max_terms=4, variables=POT_VARS), st.sampled_from([0, 1]))
+def test_covering_derive_matches_reference(p, i):
+    got = POT.derive(i, p)
+    assert got == reference_covering_derive(i, p)
+    assert_canonical(got)
