@@ -29,6 +29,7 @@ from .jetspace import (
     EvolutionSystem,
     GeneralSystem,
     JetContext,
+    ONE,
     prefix_derivatives,
     total_derivative,
     total_derivative_iterated,
@@ -264,6 +265,19 @@ class CDiffOp:
 # Linearization and evolutionary derivations
 
 
+def _jet_partials(ctx: JetContext, F: Sequence[DiffPoly]) -> list[list[Entry]]:
+    """Row k, column alpha: sum_sigma dF^k/du^alpha_sigma D_sigma."""
+    entries = []
+    for comp in F:
+        row: list[Entry] = [dict() for _ in range(ctx.m)]
+        for v in comp.variables():
+            if v.kind == JET:
+                alpha, sigma = v.idx
+                row[alpha][sigma] = comp.partial(v)
+        entries.append(row)
+    return entries
+
+
 def linearization(sys: GeneralSystem | EvolutionSystem) -> CDiffOp:
     """Universal linearization.
 
@@ -272,49 +286,21 @@ def linearization(sys: GeneralSystem | EvolutionSystem) -> CDiffOp:
     evolution system the operator of F = u_t - f restricted to the equation
     is returned: D̄_t - sum_sigma df^beta/du^alpha_sigma D_sigma.
     """
-    if isinstance(sys, EvolutionSystem):
-        ctx = sys.ctx
-        t = ctx.time_index
-        entries = []
-        for beta in range(ctx.m):
-            row = []
-            for alpha in range(ctx.m):
-                e: Entry = {}
-                if alpha == beta:
-                    e[(t,)] = DiffPoly.const(1)
-                for v in sys.f[beta].variables():
-                    if v.kind == JET and v.idx[0] == alpha:
-                        sigma = v.idx[1]
-                        e[sigma] = e.get(sigma, DiffPoly.zero()) - sys.f[beta].partial(v)
-                row.append(e)
-            entries.append(row)
-        return CDiffOp(ctx, ctx.m, ctx.m, entries, system=sys)
     ctx = sys.ctx
-    entries = []
-    for F in sys.F:
-        row: list[Entry] = [dict() for _ in range(ctx.m)]
-        for v in F.variables():
-            if v.kind == JET:
-                alpha, sigma = v.idx
-                e = row[alpha]
-                e[sigma] = e.get(sigma, DiffPoly.zero()) + F.partial(v)
-        entries.append(row)
-    return CDiffOp(ctx, len(sys.F), ctx.m, entries)
+    if isinstance(sys, EvolutionSystem):
+        # D̄_t on the diagonal of the flow linearization of -f (f has no time
+        # jets).  D̄_t comes first: `apply` sums in entry order from a copy of
+        # the first term, and D̄_t of the input is usually the largest.
+        entries = _jet_partials(ctx, [-f for f in sys.f])
+        for r, row in enumerate(entries):
+            row[r] = {(ctx.time_index,): ONE, **row[r]}
+        return CDiffOp(ctx, ctx.m, ctx.m, entries, system=sys)
+    return CDiffOp(ctx, len(sys.F), ctx.m, _jet_partials(ctx, sys.F))
 
 
 def flow_linearization(sys: EvolutionSystem) -> CDiffOp:
     """ell_f = sum_sigma df^beta/du^alpha_sigma D_sigma (spatial, on-equation)."""
-    ctx = sys.ctx
-    entries = []
-    for beta in range(ctx.m):
-        row: list[Entry] = [dict() for _ in range(ctx.m)]
-        for v in sys.f[beta].variables():
-            if v.kind == JET:
-                alpha, sigma = v.idx
-                e = row[alpha]
-                e[sigma] = e.get(sigma, DiffPoly.zero()) + sys.f[beta].partial(v)
-        entries.append(row)
-    return CDiffOp(ctx, ctx.m, ctx.m, entries, system=sys)
+    return CDiffOp(sys.ctx, sys.ctx.m, sys.ctx.m, _jet_partials(sys.ctx, sys.f), system=sys)
 
 
 def evolutionary(ctx: JetContext, phi: Sequence[DiffPoly], p: DiffPoly) -> DiffPoly:
@@ -559,11 +545,6 @@ def _cmap_derive(cmap: CartanMap, i: int, sys: EvolutionSystem, covering) -> Car
     return out
 
 
-def shadow_derivative(sh: CartanShadow, i: int, sys: EvolutionSystem, covering=None) -> CartanShadow:
-    covering = covering if covering is not None else sh.covering
-    return CartanShadow(sh.ctx, tuple(_cmap_derive(c, i, sys, covering) for c in sh.comps), covering)
-
-
 def shadow_residual(sh: CartanShadow, sys: EvolutionSystem, covering=None) -> CartanShadow:
     """Left-hand side of the shadow equation, component beta:
 
@@ -577,29 +558,14 @@ def shadow_residual(sh: CartanShadow, sys: EvolutionSystem, covering=None) -> Ca
     if len(sh.comps) != ctx.m:
         raise DimensionMismatch("shadow must have one component per dependent variable")
     t = ctx.time_index
-
-    derived: dict[tuple[int, MultiIndex], CartanMap] = {}
-
-    def dsigma_comp(alpha: int, sigma: MultiIndex) -> CartanMap:
-        key = (alpha, sigma)
-        if key in derived:
-            return derived[key]
-        if not sigma:
-            val = sh.comps[alpha]
-        else:
-            val = _cmap_derive(dsigma_comp(alpha, sigma[1:]), sigma[0], sys, covering)
-        derived[key] = val
-        return val
-
+    derivs = [prefix_derivatives(lambda i, c: _cmap_derive(c, i, sys, covering), comp) for comp in sh.comps]
+    ell = flow_linearization(sys)
     out = []
     for beta in range(ctx.m):
         acc = _cmap_derive(sh.comps[beta], t, sys, covering)
-        for v in sys.f[beta].variables():
-            if v.kind != JET:
-                continue
-            alpha, sigma = v.idx
-            coef = sys.f[beta].partial(v)
-            acc = _cmap_add(acc, _cmap_scale(dsigma_comp(alpha, sigma), -coef))
+        for alpha, entry in enumerate(ell.entries[beta]):
+            for sigma, coef in entry.items():
+                acc = _cmap_add(acc, _cmap_scale(derivs[alpha](sigma), -coef))
         out.append(acc)
     return CartanShadow(ctx, tuple(out), covering)
 

@@ -12,9 +12,8 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .dalg import DiffPoly, ParseError, split_identifier, tokenize
+from .dalg import DiffPoly, ParseError, _Parser, split_identifier
 from .jetspace import EvolutionSystem, JetContext, NotInternal
 from .cdiff import CDiffOp, linearization
 from .variational import (
@@ -90,102 +89,30 @@ def _split_top_level(text: str, sep: str) -> list[str]:
 # Operator expressions (D_x, powers, compositions)
 
 
-class _OpParser:
-    """Parses `D_x^3 + (2/3)*u*D_x + (1/3)*u_x` into a scalar CDiffOp; `*`
-    means composition (with functions acting as multiplication operators)."""
+class _OpParser(_Parser):
+    """Parses `D_x^3 + (2/3)*u*D_x + (1/3)*u_x` into a scalar CDiffOp with the
+    expression grammar: `D_<var>` atoms, functions as multiplication
+    operators, `*` as composition and `^n` as n-fold composition."""
 
-    def __init__(self, text: str, ctx: JetContext):
-        self.tokens = tokenize(text)
-        self.pos = 0
-        self.ctx = ctx
+    def number(self, digits: str) -> CDiffOp:
+        return CDiffOp.mult(self.ctx, super().number(digits))
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def identifier(self, base: str, sub: str | None, pos: int) -> CDiffOp:
+        if base == "D" and sub is not None and sub in self.ctx.independent:
+            return CDiffOp.d(self.ctx, self.ctx.independent.index(sub))
+        return CDiffOp.mult(self.ctx, super().identifier(base, sub, pos))
 
-    def next(self):
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
+    def product(self, a: CDiffOp, b: CDiffOp) -> CDiffOp:
+        return a.compose(b)
 
-    def parse(self) -> CDiffOp:
-        try:
-            op = self.parse_sum()
-        except RecursionError:
-            raise ParseError("operator expression nested too deeply", self.peek()[2]) from None
-        typ, _, pos = self.peek()
-        if typ != "end":
-            raise ParseError("trailing input in operator expression", pos)
-        return op
+    def power(self, a: CDiffOp, n: int) -> CDiffOp:
+        out = CDiffOp.identity(self.ctx)
+        for _ in range(n):
+            out = out.compose(a)
+        return out
 
-    def parse_sum(self) -> CDiffOp:
-        acc = self.parse_product()
-        while True:
-            typ, val, _ = self.peek()
-            if typ == "op" and val in "+-":
-                self.next()
-                rhs = self.parse_product()
-                acc = acc + rhs if val == "+" else acc - rhs
-            else:
-                return acc
-
-    def parse_product(self) -> CDiffOp:
-        acc = self.parse_signed()
-        while True:
-            typ, val, pos = self.peek()
-            if typ == "op" and val == "*":
-                self.next()
-                acc = acc.compose(self.parse_signed())
-            elif typ == "op" and val == "/":
-                self.next()
-                rhs = self.parse_signed()
-                if rhs.order != 0:
-                    raise ParseError("operator division only by rational constants", pos)
-                c = rhs.entries[0][0].get((), DiffPoly.zero()).as_constant()
-                if c == 0:
-                    raise ParseError("division by zero", pos)
-                acc = acc.scale(Fraction(1) / c)
-            else:
-                return acc
-
-    def parse_signed(self) -> CDiffOp:
-        typ, val, _ = self.peek()
-        if typ == "op" and val in "+-":
-            self.next()
-            inner = self.parse_signed()
-            return inner if val == "+" else -inner
-        return self.parse_power()
-
-    def parse_power(self) -> CDiffOp:
-        atom = self.parse_atom()
-        typ, val, pos = self.peek()
-        if typ == "op" and val == "^":
-            self.next()
-            etyp, ev, epos = self.next()
-            if etyp != "num":
-                raise ParseError("operator exponent must be a nonnegative integer", epos)
-            n = int(ev)
-            out = CDiffOp.identity(self.ctx)
-            for _ in range(n):
-                out = out.compose(atom)
-            return out
-        return atom
-
-    def parse_atom(self) -> CDiffOp:
-        typ, val, pos = self.next()
-        if typ == "num":
-            return CDiffOp.mult(self.ctx, DiffPoly.const(int(val)))
-        if typ == "op" and val == "(":
-            inner = self.parse_sum()
-            t2, v2, p2 = self.next()
-            if (t2, v2) != ("op", ")"):
-                raise ParseError("expected ')'", p2)
-            return inner
-        if typ == "ident":
-            base, sub = split_identifier(val)
-            if base == "D" and sub is not None and sub in self.ctx.independent:
-                return CDiffOp.d(self.ctx, self.ctx.independent.index(sub))
-            return CDiffOp.mult(self.ctx, DiffPoly.var(self.ctx.resolve_identifier(base, sub, pos)))
-        raise ParseError("expected an operator atom", pos)
+    def constant(self, a: CDiffOp):
+        return None if a.order else super().constant(a.entries[0][0].get((), DiffPoly.zero()))
 
 
 def parse_operator(text: str, ctx: JetContext) -> CDiffOp:
@@ -393,6 +320,23 @@ def _lookup_current(eq: EquationFile, ref: str) -> ConservedCurrent:
     raise InputError(f"unknown current '{ref}'")
 
 
+def _basis_report(command: str, eq: EquationFile, a: Ansatz, basis, heading: str, render) -> Report:
+    """The report of a solver command: its ansatz, the basis rendered
+    element by element, and the certificate of each element."""
+    shown = [render(s) for s in basis.solutions]
+    rep = Report(command, eq)
+    rep.set("ansatz", a.as_dict())
+    rep.set("basis", shown)
+    rep.set("verified", [True] * len(shown))  # _solve raises VerificationFailed on any failed check
+    if not shown:
+        rep.text("no solutions in ansatz")
+    else:
+        rep.text(f"{heading} ({len(shown)} elements):")
+        for s in shown:
+            rep.text(f"  {s}")
+    return rep
+
+
 # --------------------------------------------------------------------------
 # Subcommands
 
@@ -401,33 +345,14 @@ def cmd_symmetries(eq: EquationFile, args) -> tuple[Report, int]:
     sysm = eq.need_system()
     a = _ansatz_of(args)
     basis = symmetries(sysm, a)
-    rep = Report("symmetries", eq)
-    rep.set("ansatz", a.as_dict())
-    rep.set("basis", [_vec_str(s) for s in basis.solutions])
-    rep.set("verified", [True] * len(basis))  # _solve raises VerificationFailed on any failed check
-    if not len(basis):
-        rep.text("no solutions in ansatz")
-    else:
-        rep.text(f"symmetry basis ({len(basis)} elements):")
-        for s in basis.solutions:
-            rep.text(f"  {_vec_str(s)}")
-    return rep, 0
+    return _basis_report("symmetries", eq, a, basis, "symmetry basis", _vec_str), 0
 
 
 def cmd_conslaws(eq: EquationFile, args) -> tuple[Report, int]:
     sysm = eq.need_system()
     a = _ansatz_of(args)
     basis = generating_functions(sysm, a)
-    rep = Report("conslaws", eq)
-    rep.set("ansatz", a.as_dict())
-    rep.set("basis", [_vec_str(s) for s in basis.solutions])
-    rep.set("verified", [True] * len(basis))  # _solve raises VerificationFailed on any failed check
-    if not len(basis):
-        rep.text("no solutions in ansatz")
-    else:
-        rep.text(f"generating functions ({len(basis)} elements):")
-        for s in basis.solutions:
-            rep.text(f"  {_vec_str(s)}")
+    rep = _basis_report("conslaws", eq, a, basis, "generating functions", _vec_str)
     exit_code = 0
     if args.currents:
         if eq.ctx.n != 2:
@@ -555,17 +480,7 @@ def _solve_shadows(eq: EquationFile, args):
 
 def cmd_recursion(eq: EquationFile, args) -> tuple[Report, int]:
     basis, _ = _solve_shadows(eq, args)
-    rep = Report("recursion", eq)
-    rep.set("ansatz", _ansatz_of(args).as_dict())
-    rep.set("basis", [str(s) for s in basis.solutions])
-    rep.set("verified", [True] * len(basis))  # _solve raises VerificationFailed on any failed check
-    if not len(basis):
-        rep.text("no solutions in ansatz")
-    else:
-        rep.text(f"shadow basis ({len(basis)} elements):")
-        for s in basis.solutions:
-            rep.text(f"  {s}")
-    return rep, 0
+    return _basis_report("recursion", eq, _ansatz_of(args), basis, "shadow basis", str), 0
 
 
 def cmd_apply_recursion(eq: EquationFile, args) -> tuple[Report, int]:

@@ -11,9 +11,8 @@ Kernel invariants, which every operation keeps:
 
 - A coefficient is never zero, and it is an int or a Fraction, never a
   float: a quotient of coefficients is always taken with a Fraction
-  operand.  Constructors store integral values as ints (`rational`), so
-  the common all-integer arithmetic runs on machine ints; an integral
-  Fraction left by mixed arithmetic equals, and hashes like, the int.
+  operand.  Every operation stores integral values as ints (`rational`),
+  so the common all-integer arithmetic runs on machine ints.
 - `DiffPoly(terms)` cleans its input; the trusted `DiffPoly._make` is only
   for dicts that are already clean and owned by the new value.
 - `DiffPoly.sum` is the only accumulator.  A sum of many polynomials is
@@ -269,7 +268,7 @@ class DiffPoly:
                 else:
                     s += c
                     if s:
-                        out[f] = s
+                        out[f] = s if s.__class__ is int or s.denominator != 1 else s.numerator
                     else:
                         del out[f]
         return DiffPoly._make(out) if out else _ZERO
@@ -306,13 +305,15 @@ class DiffPoly:
                         out[f] = s
                     else:
                         del out[f]
+        if _denominator(self.terms.values()) or _denominator(other.terms.values()):
+            _integral_to_int(out)
         return DiffPoly._make(out)
 
     def scale(self, c: Coef) -> "DiffPoly":
         c = rational(c)
         if not c:
             return _ZERO
-        return DiffPoly._make({f: c * k for f, k in self.terms.items()})
+        return DiffPoly._make(_integral_to_int({f: c * k for f, k in self.terms.items()}))
 
     def __pow__(self, n: int) -> "DiffPoly":
         if n < 0:
@@ -393,7 +394,8 @@ class DiffPoly:
                     if e == 1:
                         out[f[:pos] + f[pos + 1:]] = c
                     else:
-                        out[f[:pos] + ((w, e - 1),) + f[pos + 1:]] = c * e
+                        ce = c * e if c.__class__ is int else rational(c * e)
+                        out[f[:pos] + ((w, e - 1),) + f[pos + 1:]] = ce
                     break
         return DiffPoly._make(out)
 
@@ -492,7 +494,7 @@ class DiffPoly:
                     else:
                         c *= val ** e
                 if c:
-                    yield DiffPoly._make({tuple(kept): c})
+                    yield DiffPoly._make({tuple(kept): c if c.__class__ is int else rational(c)})
 
         return DiffPoly.sum(terms())
 
@@ -548,6 +550,14 @@ def _denominator(coefs: Iterable[Coef]) -> int:
         if c.__class__ is not int:
             den = lcm(den or 1, c.denominator)
     return den
+
+
+def _integral_to_int(terms: dict[Factors, Coef]) -> dict[Factors, Coef]:
+    """Stores the integral Fractions among the values of `terms` as ints."""
+    for f, c in terms.items():
+        if c.__class__ is not int and c.denominator == 1:
+            terms[f] = c.numerator
+    return terms
 
 
 def _lift(terms: dict[Factors, Coef], den: int) -> dict[Factors, int]:
@@ -647,15 +657,43 @@ def split_identifier(token: str) -> tuple[str, str | None]:
 class _Parser:
     """Recursive-descent parser over the shared expression grammar.
 
-    `resolver(base, subscript, pos) -> VarId` maps identifiers to variables;
-    it is supplied by the declaration context and raises UnknownIdentifier
-    for names that are not in scope.
+    The grammar is fixed; what its atoms and operators build is not.  The
+    hooks `number`, `identifier`, `product`, `power` and `constant` make
+    polynomials here; the operator parser of the CLI overrides them to build
+    operators in total derivatives from the same grammar.  Values must
+    support `+`, `-`, unary `-` and `scale`.
+
+    `ctx.resolve_identifier(base, subscript, pos) -> VarId` maps identifiers
+    to variables; it raises UnknownIdentifier for names not in scope.
     """
 
-    def __init__(self, text: str, resolver):
+    def __init__(self, text: str, ctx):
         self.tokens = tokenize(text)
         self.pos = 0
-        self.resolver = resolver
+        self.ctx = ctx
+
+    # -- hooks ---------------------------------------------------------------
+
+    def number(self, digits: str):
+        return DiffPoly.const(int(digits))
+
+    def identifier(self, base: str, sub: str | None, pos: int):
+        return DiffPoly.var(self.ctx.resolve_identifier(base, sub, pos))
+
+    def product(self, a, b):
+        return a * b
+
+    def power(self, a, n: int):
+        return a ** n
+
+    def constant(self, a) -> Coef | None:
+        """The value of `a` when it is a rational constant, else None."""
+        try:
+            return a.as_constant()
+        except ValueError:
+            return None
+
+    # -- grammar -------------------------------------------------------------
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -665,12 +703,18 @@ class _Parser:
         self.pos += 1
         return t
 
-    def expect_op(self, op: str):
-        typ, val, pos = self.next()
-        if typ != "op" or val != op:
-            raise ParseError(f"expected '{op}'", pos)
+    def parse(self):
+        """The whole input as one expression."""
+        try:
+            result = self.parse_expr()
+        except RecursionError:
+            raise ParseError("expression nested too deeply", self.peek()[2]) from None
+        typ, _, pos = self.peek()
+        if typ != "end":
+            raise ParseError("trailing input", pos)
+        return result
 
-    def parse_expr(self) -> DiffPoly:
+    def parse_expr(self):
         acc = self.parse_term()
         while True:
             typ, val, _ = self.peek()
@@ -681,19 +725,17 @@ class _Parser:
             else:
                 return acc
 
-    def parse_term(self) -> DiffPoly:
+    def parse_term(self):
         acc = self.parse_factor()
         while True:
             typ, val, pos = self.peek()
             if typ == "op" and val == "*":
                 self.next()
-                acc = acc * self.parse_factor()
+                acc = self.product(acc, self.parse_factor())
             elif typ == "op" and val == "/":
                 self.next()
-                divisor = self.parse_factor()
-                try:
-                    c = divisor.as_constant()
-                except ValueError:
+                c = self.constant(self.parse_factor())
+                if c is None:
                     raise ParseError("division is only defined by rational constants", pos)
                 if c == 0:
                     raise ParseError("division by zero", pos)
@@ -701,7 +743,7 @@ class _Parser:
             else:
                 return acc
 
-    def parse_factor(self) -> DiffPoly:
+    def parse_factor(self):
         typ, val, pos = self.peek()
         if typ == "op" and val in "+-":
             self.next()
@@ -709,7 +751,7 @@ class _Parser:
             return inner if val == "+" else -inner
         return self.parse_power()
 
-    def parse_power(self) -> DiffPoly:
+    def parse_power(self):
         atom = self.parse_atom()
         typ, val, pos = self.peek()
         if typ == "op" and val == "^":
@@ -717,19 +759,21 @@ class _Parser:
             etyp, eval_, epos = self.next()
             if etyp != "num":
                 raise ParseError("exponent must be a nonnegative integer", epos)
-            return atom ** int(eval_)
+            return self.power(atom, int(eval_))
         return atom
 
-    def parse_atom(self) -> DiffPoly:
+    def parse_atom(self):
         typ, val, pos = self.next()
         if typ == "num":
-            return DiffPoly.const(int(val))
+            return self.number(val)
         if typ == "ident":
             base, sub = split_identifier(val)
-            return DiffPoly.var(self.resolver(base, sub, pos))
+            return self.identifier(base, sub, pos)
         if typ == "op" and val == "(":
             inner = self.parse_expr()
-            self.expect_op(")")
+            typ, val, pos = self.next()
+            if typ != "op" or val != ")":
+                raise ParseError("expected ')'", pos)
             return inner
         raise ParseError("expected a number, identifier or '('", pos)
 
@@ -739,12 +783,4 @@ def parse(text: str, ctx) -> DiffPoly:
 
     `ctx` must provide resolve_identifier(base, subscript, pos) -> VarId.
     """
-    p = _Parser(text, ctx.resolve_identifier)
-    try:
-        result = p.parse_expr()
-    except RecursionError:
-        raise ParseError("expression nested too deeply", p.peek()[2]) from None
-    typ, _, pos = p.peek()
-    if typ != "end":
-        raise ParseError("trailing input", pos)
-    return result
+    return _Parser(text, ctx).parse()

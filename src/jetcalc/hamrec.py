@@ -12,19 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count, islice
 from typing import Sequence
 
 from .dalg import BASE, JET, NONLOCAL, TESTCOV, DiffPoly, VarId, mi_add, param_var, rational
-from .jetspace import ONE, EvolutionSystem, JetContext, NotInternal, prefix_derivatives, total_derivative_iterated
+from .jetspace import ONE, EvolutionSystem, JetContext, NotInternal, prefix_derivatives
 from .cdiff import CartanShadow, CDiffOp, DimensionMismatch, contract, evolutionary, linearization
 from .variational import (
     Density,
     NotExactDerivative,
     VerificationFailed,
-    antiderivative,
     dx_inverse,
     euler,
+    integrate_top_down,
     is_divergence,
     is_generating_function,
 )
@@ -54,11 +54,6 @@ class NonlocalObstruction(ValueError):
 
 class PreconditionFailed(ValueError):
     pass
-
-
-class CovectorNamesExhausted(ValueError):
-    """Every candidate name for the test covectors of the Jacobi criterion is
-    already declared."""
 
 
 @dataclass(frozen=True)
@@ -146,22 +141,12 @@ def make_covering(base: EvolutionSystem, layers: Sequence[tuple[str, Sequence[Di
 def dx_inverse_extended(cov: Covering, g: DiffPoly) -> DiffPoly:
     """Solve D̃_x h = g inside the covering ring (one spatial variable).
 
-    Positive-order jets are integrated top-down exactly as in the local case;
-    the jet-free remainder (which may involve nonlocal variables) is matched
+    Positive-order jets are integrated top-down as in the local case
+    (`integrate_top_down` with the extended derivative and q the highest jet
+    order in the layers' x-expressions, which also argues termination); the
+    jet-free remainder (which may involve nonlocal variables) is matched
     against an exact linear ansatz over the remainder's variables, the
     nonlocal variables, and x.
-
-    Termination.  Let q be the highest jet order in the layers'
-    x-expressions.  While the top order k of g exceeds q, D̃_x h1 and D̄_x h1
-    agree at order k, so on exact input a pass strictly lowers k, as in
-    `dx_inverse`.  Once k <= q it stays there, and the x-expressions may bring
-    order-k terms back (w_x = u_x takes g = w*u_x through two passes at order
-    1).  From then on a pass must instead shrink the multiset of
-    (nonlocal degree, jet order) pairs of g's monomials (`_profile`): it
-    removes every order-k monomial and, when the x-expressions are free of
-    nonlocal variables, adds only monomials of lower order or of lower
-    nonlocal degree.  Both measures are well-founded, so the loop ends; a pass
-    that lowers neither is reported as an obstruction.
     """
     ctx = cov.base.ctx
     if ctx.n != 2:
@@ -169,34 +154,10 @@ def dx_inverse_extended(cov: Covering, g: DiffPoly) -> DiffPoly:
     x = ctx.spatial_indices[0]
     q = max((len(v.idx[1]) for layer in cov.layers for v in layer.exprs[x].variables() if v.kind == JET),
             default=0)
-    parts = []
-    last = None
-    while True:
-        jets = [v for v in g.variables() if v.kind == JET and v.idx[1]]
-        if not jets:
-            break
-        k = max(len(v.idx[1]) for v in jets)
-        measure = (k,) if k > q else (q, _profile(g))
-        if last is not None and measure >= last:
-            raise NonlocalObstruction(g)
-        last = measure
-        top = sorted(v for v in jets if len(v.idx[1]) == k)
-        h1 = DiffPoly.zero()
-        plan = []
-        for v in top:
-            a = g.partial(v)
-            if any(w.kind == JET and len(w.idx[1]) >= k for w in a.variables()):
-                raise NonlocalObstruction(g)
-            sigma = list(v.idx[1])
-            sigma.remove(x)
-            plan.append((ctx.jet(v.idx[0], tuple(sigma)), a))
-        for w, a in plan:
-            h1 = h1 + antiderivative(a - h1.partial(w), w)
-        for w, a in plan:
-            if h1.partial(w) != a:
-                raise NonlocalObstruction(g)
-        g = g - cov.derive(x, h1)
-        parts.append(h1)
+    try:
+        parts, g = integrate_top_down(ctx, g, x, cov.derive, q)
+    except NotExactDerivative as exc:
+        raise NonlocalObstruction(exc.remainder) from None
     if not any(v.kind == NONLOCAL for v in g.variables()):
         try:
             return DiffPoly.sum(parts + [dx_inverse(ctx, g, x)])
@@ -206,14 +167,6 @@ def dx_inverse_extended(cov: Covering, g: DiffPoly) -> DiffPoly:
     if h2 is None:
         raise NonlocalObstruction(g)
     return DiffPoly.sum(parts + [h2])
-
-
-def _profile(g: DiffPoly) -> list[tuple[int, int]]:
-    """(nonlocal degree, highest jet order) of each monomial, largest first;
-    as lists these compare like the multisets they list."""
-    return sorted(((sum(e for v, e in mono if v.kind == NONLOCAL),
-                    max((len(v.idx[1]) for v, _ in mono if v.kind == JET), default=0))
-                   for mono in g.terms), reverse=True)
 
 
 def _remainder_ansatz(cov: Covering, r: DiffPoly, x: int) -> DiffPoly | None:
@@ -318,44 +271,19 @@ def is_skew_adjoint(A: HamCandidate | CDiffOp) -> bool:
     return op.is_skew_adjoint()
 
 
-_COVECTOR_NAMES = ("p", "q", "r", "p1", "q1", "r1", "p2", "q2", "r2")
-
-
-def _test_covector_names(ctx: JetContext, count: int) -> list[str]:
+def _test_covector_names(ctx: JetContext, n: int) -> list[str]:
+    """The first n of p, q, r, p1, q1, r1, p2, ... not declared in ctx."""
     taken = set(ctx.independent) | set(ctx.dependent) | set(ctx.parameters) | set(ctx.nonlocals)
-    out = []
-    for base in _COVECTOR_NAMES:
-        if base not in taken:
-            out.append(base)
-        if len(out) == count:
-            return out
-    raise CovectorNamesExhausted(
-        f"could not allocate {count} test covector names: at most {len(_COVECTOR_NAMES) - count} of "
-        f"{', '.join(_COVECTOR_NAMES)} may be declared")
-
-
-def _apply_free(op: CDiffOp, vec: list[DiffPoly]) -> list[DiffPoly]:
-    """Apply a (possibly equation-owned) spatial operator on free jets."""
-    ctx = op.ctx
-    return [DiffPoly.sum(a * total_derivative_iterated(ctx, sigma, vec[c])
-                         for c in range(op.cols) for sigma, a in op.entries[r][c].items())
-            for r in range(op.rows)]
+    names = (base + (str(k) if k else "") for k in count() for base in "pqr")
+    return list(islice((name for name in names if name not in taken), n))
 
 
 def _coefficient_linearization_applied(op: CDiffOp, phi: list[DiffPoly], psi: list[DiffPoly]) -> list[DiffPoly]:
-    """(ell_A(phi))(psi): differentiate only the operator coefficients along
-    the evolutionary field of phi, then apply to psi."""
+    """(ell_A(phi))(psi): the operator whose coefficients are differentiated
+    along the evolutionary field of phi, applied to psi."""
     ctx = op.ctx
-    out = []
-    for r in range(op.rows):
-        parts = []
-        for c in range(op.cols):
-            for sigma, a in op.entries[r][c].items():
-                da = evolutionary(ctx, phi, a)
-                if da:
-                    parts.append(da * total_derivative_iterated(ctx, sigma, psi[c]))
-        out.append(DiffPoly.sum(parts))
-    return out
+    entries = [[{sigma: evolutionary(ctx, phi, a) for sigma, a in e.items()} for e in row] for row in op.entries]
+    return CDiffOp(ctx, op.rows, op.cols, entries, op.system).apply(psi)
 
 
 def jacobi_criterion_density(A: HamCandidate | CDiffOp) -> Density:
@@ -369,7 +297,7 @@ def jacobi_criterion_density(A: HamCandidate | CDiffOp) -> Density:
     parts = []
     for k in range(3):
         p, q, r = covecs[k], covecs[(k + 1) % 3], covecs[(k + 2) % 3]
-        ap = _apply_free(op, p)
+        ap = op.apply(p)
         lq = _coefficient_linearization_applied(op, ap, q)
         parts.extend(comp * rr for comp, rr in zip(lq, r))
     return Density(ctx, DiffPoly.sum(parts))
@@ -391,7 +319,7 @@ def hamiltonian_flow(A: HamCandidate | CDiffOp, H: Density) -> EvolutionSystem:
     grad = euler(H)
     if len(grad) != op.cols:
         raise DimensionMismatch("Euler image does not match the operator shape")
-    f = _apply_free(op, grad)
+    f = op.apply(grad)
     return EvolutionSystem(ctx, f)
 
 
@@ -416,7 +344,7 @@ def poisson_bracket(A: HamCandidate | CDiffOp, H1: Density, H2: Density) -> Brac
     ctx = H1.ctx
     g1 = euler(H1)
     g2 = euler(H2)
-    flow = _apply_free(op, g1)
+    flow = op.apply(g1)
     d = Density(ctx, DiffPoly.sum(a * b for a, b in zip(flow, g2)))
     return BracketResult(d, tuple(euler(d)))
 
@@ -426,7 +354,7 @@ def gf_to_symmetry(A: HamCandidate | CDiffOp, sys: EvolutionSystem, psi: list[Di
     op = A.op if isinstance(A, HamCandidate) else A
     if not is_generating_function(sys, psi):
         raise VerificationFailed("input is not a generating function of the flow")
-    s = _apply_free(op, psi)
+    s = op.apply(psi)
     s = [sys.to_internal(c) for c in s]
     residual = linearization(sys).apply(s)
     if any(r for r in residual):

@@ -313,11 +313,6 @@ class EvolutionSystem:
         self.check_internal(p)
         return total_derivative(self.ctx, i, p)
 
-    def restricted_iterated(self, sigma: MultiIndex, p: DiffPoly) -> DiffPoly:
-        for i in sigma:
-            p = self.restricted_derivative(i, p)
-        return p
-
     def to_internal(self, p: DiffPoly) -> DiffPoly:
         """Rewrite time-derivative jets via u^j_t = f^j until only internal
         coordinates remain.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .dalg import (
     HOMOTOPY_SCALAR,
@@ -23,6 +24,7 @@ from .jetspace import (
     EvolutionSystem,
     GeneralSystem,
     JetContext,
+    total_derivative,
     total_derivative_iterated,
 )
 from .cdiff import flow_linearization, linearization
@@ -135,33 +137,45 @@ def antiderivative(p: DiffPoly, v: VarId) -> DiffPoly:
     return DiffPoly.sum(parts)
 
 
-def dx_inverse(ctx: JetContext, g: DiffPoly, i: int = 0) -> DiffPoly:
-    """Find h with D_i h = g by integrating the top-order jets downwards.
+def integrate_top_down(ctx: JetContext, g: DiffPoly, i: int, derive: Callable[[int, DiffPoly], DiffPoly],
+                       q: int = 0) -> tuple[list[DiffPoly], DiffPoly]:
+    """Integrate the positive-order jets of g against `derive(i, .)` from the
+    top order downwards: returns the parts h1 found and the remainder
+    g - sum derive(i, h1), which has jets of order 0 only.
 
     At each pass the coefficients of the highest-order jet variables are
     demanded (a) to contain derivatives in the direction i, (b) to enter
     linearly with coefficients of lower order, and (c) to admit a joint
-    antiderivative; any failure proves g is not in the image of D_i and the
-    offending remainder is reported.
+    antiderivative; any failure proves g is not in the image, and
+    NotExactDerivative reports the offending remainder.
 
-    Termination: if g = D_i H, the top jets of g come from the jets of H one
-    order lower, whose coefficients are the derivatives of H; these depend
-    on no other jets of that order, so removing D_i h1 strictly lowers the
-    top order.  A pass that does not lower it proves g is not exact, so the
-    loop runs at most as many passes as the initial top order.
+    Termination.  `q` is the highest jet order that `derive(i, .)` can bring
+    in besides the shifted jets: 0 for the total derivative, the highest jet
+    order of the x-expressions of a covering.  While the top order k of g
+    exceeds q, derive(i, h1) and D_i h1 agree at order k; if g = D_i H, the
+    top jets of g come from the jets of H one order lower, whose coefficients
+    are derivatives of H that depend on no other jets of that order, so
+    removing derive(i, h1) strictly lowers k.  Once k <= q it stays there,
+    and the x-expressions may bring order-k terms back (w_x = u_x takes
+    g = w*u_x through two passes at order 1).  From then on a pass must
+    instead shrink the multiset of (nonlocal degree, jet order) pairs of g's
+    monomials (`_profile`): it removes every order-k monomial and, when the
+    x-expressions are free of nonlocal variables, adds only monomials of
+    lower order or of lower nonlocal degree.  Both measures are
+    well-founded, so the loop ends; a pass that lowers neither is reported
+    as not exact.
     """
-    if g.has_kind(NONLOCAL):
-        raise ValueError("use the covering-aware inverse for nonlocal expressions")
     parts = []
-    last_order = None
+    last = None
     while True:
         jets = [v for v in g.variables() if v.kind in (JET, TESTCOV) and v.idx[-1]]
         if not jets:
-            break
+            return parts, g
         k = max(len(v.idx[-1]) for v in jets)
-        if last_order is not None and k >= last_order:
+        measure = (k,) if k > q else (q, _profile(g))
+        if last is not None and measure >= last:
             raise NotExactDerivative(g)
-        last_order = k
+        last = measure
         top = sorted(v for v in jets if len(v.idx[-1]) == k)
         coeffs = []
         for v in top:
@@ -172,16 +186,32 @@ def dx_inverse(ctx: JetContext, g: DiffPoly, i: int = 0) -> DiffPoly:
                 raise NotExactDerivative(g)
             sigma = list(v.idx[-1])
             sigma.remove(i)
-            coeffs.append((v, _family_var(ctx, ("u", v.idx[0]) if v.kind == JET else ("tc",) + v.idx[:2],
-                                          tuple(sigma)), a))
+            coeffs.append((_family_var(ctx, ("u", v.idx[0]) if v.kind == JET else ("tc",) + v.idx[:2],
+                                       tuple(sigma)), a))
         h1 = DiffPoly.zero()
-        for _, w, a in coeffs:
+        for w, a in coeffs:
             h1 = h1 + antiderivative(a - h1.partial(w), w)
-        for _, w, a in coeffs:
+        for w, a in coeffs:
             if h1.partial(w) != a:
                 raise NotExactDerivative(g)
-        g = g - total_derivative_iterated(ctx, (i,), h1)
+        g = g - derive(i, h1)
         parts.append(h1)
+
+
+def _profile(g: DiffPoly) -> list[tuple[int, int]]:
+    """(nonlocal degree, highest jet order) of each monomial, largest first;
+    as lists these compare like the multisets they list."""
+    return sorted(((sum(e for v, e in mono if v.kind == NONLOCAL),
+                    max((len(v.idx[1]) for v, _ in mono if v.kind == JET), default=0))
+                   for mono in g.terms), reverse=True)
+
+
+def dx_inverse(ctx: JetContext, g: DiffPoly, i: int = 0) -> DiffPoly:
+    """Find h with D_i h = g: `integrate_top_down` with the total derivative,
+    then the antiderivative in x_i of the jet-free remainder."""
+    if g.has_kind(NONLOCAL):
+        raise ValueError("use the covering-aware inverse for nonlocal expressions")
+    parts, g = integrate_top_down(ctx, g, i, lambda k, p: total_derivative(ctx, k, p))
     if any(v.kind in (JET, TESTCOV) for v in g.variables()):
         raise NotExactDerivative(g)
     parts.append(antiderivative(g, ctx.base(i)))

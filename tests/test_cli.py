@@ -219,14 +219,21 @@ def test_deeply_nested_expression_exits_2(burgers_file, capsys, argv):
     assert err.count("\n") == 1
 
 
-def test_exhausted_covector_names_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("op", ["D_x)", "D_x^u", "D_x/u", "D_x/0", "(D_x"])
+def test_malformed_operator_exits_2(kdv_file, capsys, op):
+    code, out, err = run(capsys, "adjoint", kdv_file, "--op", op)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "(at position " in err
+    assert err.count("\n") == 1
+
+
+def test_covector_names_skip_declared_names(tmp_path, capsys):
     path = tmp_path / "names.eqn"
     path.write_text("independent: x, t(time)\ndependent: u\nparam: p, q, r, p1, q1, r1, p2, q2\n"
                     "evolution: u_t = u*u_x + u_{xxx}\noperator A = D_x\n")
-    code, out, err = run(capsys, "check-hamiltonian", str(path), "--op", "A")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "test covector names" in err
-    assert err.count("\n") == 1
+    code, out, _ = run(capsys, "check-hamiltonian", str(path), "--op", "A", "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["jacobi"] is True
 
 
 def test_unknown_covering(burgers_file, capsys):

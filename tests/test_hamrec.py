@@ -211,6 +211,14 @@ def test_poisson_bracket_examples(ctx):
     assert br2.is_trivial
 
 
+def test_owned_operator_acts_like_the_free_one(kdv, ctx):
+    free, owned = Dx(ctx), CDiffOp.d(ctx, 0, system=kdv)
+    H1, H2 = Density(ctx, ctx.parse("u^3/6 - u_x^2/2")), Density(ctx, ctx.parse("u^2/2"))
+    assert hamiltonian_flow(owned, H1).f == hamiltonian_flow(free, H1).f
+    owned_br, free_br = poisson_bracket(owned, H1, H2), poisson_bracket(free, H1, H2)
+    assert owned_br.density == free_br.density and owned_br.euler_image == free_br.euler_image
+
+
 def test_poisson_bracket_self_is_trivial(ctx, rng):
     for _ in range(10):
         H = Density(ctx, random_internal(rng, ctx, max_order=1, max_deg=3))

@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from jetcalc.dalg import (
     BASE,
@@ -56,10 +56,11 @@ def polys(draw, max_terms=5, variables=VARS):
 
 
 def assert_clean(p: DiffPoly):
-    """No zero coefficient, and every coefficient an int or a Fraction."""
+    """No zero coefficient, and every coefficient an int or a non-integral
+    Fraction."""
     for f, c in p.terms.items():
         assert c != 0
-        assert type(c) in (int, Fraction)
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
         assert all(e > 0 for _, e in f)
         assert list(f) == sorted(f)
 
@@ -86,8 +87,12 @@ def test_sum_is_left_fold(ps):
     assert_clean(total)
 
 
+HALF_U2 = DiffPoly.const(Fraction(1, 2)) * DiffPoly.var(VARS[2]) ** 2
+
+
 @KERNEL
 @given(polys(), polys(), coefficients, st.sampled_from(VARS))
+@example(HALF_U2, HALF_U2 + DiffPoly.const(2), 2, VARS[2])
 def test_operations_store_no_zero_coefficient(a, b, c, v):
     values = {w: Fraction(k, 2) - 1 for k, w in enumerate(VARS[:4])}
     results = [a + b, a - b, a - a, a * b, -a, a.scale(c), a.scale(0), a.partial(v), a ** 2,

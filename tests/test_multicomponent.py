@@ -4,7 +4,7 @@ import pytest
 
 from jetcalc.dalg import DiffPoly
 from jetcalc.jetspace import EvolutionSystem, JetContext
-from jetcalc.cdiff import CartanShadow, CDiffOp, linearization
+from jetcalc.cdiff import CartanShadow, CDiffOp, flow_linearization, linearization
 from jetcalc.detsolve import Ansatz, generating_functions, shadows, span_contains
 from jetcalc.variational import Density
 from jetcalc.hamrec import apply_shadow, hamiltonian_flow, is_skew_adjoint, jacobi_check
@@ -22,6 +22,15 @@ def nls1():
     sys = EvolutionSystem(ctx, [ctx.parse("w_{xx} + (v^2 + w^2)*w"),
                                 ctx.parse("-v_{xx} - (v^2 + w^2)*v")])
     return ctx, sys
+
+
+@pytest.mark.parametrize("fixture", ["wave", "nls1"])
+def test_linearization_is_dt_minus_flow_linearization(fixture, request):
+    ctx, sys = request.getfixturevalue(fixture)
+    one = DiffPoly.const(1)
+    dt = CDiffOp(ctx, 2, 2, [[{(1,): one}, {}], [{}, {(1,): one}]], sys)
+    expected = dt - flow_linearization(sys)
+    assert linearization(sys) == expected and str(linearization(sys)) == str(expected)
 
 
 def test_wave_shadows_identity_and_swap(wave):
