@@ -73,6 +73,18 @@ class CDiffOp:
         self.entries = tuple(tuple(_clean(dict(entries[r][c])) for c in range(cols)) for r in range(rows))
         self.system = system
 
+    @staticmethod
+    def _make(ctx: JetContext, rows: int, cols: int, entries: list[list[Entry]],
+              system: EvolutionSystem | None) -> "CDiffOp":
+        """Trusted constructor: every entry is clean and owned by the new value."""
+        op = object.__new__(CDiffOp)
+        op.ctx = ctx
+        op.rows = rows
+        op.cols = cols
+        op.entries = tuple(tuple(row) for row in entries)
+        op.system = system
+        return op
+
     # -- constructors --------------------------------------------------------
 
     @staticmethod
@@ -141,14 +153,16 @@ class CDiffOp:
                 e = dict(self.entries[r][c])
                 for s, p in other.entries[r][c].items():
                     e[s] = e.get(s, DiffPoly.zero()) + p
-                row.append(e)
+                row.append(_clean(e))
             out.append(row)
-        return CDiffOp(self.ctx, self.rows, self.cols, out, self.system)
+        return CDiffOp._make(self.ctx, self.rows, self.cols, out, self.system)
 
     def scale(self, c: int | Fraction) -> "CDiffOp":
-        return CDiffOp(self.ctx, self.rows, self.cols,
-                       [[{s: p.scale(c) for s, p in e.items()} for e in row] for row in self.entries],
-                       self.system)
+        if not c:
+            return CDiffOp.zero(self.ctx, self.rows, self.cols, self.system)
+        return CDiffOp._make(self.ctx, self.rows, self.cols,
+                             [[{s: p.scale(c) for s, p in e.items()} for e in row] for row in self.entries],
+                             self.system)
 
     def __neg__(self) -> "CDiffOp":
         return self.scale(-1)
@@ -171,7 +185,8 @@ class CDiffOp:
                 for r in range(self.rows)]
 
     def _compose_scalar(self, e2: Entry, e1: Entry) -> Entry:
-        """Normal form of (sum a_s D_s) o (sum b_t D_t) with D pushed right."""
+        """Normal form of (sum a_s D_s) o (sum b_t D_t) with D pushed right;
+        entries that cancel stay in, for `compose` to clean once."""
         out: Entry = {}
         for s, a in e2.items():
             for t, b in e1.items():
@@ -182,7 +197,7 @@ class CDiffOp:
                         continue
                     key = tuple(sorted(rest + t))
                     out[key] = out.get(key, DiffPoly.zero()) + coef
-        return _clean(out)
+        return out
 
     def compose(self, other: "CDiffOp") -> "CDiffOp":
         """self o other in normal form; apply(compose) == apply o apply."""
@@ -198,9 +213,9 @@ class CDiffOp:
                     part = self._compose_scalar(self.entries[r][k], other.entries[k][c])
                     for s, p in part.items():
                         acc[s] = acc.get(s, DiffPoly.zero()) + p
-                row.append(acc)
+                row.append(_clean(acc))
             out.append(row)
-        return CDiffOp(self.ctx, self.rows, other.cols, out, self.system)
+        return CDiffOp._make(self.ctx, self.rows, other.cols, out, self.system)
 
     def adjoint(self) -> "CDiffOp":
         """Formal integration-by-parts transpose.
@@ -220,7 +235,8 @@ class CDiffOp:
                         if not coef:
                             continue
                         acc[rest] = acc.get(rest, DiffPoly.zero()) + coef
-        return CDiffOp(self.ctx, self.cols, self.rows, out, self.system)
+        return CDiffOp._make(self.ctx, self.cols, self.rows, [[_clean(e) for e in row] for row in out],
+                             self.system)
 
     def is_skew_adjoint(self) -> bool:
         return (self + self.adjoint()).is_zero()

@@ -8,6 +8,7 @@ renders a human-readable or machine-readable (JSON) report.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -381,18 +382,18 @@ def cmd_euler(eq: EquationFile, args) -> tuple[Report, int]:
 
 
 def cmd_adjoint(eq: EquationFile, args) -> tuple[Report, int]:
-    op = _lookup_operator(eq, args.op)
+    result = str(_lookup_operator(eq, args.op).adjoint())
     rep = Report("adjoint", eq)
-    rep.set("result", str(op.adjoint()))
-    rep.text(str(op.adjoint()))
+    rep.set("result", result)
+    rep.text(result)
     return rep, 0
 
 
 def cmd_linearize(eq: EquationFile, args) -> tuple[Report, int]:
-    sysm = eq.need_system()
+    result = str(linearization(eq.need_system()))
     rep = Report("linearize", eq)
-    rep.set("result", str(linearization(sysm)))
-    rep.text(str(linearization(sysm)))
+    rep.set("result", result)
+    rep.text(result)
     return rep, 0
 
 
@@ -528,7 +529,11 @@ def cmd_apply_recursion(eq: EquationFile, args) -> tuple[Report, int]:
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one in the process: parsing leaves no state in it.  It names no
+    handler; `main` finds `cmd_<command>` in the module at call time."""
     top = argparse.ArgumentParser(prog="jetcalc",
                                   description="exact jet-space calculus for polynomial evolution PDEs")
     sub = top.add_subparsers(dest="command", required=True)
@@ -544,59 +549,48 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("symmetries", help="solve the linearization equation")
     common(p, ansatz=True)
-    p.set_defaults(fn=cmd_symmetries)
 
     p = sub.add_parser("conslaws", help="solve the cosymmetry equation; optionally rebuild currents")
     common(p, ansatz=True)
     p.add_argument("--currents", action="store_true", help="reconstruct conserved currents (n = 2)")
-    p.set_defaults(fn=cmd_conslaws)
 
     p = sub.add_parser("euler", help="variational derivative of a density")
     common(p)
     p.add_argument("--density", required=True, help="density name or expression")
-    p.set_defaults(fn=cmd_euler)
 
     p = sub.add_parser("adjoint", help="formal adjoint of an operator")
     common(p)
     p.add_argument("--op", required=True, help="operator name or expression")
-    p.set_defaults(fn=cmd_adjoint)
 
     p = sub.add_parser("linearize", help="universal linearization of the evolution system")
     common(p)
-    p.set_defaults(fn=cmd_linearize)
 
     p = sub.add_parser("inverse-problem", help="self-adjointness test and homotopy Lagrangian")
     common(p)
     p.add_argument("--psi", action="append", required=True, help="section component (repeat per component)")
-    p.set_defaults(fn=cmd_inverse_problem)
 
     p = sub.add_parser("verify-current", help="check a conserved current")
     common(p)
     p.add_argument("--current", required=True, help="current name or (expr, ...) tuple")
-    p.set_defaults(fn=cmd_verify_current)
 
     p = sub.add_parser("check-hamiltonian", help="skew-adjointness and Jacobi criterion")
     common(p)
     p.add_argument("--op", required=True)
-    p.set_defaults(fn=cmd_check_hamiltonian)
 
     p = sub.add_parser("flow", help="Hamiltonian evolution u_t = A(E(H))")
     common(p)
     p.add_argument("--op", required=True)
     p.add_argument("--density", required=True)
-    p.set_defaults(fn=cmd_flow)
 
     p = sub.add_parser("bracket", help="Poisson bracket density and its Euler image")
     common(p)
     p.add_argument("--op", required=True)
     p.add_argument("--density", required=True)
     p.add_argument("--density2", required=True)
-    p.set_defaults(fn=cmd_bracket)
 
     p = sub.add_parser("recursion", help="solve the shadow equation")
     common(p, ansatz=True)
     p.add_argument("--covering", default=None, help="named covering to work in")
-    p.set_defaults(fn=cmd_recursion)
 
     p = sub.add_parser("apply-recursion", help="apply a recursion shadow to a symmetry")
     common(p, ansatz=True)
@@ -604,7 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, default=None, help="basis element to apply (default: first non-identity)")
     p.add_argument("--to", action="append", required=True, help="symmetry component (repeat per component)")
     p.add_argument("--times", type=int, default=1, help="number of applications")
-    p.set_defaults(fn=cmd_apply_recursion)
 
     return top
 
@@ -613,11 +606,10 @@ def main(argv: list[str] | None = None) -> int:
     from .variational import NotConserved, NotGeneratingFunction
     from .hamrec import PreconditionFailed
 
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         eq = parse_equation_file(args.eqnfile)
-        rep, code = args.fn(eq, args)
+        rep, code = globals()["cmd_" + args.command.replace("-", "_")](eq, args)
     except (VerificationFailed, NonlocalObstruction, NotExactDerivative, NotVariational,
             NotConserved, NotGeneratingFunction, PreconditionFailed) as exc:
         sys.stderr.write(f"verification failed: {exc}\n")

@@ -58,10 +58,6 @@ HSCALAR = 5
 MultiIndex = tuple[int, ...]
 
 
-def mi_make(indices: Iterable[int]) -> MultiIndex:
-    return tuple(sorted(indices))
-
-
 def mi_add(sigma: MultiIndex, i: int) -> MultiIndex:
     return tuple(sorted(sigma + (i,)))
 
@@ -355,9 +351,6 @@ class DiffPoly:
     def has_kind(self, kind: int) -> bool:
         return any(v.kind == kind for f in self.terms for v, _ in f)
 
-    def constant_term(self) -> Coef:
-        return self.terms.get((), 0)
-
     def as_constant(self) -> Coef:
         """The value of a constant polynomial; raises if variables remain."""
         if not self.terms:
@@ -368,14 +361,6 @@ class DiffPoly:
 
     def total_degree(self) -> int:
         return max((sum(e for _, e in f) for f in self.terms), default=0)
-
-    def degree_in(self, pred) -> int:
-        """Max total degree over variables selected by pred(VarId)."""
-        best = 0
-        for f in self.terms:
-            d = sum(e for v, e in f if pred(v))
-            best = max(best, d)
-        return best
 
     def sorted_terms(self) -> list[tuple[Factors, Coef]]:
         return sorted(self.terms.items(), key=lambda t: _monomial_key(t[0]))

@@ -81,6 +81,18 @@ def test_adjoint_examples(ctx):
     assert got == -(mult(ctx, "u").compose(Dx(ctx))) - mult(ctx, "u_x")
 
 
+def test_operations_drop_cancelled_entries(ctx):
+    op = mult(ctx, "u").compose(Dx(ctx)) + mult(ctx, "u_x")
+    zero = CDiffOp.zero(ctx)
+    assert op.scale(0) == zero and (op - op) == zero
+    row = CDiffOp(ctx, 1, 2, [[{(0,): DiffPoly.const(1)}, {(): DiffPoly.const(1)}]])
+    col = CDiffOp(ctx, 2, 1, [[{(): DiffPoly.const(1)}], [{(0,): DiffPoly.const(-1)}]])
+    assert row.compose(col) == zero
+    assert op.adjoint() == -(mult(ctx, "u").compose(Dx(ctx)))
+    for got in (op.scale(0), op - op, row.compose(col), op.adjoint()):
+        assert all(p for r in got.entries for e in r for p in e.values())
+
+
 def test_adjoint_matrix_transposes(ctx, rng):
     entries = [[random_scalar_op(rng, ctx).entries[0][0] for _ in range(2)] for _ in range(2)]
     op = CDiffOp(ctx, 2, 2, entries)

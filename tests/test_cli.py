@@ -9,6 +9,8 @@ from jetcalc.cli import InputError, main, parse_equation_file, parse_operator
 from jetcalc.cdiff import CDiffOp
 from jetcalc.dalg import DiffPoly
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 BURGERS = """\
 # Burgers equation and its potential covering
 independent: x, t(time)
@@ -311,9 +313,65 @@ sys.exit(main(sys.argv[2:]))
     ("current", ["conslaws", "--order", "1", "--deg", "1", "--currents"]),
 ])
 def test_certificates_survive_python_O(burgers_file, target, argv):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     cmd = [sys.executable, "-O", "-c", SABOTAGE, target, argv[0], burgers_file] + argv[1:]
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert "verification failed" in proc.stderr
+
+
+# --------------------------------------------------------------------------
+# One parser per process: repeated `main` calls share it
+
+
+def test_parser_is_built_once():
+    from jetcalc.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
+def fresh_process(*argv):
+    proc = subprocess.run([sys.executable, "-m", "jetcalc.cli", *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("first, second", [
+    (("inverse-problem", "kdv", "--psi", "u", "--psi", "u_x"),
+     ("inverse-problem", "kdv", "--psi", "u^2/2 + u_{xx}")),
+    (("apply-recursion", "burgers", "--covering", "pot", "--to", "u_x"),
+     ("apply-recursion", "burgers", "--covering", "pot", "--to", "u_{xx}")),
+    (("recursion", "burgers", "--order", "3", "--covering", "pot"),
+     ("recursion", "burgers")),
+])
+def test_consecutive_calls_do_not_leak_arguments(burgers_file, kdv_file, capsys, first, second):
+    files = {"burgers": burgers_file, "kdv": kdv_file}
+    first = [files.get(a, a) for a in first]
+    second = [files.get(a, a) for a in second] + ["--format", "structured"]
+    run(capsys, *first)
+    assert run(capsys, *second) == fresh_process(*second)
+
+
+def test_argparse_rejection_leaves_the_parser_usable(kdv_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate", kdv_file])
+    assert exc.value.code == 2
+    code, out, _ = run(capsys, "euler", kdv_file, "--density", "H2")
+    assert code == 0 and out == "u\n"
+
+
+def test_commands_are_resolved_at_call_time(kdv_file, capsys, monkeypatch):
+    from jetcalc import cli
+
+    run(capsys, "euler", kdv_file, "--density", "H1")
+    seen = []
+    original = cli.cmd_euler
+
+    def counting(eq, args):
+        seen.append(args.density)
+        return original(eq, args)
+
+    monkeypatch.setattr(cli, "cmd_euler", counting)
+    code, out, _ = run(capsys, "euler", kdv_file, "--density", "H2")
+    assert code == 0 and out == "u\n"
+    assert seen == ["H2"]
