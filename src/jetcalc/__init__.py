@@ -65,7 +65,6 @@ from .detsolve import (
 from .hamrec import (
     BracketResult,
     Covering,
-    HamCandidate,
     NonlocalObstruction,
     NotFlat,
     PreconditionFailed,

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .dalg import (
     JET,
@@ -32,7 +33,6 @@ from .jetspace import (
     ONE,
     prefix_derivatives,
     total_derivative,
-    total_derivative_iterated,
 )
 
 
@@ -58,6 +58,16 @@ def _free_derivatives(ctx: JetContext, p: DiffPoly) -> Callable[[MultiIndex], Di
 
 def _clean(entry: Entry) -> Entry:
     return {s: p for s, p in entry.items() if p}
+
+
+def _collect(pairs: Iterable[tuple[Hashable, DiffPoly]]) -> dict:
+    """Group (key, polynomial) pairs by key, sum each group in one
+    `DiffPoly.sum` and drop the keys whose sum is zero.  Keys keep the
+    order of their first pair."""
+    groups: dict = {}
+    for k, p in pairs:
+        groups.setdefault(k, []).append(p)
+    return {k: s for k, g in groups.items() if (s := DiffPoly.sum(g))}
 
 
 class CDiffOp:
@@ -126,9 +136,6 @@ class CDiffOp:
         return hash((self.rows, self.cols,
                      tuple(tuple(frozenset(e.items()) for e in row) for row in self.entries)))
 
-    def entry(self, r: int, c: int) -> Entry:
-        return self.entries[r][c]
-
     def _derivatives(self, p: DiffPoly) -> Callable[[MultiIndex], DiffPoly]:
         """sigma -> D_sigma(p), memoized so that multi-indices sharing a
         prefix derive it once."""
@@ -146,15 +153,8 @@ class CDiffOp:
         self._check_compatible(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("operator shapes differ")
-        out = []
-        for r in range(self.rows):
-            row = []
-            for c in range(self.cols):
-                e = dict(self.entries[r][c])
-                for s, p in other.entries[r][c].items():
-                    e[s] = e.get(s, DiffPoly.zero()) + p
-                row.append(_clean(e))
-            out.append(row)
+        out = [[_collect(chain(a.items(), b.items())) for a, b in zip(ra, rb)]
+               for ra, rb in zip(self.entries, other.entries)]
         return CDiffOp._make(self.ctx, self.rows, self.cols, out, self.system)
 
     def scale(self, c: int | Fraction) -> "CDiffOp":
@@ -184,37 +184,26 @@ class CDiffOp:
                              for c in range(self.cols) for sigma, a in self.entries[r][c].items())
                 for r in range(self.rows)]
 
-    def _compose_scalar(self, e2: Entry, e1: Entry) -> Entry:
-        """Normal form of (sum a_s D_s) o (sum b_t D_t) with D pushed right;
-        entries that cancel stay in, for `compose` to clean once."""
-        out: Entry = {}
-        for s, a in e2.items():
-            for t, b in e1.items():
-                db = self._derivatives(b)
-                for rho, rest, w in mi_splittings(s):
-                    coef = a * db(rho).scale(w)
-                    if not coef:
-                        continue
-                    key = tuple(sorted(rest + t))
-                    out[key] = out.get(key, DiffPoly.zero()) + coef
-        return out
+    def _compose_terms(self, row: Sequence[Entry],
+                       col: Sequence[Entry]) -> Iterator[tuple[MultiIndex, DiffPoly]]:
+        """Terms of sum_k row[k] o col[k], each (sum a_s D_s) o (sum b_t D_t)
+        expanded with D pushed right."""
+        for e2, e1 in zip(row, col):
+            derivs = [(t, self._derivatives(b)) for t, b in e1.items()]
+            for s, a in e2.items():
+                for t, db in derivs:
+                    for rho, rest, w in mi_splittings(s):
+                        coef = a * db(rho).scale(w)
+                        if coef:
+                            yield tuple(sorted(rest + t)), coef
 
     def compose(self, other: "CDiffOp") -> "CDiffOp":
         """self o other in normal form; apply(compose) == apply o apply."""
         self._check_compatible(other)
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
-        out = []
-        for r in range(self.rows):
-            row = []
-            for c in range(other.cols):
-                acc: Entry = {}
-                for k in range(self.cols):
-                    part = self._compose_scalar(self.entries[r][k], other.entries[k][c])
-                    for s, p in part.items():
-                        acc[s] = acc.get(s, DiffPoly.zero()) + p
-                row.append(_clean(acc))
-            out.append(row)
+        cols = list(zip(*other.entries))
+        out = [[_collect(self._compose_terms(row, col)) for col in cols] for row in self.entries]
         return CDiffOp._make(self.ctx, self.rows, other.cols, out, self.system)
 
     def adjoint(self) -> "CDiffOp":
@@ -223,20 +212,17 @@ class CDiffOp:
         Scalar entries map by sum_s a_s D_s -> sum_s (-1)^|s| D_s o a_s
         (expanded to normal form); matrix entries are transposed.
         """
-        out = [[dict() for _ in range(self.rows)] for _ in range(self.cols)]
-        for r in range(self.rows):
-            for c in range(self.cols):
-                acc: Entry = out[c][r]
-                for s, a in self.entries[r][c].items():
-                    sign = -1 if len(s) % 2 else 1
-                    da = self._derivatives(a)
-                    for rho, rest, w in mi_splittings(s):
-                        coef = da(rho).scale(w * sign)
-                        if not coef:
-                            continue
-                        acc[rest] = acc.get(rest, DiffPoly.zero()) + coef
-        return CDiffOp._make(self.ctx, self.cols, self.rows, [[_clean(e) for e in row] for row in out],
-                             self.system)
+        def terms(e: Entry) -> Iterator[tuple[MultiIndex, DiffPoly]]:
+            for s, a in e.items():
+                sign = -1 if len(s) % 2 else 1
+                da = self._derivatives(a)
+                for rho, rest, w in mi_splittings(s):
+                    coef = da(rho).scale(w * sign)
+                    if coef:
+                        yield rest, coef
+
+        return CDiffOp._make(self.ctx, self.cols, self.rows,
+                             [[_collect(terms(e)) for e in col] for col in zip(*self.entries)], self.system)
 
     def is_skew_adjoint(self) -> bool:
         return (self + self.adjoint()).is_zero()
@@ -379,18 +365,18 @@ class HorForm:
 
 
 def wedge(a: HorForm, b: HorForm) -> HorForm:
-    comps: dict[tuple[int, ...], DiffPoly] = {}
-    for ia, pa in a.comps:
-        for ib, pb in b.comps:
-            if set(ia) & set(ib):
-                continue
-            merged = ia + ib
-            order = sorted(range(len(merged)), key=lambda k: merged[k])
-            inversions = sum(1 for x in range(len(order)) for y in range(x + 1, len(order)) if order[x] > order[y])
-            key = tuple(sorted(merged))
-            term = (pa * pb).scale((-1) ** inversions)
-            comps[key] = comps.get(key, DiffPoly.zero()) + term
-    return HorForm.make(a.ctx, a.degree + b.degree, comps)
+    def terms() -> Iterator[tuple[tuple[int, ...], DiffPoly]]:
+        for ia, pa in a.comps:
+            for ib, pb in b.comps:
+                if set(ia) & set(ib):
+                    continue
+                merged = ia + ib
+                order = sorted(range(len(merged)), key=lambda k: merged[k])
+                inversions = sum(1 for x in range(len(order)) for y in range(x + 1, len(order))
+                                 if order[x] > order[y])
+                yield tuple(sorted(merged)), (pa * pb).scale((-1) ** inversions)
+
+    return HorForm.make(a.ctx, a.degree + b.degree, _collect(terms()))
 
 
 def horizontal_differential(omega: HorForm, sys: EvolutionSystem | None = None) -> HorForm:
@@ -399,21 +385,16 @@ def horizontal_differential(omega: HorForm, sys: EvolutionSystem | None = None) 
     ctx = omega.ctx
     if omega.degree >= ctx.n:
         raise DegreeOverflow(f"cannot raise degree {omega.degree} in {ctx.n} variables")
-    comps: dict[tuple[int, ...], DiffPoly] = {}
-    for idx, a in omega.comps:
-        for i in range(ctx.n):
-            if i in idx:
-                continue
-            if sys is not None:
-                da = sys.restricted_derivative(i, a)
-            else:
-                da = total_derivative_iterated(ctx, (i,), a)
-            if not da:
-                continue
-            sign = (-1) ** sum(1 for k in idx if k < i)
-            key = tuple(sorted(idx + (i,)))
-            comps[key] = comps.get(key, DiffPoly.zero()) + da.scale(sign)
-    return HorForm.make(ctx, omega.degree + 1, comps)
+    derive = sys.restricted_derivative if sys is not None else (lambda i, a: total_derivative(ctx, i, a))
+
+    def terms() -> Iterator[tuple[tuple[int, ...], DiffPoly]]:
+        for idx, a in omega.comps:
+            for i in range(ctx.n):
+                if i not in idx:
+                    sign = (-1) ** sum(1 for k in idx if k < i)
+                    yield tuple(sorted(idx + (i,))), derive(i, a).scale(sign)
+
+    return HorForm.make(ctx, omega.degree + 1, _collect(terms()))
 
 
 # --------------------------------------------------------------------------
@@ -423,21 +404,6 @@ def horizontal_differential(omega: HorForm, sys: EvolutionSystem | None = None) 
 # the jet variable u^j_sigma, ("w", layer) for a covering variable's form.
 CartanKey = tuple
 CartanMap = dict[CartanKey, DiffPoly]
-
-
-def _cmap_add(a: CartanMap, b: CartanMap) -> CartanMap:
-    out = dict(a)
-    for k, p in b.items():
-        s = out.get(k, DiffPoly.zero()) + p
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
-    return out
-
-
-def _cmap_scale(a: CartanMap, p: DiffPoly) -> CartanMap:
-    return {k: q for k, q in ((k, p * v) for k, v in a.items()) if q}
 
 
 def _ckey_sort(k: CartanKey) -> tuple:
@@ -463,24 +429,9 @@ class CartanShadow:
         object.__setattr__(self, "comps", tuple({k: p for k, p in c.items() if p} for c in self.comps))
 
     @staticmethod
-    def zero(ctx: JetContext, ncomps: int = 1, covering=None) -> "CartanShadow":
-        return CartanShadow(ctx, tuple({} for _ in range(ncomps)), covering)
-
-    @staticmethod
     def identity(ctx: JetContext, covering=None) -> "CartanShadow":
         one = DiffPoly.const(1)
         return CartanShadow(ctx, tuple({("u", j, ()): one} for j in range(ctx.m)), covering)
-
-    def __add__(self, other: "CartanShadow") -> "CartanShadow":
-        return CartanShadow(self.ctx, tuple(_cmap_add(a, b) for a, b in zip(self.comps, other.comps)),
-                            self.covering or other.covering)
-
-    def scale(self, c: int | Fraction) -> "CartanShadow":
-        k = DiffPoly.const(c)
-        return CartanShadow(self.ctx, tuple(_cmap_scale(m, k) for m in self.comps), self.covering)
-
-    def mult(self, p: DiffPoly) -> "CartanShadow":
-        return CartanShadow(self.ctx, tuple(_cmap_scale(m, p) for m in self.comps), self.covering)
 
     def is_zero(self) -> bool:
         return all(not c for c in self.comps)
@@ -533,32 +484,27 @@ def cartan_differential(p: DiffPoly, ctx: JetContext, covering=None) -> CartanSh
     return CartanShadow(ctx, (out,), covering)
 
 
-def _cmap_derive(cmap: CartanMap, i: int, sys: EvolutionSystem, covering) -> CartanMap:
-    """Lie action of the i-th (restricted/extended) total derivative on a
-    Cartan-form value: derives coefficients and maps the contact form of a
-    generator v to the Cartan differential of D_i(v)."""
+def _cmap_derive(cmap: CartanMap, i: int, sys: EvolutionSystem,
+                 covering) -> Iterator[tuple[CartanKey, DiffPoly]]:
+    """Terms of the Lie action of the i-th (restricted/extended) total
+    derivative on a Cartan-form value: derives coefficients and maps the
+    contact form of a generator v to the Cartan differential of D_i(v)."""
     ctx = sys.ctx
-    t = ctx.time_index
     derive = covering.derive if covering is not None else sys.restricted_derivative
-    out: CartanMap = {}
     for key, coef in cmap.items():
-        dcoef = derive(i, coef)
-        if dcoef:
-            out = _cmap_add(out, {key: dcoef})
+        yield key, derive(i, coef)
         if key[0] == "u":
             j, sigma = key[1], key[2]
-            if i != t:
-                out = _cmap_add(out, {("u", j, tuple(sorted(sigma + (i,)))): coef})
-            else:
-                image = cartan_differential(sys.dsigma_f(j, sigma), ctx, covering)
-                out = _cmap_add(out, _cmap_scale(image.comps[0], coef))
+            if i != ctx.time_index:
+                yield ("u", j, tuple(sorted(sigma + (i,)))), coef
+                continue
+            image = cartan_differential(sys.dsigma_f(j, sigma), ctx, covering)
         else:
             if covering is None:
                 raise RegimeMismatch("shadow carries a covering form but no covering was supplied")
-            x_expr = covering.expr(i, key[1])
-            image = cartan_differential(x_expr, ctx, covering)
-            out = _cmap_add(out, _cmap_scale(image.comps[0], coef))
-    return out
+            image = cartan_differential(covering.expr(i, key[1]), ctx, covering)
+        for k, p in image.comps[0].items():
+            yield k, coef * p
 
 
 def shadow_residual(sh: CartanShadow, sys: EvolutionSystem, covering=None) -> CartanShadow:
@@ -573,17 +519,19 @@ def shadow_residual(sh: CartanShadow, sys: EvolutionSystem, covering=None) -> Ca
     covering = covering if covering is not None else sh.covering
     if len(sh.comps) != ctx.m:
         raise DimensionMismatch("shadow must have one component per dependent variable")
-    t = ctx.time_index
-    derivs = [prefix_derivatives(lambda i, c: _cmap_derive(c, i, sys, covering), comp) for comp in sh.comps]
+    derivs = [prefix_derivatives(lambda i, c: _collect(_cmap_derive(c, i, sys, covering)), comp)
+              for comp in sh.comps]
     ell = flow_linearization(sys)
-    out = []
-    for beta in range(ctx.m):
-        acc = _cmap_derive(sh.comps[beta], t, sys, covering)
+
+    def terms(beta: int) -> Iterator[tuple[CartanKey, DiffPoly]]:
+        yield from _cmap_derive(sh.comps[beta], ctx.time_index, sys, covering)
         for alpha, entry in enumerate(ell.entries[beta]):
             for sigma, coef in entry.items():
-                acc = _cmap_add(acc, _cmap_scale(derivs[alpha](sigma), -coef))
-        out.append(acc)
-    return CartanShadow(ctx, tuple(out), covering)
+                neg = -coef
+                for k, p in derivs[alpha](sigma).items():
+                    yield k, neg * p
+
+    return CartanShadow(ctx, tuple(_collect(terms(beta)) for beta in range(ctx.m)), covering)
 
 
 def contract(phi: Sequence[DiffPoly], sh: CartanShadow) -> tuple[list[DiffPoly], list[dict[int, DiffPoly]]]:
@@ -598,17 +546,7 @@ def contract(phi: Sequence[DiffPoly], sh: CartanShadow) -> tuple[list[DiffPoly],
     if len(phi) != ctx.m:
         raise DimensionMismatch(f"symmetry vector needs {ctx.m} components")
     derivs = [_free_derivatives(ctx, c) for c in phi]
-    local = []
-    residues: list[dict[int, DiffPoly]] = []
-    for cmap in sh.comps:
-        parts = []
-        res: dict[int, DiffPoly] = {}
-        for key, coef in cmap.items():
-            if key[0] == "u":
-                j, sigma = key[1], key[2]
-                parts.append(coef * derivs[j](sigma))
-            else:
-                res[key[1]] = res.get(key[1], DiffPoly.zero()) + coef
-        local.append(DiffPoly.sum(parts))
-        residues.append(res)
+    local = [DiffPoly.sum(coef * derivs[key[1]](key[2]) for key, coef in cmap.items() if key[0] == "u")
+             for cmap in sh.comps]
+    residues = [_collect((key[1], coef) for key, coef in cmap.items() if key[0] != "u") for cmap in sh.comps]
     return local, residues

@@ -147,6 +147,17 @@ def parse_equation_file(path: str) -> EquationFile:
             raise InputError(f"{kind} '{name}' is already declared on line {declared[kind, name]}", no)
         declared[kind, name] = no
 
+    def names(body: str, no: int) -> list[str]:
+        """Variable names of a declaration list, each one the expression
+        grammar can write: a letter, then letters or digits."""
+        out = _split_top_level(body, ",") if body else []
+        for item in out:
+            bare = item[: -len("(time)")].strip() if item.endswith("(time)") else item
+            if not (bare[:1].isalpha() and bare.isalnum()):
+                raise InputError(f"'{item}' is not a variable name (a letter, then letters or digits)", no)
+            declare("variable", bare, no)
+        return out
+
     for no, rawline in enumerate(lines, start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -166,16 +177,16 @@ def parse_equation_file(path: str) -> EquationFile:
         head = head.strip()
         body = body.strip()
         if head == "independent":
-            for item in _split_top_level(body, ","):
+            for item in names(body, no):
                 if item.endswith("(time)"):
-                    time_name = item[: -len("(time)")].strip()
-                    independent.append(time_name)
-                else:
-                    independent.append(item)
+                    if time_name is not None:
+                        raise InputError(f"'{time_name}' is already the (time) variable", no)
+                    item = time_name = item[: -len("(time)")].strip()
+                independent.append(item)
         elif head == "dependent":
-            dependent += [s for s in _split_top_level(body, ",") if s]
+            dependent += names(body, no)
         elif head == "param":
-            params += [s for s in _split_top_level(body, ",") if s]
+            params += names(body, no)
         elif head == "evolution":
             lhs, _, rhs = body.partition("=")
             declare("evolution", lhs.strip(), no)
@@ -222,8 +233,7 @@ def parse_equation_file(path: str) -> EquationFile:
 
     for name, body, no in covering_lines:
         sysm = eq.need_system()
-        entries: dict[str, dict[int, DiffPoly]] = {}
-        order: list[str] = []
+        entries: dict[str, dict[int, DiffPoly]] = {}  # in declaration order
         for chunk in _split_top_level(body, ";"):
             if not chunk:
                 continue
@@ -231,16 +241,16 @@ def parse_equation_file(path: str) -> EquationFile:
             base, sub = split_identifier(lhs.strip())
             if sub is None or sub not in ctx.independent:
                 raise InputError(f"covering equation must look like w_x = ..., got '{chunk}'", no)
-            if base not in entries:
-                entries[base] = {}
-                order.append(base)
-            scope = ctx.with_nonlocals(order)
+            given = entries.setdefault(base, {})
+            i = ctx.independent.index(sub)
+            if i in given:
+                raise InputError(f"covering '{name}' gives {base}_{sub} twice", no)
             try:
-                entries[base][ctx.independent.index(sub)] = scope.parse(rhs.strip())
-            except ParseError as exc:
+                given[i] = ctx.with_nonlocals(list(entries)).parse(rhs.strip())
+            except ValueError as exc:  # a ParseError, or a covering variable named like another
                 raise InputError(f"in covering '{name}': {exc}", no)
         layers = []
-        for w in order:
+        for w in entries:
             exprs = []
             for i in range(ctx.n):
                 if i not in entries[w]:

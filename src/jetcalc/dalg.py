@@ -16,7 +16,10 @@ Kernel invariants, which every operation keeps:
 - `DiffPoly(terms)` cleans its input; the trusted `DiffPoly._make` is only
   for dicts that are already clean and owned by the new value.
 - `DiffPoly.sum` is the only accumulator.  A sum of many polynomials is
-  never a chain of `+`, which copies the partial sum at every step.
+  never a chain of `+`, which copies the partial sum at every step.  Keyed
+  maps of polynomials (operator entries, Cartan maps, form components)
+  accumulate through it too: `cdiff._collect` groups terms by key and
+  sums each group once.
 - `DiffPoly.derivation` is the only derivation primitive; total,
   restricted, extended and evolutionary derivatives are image maps over it.
 - A `VarId` is the tuple of its canonical sort key, so hashing, equality
@@ -247,15 +250,18 @@ class DiffPoly:
     def sum(polys: Iterable["DiffPoly"]) -> "DiffPoly":
         """Sum of any number of polynomials in one accumulator.
 
-        Terms, and their order, are those of the left fold of `+`.
+        Terms, and their order, are those of the left fold of `+`; a sum
+        with one nonzero operand is that operand itself, as with `+`.
         """
-        out = None
+        first = out = None
         for p in polys:
             if not p.terms:
                 continue
-            if out is None:
-                out = dict(p.terms)
+            if first is None:
+                first = p
                 continue
+            if out is None:
+                out = dict(first.terms)
             get = out.get
             for f, c in p.terms.items():
                 s = get(f)
@@ -267,6 +273,8 @@ class DiffPoly:
                         out[f] = s if s.__class__ is int or s.denominator != 1 else s.numerator
                     else:
                         del out[f]
+        if out is None:
+            return first or _ZERO
         return DiffPoly._make(out) if out else _ZERO
 
     # -- ring operations ---------------------------------------------------

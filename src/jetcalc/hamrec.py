@@ -255,19 +255,7 @@ def apply_shadow(sh: CartanShadow, phi: Sequence[DiffPoly],
 # Hamiltonian structures
 
 
-@dataclass(frozen=True)
-class HamCandidate:
-    """A square matrix operator tested for Hamiltonianity."""
-
-    op: CDiffOp
-
-    def __post_init__(self):
-        if self.op.rows != self.op.cols:
-            raise DimensionMismatch("Hamiltonian candidates must be square")
-
-
-def is_skew_adjoint(A: HamCandidate | CDiffOp) -> bool:
-    op = A.op if isinstance(A, HamCandidate) else A
+def is_skew_adjoint(op: CDiffOp) -> bool:
     return op.is_skew_adjoint()
 
 
@@ -286,10 +274,9 @@ def _coefficient_linearization_applied(op: CDiffOp, phi: list[DiffPoly], psi: li
     return CDiffOp(ctx, op.rows, op.cols, entries, op.system).apply(psi)
 
 
-def jacobi_criterion_density(A: HamCandidate | CDiffOp) -> Density:
+def jacobi_criterion_density(op: CDiffOp) -> Density:
     """The cyclic criterion density sum_cyc <ell_A(A(p))(q), r> built from
     three fresh covector arguments (full jet variables)."""
-    op = A.op if isinstance(A, HamCandidate) else A
     ctx = op.ctx
     m = op.rows
     names = _test_covector_names(ctx, 3)
@@ -303,18 +290,16 @@ def jacobi_criterion_density(A: HamCandidate | CDiffOp) -> Density:
     return Density(ctx, DiffPoly.sum(parts))
 
 
-def jacobi_check(A: HamCandidate | CDiffOp) -> bool:
+def jacobi_check(op: CDiffOp) -> bool:
     """Divergence test of the cyclic criterion density; the Euler test runs
     over the dependent variables and the covectors alike."""
-    op = A.op if isinstance(A, HamCandidate) else A
     if not op.is_skew_adjoint():
         raise PreconditionFailed("operator is not skew-adjoint")
     return is_divergence(jacobi_criterion_density(op))
 
 
-def hamiltonian_flow(A: HamCandidate | CDiffOp, H: Density) -> EvolutionSystem:
+def hamiltonian_flow(op: CDiffOp, H: Density) -> EvolutionSystem:
     """The evolution system u_t = A(E(H))."""
-    op = A.op if isinstance(A, HamCandidate) else A
     ctx = H.ctx
     grad = euler(H)
     if len(grad) != op.cols:
@@ -336,9 +321,8 @@ class BracketResult:
         return all(c.is_zero() for c in self.euler_image)
 
 
-def poisson_bracket(A: HamCandidate | CDiffOp, H1: Density, H2: Density) -> BracketResult:
+def poisson_bracket(op: CDiffOp, H1: Density, H2: Density) -> BracketResult:
     """{H1, H2}_A = <A(E(H1)), E(H2)> as a density modulo divergences."""
-    op = A.op if isinstance(A, HamCandidate) else A
     if not op.is_skew_adjoint():
         raise PreconditionFailed("operator is not skew-adjoint")
     ctx = H1.ctx
@@ -349,9 +333,8 @@ def poisson_bracket(A: HamCandidate | CDiffOp, H1: Density, H2: Density) -> Brac
     return BracketResult(d, tuple(euler(d)))
 
 
-def gf_to_symmetry(A: HamCandidate | CDiffOp, sys: EvolutionSystem, psi: list[DiffPoly]) -> list[DiffPoly]:
+def gf_to_symmetry(op: CDiffOp, sys: EvolutionSystem, psi: list[DiffPoly]) -> list[DiffPoly]:
     """Map a generating function of the flow to the symmetry A(psi)."""
-    op = A.op if isinstance(A, HamCandidate) else A
     if not is_generating_function(sys, psi):
         raise VerificationFailed("input is not a generating function of the flow")
     s = op.apply(psi)

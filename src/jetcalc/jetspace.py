@@ -58,6 +58,8 @@ class JetContext:
         names = list(self.independent) + list(self.dependent) + list(self.parameters) + list(self.nonlocals)
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
+        if not all(names):
+            raise ValueError("variable names must not be empty")
         if not self.independent or not self.dependent:
             raise ValueError("need at least one independent and one dependent variable")
 
@@ -252,7 +254,7 @@ class EvolutionSystem:
                     raise NotInternal(f"right-hand side {j} contains time derivative {v.name}")
         self.ctx = ctx
         self.f = tuple(f)
-        self._dsigma_f: dict[tuple[int, MultiIndex], DiffPoly] = {}
+        self._dsigma_f = [prefix_derivatives(lambda i, p: total_derivative(ctx, i, p), comp) for comp in self.f]
 
     @property
     def order(self) -> int:
@@ -263,6 +265,10 @@ class EvolutionSystem:
                     k = max(k, len(v.idx[1]))
         return k
 
+    def __reduce__(self):
+        # The memo holds closures; a copy starts with a fresh one.
+        return EvolutionSystem, (self.ctx, self.f)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, EvolutionSystem) and self.ctx == other.ctx and self.f == other.f
 
@@ -271,18 +277,7 @@ class EvolutionSystem:
 
     def dsigma_f(self, j: int, sigma: MultiIndex) -> DiffPoly:
         """Spatial D_sigma(f^j), memoized."""
-        sigma = tuple(sorted(sigma))
-        key = (j, sigma)
-        got = self._dsigma_f.get(key)
-        if got is not None:
-            return got
-        if not sigma:
-            val = self.f[j]
-        else:
-            prev = self.dsigma_f(j, sigma[1:])
-            val = total_derivative(self.ctx, sigma[0], prev)
-        self._dsigma_f[key] = val
-        return val
+        return self._dsigma_f[j](tuple(sorted(sigma)))
 
     def check_internal(self, p: DiffPoly):
         t = self.ctx.time_index

@@ -91,6 +91,12 @@ def test_operations_drop_cancelled_entries(ctx):
     assert op.adjoint() == -(mult(ctx, "u").compose(Dx(ctx)))
     for got in (op.scale(0), op - op, row.compose(col), op.adjoint()):
         assert all(p for r in got.entries for e in r for p in e.values())
+    w = ctx.parse("u_x/2")
+    sh = CartanShadow(ctx, ({("u", 0, ()): DiffPoly.const(1), ("w", 0): w - w},
+                            {("w", 0): w + w, ("u", 0, (0,)): -w}))
+    local, residues = contract([ctx.parse("u")], sh)
+    assert local == [ctx.parse("u"), ctx.parse("-u_x^2/2")]
+    assert residues == [{}, {0: ctx.parse("u_x")}]
 
 
 def test_adjoint_matrix_transposes(ctx, rng):

@@ -270,6 +270,38 @@ def test_same_name_of_different_kinds_is_allowed(tmp_path):
     assert "J" in eq.currents and "J" in eq.densities
 
 
+HEAT = "evolution: u_t = u_{xx}\n"
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    # An empty name made subscript parsing loop forever.
+    ("independent: x, , t(time)\ndependent: u\n", ["euler", "--density", "u_y*u"],
+     "line 1: '' is not a variable name"),
+    # A second (time) variable turned the first into a spatial one.
+    ("independent: x, t(time), s(time)\ndependent: u\nevolution: u_s = u_{xx}\n", ["linearize"],
+     "line 1: 't' is already the (time) variable"),
+    # A repeated covering equation was last-wins.
+    ("independent: x, t(time)\ndependent: u\n" + HEAT + "covering pot: w_x = u ; w_x = 2*u ; w_t = 2*u_x\n",
+     ["linearize"], "line 4: covering 'pot' gives w_x twice"),
+    # A name declared twice across kinds exited 2 without a line number.
+    ("independent: x, t(time)\ndependent: u\nparam: x\n" + HEAT, ["linearize"],
+     "line 3: variable 'x' is already declared on line 1"),
+    # A covering variable named like a dependent one exited 2 without a line number.
+    ("independent: x, t(time)\ndependent: u\n" + HEAT + "covering pot: u_x = u ; u_t = u_x\n", ["linearize"],
+     "line 4: in covering 'pot': variable names must be unique"),
+], ids=["empty-name", "two-time-variables", "repeated-covering-equation", "param-clash", "covering-name-clash"])
+def test_ambiguous_headers_exit_2_with_a_line(tmp_path, capsys, text, argv, message):
+    path = tmp_path / "header.eqn"
+    path.write_text(text)
+    # parse_equation_file first: it fails fast where the CLI call would hang.
+    with pytest.raises(InputError) as err:
+        parse_equation_file(str(path))
+    assert str(err.value).startswith(message)
+    code, out, err_text = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert err_text == f"error: {err.value}\n"
+
+
 def test_jobs_flag_is_gone(burgers_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["symmetries", burgers_file, "--jobs", "2"])

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from jetcalc.dalg import DiffPoly
@@ -123,6 +125,8 @@ def test_context_validation():
         JetContext(("x", "x"), ("u",))
     with pytest.raises(ValueError):
         JetContext((), ("u",))
+    with pytest.raises(ValueError):
+        JetContext(("x", "", "t"), ("u",), has_time=True)
 
 
 def test_multicomponent_internal():
@@ -131,3 +135,15 @@ def test_multicomponent_internal():
     assert sys.restricted_time(ctx2.parse("u")) == ctx2.parse("v_x")
     assert sys.to_internal(ctx2.parse("u_t + v_t")) == ctx2.parse("u_x + v_x")
     assert sys.order == 1
+
+
+def test_dsigma_f_matches_iterated_total_derivatives():
+    ctx3 = JetContext(("x", "y", "t"), ("u", "v"), has_time=True)
+    sys = EvolutionSystem(ctx3, [ctx3.parse("u*v_x + u_{yy}"), ctx3.parse("x*u_{xy} - v^2")])
+    copy = pickle.loads(pickle.dumps(sys))
+    assert copy == sys
+    for sigma in [(), (0,), (1,), (1, 0), (0, 1, 1), (1, 0, 1)]:
+        for j in range(2):
+            expected = total_derivative_iterated(ctx3, sigma, sys.f[j])
+            assert sys.dsigma_f(j, sigma) == expected
+            assert copy.dsigma_f(j, sigma) == expected

@@ -29,6 +29,7 @@ from jetcalc.dalg import (
     DiffPoly,
     VarId,
 )
+from jetcalc.cdiff import _collect
 from jetcalc.detsolve import LinearSystem, nullspace
 from jetcalc.jetspace import EvolutionSystem, JetContext, total_derivative
 from jetcalc.hamrec import make_covering
@@ -79,12 +80,30 @@ def reference_add(acc: dict, p: DiffPoly) -> dict:
 
 @KERNEL
 @given(st.lists(polys(), max_size=6))
+@example([DiffPoly.zero(), DiffPoly.var(VARS[2]), DiffPoly.zero()])
 def test_sum_is_left_fold(ps):
     folded = reduce(reference_add, ps, {})
     total = DiffPoly.sum(ps)
     assert list(total.terms.items()) == list(folded.items())
     assert total == reduce(lambda a, b: a + b, ps, DiffPoly.zero())
     assert_clean(total)
+    nonzero = [p for p in ps if p]
+    if len(nonzero) == 1:
+        assert total is nonzero[0]
+
+
+@KERNEL
+@given(st.lists(st.tuples(st.integers(0, 3), polys(max_terms=3)), max_size=10))
+@example([(0, DiffPoly.var(VARS[2])), (1, DiffPoly.var(VARS[2])), (0, -DiffPoly.var(VARS[2]))])
+def test_collect_is_per_key_left_fold(pairs):
+    keys = dict.fromkeys(k for k, _ in pairs)
+    folded = {k: reduce(lambda a, b: a + b, (p for j, p in pairs if j == k), DiffPoly.zero()) for k in keys}
+    got = _collect(pairs)
+    assert got == {k: p for k, p in folded.items() if p}
+    assert list(got) == [k for k in keys if folded[k]]
+    for p in got.values():
+        assert p
+        assert_clean(p)
 
 
 HALF_U2 = DiffPoly.const(Fraction(1, 2)) * DiffPoly.var(VARS[2]) ** 2
