@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .dalg import DiffPoly, ParseError, _Parser, split_identifier
-from .jetspace import EvolutionSystem, JetContext, NotInternal
+from .jetspace import EvolutionSystem, JetContext, NotInternal, ambiguous_subscript
 from .cdiff import CDiffOp, linearization
 from .variational import (
     ConservedCurrent,
@@ -183,8 +183,13 @@ def parse_equation_file(path: str) -> EquationFile:
                         raise InputError(f"'{time_name}' is already the (time) variable", no)
                     item = time_name = item[: -len("(time)")].strip()
                 independent.append(item)
+            twice = ambiguous_subscript(independent)
+            if twice is not None:
+                raise InputError(f"the subscript '{twice}' splits into the independent variables in two ways", no)
         elif head == "dependent":
             dependent += names(body, no)
+            if "D" in dependent:
+                raise InputError("'D' cannot be a dependent variable: D_x is the total derivative in operators", no)
         elif head == "param":
             params += names(body, no)
         elif head == "evolution":

@@ -10,6 +10,7 @@ equation before being returned; the solver never trusts its own elimination.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -149,8 +150,11 @@ class LinearSystem:
 def match_coefficients(expr: DiffPoly, system: LinearSystem):
     """Append one row per distinct known monomial of an unknown-linear expr.
 
-    An unknown-free term with a nonzero coefficient can never cancel, so it
-    marks the whole system as unsolvable.
+    Rows come in the order their monomials are first seen in `expr.terms`,
+    which is deterministic; `nullspace` does not depend on row order, so no
+    canonical sort is needed.  An unknown-free term with a nonzero
+    coefficient can never cancel, so it marks the whole system as
+    unsolvable.
     """
     index = {name: k for k, name in enumerate(system.unknowns)}
     grouped: dict[tuple, dict[int, Coef]] = {}
@@ -170,8 +174,8 @@ def match_coefficients(expr: DiffPoly, system: LinearSystem):
         row = grouped.setdefault(tuple(known), {})
         s = row.get(unknown)
         row[unknown] = coef if s is None else s + coef
-    for key in sorted(grouped, key=_monomial_key):
-        system.add_row({k: c for k, c in grouped[key].items() if c})
+    for row in grouped.values():
+        system.add_row({k: c for k, c in row.items() if c})
 
 
 def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, int]:
@@ -201,24 +205,65 @@ def _integer_row(row: dict[int, Coef]) -> dict[int, int]:
     return {k: v // g for k, v in ints.items()} if g > 1 else ints
 
 
+def _strip_pinned(rows: list[dict[int, Coef]]) -> tuple[set[int], list[dict[int, Coef]]]:
+    """The unknowns that one-entry rows force to zero, and the other rows
+    with those unknowns struck.
+
+    Striking a pinned unknown can leave another one-entry row, which pins
+    in turn; only live-entry counts change on the way.  A row ends with no
+    live entry, and is dropped, or with two or more; one that held no
+    pinned unknown comes back as it is.
+    """
+    holders: defaultdict[int, list[int]] = defaultdict(list)
+    for i, r in enumerate(rows):
+        for c in r:
+            holders[c].append(i)
+    live = [len(r) for r in rows]
+    stack = [c for r in rows if len(r) == 1 for c in r]
+    pinned: set[int] = set()
+    while stack:
+        c = stack.pop()
+        if c in pinned:
+            continue
+        pinned.add(c)
+        for i in holders[c]:
+            live[i] -= 1
+            if live[i] == 1:
+                stack.extend(k for k in rows[i] if k not in pinned)
+    left = [r if n == len(r) else {k: v for k, v in r.items() if k not in pinned}
+            for r, n in zip(rows, live) if n]
+    return pinned, left
+
+
 def nullspace(system: LinearSystem) -> list[dict[str, Fraction]]:
     """Exact reduced nullspace basis; pivots follow unknown declaration order.
 
-    The reduced row echelon form is built one row at a time: an incoming row
-    is reduced by the pivot rows so far, its lowest remaining column becomes
-    a new pivot, and that column is eliminated from the earlier pivot rows.
-    The form is unique, so the basis does not depend on the row order.  Rows
-    are kept fraction-free, as coprime integers positive at the pivot; the
-    quotients are taken once, for the basis.  Each basis vector sets one
-    free unknown to 1; that unknown is absent from every other vector, which
-    fixes the echelon-normalized representatives.
+    Unknowns forced to zero are pinned first (`_strip_pinned`): a one-entry
+    row sets its unknown to zero, and striking it from the other rows can
+    force more.  Each pinned unknown becomes the pivot row {c: 1}.  Striking
+    an entry is the row operation that subtracts a multiple of that unit
+    row, so the row space is unchanged and the unit rows are rows of its
+    reduced row echelon form.
+
+    The rest of the form is built one row at a time: an incoming row is
+    reduced by the pivot rows so far, its lowest remaining column becomes a
+    new pivot, and that column is eliminated from the earlier pivot rows
+    that hold it.  An index from each column to the pivot rows holding it
+    finds those rows without a scan of every pivot, and gives each basis
+    vector directly.  The reduced row echelon form of a row space is
+    unique, so the basis depends neither on the row order nor on the order
+    of the eliminations.  Rows are kept fraction-free, as coprime integers
+    positive at the pivot; the quotients are taken once, for the basis.
+    Each basis vector sets one free unknown to 1; that unknown is absent
+    from every other vector, which fixes the echelon-normalized
+    representatives.  The rows of `system` are not modified.
     """
     if system.inconsistent:
         return []
-    pivots: dict[int, dict[int, int]] = {}
-    for row in system.rows:
-        if not row:
-            continue
+    pinned, rows = _strip_pinned(system.rows)
+    pivots: dict[int, dict[int, int]] = {c: {c: 1} for c in pinned}
+    holders: defaultdict[int, set[int]] = defaultdict(set)
+    for row in rows:
         r = _integer_row(row)
         for pc in [c for c in r if c in pivots]:
             p = pivots[pc]
@@ -230,20 +275,25 @@ def nullspace(system: LinearSystem) -> list[dict[str, Fraction]]:
         if a < 0:
             r = {k: -v for k, v in r.items()}
             a = -a
-        for pc in [pc for pc, p in pivots.items() if col in p]:
+        for pc in holders.pop(col, ()):
             p = pivots[pc]
-            pivots[pc] = _combine(a, p, p[col], r)
+            q = pivots[pc] = _combine(a, p, p[col], r)
+            for k in p.keys() - q.keys():
+                holders[k].discard(pc)
+            for k in q.keys() - p.keys():
+                holders[k].add(pc)
+        for k in r:
+            if k != col:
+                holders[k].add(col)
         pivots[col] = r
     basis = []
-    for f in range(len(system.unknowns)):
+    for f, name in enumerate(system.unknowns):
         if f in pivots:
             continue
-        vec = {system.unknowns[f]: Fraction(1)}
-        for pc in sorted(pivots):
+        vec = {name: Fraction(1)}
+        for pc in sorted(holders[f]):
             p = pivots[pc]
-            val = p.get(f)
-            if val:
-                vec[system.unknowns[pc]] = Fraction(-val, p[pc])
+            vec[system.unknowns[pc]] = Fraction(-p[f], p[pc])
         basis.append(vec)
     return basis
 

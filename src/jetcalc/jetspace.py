@@ -9,6 +9,7 @@ expressions into internal coordinates (spatial jets only).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -115,19 +116,23 @@ class JetContext:
     # -- parser hook ---------------------------------------------------------
 
     def parse_subscript(self, sub: str, pos: int) -> MultiIndex:
-        """Greedy longest-match decomposition of a subscript into base names."""
-        sigma: list[int] = []
-        rest = sub
-        by_len = sorted(range(self.n), key=lambda i: -len(self.independent[i]))
-        while rest:
-            for i in by_len:
-                nm = self.independent[i]
-                if rest.startswith(nm):
-                    sigma.append(i)
-                    rest = rest[len(nm):]
-                    break
-            else:
-                raise UnknownIdentifier(f"subscript '{sub}'", pos)
+        """The decomposition of a subscript into base names.
+
+        Every split of a prefix is followed, so a name that is a prefix of
+        another does not block the split.  Equation files admit only name
+        sets without an `ambiguous_subscript`, where the split that reaches
+        the end is the only one.
+        """
+        reach: dict[int, tuple[int, ...]] = {0: ()}
+        for k in range(len(sub)):
+            head = reach.get(k)
+            if head is not None:
+                for i, nm in enumerate(self.independent):
+                    if sub.startswith(nm, k):
+                        reach.setdefault(k + len(nm), head + (i,))
+        sigma = reach.get(len(sub))
+        if sigma is None:
+            raise UnknownIdentifier(f"subscript '{sub}'", pos)
         return tuple(sorted(sigma))
 
     def resolve_identifier(self, base: str, sub: str | None, pos: int) -> VarId:
@@ -149,6 +154,30 @@ class JetContext:
         from .dalg import parse as _parse
 
         return _parse(text, self)
+
+
+def ambiguous_subscript(names: Sequence[str]) -> str | None:
+    """A subscript that splits into the names in two ways, or None.
+
+    The Sardinas-Patterson test: two splits that start with different names
+    leave a dangling suffix, which the lagging split must then consume;
+    they meet again when a name equals the suffix.
+    """
+    queue = deque((b[len(a):], b) for a in names for b in names if a != b and b.startswith(a))
+    seen = set()
+    while queue:
+        tail, text = queue.popleft()
+        if tail in seen:
+            continue
+        seen.add(tail)
+        for nm in names:
+            if nm == tail:
+                return text
+            if tail.startswith(nm):
+                queue.append((tail[len(nm):], text))
+            elif nm.startswith(tail):
+                queue.append((nm[len(tail):], text + nm[len(tail):]))
+    return None
 
 
 # --------------------------------------------------------------------------

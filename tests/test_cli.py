@@ -289,7 +289,14 @@ HEAT = "evolution: u_t = u_{xx}\n"
     # A covering variable named like a dependent one exited 2 without a line number.
     ("independent: x, t(time)\ndependent: u\n" + HEAT + "covering pot: u_x = u ; u_t = u_x\n", ["linearize"],
      "line 4: in covering 'pot': variable names must be unique"),
-], ids=["empty-name", "two-time-variables", "repeated-covering-equation", "param-clash", "covering-name-clash"])
+    # A subscript that splits two ways was read by longest match, as D_xy.
+    ("independent: x, y\nindependent: xy, t(time)\ndependent: u\nevolution: u_t = u_{xy}\n", ["linearize"],
+     "line 2: the subscript 'xy' splits into the independent variables in two ways"),
+    # D_x in an operator was always the total derivative, never the jet D_x.
+    ("independent: x, t(time)\ndependent: u, D\noperator A = D_x\n", ["adjoint", "--op", "A"],
+     "line 2: 'D' cannot be a dependent variable"),
+], ids=["empty-name", "two-time-variables", "repeated-covering-equation", "param-clash", "covering-name-clash",
+        "ambiguous-subscript", "dependent-named-D"])
 def test_ambiguous_headers_exit_2_with_a_line(tmp_path, capsys, text, argv, message):
     path = tmp_path / "header.eqn"
     path.write_text(text)
@@ -301,6 +308,15 @@ def test_ambiguous_headers_exit_2_with_a_line(tmp_path, capsys, text, argv, mess
     assert code == 2 and out == ""
     assert err_text == f"error: {err.value}\n"
 
+
+
+STOCK = os.path.join(os.path.dirname(SRC), "perfbench", "eqn")
+
+
+@pytest.mark.parametrize("name", ["burgers", "kdv", "nls1", "nls2"])
+def test_stock_files_read_D_x_as_the_total_derivative(capsys, name):
+    code, out, _ = run(capsys, "adjoint", os.path.join(STOCK, f"{name}.eqn"), "--op", "D_x")
+    assert (code, out) == (0, "-D_x\n")
 
 def test_jobs_flag_is_gone(burgers_file, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,8 @@
+import itertools
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetcalc.dalg import DiffPoly
 from jetcalc.jetspace import (
@@ -9,6 +11,7 @@ from jetcalc.jetspace import (
     JetContext,
     NonlocalVariablePresent,
     NotInternal,
+    ambiguous_subscript,
     prolong,
     total_derivative,
     total_derivative_iterated,
@@ -128,6 +131,37 @@ def test_context_validation():
     with pytest.raises(ValueError):
         JetContext(("x", "", "t"), ("u",), has_time=True)
 
+
+
+def test_subscripts_split_past_a_name_that_is_a_prefix():
+    # Longest match first read 'abb' as 'ab' + 'b' and gave up; the only
+    # split is 'a' + 'bb'.
+    ctx = JetContext(("a", "ab", "bb"), ("u",))
+    assert ambiguous_subscript(ctx.independent) is None
+    assert ctx.u("u_{abb}") == ctx.jet(0, (0, 2))
+    assert ctx.u("u_{ababb}") == ctx.jet(0, (0, 1, 2))
+    assert ctx.u("u_{ab}") == ctx.jet(0, (1,))
+
+
+def _splits(text, names):
+    ways = [1] + [0] * len(text)
+    for k in range(len(text)):
+        for nm in names:
+            if ways[k] and text.startswith(nm, k):
+                ways[k + len(nm)] += ways[k]
+    return ways[-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.text("ab", min_size=1, max_size=3), min_size=1, max_size=4))
+def test_ambiguous_subscript_matches_brute_force(names):
+    names = sorted(names)
+    witness = ambiguous_subscript(names)
+    if witness is not None:
+        assert _splits(witness, names) >= 2
+    else:
+        for n in range(1, 9):
+            assert all(_splits("".join(w), names) <= 1 for w in itertools.product("ab", repeat=n))
 
 def test_multicomponent_internal():
     ctx2 = JetContext(("x", "t"), ("u", "v"), has_time=True)

@@ -28,9 +28,10 @@ from jetcalc.dalg import (
     TESTCOV,
     DiffPoly,
     VarId,
+    param_var,
 )
 from jetcalc.cdiff import _collect
-from jetcalc.detsolve import LinearSystem, nullspace
+from jetcalc.detsolve import LinearSystem, _strip_pinned, match_coefficients, nullspace
 from jetcalc.jetspace import EvolutionSystem, JetContext, total_derivative
 from jetcalc.hamrec import make_covering
 from jetcalc.variational import Density, dx_inverse, euler
@@ -252,6 +253,76 @@ def test_nullspace_of_large_random_system_matches_sympy():
     names = [f"c{k}" for k in range(n)]
     assert nullspace(LinearSystem(names, rows)) == sympy_nullspace(n, rows, names)
 
+
+@st.composite
+def pinning_systems(draw):
+    """Systems whose one-entry rows pin unknowns in cascades: the k-th chain
+    row holds one new unknown and some already pinned ones, so it is left
+    with one entry once those are struck.  Free rows, repeated rows and
+    scalar multiples are mixed in, and the rows are shuffled.  Returns the
+    unknown count, the rows and the unknowns the chain pins."""
+    n = draw(st.integers(1, 8))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+    order = draw(st.permutations(range(n)))
+    rows = []
+    chain = order[:draw(st.integers(0, n))]
+    for k in range(len(chain)):
+        cols = {order[k]} | draw(st.sets(st.sampled_from(order[:k]), max_size=2)) if k else {order[0]}
+        rows.append({c: draw(entry) for c in cols})
+    for _ in range(draw(st.integers(0, 4))):
+        cols = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+        rows.append({c: draw(entry) for c in cols})
+    for _ in range(draw(st.integers(0, 4))):
+        if rows:
+            row, scale = draw(st.sampled_from(rows)), draw(st.one_of(st.sampled_from([1, -1]), entry))
+            rows.append({c: scale * v for c, v in row.items()})
+    return n, draw(st.permutations(rows)), chain
+
+
+@KERNEL
+@given(pinning_systems(), st.randoms(use_true_random=False))
+def test_pinned_elimination_matches_sympy_and_leaves_rows_alone(system, rnd):
+    n, rows, chain = system
+    pinned, left = _strip_pinned(rows)
+    assert set(chain) <= pinned
+    assert all(len(r) >= 2 and not pinned & r.keys() for r in left)
+    names = [f"c{k}" for k in range(n)]
+    snapshot = [list(r.items()) for r in rows]
+    linear = LinearSystem(names, rows)
+    basis = nullspace(linear)
+    assert [list(r.items()) for r in linear.rows] == snapshot
+    assert basis == sympy_nullspace(n, rows, names)
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert nullspace(LinearSystem(names, shuffled)) == basis
+
+
+KNOWN = [v for v in VARS if v.kind != PARAM]
+
+
+@KERNEL
+@given(st.integers(1, 5), st.lists(st.tuples(st.integers(0, 4), st.lists(st.sampled_from(KNOWN), max_size=3),
+                                              coefficients.filter(bool)), max_size=12))
+def test_match_coefficients_rows_are_the_grouped_coefficients(n, terms):
+    """One row per known monomial, holding the summed coefficient of each
+    unknown: the same multiset of rows whatever order they come in, and the
+    same order on every call."""
+    names = [f"c{k}" for k in range(n)]
+    expr = DiffPoly.zero()
+    expected: dict = {}
+    for k, known, c in terms:
+        mono = reduce(lambda a, b: a * b, (DiffPoly.var(v) for v in known), DiffPoly.const(1))
+        expr = expr + DiffPoly.var(param_var(names[k % n])).scale(c) * mono
+        row = expected.setdefault(next(iter(mono.terms)), {})
+        row[k % n] = row.get(k % n, 0) + c
+    want = sorted(sorted(r.items()) for r in expected.values() if any(r.values()))
+    want = [[(k, c) for k, c in r if c] for r in want]
+    first, again = LinearSystem(names, []), LinearSystem(names, [])
+    match_coefficients(expr, first)
+    match_coefficients(expr, again)
+    assert sorted(sorted(r.items()) for r in first.rows) == sorted(want)
+    assert [list(r.items()) for r in again.rows] == [list(r.items()) for r in first.rows]
+    assert not first.inconsistent
 
 # --------------------------------------------------------------------------
 # The derivation primitive
