@@ -240,12 +240,12 @@ class CDiffOp:
                 for i in sorted(set(sigma)))
             astr = str(a)
             if not sigma:
-                parts.append(astr if len(a.terms) == 1 else f"({astr})")
+                parts.append(astr if len(a.num) == 1 else f"({astr})")
             elif a == DiffPoly.const(1):
                 parts.append(dstr)
             elif a == DiffPoly.const(-1):
                 parts.append(f"-{dstr}")
-            elif len(a.terms) == 1:
+            elif len(a.num) == 1:
                 parts.append(f"{astr}*{dstr}")
             else:
                 parts.append(f"({astr})*{dstr}")
@@ -358,7 +358,7 @@ class HorForm:
         for idx, p in self.comps:
             dx = "^".join(f"d{names[i]}" for i in idx) if idx else "1"
             coef = str(p)
-            if len(p.terms) > 1:
+            if len(p.num) > 1:
                 coef = f"({coef})"
             bits.append(f"{coef}*{dx}" if idx else coef)
         return " + ".join(bits)
@@ -460,7 +460,7 @@ class CartanShadow:
             ks = self._key_str(k)
             if p == DiffPoly.const(1):
                 bits.append(ks)
-            elif len(p.terms) == 1 and not str(p).startswith("-"):
+            elif len(p.num) == 1 and not str(p).startswith("-"):
                 bits.append(f"{p}*{ks}")
             else:
                 bits.append(f"({p})*{ks}")

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .dalg import DiffPoly, ParseError, _Parser, split_identifier
-from .jetspace import EvolutionSystem, JetContext, NotInternal, ambiguous_subscript
+from .jetspace import EvolutionSystem, JetContext, NotInternal
 from .cdiff import CDiffOp, linearization
 from .variational import (
     ConservedCurrent,
@@ -86,6 +86,15 @@ def _split_top_level(text: str, sep: str) -> list[str]:
     return [s.strip() for s in out]
 
 
+def _current_tuple(ctx: JetContext, text: str, error: str, line: int | None = None) -> ConservedCurrent:
+    """The current that `text` writes as a parenthesized tuple; InputError
+    `error` when it is not one."""
+    text = text.strip()
+    if not (text.startswith("(") and text.endswith(")")):
+        raise InputError(error, line)
+    return ConservedCurrent(tuple(ctx.parse(c) for c in _split_top_level(text[1:-1], ",")))
+
+
 # --------------------------------------------------------------------------
 # Operator expressions (D_x, powers, compositions)
 
@@ -116,7 +125,12 @@ class _OpParser(_Parser):
         return None if a.order else super().constant(a.entries[0][0].get((), DiffPoly.zero()))
 
 
+_DEPENDENT_D = "'D' cannot be a dependent variable: D_x is the total derivative in operators"
+
+
 def parse_operator(text: str, ctx: JetContext) -> CDiffOp:
+    if "D" in ctx.dependent:
+        raise InputError(_DEPENDENT_D)
     return _OpParser(text, ctx).parse()
 
 
@@ -183,13 +197,10 @@ def parse_equation_file(path: str) -> EquationFile:
                         raise InputError(f"'{time_name}' is already the (time) variable", no)
                     item = time_name = item[: -len("(time)")].strip()
                 independent.append(item)
-            twice = ambiguous_subscript(independent)
-            if twice is not None:
-                raise InputError(f"the subscript '{twice}' splits into the independent variables in two ways", no)
         elif head == "dependent":
             dependent += names(body, no)
             if "D" in dependent:
-                raise InputError("'D' cannot be a dependent variable: D_x is the total derivative in operators", no)
+                raise InputError(_DEPENDENT_D, no)
         elif head == "param":
             params += names(body, no)
         elif head == "evolution":
@@ -211,7 +222,10 @@ def parse_equation_file(path: str) -> EquationFile:
         if independent[-1] != time_name:
             independent.remove(time_name)
             independent.append(time_name)
-    ctx = JetContext(tuple(independent), tuple(dependent), tuple(params), has_time=time_name is not None)
+    try:
+        ctx = JetContext(tuple(independent), tuple(dependent), tuple(params), has_time=time_name is not None)
+    except ValueError as exc:  # an ambiguous subscript, found once every name is in
+        raise InputError(str(exc), max(declared["variable", nm] for nm in independent))
 
     eq = EquationFile(path, ctx, raw=raw)
 
@@ -274,10 +288,7 @@ def parse_equation_file(path: str) -> EquationFile:
             elif kind == "density":
                 eq.densities[name] = Density(ctx, ctx.parse(payload))
             else:
-                if not (payload.startswith("(") and payload.endswith(")")):
-                    raise InputError("current needs a parenthesized component tuple", no)
-                comps = [ctx.parse(c) for c in _split_top_level(payload[1:-1], ",")]
-                eq.currents[name] = ConservedCurrent(tuple(comps))
+                eq.currents[name] = _current_tuple(ctx, payload, "current needs a parenthesized component tuple", no)
         except ParseError as exc:
             raise InputError(f"in {kind} '{name}': {exc}", no)
     return eq
@@ -329,11 +340,7 @@ def _lookup_operator(eq: EquationFile, ref: str) -> CDiffOp:
 def _lookup_current(eq: EquationFile, ref: str) -> ConservedCurrent:
     if ref in eq.currents:
         return eq.currents[ref]
-    ref = ref.strip()
-    if ref.startswith("(") and ref.endswith(")"):
-        comps = [eq.ctx.parse(c) for c in _split_top_level(ref[1:-1], ",")]
-        return ConservedCurrent(tuple(comps))
-    raise InputError(f"unknown current '{ref}'")
+    return _current_tuple(eq.ctx, ref, f"unknown current '{ref.strip()}'")
 
 
 def _basis_report(command: str, eq: EquationFile, a: Ansatz, basis, heading: str, render) -> Report:

@@ -5,16 +5,17 @@ formal variables: base (independent) variables, jet variables u^j_sigma,
 nonlocal variables of a covering, named parameters, test covectors, and an
 auxiliary scalar used by the homotopy integral.  Everything is immutable
 and canonical: equal values have equal representations, so equality of
-expressions is dictionary equality.
+expressions is equality of their numerator maps and denominators.
 
 Kernel invariants, which every operation keeps:
 
-- A coefficient is never zero, and it is an int or a Fraction, never a
-  float: a quotient of coefficients is always taken with a Fraction
-  operand.  Every operation stores integral values as ints (`rational`),
-  so the common all-integer arithmetic runs on machine ints.
+- Coefficients are nonzero int numerators over one positive denominator
+  coprime to them, 1 for an integer polynomial (FLINT's `fmpq_poly`).  Ring
+  operations run on ints and divide out one gcd, in `DiffPoly._make`;
+  rationals enter through `DiffPoly(terms)`, `const`, `scale` and
+  `evaluate`, and leave through the `terms` view.
 - `DiffPoly(terms)` cleans its input; the trusted `DiffPoly._make` is only
-  for dicts that are already clean and owned by the new value.
+  for numerator dicts that hold no zero and are owned by the new value.
 - `DiffPoly.sum` is the only accumulator.  A sum of many polynomials is
   never a chain of `+`, which copies the partial sum at every step.  Keyed
   maps of polynomials (operator entries, Cartan maps, form components)
@@ -30,22 +31,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
 Rational = Fraction
 Coef = int | Fraction
-
-
-def rational(c) -> Coef:
-    """Canonical coefficient: an int when the value is integral, otherwise a
-    Fraction.  Integer coefficients, the common case, keep ring operations
-    on machine-level int arithmetic; mixed int/Fraction arithmetic is exact
-    and compares and hashes by value."""
-    if c.__class__ is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 # Variable kinds, in the fixed total order used for canonical forms.
@@ -207,29 +197,48 @@ def _monomial_key(factors: Factors) -> tuple:
 class DiffPoly:
     """Immutable multivariate polynomial with rational coefficients.
 
-    Stored as a map from factor tuples to nonzero coefficients; the zero
-    polynomial is the empty map.  All operations return new canonical values
-    and keep the kernel invariants of the module docstring.
+    `num` maps factor tuples to integer numerators over the denominator
+    `den`; the zero polynomial is the empty map over 1.  All operations
+    return new canonical values and keep the kernel invariants of the
+    module docstring.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, terms: Mapping[Factors, Coef] | None = None):
-        clean = {}
-        if terms:
-            for f, c in terms.items():
-                if c:
-                    clean[f] = rational(c)
-        self.terms = clean
+        # Fractions arrive reduced, so the lcm of their denominators is
+        # coprime to the numerators over it.
+        terms = terms or {}
+        self.den = den = lcm(*(c.denominator for c in terms.values()))
+        self.num = {f: c.numerator * (den // c.denominator) for f, c in terms.items() if c}
         self._hash = None
 
     @staticmethod
-    def _make(terms: dict[Factors, Coef]) -> "DiffPoly":
-        """Trusted constructor: `terms` is clean and not shared."""
+    def _make(num: dict[Factors, int], den: int = 1) -> "DiffPoly":
+        """Trusted constructor: `num` holds no zero and is not shared; reduces by the gcd."""
+        if den > 1:
+            g = gcd(den, *num.values())
+            if g > 1:
+                den //= g
+                for f, c in num.items():
+                    num[f] = c // g
         p = _new_poly(DiffPoly)
-        p.terms = terms
+        p.num = num
+        p.den = den
         p._hash = None
         return p
+
+    @property
+    def terms(self) -> Mapping[Factors, Coef]:
+        """Read-only view: each coefficient an int or a non-integral Fraction."""
+        den = self.den
+        if den == 1:
+            return self.num
+        return {f: c // den if c % den == 0 else Fraction(c, den) for f, c in self.num.items()}
+
+    def __reduce__(self):
+        # Through the constructor: a copy never carries another process's hash.
+        return DiffPoly, (self.terms,)
 
     # -- constructors ------------------------------------------------------
 
@@ -239,8 +248,7 @@ class DiffPoly:
 
     @staticmethod
     def const(c: Coef) -> "DiffPoly":
-        c = rational(c)
-        return DiffPoly._make({(): c}) if c else _ZERO
+        return DiffPoly._make({(): c.numerator}, c.denominator) if c else _ZERO
 
     @staticmethod
     def var(v: VarId) -> "DiffPoly":
@@ -251,54 +259,66 @@ class DiffPoly:
         """Sum of any number of polynomials in one accumulator.
 
         Terms, and their order, are those of the left fold of `+`; a sum
-        with one nonzero operand is that operand itself, as with `+`.
+        with one nonzero operand is that operand itself, as with `+`.  The
+        accumulator is lifted to a larger common denominator only when an
+        operand brings one.
         """
         first = out = None
+        den = 1
         for p in polys:
-            if not p.terms:
+            if not p.num:
                 continue
             if first is None:
                 first = p
                 continue
             if out is None:
-                out = dict(first.terms)
+                out = dict(first.num)
+                den = first.den
+            items = p.num.items()
+            if p.den != den:
+                common = lcm(den, p.den)
+                if common != den:
+                    out = {f: c * (common // den) for f, c in out.items()}
+                if common != p.den:
+                    items = [(f, c * (common // p.den)) for f, c in items]
+                den = common
             get = out.get
-            for f, c in p.terms.items():
+            for f, c in items:
                 s = get(f)
                 if s is None:
                     out[f] = c
                 else:
                     s += c
                     if s:
-                        out[f] = s if s.__class__ is int or s.denominator != 1 else s.numerator
+                        out[f] = s
                     else:
                         del out[f]
         if out is None:
             return first or _ZERO
-        return DiffPoly._make(out) if out else _ZERO
+        return DiffPoly._make(out, den) if out else _ZERO
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
-        if not self.terms:
+        if not self.num:
             return other
-        if not other.terms:
+        if not other.num:
             return self
         return DiffPoly.sum((self, other))
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly._make({f: -c for f, c in self.terms.items()})
+        return DiffPoly._make({f: -c for f, c in self.num.items()}, self.den)
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
         return self + (-other)
 
     def __mul__(self, other: "DiffPoly") -> "DiffPoly":
-        if not self.terms or not other.terms:
+        if not self.num or not other.num:
             return _ZERO
-        out: dict[Factors, Coef] = {}
+        out: dict[Factors, int] = {}
         get = out.get
-        for fa, ca in self.terms.items():
-            for fb, cb in other.terms.items():
+        for fa, ca in self.num.items():
+            for fb, cb in other.num.items():
                 f = _merge_factors(fa, fb) if fa and fb else fa or fb
                 s = get(f)
                 if s is None:
@@ -309,15 +329,13 @@ class DiffPoly:
                         out[f] = s
                     else:
                         del out[f]
-        if _denominator(self.terms.values()) or _denominator(other.terms.values()):
-            _integral_to_int(out)
-        return DiffPoly._make(out)
+        return DiffPoly._make(out, self.den * other.den)
 
     def scale(self, c: Coef) -> "DiffPoly":
-        c = rational(c)
         if not c:
             return _ZERO
-        return DiffPoly._make(_integral_to_int({f: c * k for f, k in self.terms.items()}))
+        n = c.numerator
+        return DiffPoly._make({f: n * k for f, k in self.num.items()}, self.den * c.denominator)
 
     def __pow__(self, n: int) -> "DiffPoly":
         if n < 0:
@@ -335,43 +353,40 @@ class DiffPoly:
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, DiffPoly) and self.terms == other.terms
+        return isinstance(other, DiffPoly) and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = self._hash = hash(frozenset(self.terms.items()))
+            h = self._hash = hash((self.den, frozenset(self.num.items())))
         return h
 
     def variables(self) -> set[VarId]:
         out: set[VarId] = set()
-        for f in self.terms:
+        for f in self.num:
             for v, _ in f:
                 out.add(v)
         return out
 
     def has_kind(self, kind: int) -> bool:
-        return any(v.kind == kind for f in self.terms for v, _ in f)
+        return any(v.kind == kind for f in self.num for v, _ in f)
 
     def as_constant(self) -> Coef:
         """The value of a constant polynomial; raises if variables remain."""
-        if not self.terms:
+        if not self.num:
             return 0
-        if len(self.terms) == 1 and () in self.terms:
+        if len(self.num) == 1 and () in self.num:
             return self.terms[()]
         raise ValueError(f"not a constant polynomial: {self}")
 
     def total_degree(self) -> int:
-        return max((sum(e for _, e in f) for f in self.terms), default=0)
-
-    def sorted_terms(self) -> list[tuple[Factors, Coef]]:
-        return sorted(self.terms.items(), key=lambda t: _monomial_key(t[0]))
+        return max((sum(e for _, e in f) for f in self.num), default=0)
 
     # -- calculus ----------------------------------------------------------
 
@@ -380,17 +395,16 @@ class DiffPoly:
 
     def partial(self, v: VarId) -> "DiffPoly":
         """Formal partial derivative; every VarId is an independent coordinate."""
-        out: dict[Factors, Coef] = {}
-        for f, c in self.terms.items():
+        out: dict[Factors, int] = {}
+        for f, c in self.num.items():
             for pos, (w, e) in enumerate(f):
                 if w == v:
                     if e == 1:
                         out[f[:pos] + f[pos + 1:]] = c
                     else:
-                        ce = c * e if c.__class__ is int else rational(c * e)
-                        out[f[:pos] + ((w, e - 1),) + f[pos + 1:]] = ce
+                        out[f[:pos] + ((w, e - 1),) + f[pos + 1:]] = c * e
                     break
-        return DiffPoly._make(out)
+        return DiffPoly._make(out, self.den)
 
     def derivation(self, image: Callable[[VarId], "DiffPoly | None"]) -> "DiffPoly":
         """The derivation sum_v image(v) * dself/dv, in one pass over the terms.
@@ -398,29 +412,24 @@ class DiffPoly:
         `image` is asked once for each variable of self, in the order of
         `variables()`, and returns None for a variable the derivation kills.
         Each factor (v, e) of a term adds rest * image(v) straight into one
-        accumulator, on integer numerators over a common denominator (the
-        lcm of self's denominators times the lcm of the images'); each
-        output coefficient is reduced once at the end.
+        accumulator, on the numerators of the images lifted to their common
+        denominator; the result is reduced once, in `_make`.
         """
-        images: dict[VarId, dict[Factors, Coef]] = {}
+        images: dict[VarId, DiffPoly] = {}
         for v in self.variables():
             img = image(v)
-            if img is not None and img.terms:
-                images[v] = img.terms
+            if img is not None and img.num:
+                images[v] = img
         if not images:
             return _ZERO
-        terms = self.terms
-        den_p = _denominator(terms.values())
-        den_i = _denominator(c for img in images.values() for c in img.values())
-        if den_p:
-            terms = _lift(terms, den_p)
-        if den_i:
-            images = {v: _lift(img, den_i) for v, img in images.items()}
+        den_i = lcm(*(img.den for img in images.values()))
+        nums = {v: img.num if img.den == den_i else {g: d * (den_i // img.den) for g, d in img.num.items()}
+                for v, img in images.items()}
         out: dict[Factors, int] = {}
         get = out.get
-        for f, c in terms.items():
+        for f, c in self.num.items():
             for pos, (v, e) in enumerate(f):
-                img = images.get(v)
+                img = nums.get(v)
                 if img is None:
                     continue
                 if e == 1:
@@ -440,11 +449,7 @@ class DiffPoly:
                             out[key] = s
                         else:
                             del out[key]
-        den = (den_p or 1) * (den_i or 1)
-        if den != 1:
-            for key, s in out.items():
-                out[key] = s // den if s % den == 0 else Fraction(s, den)
-        return DiffPoly._make(out)
+        return DiffPoly._make(out, self.den * den_i)
 
     def substitute(self, bindings: Mapping[VarId, "DiffPoly"]) -> "DiffPoly":
         """Simultaneous substitution of variables by polynomials.
@@ -457,7 +462,7 @@ class DiffPoly:
             return self
 
         def terms():
-            for f, c in self.terms.items():
+            for f, c in self.num.items():
                 kept = []
                 images = []
                 for v, e in f:
@@ -466,7 +471,7 @@ class DiffPoly:
                         kept.append((v, e))
                     else:
                         images.append(img ** e)
-                term = DiffPoly._make({tuple(kept): c})
+                term = DiffPoly._make({tuple(kept): c}, self.den)
                 for img in images:
                     term = term * img
                 yield term
@@ -478,16 +483,18 @@ class DiffPoly:
         images, without building the intermediate products."""
 
         def terms():
-            for f, c in self.terms.items():
+            for f, c in self.num.items():
                 kept = []
+                d = self.den
                 for v, e in f:
                     val = values.get(v)
                     if val is None:
                         kept.append((v, e))
                     else:
-                        c *= val ** e
+                        c *= val.numerator ** e
+                        d *= val.denominator ** e
                 if c:
-                    yield DiffPoly._make({tuple(kept): c if c.__class__ is int else rational(c)})
+                    yield DiffPoly._make({tuple(kept): c}, d)
 
         return DiffPoly.sum(terms())
 
@@ -495,7 +502,7 @@ class DiffPoly:
         """Definite integral over the homotopy scalar on [0, 1]."""
 
         def terms():
-            for f, c in self.terms.items():
+            for f, c in self.num.items():
                 k = 0
                 rest = []
                 for v, e in f:
@@ -503,17 +510,17 @@ class DiffPoly:
                         k = e
                     else:
                         rest.append((v, e))
-                yield DiffPoly._make({tuple(rest): rational(Fraction(c, k + 1))})
+                yield DiffPoly._make({tuple(rest): c}, self.den * (k + 1))
 
         return DiffPoly.sum(terms())
 
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         parts: list[str] = []
-        for f, c in self.sorted_terms():
+        for f, c in sorted(self.terms.items(), key=lambda t: _monomial_key(t[0])):
             body = "*".join(v.name if e == 1 else f"{v.name}^{e}" for v, e in f)
             mag = abs(c)
             if not body:
@@ -534,29 +541,6 @@ class DiffPoly:
 
 _ZERO = DiffPoly()
 _new_poly = object.__new__
-
-
-def _denominator(coefs: Iterable[Coef]) -> int:
-    """The lcm of the denominators of `coefs`, or 0 when they are all ints."""
-    den = 0
-    for c in coefs:
-        if c.__class__ is not int:
-            den = lcm(den or 1, c.denominator)
-    return den
-
-
-def _integral_to_int(terms: dict[Factors, Coef]) -> dict[Factors, Coef]:
-    """Stores the integral Fractions among the values of `terms` as ints."""
-    for f, c in terms.items():
-        if c.__class__ is not int and c.denominator == 1:
-            terms[f] = c.numerator
-    return terms
-
-
-def _lift(terms: dict[Factors, Coef], den: int) -> dict[Factors, int]:
-    """Integer numerators of `terms` over the common denominator `den`."""
-    return {f: c * den if c.__class__ is int else c.numerator * (den // c.denominator)
-            for f, c in terms.items()}
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 
-from .dalg import PARAM, Coef, DiffPoly, VarId, _monomial_key, param_var, rational
+from .dalg import PARAM, Coef, DiffPoly, VarId, _monomial_key, param_var
 from .jetspace import EvolutionSystem, JetContext, multi_indices_up_to
 from .cdiff import (
     CartanShadow,
@@ -150,7 +150,8 @@ class LinearSystem:
 def match_coefficients(expr: DiffPoly, system: LinearSystem):
     """Append one row per distinct known monomial of an unknown-linear expr.
 
-    Rows come in the order their monomials are first seen in `expr.terms`,
+    Entries are summed on the numerators of `expr`, then divided by its
+    denominator.  Rows come in the order their monomials are first seen,
     which is deterministic; `nullspace` does not depend on row order, so no
     canonical sort is needed.  An unknown-free term with a nonzero
     coefficient can never cancel, so it marks the whole system as
@@ -158,13 +159,13 @@ def match_coefficients(expr: DiffPoly, system: LinearSystem):
     """
     index = {name: k for k, name in enumerate(system.unknowns)}
     grouped: dict[tuple, dict[int, Coef]] = {}
-    for factors, coef in expr.terms.items():
+    for factors, coef in expr.num.items():
         unknown = None
         known = []
         for v, e in factors:
             if v.kind == PARAM and v.idx[0] in index:
                 if unknown is not None or e > 1:
-                    raise NonlinearInUnknowns(f"monomial {DiffPoly({factors: coef})} is nonlinear in unknowns")
+                    raise NonlinearInUnknowns(f"monomial {DiffPoly._make({factors: coef}, expr.den)} is nonlinear in unknowns")
                 unknown = index[v.idx[0]]
             else:
                 known.append((v, e))
@@ -175,7 +176,7 @@ def match_coefficients(expr: DiffPoly, system: LinearSystem):
         s = row.get(unknown)
         row[unknown] = coef if s is None else s + coef
     for row in grouped.values():
-        system.add_row({k: c for k, c in row.items() if c})
+        system.add_row({k: c if expr.den == 1 else Fraction(c, expr.den) for k, c in row.items() if c})
 
 
 def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, int]:
@@ -300,7 +301,7 @@ def nullspace(system: LinearSystem) -> list[dict[str, Fraction]]:
 
 def _unknown_values(tb: TemplateBuilder, vec: dict[str, Fraction]) -> dict[VarId, Coef]:
     """Every unknown of the template at its value in a nullspace vector."""
-    return {param_var(name): rational(vec.get(name, 0)) for name in tb.names}
+    return {param_var(name): vec.get(name, 0) for name in tb.names}
 
 
 @dataclass

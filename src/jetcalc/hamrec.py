@@ -11,11 +11,10 @@ equation in the spatial direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement, count, islice
 from typing import Sequence
 
-from .dalg import BASE, JET, NONLOCAL, TESTCOV, DiffPoly, VarId, mi_add, param_var, rational
+from .dalg import BASE, JET, NONLOCAL, TESTCOV, DiffPoly, VarId, mi_add, param_var
 from .jetspace import ONE, EvolutionSystem, JetContext, NotInternal, prefix_derivatives
 from .cdiff import CartanShadow, CDiffOp, DimensionMismatch, contract, evolutionary, linearization
 from .variational import (
@@ -189,9 +188,9 @@ def _remainder_ansatz(cov: Covering, r: DiffPoly, x: int) -> DiffPoly | None:
     system = LinearSystem(names, [])
     match_coefficients(residual, system)
     for vec in nullspace(system):
-        lam = vec.get("#rhs", Fraction(0))
+        lam = vec.get("#rhs")
         if lam:
-            values = {param_var(n): rational(vec.get(n, 0) / lam) for n in names[:-1]}
+            values = {param_var(n): vec.get(n, 0) / lam for n in names[:-1]}
             return candidate.evaluate(values)
     return None
 

@@ -63,6 +63,9 @@ class JetContext:
             raise ValueError("variable names must not be empty")
         if not self.independent or not self.dependent:
             raise ValueError("need at least one independent and one dependent variable")
+        twice = ambiguous_subscript(self.independent)
+        if twice is not None:
+            raise ValueError(f"the subscript '{twice}' splits into the independent variables in two ways")
 
     # -- shape -------------------------------------------------------------
 
@@ -119,9 +122,9 @@ class JetContext:
         """The decomposition of a subscript into base names.
 
         Every split of a prefix is followed, so a name that is a prefix of
-        another does not block the split.  Equation files admit only name
-        sets without an `ambiguous_subscript`, where the split that reaches
-        the end is the only one.
+        another does not block the split.  A context admits only name sets
+        without an `ambiguous_subscript`, where the split that reaches the
+        end is the only one.
         """
         reach: dict[int, tuple[int, ...]] = {0: ()}
         for k in range(len(sub)):

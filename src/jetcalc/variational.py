@@ -9,7 +9,6 @@ operator identities with free covector arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .dalg import (
@@ -123,7 +122,7 @@ def is_divergence(density: Density) -> bool:
 def antiderivative(p: DiffPoly, v: VarId) -> DiffPoly:
     """Polynomial antiderivative of p in the single variable v."""
     parts = []
-    for f, c in p.terms.items():
+    for f, c in p.num.items():
         e = 0
         rest = []
         for w, k in f:
@@ -133,7 +132,7 @@ def antiderivative(p: DiffPoly, v: VarId) -> DiffPoly:
                 rest.append((w, k))
         rest.append((v, e + 1))
         rest.sort()
-        parts.append(DiffPoly({tuple(rest): Fraction(c, e + 1)}))
+        parts.append(DiffPoly._make({tuple(rest): c}, p.den * (e + 1)))
     return DiffPoly.sum(parts)
 
 
@@ -203,7 +202,7 @@ def _profile(g: DiffPoly) -> list[tuple[int, int]]:
     as lists these compare like the multisets they list."""
     return sorted(((sum(e for v, e in mono if v.kind == NONLOCAL),
                     max((len(v.idx[1]) for v, _ in mono if v.kind == JET), default=0))
-                   for mono in g.terms), reverse=True)
+                   for mono in g.num), reverse=True)
 
 
 def dx_inverse(ctx: JetContext, g: DiffPoly, i: int = 0) -> DiffPoly:

@@ -8,6 +8,7 @@ import pytest
 from jetcalc.cli import InputError, main, parse_equation_file, parse_operator
 from jetcalc.cdiff import CDiffOp
 from jetcalc.dalg import DiffPoly
+from jetcalc.jetspace import JetContext
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -308,6 +309,13 @@ def test_ambiguous_headers_exit_2_with_a_line(tmp_path, capsys, text, argv, mess
     assert code == 2 and out == ""
     assert err_text == f"error: {err.value}\n"
 
+
+
+def test_parse_operator_rejects_a_dependent_named_D():
+    # D_x was read as the total derivative although the context has a jet D_x.
+    ctx = JetContext(("x", "t"), ("u", "D"), has_time=True)
+    with pytest.raises(InputError, match="'D' cannot be a dependent variable"):
+        parse_operator("D_x", ctx)
 
 
 STOCK = os.path.join(os.path.dirname(SRC), "perfbench", "eqn")

@@ -132,6 +132,12 @@ def test_context_validation():
         JetContext(("x", "", "t"), ("u",), has_time=True)
 
 
+def test_context_rejects_a_subscript_that_splits_two_ways():
+    # u_{xy} was read as one derivative in the variable xy.
+    with pytest.raises(ValueError, match="the subscript 'xy' splits into the independent variables in two ways"):
+        JetContext(("x", "y", "xy"), ("u",))
+
+
 
 def test_subscripts_split_past_a_name_that_is_a_prefix():
     # Longest match first read 'abb' as 'ab' + 'b' and gave up; the only

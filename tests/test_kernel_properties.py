@@ -8,12 +8,17 @@ variational bicomplex.
 """
 
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
+from math import gcd
 
+import jetcalc
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
@@ -30,7 +35,7 @@ from jetcalc.dalg import (
     VarId,
     param_var,
 )
-from jetcalc.cdiff import _collect
+from jetcalc.cdiff import CDiffOp, _collect
 from jetcalc.detsolve import LinearSystem, _strip_pinned, match_coefficients, nullspace
 from jetcalc.jetspace import EvolutionSystem, JetContext, total_derivative
 from jetcalc.hamrec import make_covering
@@ -58,8 +63,12 @@ def polys(draw, max_terms=5, variables=VARS):
 
 
 def assert_clean(p: DiffPoly):
-    """No zero coefficient, and every coefficient an int or a non-integral
-    Fraction."""
+    """The stored layout in normal form (integer numerators, none zero,
+    over one positive denominator coprime to them all), no zero
+    coefficient, and every coefficient an int or a non-integral Fraction."""
+    assert type(p.den) is int and p.den >= 1
+    assert all(type(c) is int and c != 0 for c in p.num.values())
+    assert gcd(p.den, *p.num.values()) == 1
     for f, c in p.terms.items():
         assert c != 0
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
@@ -128,6 +137,30 @@ def test_pickle_and_copy_roundtrip(p):
     for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
         assert q == p and str(q) == str(p)
         assert [v.name for f in q.terms for v, _ in f] == [v.name for f in p.terms for v, _ in f]
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(jetcalc.__file__)))
+PICKLE_POLY = """
+import pickle, sys
+from fractions import Fraction
+from jetcalc.dalg import DiffPoly, param_var
+p = DiffPoly.var(param_var("a")) * DiffPoly.var(param_var("b")).scale(Fraction(1, 2)) + DiffPoly.const(3)
+"""
+
+
+def run_under_hash_seed(seed: int, code: str, stdin: bytes = b"") -> bytes:
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", PICKLE_POLY + code], input=stdin, capture_output=True,
+                          env=env, check=True, timeout=120).stdout
+
+
+def test_pickle_does_not_carry_the_hash_across_processes():
+    """A polynomial hashed, then pickled under one hash seed, loads under
+    another as a value that hashes like its equal there."""
+    dumped = run_under_hash_seed(1, "hash(p)\nsys.stdout.buffer.write(pickle.dumps(p))\n")
+    verdict = run_under_hash_seed(2, "q = pickle.loads(sys.stdin.buffer.read())\n"
+                                     "print(q == p, hash(q) == hash(p), q in {p})\n", dumped)
+    assert verdict.split() == [b"True", b"True", b"True"]
 
 
 @KERNEL
@@ -479,3 +512,32 @@ def test_covering_derive_matches_reference(p, i):
     got = POT.derive(i, p)
     assert got == reference_covering_derive(i, p)
     assert_canonical(got)
+
+
+# --------------------------------------------------------------------------
+# Operators with fractional coefficients
+
+
+@st.composite
+def operators(draw, size=2):
+    """size x size operators in D_x up to order 2 over the jet space of
+    SPACE, every coefficient a random polynomial divided by 6."""
+    coefs = polys(max_terms=2, variables=SPACE_VARS).map(lambda q: q.scale(Fraction(1, 6)))
+    entries = [[{(0,) * k: draw(coefs) for k in draw(st.sets(st.integers(0, 2), max_size=2))}
+                for _ in range(size)] for _ in range(size)]
+    return CDiffOp(SPACE, size, size, entries)
+
+
+@KERNEL
+@given(operators())
+def test_adjoint_is_an_involution(A):
+    assert A.adjoint().adjoint() == A
+
+
+@KERNEL
+@given(operators(), operators(), st.lists(jet_polys, min_size=2, max_size=2))
+def test_apply_of_compose_is_apply_of_apply(A, B, v):
+    got = A.compose(B).apply(v)
+    assert got == A.apply(B.apply(v))
+    for p in got:
+        assert_clean(p)
