@@ -180,7 +180,13 @@ class CDiffOp:
             elif v.has_kind(NONLOCAL):
                 raise RegimeMismatch("free-jet operator applied to a covering expression")
         derivs = [self._derivatives(v) for v in vec]
-        return [DiffPoly.sum(a * derivs[c](sigma)
+
+        def times(a: DiffPoly, p: DiffPoly) -> DiffPoly:
+            # A constant coefficient (the ±1 of D̄_t and D_x^3 in a
+            # linearization) scales; it is not multiplied out.
+            return p.scale(a.terms[()]) if len(a.num) == 1 and () in a.num else a * p
+
+        return [DiffPoly.sum(times(a, derivs[c](sigma))
                              for c in range(self.cols) for sigma, a in self.entries[r][c].items())
                 for r in range(self.rows)]
 

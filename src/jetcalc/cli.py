@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .dalg import DiffPoly, ParseError, _Parser, split_identifier
-from .jetspace import EvolutionSystem, JetContext, NotInternal
+from .jetspace import EvolutionSystem, JetContext, NotInternal, ambiguous_subscript
 from .cdiff import CDiffOp, linearization
 from .variational import (
     ConservedCurrent,
@@ -116,8 +116,10 @@ class _OpParser(_Parser):
         return a.compose(b)
 
     def power(self, a: CDiffOp, n: int) -> CDiffOp:
-        out = CDiffOp.identity(self.ctx)
-        for _ in range(n):
+        if n == 0:
+            return CDiffOp.identity(self.ctx)
+        out = a
+        for _ in range(n - 1):
             out = out.compose(a)
         return out
 
@@ -224,8 +226,10 @@ def parse_equation_file(path: str) -> EquationFile:
             independent.append(time_name)
     try:
         ctx = JetContext(tuple(independent), tuple(dependent), tuple(params), has_time=time_name is not None)
-    except ValueError as exc:  # an ambiguous subscript, found once every name is in
-        raise InputError(str(exc), max(declared["variable", nm] for nm in independent))
+    except ValueError as exc:  # an ambiguous subscript: cite the line that made the names so
+        lines = sorted({declared["variable", nm] for nm in independent})
+        raise InputError(str(exc), next((no for no in lines if ambiguous_subscript(
+            [nm for nm in independent if declared["variable", nm] <= no])), None))
 
     eq = EquationFile(path, ctx, raw=raw)
 

@@ -332,6 +332,8 @@ class DiffPoly:
         return DiffPoly._make(out, self.den * other.den)
 
     def scale(self, c: Coef) -> "DiffPoly":
+        if c == 1:
+            return self
         if not c:
             return _ZERO
         n = c.numerator

@@ -4,8 +4,12 @@ The solvers share one pipeline: build a polynomial template with fresh
 unknown coefficients, push it through the relevant linear operator
 (linearization, cosymmetry equation, or shadow equation), match the
 coefficient of every known monomial to zero, and extract an exact rational
-nullspace.  Every emitted solution is re-substituted into its determining
-equation before being returned; the solver never trusts its own elimination.
+nullspace.  The template builder keeps a table of the monomial (and the
+slot: component or Cartan key) each unknown multiplies, so a solution is
+read off that table over the nonzero entries of its nullspace vector, not
+substituted into the whole template.  Every emitted solution is still
+re-substituted into its determining equation before being returned; the
+solver never trusts its own elimination.
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm
+from typing import Hashable, Mapping
 
-from .dalg import PARAM, Coef, DiffPoly, VarId, _monomial_key, param_var
+from .dalg import PARAM, Coef, DiffPoly, VarId, _merge_factors, _monomial_key, param_var
 from .jetspace import EvolutionSystem, JetContext, multi_indices_up_to
 from .cdiff import (
     CartanShadow,
+    _collect,
     linearization,
     shadow_residual,
 )
@@ -88,26 +94,46 @@ def _fresh_prefix(ctx: JetContext) -> str:
 
 class TemplateBuilder:
     """Hands out unknown coefficients (parameter variables with reserved
-    names) and remembers their declaration order."""
+    names), remembers their declaration order, and keeps the table of the
+    slot and monomial each unknown of a `combination` multiplies."""
 
     def __init__(self, ctx: JetContext):
         self.prefix = _fresh_prefix(ctx)
         self.names: list[str] = []
+        self.table: dict[str, tuple[Hashable, DiffPoly]] = {}
 
     def fresh(self) -> VarId:
         name = f"{self.prefix}{len(self.names)}"
         self.names.append(name)
         return param_var(name)
 
-    def combination(self, monomials: list[DiffPoly]) -> DiffPoly:
-        return DiffPoly.sum(DiffPoly.var(self.fresh()) * mono for mono in monomials)
+    def combination(self, monomials: list[DiffPoly], slot: Hashable = None) -> DiffPoly:
+        """sum_k c_k * m_k over fresh unknowns c_k, assembled in one
+        numerator dict: each c_k enters the factor tuples of its m_k."""
+        den = lcm(*(m.den for m in monomials))
+        num = {}
+        for m in monomials:
+            c = self.fresh()
+            self.table[c.name] = (slot, m)
+            unit = ((c, 1),)
+            for f, k in m.num.items():
+                num[_merge_factors(f, unit) if f else unit] = k * (den // m.den)
+        return DiffPoly._make(num, den)
+
+    def read_off(self, vec: Mapping[str, Coef]) -> dict[Hashable, DiffPoly]:
+        """The combinations at the unknown values of `vec` (absent ones are
+        zero), keyed by slot: sum_k vec[c_k] * m_k over the entries of `vec`
+        only.  Unknowns of no combination are skipped; zero slots are left
+        out."""
+        entries = ((self.table[name], c) for name, c in vec.items() if name in self.table)
+        return _collect((slot, m.scale(c)) for (slot, m), c in entries)
 
 
 def build_symmetry_template(ctx: JetContext, a: Ansatz) -> tuple[list[DiffPoly], TemplateBuilder]:
     """One template per dependent component, disjoint unknowns."""
     tb = TemplateBuilder(ctx)
     monos = ansatz_monomials(ctx, a)
-    return [tb.combination(monos) for _ in range(ctx.m)], tb
+    return [tb.combination(monos, j) for j in range(ctx.m)], tb
 
 
 def build_shadow_template(ctx: JetContext, a: Ansatz, covering=None) -> tuple[CartanShadow, TemplateBuilder]:
@@ -123,13 +149,13 @@ def build_shadow_template(ctx: JetContext, a: Ansatz, covering=None) -> tuple[Ca
     sigmas = multi_indices_up_to(ctx, a.jet_order, spatial_only=True)
     nlayers = len(covering.layers) if covering is not None else 0
     comps = []
-    for _ in range(ctx.m):
+    for j in range(ctx.m):
         cmap = {}
         for layer in range(nlayers):
-            cmap[("w", layer)] = tb.combination(monos)
+            cmap[("w", layer)] = tb.combination(monos, (j, ("w", layer)))
         for alpha in range(ctx.m):
             for s in sigmas:
-                cmap[("u", alpha, s)] = tb.combination(monos)
+                cmap[("u", alpha, s)] = tb.combination(monos, (j, ("u", alpha, s)))
         comps.append(cmap)
     return CartanShadow(ctx, tuple(comps), covering), tb
 
@@ -299,11 +325,6 @@ def nullspace(system: LinearSystem) -> list[dict[str, Fraction]]:
     return basis
 
 
-def _unknown_values(tb: TemplateBuilder, vec: dict[str, Fraction]) -> dict[VarId, Coef]:
-    """Every unknown of the template at its value in a nullspace vector."""
-    return {param_var(name): vec.get(name, 0) for name in tb.names}
-
-
 @dataclass
 class SolutionBasis:
     """Echelon-normalized solutions, rendered back into target objects."""
@@ -331,6 +352,15 @@ def _solve(residuals, tb: TemplateBuilder, render, verify) -> SolutionBasis:
     return SolutionBasis(solutions, vectors)
 
 
+def _components(tb: TemplateBuilder, m: int):
+    """Render a nullspace vector as the m components of a symmetry template."""
+    def render(vec):
+        values = tb.read_off(vec)
+        return tuple(values.get(j, DiffPoly.zero()) for j in range(m))
+
+    return render
+
+
 def symmetries(sys: EvolutionSystem, a: Ansatz) -> SolutionBasis:
     """Solutions of the linearization equation within the ansatz space."""
     ctx = sys.ctx
@@ -338,14 +368,10 @@ def symmetries(sys: EvolutionSystem, a: Ansatz) -> SolutionBasis:
     ell = linearization(sys)
     residuals = ell.apply(templates)
 
-    def render(vec):
-        values = _unknown_values(tb, vec)
-        return tuple(t.evaluate(values) for t in templates)
-
     def verify(phi):
         return ell.apply(list(phi))
 
-    return _solve(residuals, tb, render, verify)
+    return _solve(residuals, tb, _components(tb, ctx.m), verify)
 
 
 def generating_functions(sys: EvolutionSystem, a: Ansatz) -> SolutionBasis:
@@ -354,14 +380,10 @@ def generating_functions(sys: EvolutionSystem, a: Ansatz) -> SolutionBasis:
     templates, tb = build_symmetry_template(ctx, a)
     residuals = gf_residual(sys, templates)
 
-    def render(vec):
-        values = _unknown_values(tb, vec)
-        return tuple(t.evaluate(values) for t in templates)
-
     def verify(psi):
         return gf_residual(sys, list(psi))
 
-    return _solve(residuals, tb, render, verify)
+    return _solve(residuals, tb, _components(tb, ctx.m), verify)
 
 
 def shadows(sys: EvolutionSystem, covering, a: Ansatz) -> SolutionBasis:
@@ -372,8 +394,9 @@ def shadows(sys: EvolutionSystem, covering, a: Ansatz) -> SolutionBasis:
     rows = [p for cmap in residual.comps for _, p in sorted(cmap.items(), key=lambda kv: str(kv[0]))]
 
     def render(vec):
-        values = _unknown_values(tb, vec)
-        comps = tuple({key: p.evaluate(values) for key, p in cmap.items()} for cmap in template.comps)
+        values = tb.read_off(vec)
+        comps = tuple({key: values[j, key] for key in cmap if (j, key) in values}
+                      for j, cmap in enumerate(template.comps))
         return CartanShadow(ctx, comps, covering)
 
     def verify(sh):

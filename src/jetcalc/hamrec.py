@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, count, islice
 from typing import Sequence
 
-from .dalg import BASE, JET, NONLOCAL, TESTCOV, DiffPoly, VarId, mi_add, param_var
+from .dalg import BASE, JET, NONLOCAL, TESTCOV, DiffPoly, VarId, mi_add
 from .jetspace import ONE, EvolutionSystem, JetContext, NotInternal, prefix_derivatives
 from .cdiff import CartanShadow, CDiffOp, DimensionMismatch, contract, evolutionary, linearization
 from .variational import (
@@ -27,7 +27,7 @@ from .variational import (
     is_divergence,
     is_generating_function,
 )
-from .detsolve import LinearSystem, match_coefficients, nullspace
+from .detsolve import LinearSystem, TemplateBuilder, match_coefficients, nullspace
 
 
 class NotFlat(ValueError):
@@ -181,17 +181,16 @@ def _remainder_ansatz(cov: Covering, r: DiffPoly, x: int) -> DiffPoly | None:
             for v in combo:
                 factors[v] = factors.get(v, 0) + 1
             monos.append(DiffPoly({tuple(sorted(factors.items())): 1}))
-    # reserved names: the grammar cannot produce identifiers containing '#'
-    names = [f"#h{k}" for k in range(len(monos))] + ["#rhs"]
-    candidate = DiffPoly.sum(DiffPoly.var(param_var(name)) * mono for name, mono in zip(names, monos))
-    residual = cov.derive(x, candidate) - DiffPoly.var(param_var("#rhs")) * r
-    system = LinearSystem(names, [])
+    tb = TemplateBuilder(ctx)
+    candidate = tb.combination(monos)
+    rhs = tb.fresh()
+    residual = cov.derive(x, candidate) - DiffPoly.var(rhs) * r
+    system = LinearSystem(list(tb.names), [])
     match_coefficients(residual, system)
     for vec in nullspace(system):
-        lam = vec.get("#rhs")
+        lam = vec.get(rhs.name)
         if lam:
-            values = {param_var(n): vec.get(n, 0) / lam for n in names[:-1]}
-            return candidate.evaluate(values)
+            return tb.read_off({n: c / lam for n, c in vec.items()}).get(None, DiffPoly.zero())
     return None
 
 

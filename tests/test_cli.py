@@ -90,6 +90,15 @@ def test_operator_parsing(kdv_file):
     assert reparsed == expected
 
 
+def test_operator_powers_are_composition_chains(ctx):
+    dx = CDiffOp.d(ctx, 0)
+    udx = CDiffOp.mult(ctx, ctx.parse("u")).compose(dx)
+    assert parse_operator("D_x^0", ctx) == CDiffOp.identity(ctx)
+    assert parse_operator("D_x^1", ctx) == dx
+    assert parse_operator("D_x^3", ctx) == dx.compose(dx).compose(dx)
+    assert parse_operator("(u*D_x)^2", ctx) == udx.compose(udx)
+
+
 def test_symmetries_command(burgers_file, capsys):
     code, out, _ = run(capsys, "symmetries", burgers_file, "--order", "2", "--deg", "2", "--xt-deg", "2")
     assert code == 0
@@ -293,11 +302,16 @@ HEAT = "evolution: u_t = u_{xx}\n"
     # A subscript that splits two ways was read by longest match, as D_xy.
     ("independent: x, y\nindependent: xy, t(time)\ndependent: u\nevolution: u_t = u_{xy}\n", ["linearize"],
      "line 2: the subscript 'xy' splits into the independent variables in two ways"),
+    # The line that made the names ambiguous is cited, not the latest declaration.
+    ("independent: x, y, xy\ndependent: u\nindependent: t(time)\nevolution: u_t = u_{xy}\n", ["linearize"],
+     "line 1: the subscript 'xy' splits into the independent variables in two ways"),
+    ("independent: x\ndependent: u\nindependent: y, xy, t(time)\nevolution: u_t = u_{xy}\n", ["linearize"],
+     "line 3: the subscript 'xy' splits into the independent variables in two ways"),
     # D_x in an operator was always the total derivative, never the jet D_x.
     ("independent: x, t(time)\ndependent: u, D\noperator A = D_x\n", ["adjoint", "--op", "A"],
      "line 2: 'D' cannot be a dependent variable"),
 ], ids=["empty-name", "two-time-variables", "repeated-covering-equation", "param-clash", "covering-name-clash",
-        "ambiguous-subscript", "dependent-named-D"])
+        "ambiguous-subscript", "ambiguous-first-line", "ambiguous-last-line", "dependent-named-D"])
 def test_ambiguous_headers_exit_2_with_a_line(tmp_path, capsys, text, argv, message):
     path = tmp_path / "header.eqn"
     path.write_text(text)

@@ -1,14 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetcalc.dalg import DiffPoly, param_var
-from jetcalc.jetspace import EvolutionSystem, JetContext
-from jetcalc.cdiff import CartanShadow, linearization, jacobi_bracket
+from jetcalc.jetspace import EvolutionSystem, JetContext, total_derivative
+from jetcalc.cdiff import CartanShadow, CDiffOp, linearization, jacobi_bracket
 from jetcalc.detsolve import (
     Ansatz,
     LinearSystem,
     NonlinearInUnknowns,
+    TemplateBuilder,
     ansatz_monomials,
     build_shadow_template,
     build_symmetry_template,
@@ -183,3 +185,97 @@ def test_multicomponent_symmetries():
     assert span_contains(basis.solutions, (ctx2.parse("u_x"), ctx2.parse("v_x")))
     for sol in basis.solutions:
         assert all(r.is_zero() for r in linearization(wave).apply(list(sol)))
+
+
+# --------------------------------------------------------------------------
+# Solutions read off the template's unknown table
+
+READ_OFF = settings(max_examples=40, deadline=None)
+
+CTX1 = JetContext(("x", "t"), ("u",), has_time=True)
+CTX2 = JetContext(("x", "t"), ("u", "v"), has_time=True)
+# 'b' < 'cc0' < 'cx' < 'd': declared parameters sort on both sides of the unknowns.
+CTXP = JetContext(("x", "t"), ("u",), ("b", "cx", "d"), has_time=True)
+BURGERS = EvolutionSystem(CTX1, [CTX1.parse("u*u_x + u_{xx}")])
+POT = make_covering(BURGERS, [("w", [CTX1.parse("u"), CTX1.parse("u^2/2 + u_x")])])
+
+values = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def _symmetry_slots(ctx, a):
+    templates, tb = build_symmetry_template(ctx, a)
+    return dict(enumerate(templates)), tb
+
+
+def _shadow_slots(ctx, a, covering):
+    template, tb = build_shadow_template(ctx, a, covering)
+    return {(j, key): p for j, cmap in enumerate(template.comps) for key, p in cmap.items()}, tb
+
+
+TEMPLATES = {
+    "symmetry-m1": lambda: _symmetry_slots(CTX1, Ansatz(2, 2, 1)),
+    "symmetry-m2": lambda: _symmetry_slots(CTX2, Ansatz(1, 2, 1)),
+    "shadow-pot": lambda: _shadow_slots(CTX1, Ansatz(1, 1, 1), POT),
+    "params": lambda: _symmetry_slots(CTXP, Ansatz(1, 1, 2, include_params=True)),
+}
+
+
+@pytest.mark.parametrize("kind", list(TEMPLATES))
+@READ_OFF
+@given(data=st.data())
+def test_read_off_equals_the_bound_template(kind, data):
+    slots, tb = TEMPLATES[kind]()
+    vec = data.draw(st.dictionaries(st.sampled_from(tb.names), values, max_size=8))
+    bound = {param_var(name): vec.get(name, 0) for name in tb.names}
+    read = tb.read_off(vec)
+    assert set(read) <= set(slots)
+    for slot, template in slots.items():
+        assert read.get(slot, DiffPoly.zero()) == template.evaluate(bound)
+
+
+def test_direct_template_inserts_unknowns_among_declared_parameters():
+    slots, tb = TEMPLATES["params"]()
+    assert tb.prefix == "cc"
+    factors = list(slots[0].num)
+    assert all(list(f) == sorted(f) for f in factors)
+    names = [[v.name for v, _ in f] for f in factors]
+    assert any(n[0] == "b" and n[1].startswith("cc") and n[2:] == ["d"] for n in names)
+
+
+coefficients = st.one_of(st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+pool = [CTXP.base(0), CTXP.jet(0), CTXP.jet(0, (0,)), param_var("b"), param_var("cx"), param_var("d")]
+
+
+@st.composite
+def polys(draw):
+    return DiffPoly.sum(DiffPoly.const(draw(coefficients)) * DiffPoly.sum([DiffPoly.const(1)] + [
+        DiffPoly.var(v) for v in draw(st.lists(st.sampled_from(pool), max_size=3))])
+        for _ in range(draw(st.integers(0, 4))))
+
+
+@READ_OFF
+@given(monos=st.lists(polys(), max_size=5))
+def test_direct_template_equals_the_sum_of_products(monos):
+    tb = TemplateBuilder(CTXP)
+    template = tb.combination(monos)
+    products = DiffPoly.sum(DiffPoly.var(param_var(name)) * m for name, m in zip(tb.names, monos))
+    assert template == products
+    assert list(tb.table) == tb.names
+
+
+@pytest.mark.parametrize("text", ["u*u_x + u_{xx}", "u*u_x + u_{xxx}", "u^2*u_x - 3/2*u_{xxx} + x"])
+@READ_OFF
+@given(c=st.lists(coefficients, min_size=4, max_size=4))
+def test_apply_with_constant_coefficients_equals_the_product_form(text, c):
+    sys = EvolutionSystem(CTX1, [CTX1.parse(text)])
+    ell = linearization(sys)
+    free = CDiffOp.scalar(CTX1, {(): DiffPoly.const(c[0]), (0,): DiffPoly.const(c[1]),
+                                 (0, 0): CTX1.parse("u") + DiffPoly.const(c[2]), (0, 0, 0): DiffPoly.const(c[3])})
+    v = CTX1.parse("u*u_x + x*u_{xx} + 1/2")
+    for op, derive in ((ell, sys.restricted_derivative), (free, lambda i, p: total_derivative(CTX1, i, p))):
+        def d(sigma, p=v):
+            for i in sigma:
+                p = derive(i, p)
+            return p
+
+        assert op.apply([v]) == [DiffPoly.sum(a * d(sigma) for sigma, a in op.entries[0][0].items())]
