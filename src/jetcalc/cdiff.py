@@ -184,7 +184,8 @@ class CDiffOp:
         def times(a: DiffPoly, p: DiffPoly) -> DiffPoly:
             # A constant coefficient (the ±1 of D̄_t and D_x^3 in a
             # linearization) scales; it is not multiplied out.
-            return p.scale(a.terms[()]) if len(a.num) == 1 and () in a.num else a * p
+            c = a.as_constant()
+            return a * p if c is None else p.scale(c)
 
         return [DiffPoly.sum(times(a, derivs[c](sigma))
                              for c in range(self.cols) for sigma, a in self.entries[r][c].items())
@@ -246,12 +247,12 @@ class CDiffOp:
                 for i in sorted(set(sigma)))
             astr = str(a)
             if not sigma:
-                parts.append(astr if len(a.num) == 1 else f"({astr})")
+                parts.append(astr if len(a.terms) == 1 else f"({astr})")
             elif a == DiffPoly.const(1):
                 parts.append(dstr)
             elif a == DiffPoly.const(-1):
                 parts.append(f"-{dstr}")
-            elif len(a.num) == 1:
+            elif len(a.terms) == 1:
                 parts.append(f"{astr}*{dstr}")
             else:
                 parts.append(f"({astr})*{dstr}")
@@ -364,7 +365,7 @@ class HorForm:
         for idx, p in self.comps:
             dx = "^".join(f"d{names[i]}" for i in idx) if idx else "1"
             coef = str(p)
-            if len(p.num) > 1:
+            if len(p.terms) > 1:
                 coef = f"({coef})"
             bits.append(f"{coef}*{dx}" if idx else coef)
         return " + ".join(bits)
@@ -466,7 +467,7 @@ class CartanShadow:
             ks = self._key_str(k)
             if p == DiffPoly.const(1):
                 bits.append(ks)
-            elif len(p.num) == 1 and not str(p).startswith("-"):
+            elif len(p.terms) == 1 and not str(p).startswith("-"):
                 bits.append(f"{p}*{ks}")
             else:
                 bits.append(f"({p})*{ks}")

@@ -511,6 +511,8 @@ def cmd_recursion(eq: EquationFile, args) -> tuple[Report, int]:
 
 
 def cmd_apply_recursion(eq: EquationFile, args) -> tuple[Report, int]:
+    if args.times < 0:
+        raise InputError(f"--times must be nonnegative, got {args.times}")
     sysm = eq.need_system()
     basis, cov = _solve_shadows(eq, args)
     if not len(basis):

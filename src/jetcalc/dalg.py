@@ -9,6 +9,13 @@ expressions is equality of their numerator maps and denominators.
 
 Kernel invariants, which every operation keeps:
 
+- The monomial layout is private to this module: a monomial is a sorted
+  tuple of (VarId, exponent) factors, and a polynomial maps monomials to
+  int numerators over one denominator (`num`, `den`).  Other modules build
+  and take apart polynomials only through the `DiffPoly` API and read them
+  through the decoded `terms` view.  Monomials come from `var` and
+  `monomial`, ordered by `order_key`; templates from `combination`;
+  coefficient rows from `linear_rows`; integrals from `antiderivative`.
 - Coefficients are nonzero int numerators over one positive denominator
   coprime to them, 1 for an integer polynomial (FLINT's `fmpq_poly`).  Ring
   operations run on ints and divide out one gcd, in `DiffPoly._make`;
@@ -30,9 +37,10 @@ Kernel invariants, which every operation keeps:
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Rational = Fraction
 Coef = int | Fraction
@@ -194,6 +202,10 @@ def _monomial_key(factors: Factors) -> tuple:
     return (-sum(e for _, e in factors), factors[::-1])
 
 
+class NonlinearInUnknowns(ValueError):
+    pass
+
+
 class DiffPoly:
     """Immutable multivariate polynomial with rational coefficients.
 
@@ -253,6 +265,25 @@ class DiffPoly:
     @staticmethod
     def var(v: VarId) -> "DiffPoly":
         return DiffPoly._make({((v, 1),): 1})
+
+    @staticmethod
+    def monomial(vs: Iterable[VarId]) -> "DiffPoly":
+        """The monic monomial of a multiset of variables: the product of
+        `var(v)` over `vs`, repeats included."""
+        return DiffPoly._make({tuple(sorted(Counter(vs).items())): 1})
+
+    @staticmethod
+    def combination(pairs: Sequence[tuple[VarId, "DiffPoly"]]) -> "DiffPoly":
+        """sum_k c_k * m_k over pairs (c_k, m_k), assembled in one numerator
+        dict with no products: each c_k, a variable of no m_k and of no
+        other pair, enters the monomials of its m_k."""
+        den = lcm(*(m.den for _, m in pairs))
+        num = {}
+        for c, m in pairs:
+            unit = ((c, 1),)
+            for f, k in m.num.items():
+                num[_merge_factors(f, unit) if f else unit] = k * (den // m.den)
+        return DiffPoly._make(num, den)
 
     @staticmethod
     def sum(polys: Iterable["DiffPoly"]) -> "DiffPoly":
@@ -379,16 +410,48 @@ class DiffPoly:
     def has_kind(self, kind: int) -> bool:
         return any(v.kind == kind for f in self.num for v, _ in f)
 
-    def as_constant(self) -> Coef:
-        """The value of a constant polynomial; raises if variables remain."""
-        if not self.num:
-            return 0
-        if len(self.num) == 1 and () in self.num:
-            return self.terms[()]
-        raise ValueError(f"not a constant polynomial: {self}")
+    def as_constant(self) -> Coef | None:
+        """The value of a constant polynomial, None if variables remain."""
+        if len(self.num) > 1 or self.num and () not in self.num:
+            return None
+        return self.terms.get((), 0)
 
     def total_degree(self) -> int:
         return max((sum(e for _, e in f) for f in self.num), default=0)
+
+    def order_key(self) -> tuple:
+        """Sort key of a monomial: the order in which `__str__` prints terms."""
+        (f,) = self.num
+        return _monomial_key(f)
+
+    def linear_rows(self, index: Mapping[str, int]) -> tuple[list[dict[int, Coef]], bool]:
+        """Coefficient rows of an expression linear in unknowns, the
+        parameters whose names `index` maps to columns.
+
+        Terms are grouped by their unknown-free monomial; each group is one
+        row {column: coefficient}, in the order the groups are first seen.
+        The flag is True when some term holds no unknown.  A product or a
+        power of unknowns raises NonlinearInUnknowns.
+        """
+        den = self.den
+        grouped: dict[Factors, dict[int, Coef]] = {}
+        free = False
+        for f, c in self.num.items():
+            unknown = None
+            known = []
+            for v, e in f:
+                if v.kind == PARAM and v.idx[0] in index:
+                    if unknown is not None or e > 1:
+                        raise NonlinearInUnknowns(f"monomial {DiffPoly._make({f: c}, den)} is nonlinear in unknowns")
+                    unknown = index[v.idx[0]]
+                else:
+                    known.append((v, e))
+            if unknown is None:
+                free = True
+            else:
+                # (known, unknown) determines the term, so no entry repeats.
+                grouped.setdefault(tuple(known), {})[unknown] = c if den == 1 else Fraction(c, den)
+        return list(grouped.values()), free
 
     # -- calculus ----------------------------------------------------------
 
@@ -500,21 +563,16 @@ class DiffPoly:
 
         return DiffPoly.sum(terms())
 
-    def integrate_scalar_01(self) -> "DiffPoly":
-        """Definite integral over the homotopy scalar on [0, 1]."""
-
-        def terms():
-            for f, c in self.num.items():
-                k = 0
-                rest = []
-                for v, e in f:
-                    if v.kind == HSCALAR:
-                        k = e
-                    else:
-                        rest.append((v, e))
-                yield DiffPoly._make({tuple(rest): c}, self.den * (k + 1))
-
-        return DiffPoly.sum(terms())
+    def antiderivative(self, v: VarId) -> "DiffPoly":
+        """The antiderivative in v whose every term holds v: c*v^e*rest
+        becomes c/(e+1)*v^(e+1)*rest."""
+        unit = ((v, 1),)
+        raised = {}
+        for f, c in self.num.items():
+            e = next((k for w, k in f if w == v), 0) + 1
+            raised[_merge_factors(f, unit) if f else unit] = (c, e)
+        top = lcm(*(e for _, e in raised.values()))
+        return DiffPoly._make({f: c * (top // e) for f, (c, e) in raised.items()}, self.den * top)
 
     # -- printing ----------------------------------------------------------
 
@@ -667,10 +725,7 @@ class _Parser:
 
     def constant(self, a) -> Coef | None:
         """The value of `a` when it is a rational constant, else None."""
-        try:
-            return a.as_constant()
-        except ValueError:
-            return None
+        return a.as_constant()
 
     # -- grammar -------------------------------------------------------------
 

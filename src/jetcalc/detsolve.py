@@ -21,7 +21,7 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 from typing import Hashable, Mapping
 
-from .dalg import PARAM, Coef, DiffPoly, VarId, _merge_factors, _monomial_key, param_var
+from .dalg import Coef, DiffPoly, NonlinearInUnknowns, VarId, param_var
 from .jetspace import EvolutionSystem, JetContext, multi_indices_up_to
 from .cdiff import (
     CartanShadow,
@@ -30,10 +30,6 @@ from .cdiff import (
     shadow_residual,
 )
 from .variational import VerificationFailed, gf_residual
-
-
-class NonlinearInUnknowns(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -68,21 +64,10 @@ def ansatz_monomials(ctx: JetContext, a: Ansatz, spatial_only: bool = True) -> l
     bases = [ctx.base(i) for i in range(ctx.n)]
     if a.include_params:
         bases += [param_var(p) for p in ctx.parameters]
-    pool: list[tuple[tuple[VarId, int], ...]] = []
-    jet_parts = []
-    for d in range(a.poly_deg + 1):
-        jet_parts.extend(combinations_with_replacement(jets, d))
-    base_parts = []
-    for e in range(a.base_deg + 1):
-        base_parts.extend(combinations_with_replacement(bases, e))
-    for jp in jet_parts:
-        for bp in base_parts:
-            factors: dict[VarId, int] = {}
-            for v in jp + bp:
-                factors[v] = factors.get(v, 0) + 1
-            pool.append(tuple(sorted(factors.items())))
-    pool = sorted(set(pool), key=_monomial_key)
-    return [DiffPoly({f: 1}) for f in pool]
+    jet_parts = [p for d in range(a.poly_deg + 1) for p in combinations_with_replacement(jets, d)]
+    base_parts = [p for e in range(a.base_deg + 1) for p in combinations_with_replacement(bases, e)]
+    pool = {DiffPoly.monomial(jp + bp) for jp in jet_parts for bp in base_parts}
+    return sorted(pool, key=DiffPoly.order_key)
 
 
 def _fresh_prefix(ctx: JetContext) -> str:
@@ -108,17 +93,10 @@ class TemplateBuilder:
         return param_var(name)
 
     def combination(self, monomials: list[DiffPoly], slot: Hashable = None) -> DiffPoly:
-        """sum_k c_k * m_k over fresh unknowns c_k, assembled in one
-        numerator dict: each c_k enters the factor tuples of its m_k."""
-        den = lcm(*(m.den for m in monomials))
-        num = {}
-        for m in monomials:
-            c = self.fresh()
-            self.table[c.name] = (slot, m)
-            unit = ((c, 1),)
-            for f, k in m.num.items():
-                num[_merge_factors(f, unit) if f else unit] = k * (den // m.den)
-        return DiffPoly._make(num, den)
+        """sum_k c_k * m_k over fresh unknowns c_k (`DiffPoly.combination`)."""
+        pairs = [(self.fresh(), m) for m in monomials]
+        self.table.update((c.name, (slot, m)) for c, m in pairs)
+        return DiffPoly.combination(pairs)
 
     def read_off(self, vec: Mapping[str, Coef]) -> dict[Hashable, DiffPoly]:
         """The combinations at the unknown values of `vec` (absent ones are
@@ -168,41 +146,21 @@ class LinearSystem:
     rows: list[dict[int, Coef]]
     inconsistent: bool = False
 
-    def add_row(self, row: dict[int, Coef]):
-        if row:
-            self.rows.append(row)
-
 
 def match_coefficients(expr: DiffPoly, system: LinearSystem):
-    """Append one row per distinct known monomial of an unknown-linear expr.
+    """Append one row per distinct known monomial of an unknown-linear expr
+    (`DiffPoly.linear_rows`; raises NonlinearInUnknowns).
 
-    Entries are summed on the numerators of `expr`, then divided by its
-    denominator.  Rows come in the order their monomials are first seen,
-    which is deterministic; `nullspace` does not depend on row order, so no
+    Rows come in the order their monomials are first seen, which is
+    deterministic; `nullspace` does not depend on row order, so no
     canonical sort is needed.  An unknown-free term with a nonzero
     coefficient can never cancel, so it marks the whole system as
     unsolvable.
     """
-    index = {name: k for k, name in enumerate(system.unknowns)}
-    grouped: dict[tuple, dict[int, Coef]] = {}
-    for factors, coef in expr.num.items():
-        unknown = None
-        known = []
-        for v, e in factors:
-            if v.kind == PARAM and v.idx[0] in index:
-                if unknown is not None or e > 1:
-                    raise NonlinearInUnknowns(f"monomial {DiffPoly._make({factors: coef}, expr.den)} is nonlinear in unknowns")
-                unknown = index[v.idx[0]]
-            else:
-                known.append((v, e))
-        if unknown is None:
-            system.inconsistent = True
-            continue
-        row = grouped.setdefault(tuple(known), {})
-        s = row.get(unknown)
-        row[unknown] = coef if s is None else s + coef
-    for row in grouped.values():
-        system.add_row({k: c if expr.den == 1 else Fraction(c, expr.den) for k, c in row.items() if c})
+    rows, free = expr.linear_rows({name: k for k, name in enumerate(system.unknowns)})
+    if free:
+        system.inconsistent = True
+    system.rows.extend(rows)
 
 
 def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, int]:

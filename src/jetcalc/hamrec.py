@@ -174,13 +174,8 @@ def _remainder_ansatz(cov: Covering, r: DiffPoly, x: int) -> DiffPoly | None:
     pool_vars = sorted(r.variables() | {cov.nonlocal_var(a) for a in range(len(cov.layers))}
                        | {ctx.base(x)})
     degree = r.total_degree() + 1
-    monos: list[DiffPoly] = []
-    for d in range(1, degree + 1):
-        for combo in combinations_with_replacement(pool_vars, d):
-            factors: dict[VarId, int] = {}
-            for v in combo:
-                factors[v] = factors.get(v, 0) + 1
-            monos.append(DiffPoly({tuple(sorted(factors.items())): 1}))
+    monos = [DiffPoly.monomial(combo)
+             for d in range(1, degree + 1) for combo in combinations_with_replacement(pool_vars, d)]
     tb = TemplateBuilder(ctx)
     candidate = tb.combination(monos)
     rhs = tb.fresh()

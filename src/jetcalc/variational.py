@@ -119,23 +119,6 @@ def is_divergence(density: Density) -> bool:
     return all(comp.is_zero() for comp in euler(density))
 
 
-def antiderivative(p: DiffPoly, v: VarId) -> DiffPoly:
-    """Polynomial antiderivative of p in the single variable v."""
-    parts = []
-    for f, c in p.num.items():
-        e = 0
-        rest = []
-        for w, k in f:
-            if w == v:
-                e = k
-            else:
-                rest.append((w, k))
-        rest.append((v, e + 1))
-        rest.sort()
-        parts.append(DiffPoly._make({tuple(rest): c}, p.den * (e + 1)))
-    return DiffPoly.sum(parts)
-
-
 def integrate_top_down(ctx: JetContext, g: DiffPoly, i: int, derive: Callable[[int, DiffPoly], DiffPoly],
                        q: int = 0) -> tuple[list[DiffPoly], DiffPoly]:
     """Integrate the positive-order jets of g against `derive(i, .)` from the
@@ -189,7 +172,7 @@ def integrate_top_down(ctx: JetContext, g: DiffPoly, i: int, derive: Callable[[i
                                        tuple(sigma)), a))
         h1 = DiffPoly.zero()
         for w, a in coeffs:
-            h1 = h1 + antiderivative(a - h1.partial(w), w)
+            h1 = h1 + (a - h1.partial(w)).antiderivative(w)
         for w, a in coeffs:
             if h1.partial(w) != a:
                 raise NotExactDerivative(g)
@@ -202,7 +185,7 @@ def _profile(g: DiffPoly) -> list[tuple[int, int]]:
     as lists these compare like the multisets they list."""
     return sorted(((sum(e for v, e in mono if v.kind == NONLOCAL),
                     max((len(v.idx[1]) for v, _ in mono if v.kind == JET), default=0))
-                   for mono in g.num), reverse=True)
+                   for mono in g.terms), reverse=True)
 
 
 def dx_inverse(ctx: JetContext, g: DiffPoly, i: int = 0) -> DiffPoly:
@@ -213,7 +196,7 @@ def dx_inverse(ctx: JetContext, g: DiffPoly, i: int = 0) -> DiffPoly:
     parts, g = integrate_top_down(ctx, g, i, lambda k, p: total_derivative(ctx, k, p))
     if any(v.kind in (JET, TESTCOV) for v in g.variables()):
         raise NotExactDerivative(g)
-    parts.append(antiderivative(g, ctx.base(i)))
+    parts.append(g.antiderivative(ctx.base(i)))
     return DiffPoly.sum(parts)
 
 
@@ -234,12 +217,13 @@ def homotopy_lagrangian(ctx: JetContext, psi: list[DiffPoly]) -> Density:
     """
     if not self_adjoint_test(ctx, psi):
         raise NotVariational("linearization of the section is not self-adjoint")
-    s = DiffPoly.var(HOMOTOPY_SCALAR)
+    s = HOMOTOPY_SCALAR
     parts = []
     for j, p in enumerate(psi):
-        scaling = {v: s * DiffPoly.var(v) for v in p.variables() if v.kind == JET}
+        scaling = {v: DiffPoly.monomial((s, v)) for v in p.variables() if v.kind == JET}
         parts.append(DiffPoly.var(ctx.jet(j)) * p.substitute(scaling))
-    return Density(ctx, DiffPoly.sum(parts).integrate_scalar_01())
+    # The integral over s from 0 to 1.
+    return Density(ctx, DiffPoly.sum(parts).antiderivative(s).evaluate({s: 1}))
 
 
 def divergence_residual(sys: EvolutionSystem, J: ConservedCurrent) -> DiffPoly:

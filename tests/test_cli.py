@@ -206,6 +206,16 @@ def test_recursion_commands(burgers_file, capsys):
     assert "iterate 1: u*u_x + u_{xx}" in out
 
 
+def test_apply_recursion_rejects_negative_times(burgers_file, capsys):
+    argv = ("apply-recursion", burgers_file, "--covering", "pot", "--order", "1", "--deg", "1", "--to", "u_x")
+    code, out, err = run(capsys, *argv, "--times", "-2")
+    assert code == 2 and out == ""
+    assert "--times" in err
+    code, out, _ = run(capsys, *argv, "--times", "0")
+    assert code == 0
+    assert "iterate" not in out
+
+
 def test_conslaws_with_currents(kdv_file, capsys):
     code, out, _ = run(capsys, "conslaws", kdv_file, "--order", "2", "--deg", "2", "--currents")
     assert code == 0

@@ -125,7 +125,8 @@ HALF_U2 = DiffPoly.const(Fraction(1, 2)) * DiffPoly.var(VARS[2]) ** 2
 def test_operations_store_no_zero_coefficient(a, b, c, v):
     values = {w: Fraction(k, 2) - 1 for k, w in enumerate(VARS[:4])}
     results = [a + b, a - b, a - a, a * b, -a, a.scale(c), a.scale(0), a.partial(v), a ** 2,
-               a.substitute({v: b}), a.evaluate(values), (a * DiffPoly.var(HOMOTOPY_SCALAR)).integrate_scalar_01(),
+               a.substitute({v: b}), a.evaluate(values), (a * DiffPoly.var(HOMOTOPY_SCALAR)).antiderivative(HOMOTOPY_SCALAR).evaluate({HOMOTOPY_SCALAR: 1}),
+               a.antiderivative(v),
                DiffPoly.sum([a, b, -a]), DiffPoly(a.terms)]
     for p in results:
         assert_clean(p)
@@ -541,3 +542,35 @@ def test_apply_of_compose_is_apply_of_apply(A, B, v):
     assert got == A.apply(B.apply(v))
     for p in got:
         assert_clean(p)
+
+
+# --------------------------------------------------------------------------
+# Monomials, antiderivatives and constants
+
+
+@KERNEL
+@given(st.lists(st.sampled_from(VARS), max_size=6))
+def test_monomial_is_the_product_of_its_variables(vs):
+    m = DiffPoly.monomial(vs)
+    assert m == reduce(lambda acc, v: acc * DiffPoly.var(v), vs, DiffPoly.const(1))
+    assert_clean(m)
+
+
+@KERNEL
+@given(polys(), st.sampled_from(VARS))
+@example(HALF_U2 + DiffPoly.var(VARS[3]) + DiffPoly.const(Fraction(2, 3)), VARS[2])
+def test_antiderivative_inverts_the_partial(p, v):
+    q = p.antiderivative(v)
+    assert q.partial(v) == p
+    assert all(v in dict(f) for f in q.terms)
+    assert_clean(q)
+
+
+@KERNEL
+@given(polys())
+@example(DiffPoly.const(Fraction(-3, 4)))
+def test_as_constant_is_none_exactly_when_variables_remain(p):
+    c = p.as_constant()
+    assert (c is None) == bool(p.variables())
+    if c is not None:
+        assert DiffPoly.const(c) == p

@@ -1,0 +1,126 @@
+"""sympy rechecks of the conservation-law currents and inverse-problem
+Lagrangians recorded in `perfbench/goldens.json`, using no jetcalc code.
+
+These goldens come out of the antiderivative, the homotopy integral and the
+inverse of D_x, so they certify those routines independently of the kernel
+that computed them:
+
+* every `conslaws ... --currents` current (J0, J1) is conserved, D_t J0 +
+  D_x J1 = 0 once u_t and its x-derivatives are replaced through the
+  evolution equation, and the Euler derivative of J0 is the generating
+  function listed with it;
+* every self-adjoint `inverse-problem` answer is a Lagrangian of the given
+  section: its Euler-Lagrange expressions are the `--psi` components.
+"""
+
+import json
+import os
+import re
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+from sympy.calculus.euler import euler_equations  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDENS = os.path.join(ROOT, "perfbench", "goldens.json")
+
+_JET = re.compile(r"\b([A-Za-z][A-Za-z0-9]*)_(?:\{([A-Za-z]+)\}|([A-Za-z]+))")
+
+
+class Space:
+    """The jet space of an equation file: independent symbols (time
+    included), dependent functions of all of them, and the evolution
+    right-hand sides as jetcalc text."""
+
+    def __init__(self, path):
+        decl = {}
+        self.evolution = {}
+        with open(os.path.join(ROOT, path)) as fh:
+            for line in fh:
+                head, _, body = line.partition(":")
+                if head == "evolution":
+                    lhs, rhs = body.split("=", 1)
+                    self.evolution[lhs.strip().split("_")[0]] = rhs.strip()
+                elif head in ("independent", "dependent"):
+                    decl[head] = [n.strip().removesuffix("(time)") for n in body.split(",")]
+        assert all(len(n) == 1 for n in decl["independent"])
+        self.xs = {n: sympy.Symbol(n) for n in decl["independent"]}
+        args = tuple(self.xs.values())
+        self.funcs = {d: sympy.Function(d)(*args) for d in decl["dependent"]}
+
+    def parse(self, text):
+        """jetcalc syntax (u_{xx}, u^2, 3/2*x) to a sympy expression."""
+        def jet(m):
+            return f"D({m.group(1)!r}, {m.group(2) or m.group(3)!r})"
+
+        def D(dep, sub):
+            return sympy.diff(self.funcs[dep], *[self.xs[c] for c in sub])
+
+        return sympy.sympify(_JET.sub(jet, text).replace("^", "**"),
+                             locals={"D": D, **self.xs, **self.funcs})
+
+    def on_equation(self, expr, t):
+        """Replace every time derivative u_{x..xt} by the x-derivatives of
+        the evolution right-hand side (one spatial variable)."""
+        (x,) = [s for s in self.xs.values() if s != t]
+        rhs = {f: self.parse(self.evolution[d]) for d, f in self.funcs.items()}
+        subs = {}
+        for d in expr.atoms(sympy.Derivative):
+            if d.expr in rhs and t in d.variables:
+                assert list(d.variables).count(t) == 1
+                subs[d] = sympy.diff(rhs[d.expr], x, list(d.variables).count(x))
+        return expr.xreplace(subs)
+
+
+def _goldens(command):
+    with open(GOLDENS) as fh:
+        goldens = json.load(fh)
+    for key, golden in goldens.items():
+        argv = json.loads(key)
+        if argv[0] == command:
+            yield argv, json.loads(golden["stdout"])
+
+
+def _euler(space, density):
+    """The Euler-Lagrange expressions of a density, one per dependent
+    variable.  sympy drops an equation that evaluates to a constant, so each
+    f gets the extra term f*z, whose Euler derivative z is taken off again."""
+    z = sympy.Dummy("z")
+    funcs = list(space.funcs.values())
+    eqs = euler_equations(density + z * sum(funcs), funcs, list(space.xs.values()))
+    assert len(eqs) == len(funcs)
+    return [eq.lhs - eq.rhs - z for eq in eqs]
+
+
+def test_conslaws_currents_are_conserved_with_their_generating_functions():
+    checked = 0
+    for argv, doc in _goldens("conslaws"):
+        if "--currents" not in argv:
+            continue
+        space = Space(argv[1])
+        x, t = space.xs.values()
+        assert len(doc["currents"]) == len(doc["basis"])
+        for psi, (j0, j1) in zip(doc["basis"], doc["currents"]):
+            J0, J1 = space.parse(j0), space.parse(j1)
+            divergence = space.on_equation(sympy.diff(J0, t), t) + sympy.diff(J1, x)
+            assert sympy.expand(divergence) == 0, (argv, j0, j1)
+            (e,) = _euler(space, J0)
+            assert sympy.expand(e - space.parse(psi)) == 0, (argv, psi, j0)
+            checked += 1
+    assert checked >= 7
+
+
+def test_self_adjoint_inverse_problem_lagrangians_give_back_psi():
+    checked = 0
+    for argv, doc in _goldens("inverse-problem"):
+        if not doc["self-adjoint"]:
+            continue
+        space = Space(argv[1])
+        psi = [space.parse(argv[k + 1]) for k, a in enumerate(argv) if a == "--psi"]
+        got = _euler(space, space.parse(doc["result"]))
+        assert len(got) == len(psi)
+        for e, p in zip(got, psi):
+            assert sympy.expand(e - p) == 0, (argv, doc["result"])
+        checked += 1
+    assert checked >= 10
