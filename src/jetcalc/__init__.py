@@ -4,7 +4,7 @@ Symmetries, conservation laws, recursion-operator shadows, and Hamiltonian
 structures, computed with exact rational arithmetic.
 """
 
-from .dalg import DiffPoly, ParseError, Rational, UnknownIdentifier, VarId
+from .dalg import DiffPoly, ExponentOverflow, ParseError, Rational, UnknownIdentifier, VarId
 from .jetspace import (
     EvolutionSystem,
     GeneralSystem,

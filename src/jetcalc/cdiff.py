@@ -247,12 +247,12 @@ class CDiffOp:
                 for i in sorted(set(sigma)))
             astr = str(a)
             if not sigma:
-                parts.append(astr if len(a.terms) == 1 else f"({astr})")
+                parts.append(astr if len(a) == 1 else f"({astr})")
             elif a == DiffPoly.const(1):
                 parts.append(dstr)
             elif a == DiffPoly.const(-1):
                 parts.append(f"-{dstr}")
-            elif len(a.terms) == 1:
+            elif len(a) == 1:
                 parts.append(f"{astr}*{dstr}")
             else:
                 parts.append(f"({astr})*{dstr}")
@@ -365,7 +365,7 @@ class HorForm:
         for idx, p in self.comps:
             dx = "^".join(f"d{names[i]}" for i in idx) if idx else "1"
             coef = str(p)
-            if len(p.terms) > 1:
+            if len(p) > 1:
                 coef = f"({coef})"
             bits.append(f"{coef}*{dx}" if idx else coef)
         return " + ".join(bits)
@@ -467,7 +467,7 @@ class CartanShadow:
             ks = self._key_str(k)
             if p == DiffPoly.const(1):
                 bits.append(ks)
-            elif len(p.terms) == 1 and not str(p).startswith("-"):
+            elif len(p) == 1 and not str(p).startswith("-"):
                 bits.append(f"{p}*{ks}")
             else:
                 bits.append(f"({p})*{ks}")

@@ -2,20 +2,33 @@
 
 Expressions are polynomials with rational coefficients in a mixed set of
 formal variables: base (independent) variables, jet variables u^j_sigma,
-nonlocal variables of a covering, named parameters, test covectors, and an
-auxiliary scalar used by the homotopy integral.  Everything is immutable
+nonlocal variables of a covering, named parameters, test covectors, an
+auxiliary scalar used by the homotopy integral, and the unknown
+coefficients of ansatz templates.  Everything is immutable
 and canonical: equal values have equal representations, so equality of
 expressions is equality of their numerator maps and denominators.
 
 Kernel invariants, which every operation keeps:
 
-- The monomial layout is private to this module: a monomial is a sorted
-  tuple of (VarId, exponent) factors, and a polynomial maps monomials to
-  int numerators over one denominator (`num`, `den`).  Other modules build
-  and take apart polynomials only through the `DiffPoly` API and read them
-  through the decoded `terms` view.  Monomials come from `var` and
-  `monomial`, ordered by `order_key`; templates from `combination`;
-  coefficient rows from `linear_rows`; integrals from `antiderivative`.
+- The monomial layout is private to this module.  A polynomial maps
+  monomials to int numerators over one denominator (`num`, `den`), and a
+  monomial is one packed int: each variable owns a field of FIELD_BITS
+  bits whose top bit is a guard, so a product of monomials is one int
+  addition, and the result is tested once against the guard bits; an
+  exponent above MAX_EXPONENT raises ExponentOverflow instead of carrying
+  into the next field.  A template unknown is never a field: it sits in
+  the low bits, under a flag bit and a guard of their own, so two unknowns
+  in one monomial raise NonlinearInUnknowns where they meet.  A field is
+  assigned the first time its variable is seen, in a process-wide,
+  append-only table that interns variables only, keyed by (VarId, name),
+  and never holds a result.  Field offsets depend on that order, so
+  nothing orders by the packed int: printing, `order_key`, `terms` and
+  pickling decode to sorted factor tuples.  Other modules build and take
+  apart polynomials only through the `DiffPoly` API and read them through
+  the decoded `terms` view.  Monomials come from `var` and `monomial`,
+  ordered by `order_key`; templates from `combination` over
+  `unknown_var`s; coefficient rows from `linear_rows`; integrals from
+  `antiderivative`.
 - Coefficients are nonzero int numerators over one positive denominator
   coprime to them, 1 for an integer polynomial (FLINT's `fmpq_poly`).  Ring
   operations run on ints and divide out one gcd, in `DiffPoly._make`;
@@ -36,10 +49,12 @@ Kernel invariants, which every operation keeps:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
 from math import comb, gcd, lcm
+from operator import itemgetter, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Rational = Fraction
@@ -53,6 +68,7 @@ NONLOCAL = 2
 PARAM = 3
 TESTCOV = 4
 HSCALAR = 5
+UNKNOWN = 6
 
 # A multi-index is a sorted tuple of base-variable indices; repetition
 # encodes the derivative order in that variable.
@@ -126,15 +142,17 @@ class VarId(tuple):
         attrs["kind"] = kind
         attrs["idx"] = idx
         attrs["name"] = name
+        attrs["_unit"] = None  # its monomial, once the field table has seen it
         return self
 
     def __setattr__(self, attr, value):
         raise AttributeError(f"VarId is immutable; cannot set {attr!r}")
 
-    def __getnewargs__(self):
+    def __reduce__(self):
         # Pickling and copying rebuild a variable from its constructor
-        # arguments, not from the key tuple.
-        return self.kind, self.idx, self.name
+        # arguments: neither the key tuple nor the cached monomial (`_unit`),
+        # whose field another process assigns on its own.
+        return VarId, (self.kind, self.idx, self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VarId({self.name or self.idx})"
@@ -173,26 +191,115 @@ def testcov_var(name: str, comp: int, sigma: MultiIndex, base_names: tuple[str, 
 HOMOTOPY_SCALAR = VarId(HSCALAR, (), "@s")
 
 
-# A monomial's factor part: ((VarId, exponent), ...) sorted by VarId, with
-# positive exponents.
+# A monomial's factor part, as `terms` yields it: ((VarId, exponent), ...)
+# sorted by VarId, with positive exponents.
 Factors = tuple[tuple[VarId, int], ...]
 
+# The packed layout of a monomial: one int.  The low _LOW_BITS bits hold the
+# template unknown, if any: a set flag bit over the unknown's index, and a
+# guard bit above the flag.  Above them each variable owns one field of
+# FIELD_BITS bits, whose top bit is a guard, so an exponent is at most
+# MAX_EXPONENT.  A sum of two valid monomials never carries out of a field:
+# it sets the field's guard bit instead, and two unknowns set the guard of
+# the low bits.
+FIELD_BITS = 8
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_LOW_BITS = 24
+_LOW = (1 << _LOW_BITS) - 1
+_LOW_GUARD = 1 << (_LOW_BITS - 1)
+_UNKNOWN_FLAG = 1 << (_LOW_BITS - 2)
 
-def _merge_factors(a: Factors, b: Factors) -> Factors:
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        # One factor, the common case (a variable times a monomial): insert
-        # it at its place in the sorted tuple.
-        (v, e), = b
-        i = bisect_left(a, (v,))
-        if i < len(a) and a[i][0] == v:
-            return a[:i] + ((v, a[i][1] + e),) + a[i + 1:]
-        return a[:i] + b + a[i:]
-    out = dict(a)
-    for v, e in b:
-        out[v] = out.get(v, 0) + e
-    return tuple(sorted(out.items()))
+# The field table: process-wide and append-only.  Field i holds the exponent
+# of _VARS[i]; a variable gets its field the first time it is seen.  Keys are
+# (VarId, name), since VarId equality ignores the display name.
+_VARS: list[VarId] = []
+_FIELDS: dict[tuple[VarId, str], int] = {}
+_GUARDS = _LOW_GUARD
+_KIND_MASKS: dict[int, int] = {UNKNOWN: _LOW}
+
+
+def unknown_var(k: int) -> VarId:
+    """The k-th template unknown: a coefficient, never an exponent field."""
+    if not 0 <= k < _UNKNOWN_FLAG:
+        raise ValueError(f"a template holds at most {_UNKNOWN_FLAG} unknowns")
+    return VarId(UNKNOWN, (k,), f"@c{k}")
+
+
+def _unit(v: VarId) -> int:
+    """The monomial v: a field's 1, or an unknown's low bits."""
+    unit = v._unit
+    return _intern(v) if unit is None else unit
+
+
+def _intern(v: VarId) -> int:
+    """Look v up in the field table, adding it if new; cache its unit on v."""
+    if v.kind == UNKNOWN:
+        unit = _UNKNOWN_FLAG | v.idx[0]
+    else:
+        key = (v, v.name)
+        unit = _FIELDS.get(key)
+        if unit is None:
+            global _GUARDS
+            unit = _FIELDS[key] = 1 << (_LOW_BITS + FIELD_BITS * len(_VARS))
+            _VARS.append(v)
+            _GUARDS |= unit << (FIELD_BITS - 1)
+            _KIND_MASKS[v.kind] = _KIND_MASKS.get(v.kind, 0) | unit * MAX_EXPONENT
+    v.__dict__["_unit"] = unit
+    return unit
+
+
+def _exponent(m: int, unit: int) -> int:
+    if unit > _LOW:
+        return (m >> (unit.bit_length() - 1)) & MAX_EXPONENT
+    return 1 if m & _LOW == unit else 0
+
+
+def _field_bytes(m: int) -> bytes:
+    """The exponent fields of m, one byte each."""
+    fields = m >> _LOW_BITS
+    return fields.to_bytes((fields.bit_length() + 7) >> 3, "little")
+
+
+def _field_vars(m: int) -> set[VarId]:
+    """The variables whose fields are nonzero in m."""
+    return set(compress(_VARS, _field_bytes(m)))
+
+
+def _encode(factors: Iterable[tuple[VarId, int]]) -> int:
+    m = 0
+    for v, e in factors:
+        if not 0 <= e <= MAX_EXPONENT:
+            raise ExponentOverflow(f"exponent {e} of {v.name} is outside 0..{MAX_EXPONENT}")
+        unit = _unit(v)
+        if e > 1 and unit <= _LOW:
+            raise NonlinearInUnknowns(f"a power of the template unknown {v.name}")
+        m += unit * e
+    if m & _GUARDS:  # the same variable twice, or two unknowns
+        raise _overflow(m)
+    return m
+
+
+def _decode(m: int) -> Factors:
+    fields = _field_bytes(m)
+    factors = sorted(zip(compress(_VARS, fields), fields.replace(b"\0", b"")))
+    low = m & _LOW
+    if low:
+        factors.append((unknown_var(low ^ _UNKNOWN_FLAG), 1))
+    return tuple(factors)
+
+
+def _check(num: Iterable[int]):
+    """Raise if a monomial of `num` has a guard bit set."""
+    acc = reduce(or_, num, 0)
+    if acc & _GUARDS:
+        raise _overflow(acc)
+
+
+def _overflow(acc: int) -> ValueError:
+    if acc & _LOW_GUARD:
+        return NonlinearInUnknowns("a product of two template unknowns")
+    names = [v.name for v, e in zip(_VARS, _field_bytes(acc)) if e > MAX_EXPONENT]
+    return ExponentOverflow(f"exponent of {names[0]} above {MAX_EXPONENT}, the largest a monomial holds")
 
 
 def _monomial_key(factors: Factors) -> tuple:
@@ -206,10 +313,14 @@ class NonlinearInUnknowns(ValueError):
     pass
 
 
+class ExponentOverflow(ValueError):
+    """An exponent above MAX_EXPONENT, which a packed monomial cannot hold."""
+
+
 class DiffPoly:
     """Immutable multivariate polynomial with rational coefficients.
 
-    `num` maps factor tuples to integer numerators over the denominator
+    `num` maps packed monomials to integer numerators over the denominator
     `den`; the zero polynomial is the empty map over 1.  All operations
     return new canonical values and keep the kernel invariants of the
     module docstring.
@@ -222,11 +333,11 @@ class DiffPoly:
         # coprime to the numerators over it.
         terms = terms or {}
         self.den = den = lcm(*(c.denominator for c in terms.values()))
-        self.num = {f: c.numerator * (den // c.denominator) for f, c in terms.items() if c}
+        self.num = {_encode(f): c.numerator * (den // c.denominator) for f, c in terms.items() if c}
         self._hash = None
 
     @staticmethod
-    def _make(num: dict[Factors, int], den: int = 1) -> "DiffPoly":
+    def _make(num: dict[int, int], den: int = 1) -> "DiffPoly":
         """Trusted constructor: `num` holds no zero and is not shared; reduces by the gcd."""
         if den > 1:
             g = gcd(den, *num.values())
@@ -242,14 +353,16 @@ class DiffPoly:
 
     @property
     def terms(self) -> Mapping[Factors, Coef]:
-        """Read-only view: each coefficient an int or a non-integral Fraction."""
+        """Read-only view, decoded: factor tuples to coefficients, each an
+        int or a non-integral Fraction."""
         den = self.den
         if den == 1:
-            return self.num
-        return {f: c // den if c % den == 0 else Fraction(c, den) for f, c in self.num.items()}
+            return {_decode(m): c for m, c in self.num.items()}
+        return {_decode(m): c // den if c % den == 0 else Fraction(c, den) for m, c in self.num.items()}
 
     def __reduce__(self):
-        # Through the constructor: a copy never carries another process's hash.
+        # Through the decoded terms: a copy re-interns its variables, and
+        # never carries another process's fields or hash.
         return DiffPoly, (self.terms,)
 
     # -- constructors ------------------------------------------------------
@@ -260,17 +373,17 @@ class DiffPoly:
 
     @staticmethod
     def const(c: Coef) -> "DiffPoly":
-        return DiffPoly._make({(): c.numerator}, c.denominator) if c else _ZERO
+        return DiffPoly._make({0: c.numerator}, c.denominator) if c else _ZERO
 
     @staticmethod
     def var(v: VarId) -> "DiffPoly":
-        return DiffPoly._make({((v, 1),): 1})
+        return DiffPoly._make({_unit(v): 1})
 
     @staticmethod
     def monomial(vs: Iterable[VarId]) -> "DiffPoly":
         """The monic monomial of a multiset of variables: the product of
         `var(v)` over `vs`, repeats included."""
-        return DiffPoly._make({tuple(sorted(Counter(vs).items())): 1})
+        return DiffPoly._make({_encode(Counter(vs).items()): 1})
 
     @staticmethod
     def combination(pairs: Sequence[tuple[VarId, "DiffPoly"]]) -> "DiffPoly":
@@ -280,9 +393,11 @@ class DiffPoly:
         den = lcm(*(m.den for _, m in pairs))
         num = {}
         for c, m in pairs:
-            unit = ((c, 1),)
-            for f, k in m.num.items():
-                num[_merge_factors(f, unit) if f else unit] = k * (den // m.den)
+            unit = _unit(c)
+            k = den // m.den
+            for f, n in m.num.items():
+                num[f + unit] = n * k
+        _check(num)
         return DiffPoly._make(num, den)
 
     @staticmethod
@@ -344,22 +459,32 @@ class DiffPoly:
         return self + (-other)
 
     def __mul__(self, other: "DiffPoly") -> "DiffPoly":
-        if not self.num or not other.num:
+        a, b = self.num, other.num
+        if not a or not b:
             return _ZERO
-        out: dict[Factors, int] = {}
-        get = out.get
-        for fa, ca in self.num.items():
-            for fb, cb in other.num.items():
-                f = _merge_factors(fa, fb) if fa and fb else fa or fb
-                s = get(f)
-                if s is None:
-                    out[f] = ca * cb
-                else:
-                    s += ca * cb
-                    if s:
-                        out[f] = s
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            # A monomial times a polynomial: a shift of every key, which
+            # keeps the keys distinct.
+            (fb, cb), = b.items()
+            out = {fa + fb: ca * cb for fa, ca in a.items()}
+        else:
+            out = {}
+            get = out.get
+            for fa, ca in a.items():
+                for fb, cb in b.items():
+                    f = fa + fb
+                    s = get(f)
+                    if s is None:
+                        out[f] = ca * cb
                     else:
-                        del out[f]
+                        s += ca * cb
+                        if s:
+                            out[f] = s
+                        else:
+                            del out[f]
+        _check(out)
         return DiffPoly._make(out, self.den * other.den)
 
     def scale(self, c: Coef) -> "DiffPoly":
@@ -391,6 +516,10 @@ class DiffPoly:
     def __bool__(self) -> bool:
         return bool(self.num)
 
+    def __len__(self) -> int:
+        """The number of terms."""
+        return len(self.num)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, DiffPoly) and self.den == other.den and self.num == other.num
 
@@ -401,56 +530,51 @@ class DiffPoly:
         return h
 
     def variables(self) -> set[VarId]:
-        out: set[VarId] = set()
-        for f in self.num:
-            for v, _ in f:
-                out.add(v)
-        return out
+        """The variables self depends on; template unknowns are coefficients,
+        not variables, and are left out (see `has_kind(UNKNOWN)`)."""
+        return _field_vars(reduce(or_, self.num, 0))
 
     def has_kind(self, kind: int) -> bool:
-        return any(v.kind == kind for f in self.num for v, _ in f)
+        mask = _KIND_MASKS.get(kind)
+        return mask is not None and any(m & mask for m in self.num)
 
     def as_constant(self) -> Coef | None:
-        """The value of a constant polynomial, None if variables remain."""
-        if len(self.num) > 1 or self.num and () not in self.num:
+        """The value of a constant polynomial, None if variables or unknowns remain."""
+        num = self.num
+        if not num:
+            return 0
+        c = num.get(0)
+        if c is None or len(num) > 1:
             return None
-        return self.terms.get((), 0)
+        return c if self.den == 1 else Fraction(c, self.den)
 
     def total_degree(self) -> int:
-        return max((sum(e for _, e in f) for f in self.num), default=0)
+        return max((sum(_field_bytes(m)) + (m & _LOW > 0) for m in self.num), default=0)
 
     def order_key(self) -> tuple:
         """Sort key of a monomial: the order in which `__str__` prints terms."""
-        (f,) = self.num
-        return _monomial_key(f)
+        (m,) = self.num
+        return _monomial_key(_decode(m))
 
-    def linear_rows(self, index: Mapping[str, int]) -> tuple[list[dict[int, Coef]], bool]:
-        """Coefficient rows of an expression linear in unknowns, the
-        parameters whose names `index` maps to columns.
+    def linear_rows(self) -> tuple[list[dict[int, Coef]], bool]:
+        """Coefficient rows of an expression linear in template unknowns.
 
         Terms are grouped by their unknown-free monomial; each group is one
-        row {column: coefficient}, in the order the groups are first seen.
-        The flag is True when some term holds no unknown.  A product or a
-        power of unknowns raises NonlinearInUnknowns.
+        row {k: coefficient of unknown_var(k)}, in the order the groups are
+        first seen.  The flag is True when some term holds no unknown.  (A
+        product of unknowns never gets this far: it raises
+        NonlinearInUnknowns where it is formed.)
         """
         den = self.den
-        grouped: dict[Factors, dict[int, Coef]] = {}
+        grouped: dict[int, dict[int, Coef]] = {}
         free = False
-        for f, c in self.num.items():
-            unknown = None
-            known = []
-            for v, e in f:
-                if v.kind == PARAM and v.idx[0] in index:
-                    if unknown is not None or e > 1:
-                        raise NonlinearInUnknowns(f"monomial {DiffPoly._make({f: c}, den)} is nonlinear in unknowns")
-                    unknown = index[v.idx[0]]
-                else:
-                    known.append((v, e))
-            if unknown is None:
-                free = True
-            else:
+        for m, c in self.num.items():
+            u = m & _LOW
+            if u:
                 # (known, unknown) determines the term, so no entry repeats.
-                grouped.setdefault(tuple(known), {})[unknown] = c if den == 1 else Fraction(c, den)
+                grouped.setdefault(m ^ u, {})[u ^ _UNKNOWN_FLAG] = c if den == 1 else Fraction(c, den)
+            else:
+                free = True
         return list(grouped.values()), free
 
     # -- calculus ----------------------------------------------------------
@@ -460,51 +584,54 @@ class DiffPoly:
 
     def partial(self, v: VarId) -> "DiffPoly":
         """Formal partial derivative; every VarId is an independent coordinate."""
-        out: dict[Factors, int] = {}
-        for f, c in self.num.items():
-            for pos, (w, e) in enumerate(f):
-                if w == v:
-                    if e == 1:
-                        out[f[:pos] + f[pos + 1:]] = c
-                    else:
-                        out[f[:pos] + ((w, e - 1),) + f[pos + 1:]] = c * e
-                    break
+        unit = _unit(v)
+        if unit <= _LOW:
+            out = {m ^ unit: c for m, c in self.num.items() if m & _LOW == unit}
+        else:
+            off = unit.bit_length() - 1
+            out = {}
+            for m, c in self.num.items():
+                e = (m >> off) & MAX_EXPONENT
+                if e:
+                    out[m - unit] = c * e
         return DiffPoly._make(out, self.den)
 
     def derivation(self, image: Callable[[VarId], "DiffPoly | None"]) -> "DiffPoly":
         """The derivation sum_v image(v) * dself/dv, in one pass over the terms.
 
         `image` is asked once for each variable of self, in the order of
-        `variables()`, and returns None for a variable the derivation kills.
-        Each factor (v, e) of a term adds rest * image(v) straight into one
-        accumulator, on the numerators of the images lifted to their common
-        denominator; the result is reduced once, in `_make`.
+        `variables()`, and returns None for a variable the derivation kills;
+        template unknowns are constants to every derivation.  Each term adds
+        rest * image(v) for its variables v, in VarId order, straight into
+        one accumulator, on the numerators of the images lifted to their
+        common denominator; the result is reduced once, in `_make`.
         """
-        images: dict[VarId, DiffPoly] = {}
-        for v in self.variables():
+        support = reduce(or_, self.num, 0)
+        images = []
+        for v in _field_vars(support):
             img = image(v)
             if img is not None and img.num:
-                images[v] = img
+                images.append((v, img))
         if not images:
             return _ZERO
-        den_i = lcm(*(img.den for img in images.values()))
-        nums = {v: img.num if img.den == den_i else {g: d * (den_i // img.den) for g, d in img.num.items()}
-                for v, img in images.items()}
-        out: dict[Factors, int] = {}
+        if support & _LOW and any(reduce(or_, img.num) & _LOW for _, img in images):
+            raise NonlinearInUnknowns("a derivation with unknowns in both the polynomial and an image")
+        images.sort(key=itemgetter(0))
+        den_i = lcm(*(img.den for _, img in images))
+        steps = [(unit, unit.bit_length() - 1,
+                  img.num.items() if img.den == den_i else [(g, d * (den_i // img.den)) for g, d in img.num.items()])
+                 for unit, img in ((_unit(v), img) for v, img in images)]
+        out: dict[int, int] = {}
         get = out.get
-        for f, c in self.num.items():
-            for pos, (v, e) in enumerate(f):
-                img = nums.get(v)
-                if img is None:
+        for m, c in self.num.items():
+            for unit, off, img in steps:
+                e = (m >> off) & MAX_EXPONENT
+                if not e:
                     continue
-                if e == 1:
-                    rest = f[:pos] + f[pos + 1:]
-                    ce = c
-                else:
-                    rest = f[:pos] + ((v, e - 1),) + f[pos + 1:]
-                    ce = c * e
-                for g, d in img.items():
-                    key = (_merge_factors(rest, g) if g else rest) if rest else g
+                rest = m - unit
+                ce = c * e
+                for g, d in img:
+                    key = rest + g
                     s = get(key)
                     if s is None:
                         out[key] = ce * d
@@ -514,6 +641,7 @@ class DiffPoly:
                             out[key] = s
                         else:
                             del out[key]
+        _check(out)
         return DiffPoly._make(out, self.den * den_i)
 
     def substitute(self, bindings: Mapping[VarId, "DiffPoly"]) -> "DiffPoly":
@@ -525,18 +653,17 @@ class DiffPoly:
         """
         if not bindings:
             return self
+        units = [(_unit(v), img) for v, img in bindings.items()]
 
         def terms():
-            for f, c in self.num.items():
-                kept = []
+            for m, c in self.num.items():
                 images = []
-                for v, e in f:
-                    img = bindings.get(v)
-                    if img is None:
-                        kept.append((v, e))
-                    else:
+                for unit, img in units:
+                    e = _exponent(m, unit)
+                    if e:
+                        m -= unit * e
                         images.append(img ** e)
-                term = DiffPoly._make({tuple(kept): c}, self.den)
+                term = DiffPoly._make({m: c}, self.den)
                 for img in images:
                     term = term * img
                 yield term
@@ -546,33 +673,30 @@ class DiffPoly:
     def evaluate(self, values: Mapping[VarId, Coef]) -> "DiffPoly":
         """Substitution of rational constants: `substitute` with constant
         images, without building the intermediate products."""
+        units = [(_unit(v), val) for v, val in values.items()]
 
         def terms():
-            for f, c in self.num.items():
-                kept = []
+            for m, c in self.num.items():
                 d = self.den
-                for v, e in f:
-                    val = values.get(v)
-                    if val is None:
-                        kept.append((v, e))
-                    else:
+                for unit, val in units:
+                    e = _exponent(m, unit)
+                    if e:
+                        m -= unit * e
                         c *= val.numerator ** e
                         d *= val.denominator ** e
                 if c:
-                    yield DiffPoly._make({tuple(kept): c}, d)
+                    yield DiffPoly._make({m: c}, d)
 
         return DiffPoly.sum(terms())
 
     def antiderivative(self, v: VarId) -> "DiffPoly":
         """The antiderivative in v whose every term holds v: c*v^e*rest
         becomes c/(e+1)*v^(e+1)*rest."""
-        unit = ((v, 1),)
-        raised = {}
-        for f, c in self.num.items():
-            e = next((k for w, k in f if w == v), 0) + 1
-            raised[_merge_factors(f, unit) if f else unit] = (c, e)
+        unit = _unit(v)
+        raised = {m + unit: (c, _exponent(m, unit) + 1) for m, c in self.num.items()}
+        _check(raised)
         top = lcm(*(e for _, e in raised.values()))
-        return DiffPoly._make({f: c * (top // e) for f, (c, e) in raised.items()}, self.den * top)
+        return DiffPoly._make({m: c * (top // e) for m, (c, e) in raised.items()}, self.den * top)
 
     # -- printing ----------------------------------------------------------
 
@@ -743,6 +867,8 @@ class _Parser:
             result = self.parse_expr()
         except RecursionError:
             raise ParseError("expression nested too deeply", self.peek()[2]) from None
+        except ExponentOverflow as exc:
+            raise ParseError(str(exc), self.tokens[self.pos - 1][2]) from None
         typ, _, pos = self.peek()
         if typ != "end":
             raise ParseError("trailing input", pos)

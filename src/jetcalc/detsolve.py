@@ -21,7 +21,7 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 from typing import Hashable, Mapping
 
-from .dalg import Coef, DiffPoly, NonlinearInUnknowns, VarId, param_var
+from .dalg import Coef, DiffPoly, NonlinearInUnknowns, VarId, param_var, unknown_var
 from .jetspace import EvolutionSystem, JetContext, multi_indices_up_to
 from .cdiff import (
     CartanShadow,
@@ -70,27 +70,19 @@ def ansatz_monomials(ctx: JetContext, a: Ansatz, spatial_only: bool = True) -> l
     return sorted(pool, key=DiffPoly.order_key)
 
 
-def _fresh_prefix(ctx: JetContext) -> str:
-    prefix = "c"
-    while any(p.startswith(prefix) for p in ctx.parameters):
-        prefix = "c" + prefix
-    return prefix
-
-
 class TemplateBuilder:
-    """Hands out unknown coefficients (parameter variables with reserved
-    names), remembers their declaration order, and keeps the table of the
+    """Hands out unknown coefficients (`unknown_var(k)` for k = 0, 1, ...),
+    remembers their names in declaration order, and keeps the table of the
     slot and monomial each unknown of a `combination` multiplies."""
 
-    def __init__(self, ctx: JetContext):
-        self.prefix = _fresh_prefix(ctx)
+    def __init__(self):
         self.names: list[str] = []
         self.table: dict[str, tuple[Hashable, DiffPoly]] = {}
 
     def fresh(self) -> VarId:
-        name = f"{self.prefix}{len(self.names)}"
-        self.names.append(name)
-        return param_var(name)
+        c = unknown_var(len(self.names))
+        self.names.append(c.name)
+        return c
 
     def combination(self, monomials: list[DiffPoly], slot: Hashable = None) -> DiffPoly:
         """sum_k c_k * m_k over fresh unknowns c_k (`DiffPoly.combination`)."""
@@ -109,7 +101,7 @@ class TemplateBuilder:
 
 def build_symmetry_template(ctx: JetContext, a: Ansatz) -> tuple[list[DiffPoly], TemplateBuilder]:
     """One template per dependent component, disjoint unknowns."""
-    tb = TemplateBuilder(ctx)
+    tb = TemplateBuilder()
     monos = ansatz_monomials(ctx, a)
     return [tb.combination(monos, j) for j in range(ctx.m)], tb
 
@@ -122,7 +114,7 @@ def build_shadow_template(ctx: JetContext, a: Ansatz, covering=None) -> tuple[Ca
     order, so that the echelon-normalized basis comes out monic in the
     highest Cartan coefficient (the customary recursion-operator shape).
     """
-    tb = TemplateBuilder(ctx)
+    tb = TemplateBuilder()
     monos = ansatz_monomials(ctx, a)
     sigmas = multi_indices_up_to(ctx, a.jet_order, spatial_only=True)
     nlayers = len(covering.layers) if covering is not None else 0
@@ -149,7 +141,7 @@ class LinearSystem:
 
 def match_coefficients(expr: DiffPoly, system: LinearSystem):
     """Append one row per distinct known monomial of an unknown-linear expr
-    (`DiffPoly.linear_rows`; raises NonlinearInUnknowns).
+    (`DiffPoly.linear_rows`); column k of the system is `unknown_var(k)`.
 
     Rows come in the order their monomials are first seen, which is
     deterministic; `nullspace` does not depend on row order, so no
@@ -157,7 +149,7 @@ def match_coefficients(expr: DiffPoly, system: LinearSystem):
     coefficient can never cancel, so it marks the whole system as
     unsolvable.
     """
-    rows, free = expr.linear_rows({name: k for k, name in enumerate(system.unknowns)})
+    rows, free = expr.linear_rows()
     if free:
         system.inconsistent = True
     system.rows.extend(rows)

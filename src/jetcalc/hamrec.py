@@ -176,7 +176,7 @@ def _remainder_ansatz(cov: Covering, r: DiffPoly, x: int) -> DiffPoly | None:
     degree = r.total_degree() + 1
     monos = [DiffPoly.monomial(combo)
              for d in range(1, degree + 1) for combo in combinations_with_replacement(pool_vars, d)]
-    tb = TemplateBuilder(ctx)
+    tb = TemplateBuilder()
     candidate = tb.combination(monos)
     rhs = tb.fresh()
     residual = cov.derive(x, candidate) - DiffPoly.var(rhs) * r

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetcalc.dalg import DiffPoly, param_var
+from jetcalc.dalg import DiffPoly, param_var, unknown_var
 from jetcalc.jetspace import EvolutionSystem, JetContext, total_derivative
 from jetcalc.cdiff import CartanShadow, CDiffOp, linearization, jacobi_bracket
 from jetcalc.detsolve import (
@@ -54,7 +54,7 @@ def test_shadow_template_shapes(burgers, ctx, pot):
 
 
 def test_match_coefficients_examples(ctx):
-    c0, c1, c2 = (DiffPoly.var(param_var(f"c{k}")) for k in range(3))
+    c0, c1, c2 = (DiffPoly.var(unknown_var(k)) for k in range(3))
     expr = c0 * ctx.parse("u") + (c1 - c2) * ctx.parse("u_x")
     system = LinearSystem(["c0", "c1", "c2"], [])
     match_coefficients(expr, system)
@@ -70,7 +70,7 @@ def test_match_coefficients_examples(ctx):
 
 
 def test_match_coefficients_nonlinear(ctx):
-    c0 = DiffPoly.var(param_var("c0"))
+    c0 = DiffPoly.var(unknown_var(0))
     system = LinearSystem(["c0"], [])
     with pytest.raises(NonlinearInUnknowns):
         match_coefficients(c0 * c0, system)
@@ -194,7 +194,7 @@ READ_OFF = settings(max_examples=40, deadline=None)
 
 CTX1 = JetContext(("x", "t"), ("u",), has_time=True)
 CTX2 = JetContext(("x", "t"), ("u", "v"), has_time=True)
-# 'b' < 'cc0' < 'cx' < 'd': declared parameters sort on both sides of the unknowns.
+# Declared parameters named like unknowns ('cx'); the unknowns sort after all of them.
 CTXP = JetContext(("x", "t"), ("u",), ("b", "cx", "d"), has_time=True)
 BURGERS = EvolutionSystem(CTX1, [CTX1.parse("u*u_x + u_{xx}")])
 POT = make_covering(BURGERS, [("w", [CTX1.parse("u"), CTX1.parse("u^2/2 + u_x")])])
@@ -226,7 +226,7 @@ TEMPLATES = {
 def test_read_off_equals_the_bound_template(kind, data):
     slots, tb = TEMPLATES[kind]()
     vec = data.draw(st.dictionaries(st.sampled_from(tb.names), values, max_size=8))
-    bound = {param_var(name): vec.get(name, 0) for name in tb.names}
+    bound = {unknown_var(k): vec.get(name, 0) for k, name in enumerate(tb.names)}
     read = tb.read_off(vec)
     assert set(read) <= set(slots)
     for slot, template in slots.items():
@@ -235,11 +235,12 @@ def test_read_off_equals_the_bound_template(kind, data):
 
 def test_direct_template_inserts_unknowns_among_declared_parameters():
     slots, tb = TEMPLATES["params"]()
-    assert tb.prefix == "cc"
-    factors = list(slots[0].num)
+    assert not set(tb.names) & set(CTXP.parameters)
+    factors = list(slots[0].terms)
     assert all(list(f) == sorted(f) for f in factors)
     names = [[v.name for v, _ in f] for f in factors]
-    assert any(n[0] == "b" and n[1].startswith("cc") and n[2:] == ["d"] for n in names)
+    assert any(n[:2] == ["b", "d"] and n[2] in tb.names for n in names)
+    assert all(n[-1] in tb.names and not set(n[:-1]) & set(tb.names) for n in names)
 
 
 coefficients = st.one_of(st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=4))
@@ -256,9 +257,9 @@ def polys(draw):
 @READ_OFF
 @given(monos=st.lists(polys(), max_size=5))
 def test_direct_template_equals_the_sum_of_products(monos):
-    tb = TemplateBuilder(CTXP)
+    tb = TemplateBuilder()
     template = tb.combination(monos)
-    products = DiffPoly.sum(DiffPoly.var(param_var(name)) * m for name, m in zip(tb.names, monos))
+    products = DiffPoly.sum(DiffPoly.var(unknown_var(k)) * m for k, m in enumerate(monos))
     assert template == products
     assert list(tb.table) == tb.names
 

@@ -1,7 +1,11 @@
+import json
+import os
 from fractions import Fraction
 
 import pytest
 
+from jetcalc import hamrec
+from jetcalc.cli import main
 from jetcalc.dalg import DiffPoly
 from jetcalc.jetspace import EvolutionSystem, JetContext
 from jetcalc.cdiff import CartanShadow, CDiffOp, linearization
@@ -243,3 +247,33 @@ def test_ham_candidate_square(ctx):
     for check in (lambda: is_skew_adjoint(op), lambda: jacobi_check(op), lambda: poisson_bracket(op, H, H)):
         with pytest.raises(DimensionMismatch):
             check()
+
+
+KDV_FILE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "eqn", "kdv.eqn")
+
+
+def test_kdv_scaling_recursion_goes_through_the_remainder_solve(monkeypatch, capsys):
+    """The KdV image of the scaling symmetry leaves a nonlocal remainder:
+    its layer image is integrated by the exact ansatz of
+    `_remainder_ansatz`, which builds a template, multiplies an unknown
+    into the remainder and matches the rows."""
+    calls = []
+    solve = hamrec._remainder_ansatz
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(hamrec, "_remainder_ansatz", counted)
+    code = main(["apply-recursion", KDV_FILE, "--covering", "pot", "--order", "2", "--deg", "1",
+                 "--to", "x*u_x + 3*t*(u*u_x + u_{xxx}) + 2*u", "--format", "structured"])
+    assert code == 0
+    assert len(calls) >= 1
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "apply-recursion",
+        "input-hash": "d7cde3624c4756afe2fba868964aacdf5150f9988716c2ba380c3c00b25764e2",
+        "result": ["5/2*t*u^2*u_x + x*u*u_x + 10*t*u_x*u_{xx} + 5*t*u*u_{xxx} + 4/3*u^2 + x*u_{xxx}"
+                   " + 3*t*u_{xxxxx} + 1/3*u_x*w + 4*u_{xx}"],
+        "shadow": "2/3*u*om(u) + om(u_{xx}) + 1/3*u_x*th(w)",
+        "verified": [True],
+    }

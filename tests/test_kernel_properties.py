@@ -33,7 +33,7 @@ from jetcalc.dalg import (
     TESTCOV,
     DiffPoly,
     VarId,
-    param_var,
+    unknown_var,
 )
 from jetcalc.cdiff import CDiffOp, _collect
 from jetcalc.detsolve import LinearSystem, _strip_pinned, match_coefficients, nullspace
@@ -346,7 +346,7 @@ def test_match_coefficients_rows_are_the_grouped_coefficients(n, terms):
     expected: dict = {}
     for k, known, c in terms:
         mono = reduce(lambda a, b: a * b, (DiffPoly.var(v) for v in known), DiffPoly.const(1))
-        expr = expr + DiffPoly.var(param_var(names[k % n])).scale(c) * mono
+        expr = expr + DiffPoly.var(unknown_var(k % n)).scale(c) * mono
         row = expected.setdefault(next(iter(mono.terms)), {})
         row[k % n] = row.get(k % n, 0) + c
     want = sorted(sorted(r.items()) for r in expected.values() if any(r.values()))

@@ -3,7 +3,8 @@
 Every other module of the package builds and reads polynomials through the
 `DiffPoly` API and its decoded `terms` view; none reads the stored
 numerators and denominator, calls the trusted constructor, or names the
-factor-tuple helpers.  The check walks the syntax tree of each module.
+helpers of the layout: the factor tuples, the packed encoding and decoding,
+and the field table.  The check walks the syntax tree of each module.
 """
 
 import ast
@@ -15,7 +16,8 @@ import pytest
 PACKAGE = Path(jetcalc.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "dalg.py")
 PRIVATE_ATTRS = {"num", "den"}
-PRIVATE_NAMES = {"_merge_factors", "_monomial_key", "Factors"}
+PRIVATE_NAMES = {"_merge_factors", "_monomial_key", "Factors",
+                 "_encode", "_decode", "_unit", "_intern", "_VARS", "_FIELDS", "_KIND_MASKS"}
 
 
 def layout_uses(source: str) -> list[str]:
@@ -49,5 +51,7 @@ def test_the_check_sees_each_kind_of_use():
 from .dalg import _merge_factors, Factors
 p.num; p.den; DiffPoly._make({}, 1); _monomial_key(f)
 CDiffOp._make(ctx, 1, 1, [], None)
+from .dalg import _encode, _decode, _VARS
+v._unit; _intern(v); dalg._FIELDS; dalg._KIND_MASKS
 """
-    assert len(layout_uses(source)) == 6
+    assert len(layout_uses(source)) == 13
