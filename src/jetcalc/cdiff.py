@@ -2,9 +2,10 @@
 
 A CDiffOp is a matrix whose entries are finite sums sum_sigma a_sigma D_sigma
 in normal form (coefficients to the left of the derivatives).  Operators may
-live on the free jet space or be owned by an evolution system, in which case
-every D is the restricted derivative on internal coordinates and the time
-index refers to D̄_t.
+live on the free jet space or be owned by an equation: an evolution system,
+whose D are the restricted derivatives on internal coordinates (the time
+index refers to D̄_t), or a covering, whose D are the extended derivatives.
+Every D is the owning space's `derive(i, p)`.
 
 Cartan-form-valued sections (shadows) are handled through the Lie-derivative
 action of total derivatives on contact forms: the derivative along i of the
@@ -32,7 +33,6 @@ from .jetspace import (
     JetContext,
     ONE,
     prefix_derivatives,
-    total_derivative,
 )
 
 
@@ -49,11 +49,6 @@ class DegreeOverflow(ValueError):
 
 
 Entry = dict[MultiIndex, DiffPoly]
-
-
-def _free_derivatives(ctx: JetContext, p: DiffPoly) -> Callable[[MultiIndex], DiffPoly]:
-    """sigma -> D_sigma p on the free jet space, deriving shared prefixes once."""
-    return prefix_derivatives(lambda i, q: total_derivative(ctx, i, q), p)
 
 
 def _clean(entry: Entry) -> Entry:
@@ -139,9 +134,7 @@ class CDiffOp:
     def _derivatives(self, p: DiffPoly) -> Callable[[MultiIndex], DiffPoly]:
         """sigma -> D_sigma(p), memoized so that multi-indices sharing a
         prefix derive it once."""
-        if self.system is not None:
-            return prefix_derivatives(self.system.restricted_derivative, p)
-        return _free_derivatives(self.ctx, p)
+        return prefix_derivatives((self.system or self.ctx).derive, p)
 
     def _check_compatible(self, other: "CDiffOp"):
         if self.system != other.system:
@@ -287,24 +280,24 @@ def _jet_partials(ctx: JetContext, F: Sequence[DiffPoly]) -> list[list[Entry]]:
     return entries
 
 
-def linearization(sys: GeneralSystem | EvolutionSystem) -> CDiffOp:
+def linearization(sys) -> CDiffOp:
     """Universal linearization.
 
     For a general system the entry (beta, alpha) is
     sum_sigma dF^beta/du^alpha_sigma D_sigma on the free jet space.  For an
-    evolution system the operator of F = u_t - f restricted to the equation
-    is returned: D̄_t - sum_sigma df^beta/du^alpha_sigma D_sigma.
+    evolution system or a covering, the operator of F = u_t - f on the
+    equation, in its own derivatives: D̄_t - sum df^beta/du^alpha_sigma D̄_sigma.
     """
     ctx = sys.ctx
-    if isinstance(sys, EvolutionSystem):
-        # D̄_t on the diagonal of the flow linearization of -f (f has no time
-        # jets).  D̄_t comes first: `apply` sums in entry order from a copy of
-        # the first term, and D̄_t of the input is usually the largest.
-        entries = _jet_partials(ctx, [-f for f in sys.f])
-        for r, row in enumerate(entries):
-            row[r] = {(ctx.time_index,): ONE, **row[r]}
-        return CDiffOp(ctx, ctx.m, ctx.m, entries, system=sys)
-    return CDiffOp(ctx, len(sys.F), ctx.m, _jet_partials(ctx, sys.F))
+    if isinstance(sys, GeneralSystem):
+        return CDiffOp(ctx, len(sys.F), ctx.m, _jet_partials(ctx, sys.F))
+    # D̄_t on the diagonal of the flow linearization of -f (f has no time
+    # jets).  D̄_t comes first: `apply` sums in entry order from a copy of
+    # the first term, and D̄_t of the input is usually the largest.
+    entries = _jet_partials(ctx, [-f for f in sys.f])
+    for r, row in enumerate(entries):
+        row[r] = {(ctx.time_index,): ONE, **row[r]}
+    return CDiffOp(ctx, ctx.m, ctx.m, entries, system=sys)
 
 
 def flow_linearization(sys: EvolutionSystem) -> CDiffOp:
@@ -316,7 +309,7 @@ def evolutionary(ctx: JetContext, phi: Sequence[DiffPoly], p: DiffPoly) -> DiffP
     """The evolutionary derivation: sum_{j,sigma} D_sigma(phi^j) dp/du^j_sigma."""
     if len(phi) != ctx.m:
         raise DimensionMismatch(f"generating section needs {ctx.m} components")
-    derivs = [_free_derivatives(ctx, c) for c in phi]
+    derivs = [prefix_derivatives(ctx.derive, c) for c in phi]
     return p.derivation(lambda v: derivs[v.idx[0]](v.idx[1]) if v.kind == JET else None)
 
 
@@ -392,7 +385,7 @@ def horizontal_differential(omega: HorForm, sys: EvolutionSystem | None = None) 
     ctx = omega.ctx
     if omega.degree >= ctx.n:
         raise DegreeOverflow(f"cannot raise degree {omega.degree} in {ctx.n} variables")
-    derive = sys.restricted_derivative if sys is not None else (lambda i, a: total_derivative(ctx, i, a))
+    derive = (sys or ctx).derive
 
     def terms() -> Iterator[tuple[tuple[int, ...], DiffPoly]]:
         for idx, a in omega.comps:
@@ -491,54 +484,52 @@ def cartan_differential(p: DiffPoly, ctx: JetContext, covering=None) -> CartanSh
     return CartanShadow(ctx, (out,), covering)
 
 
-def _cmap_derive(cmap: CartanMap, i: int, sys: EvolutionSystem,
-                 covering) -> Iterator[tuple[CartanKey, DiffPoly]]:
-    """Terms of the Lie action of the i-th (restricted/extended) total
-    derivative on a Cartan-form value: derives coefficients and maps the
-    contact form of a generator v to the Cartan differential of D_i(v)."""
-    ctx = sys.ctx
-    derive = covering.derive if covering is not None else sys.restricted_derivative
+def _cmap_derive(cmap: CartanMap, i: int, space) -> Iterator[tuple[CartanKey, DiffPoly]]:
+    """Terms of the Lie action of the space's i-th total derivative on a
+    Cartan-form value: derives coefficients and maps the contact form of a
+    generator v to the Cartan differential of D_i(v)."""
+    ctx = space.ctx
     for key, coef in cmap.items():
-        yield key, derive(i, coef)
+        yield key, space.derive(i, coef)
         if key[0] == "u":
             j, sigma = key[1], key[2]
             if i != ctx.time_index:
                 yield ("u", j, tuple(sorted(sigma + (i,)))), coef
                 continue
-            image = cartan_differential(sys.dsigma_f(j, sigma), ctx, covering)
+            image = cartan_differential(space.dsigma_f(j, sigma), ctx)
         else:
-            if covering is None:
+            if not hasattr(space, "layers"):
                 raise RegimeMismatch("shadow carries a covering form but no covering was supplied")
-            image = cartan_differential(covering.expr(i, key[1]), ctx, covering)
+            image = cartan_differential(space.expr(i, key[1]), ctx)
         for k, p in image.comps[0].items():
             yield k, coef * p
 
 
-def shadow_residual(sh: CartanShadow, sys: EvolutionSystem, covering=None) -> CartanShadow:
+def shadow_residual(sh: CartanShadow, space) -> CartanShadow:
     """Left-hand side of the shadow equation, component beta:
 
         D_t(om^beta) - sum_{alpha,sigma} df^beta/du^alpha_sigma D_sigma(om^alpha)
 
-    with restricted (or covering-extended) derivatives throughout.  A shadow
-    solves the equation iff every Cartan coefficient of the result vanishes.
+    with the derivatives of `space` (an evolution system or a covering)
+    throughout.  A shadow solves the equation iff every Cartan coefficient
+    of the result vanishes.
     """
-    ctx = sys.ctx
-    covering = covering if covering is not None else sh.covering
+    ctx = space.ctx
     if len(sh.comps) != ctx.m:
         raise DimensionMismatch("shadow must have one component per dependent variable")
-    derivs = [prefix_derivatives(lambda i, c: _collect(_cmap_derive(c, i, sys, covering)), comp)
+    derivs = [prefix_derivatives(lambda i, c: _collect(_cmap_derive(c, i, space)), comp)
               for comp in sh.comps]
-    ell = flow_linearization(sys)
+    ell = flow_linearization(space)
 
     def terms(beta: int) -> Iterator[tuple[CartanKey, DiffPoly]]:
-        yield from _cmap_derive(sh.comps[beta], ctx.time_index, sys, covering)
+        yield from _cmap_derive(sh.comps[beta], ctx.time_index, space)
         for alpha, entry in enumerate(ell.entries[beta]):
             for sigma, coef in entry.items():
                 neg = -coef
                 for k, p in derivs[alpha](sigma).items():
                     yield k, neg * p
 
-    return CartanShadow(ctx, tuple(_collect(terms(beta)) for beta in range(ctx.m)), covering)
+    return CartanShadow(sh.ctx, tuple(_collect(terms(beta)) for beta in range(ctx.m)), sh.covering)
 
 
 def contract(phi: Sequence[DiffPoly], sh: CartanShadow) -> tuple[list[DiffPoly], list[dict[int, DiffPoly]]]:
@@ -552,7 +543,7 @@ def contract(phi: Sequence[DiffPoly], sh: CartanShadow) -> tuple[list[DiffPoly],
     ctx = sh.ctx
     if len(phi) != ctx.m:
         raise DimensionMismatch(f"symmetry vector needs {ctx.m} components")
-    derivs = [_free_derivatives(ctx, c) for c in phi]
+    derivs = [prefix_derivatives(ctx.derive, c) for c in phi]
     local = [DiffPoly.sum(coef * derivs[key[1]](key[2]) for key, coef in cmap.items() if key[0] == "u")
              for cmap in sh.comps]
     residues = [_collect((key[1], coef) for key, coef in cmap.items() if key[0] != "u") for cmap in sh.comps]

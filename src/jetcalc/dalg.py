@@ -43,6 +43,10 @@ Kernel invariants, which every operation keeps:
   sums each group once.
 - `DiffPoly.derivation` is the only derivation primitive; total,
   restricted, extended and evolutionary derivatives are image maps over it.
+  Each space answers `derive(i, p)` with its own: the free D_i of a
+  `JetContext`, the restricted D̄_i of an `EvolutionSystem` and the extended
+  D̃_i of a covering, which adds the layer images to its equation's image
+  map.
 - A `VarId` is the tuple of its canonical sort key, so hashing, equality
   and ordering of variables and factor tuples never run Python code.
 """
@@ -760,9 +764,9 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("num", text[i:j], i))
             i = j
@@ -919,6 +923,8 @@ class _Parser:
             etyp, eval_, epos = self.next()
             if etyp != "num":
                 raise ParseError("exponent must be a nonnegative integer", epos)
+            if len(eval_.lstrip("0")) > len(str(MAX_EXPONENT)) or int(eval_) > MAX_EXPONENT:
+                raise ParseError(f"exponent above {MAX_EXPONENT}, the largest one allowed", epos)
             return self.power(atom, int(eval_))
         return atom
 

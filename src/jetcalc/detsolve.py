@@ -340,7 +340,7 @@ def shadows(sys: EvolutionSystem, covering, a: Ansatz) -> SolutionBasis:
     """Cartan-1-form-valued solutions of the (extended) shadow equation."""
     ctx = sys.ctx
     template, tb = build_shadow_template(ctx, a, covering)
-    residual = shadow_residual(template, sys, covering)
+    residual = shadow_residual(template, covering or sys)
     rows = [p for cmap in residual.comps for _, p in sorted(cmap.items(), key=lambda kv: str(kv[0]))]
 
     def render(vec):
@@ -350,7 +350,7 @@ def shadows(sys: EvolutionSystem, covering, a: Ansatz) -> SolutionBasis:
         return CartanShadow(ctx, comps, covering)
 
     def verify(sh):
-        res = shadow_residual(sh, sys, covering)
+        res = shadow_residual(sh, covering or sys)
         return [p for cmap in res.comps for p in cmap.values()]
 
     return _solve(rows, tb, render, verify)

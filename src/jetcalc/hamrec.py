@@ -2,8 +2,9 @@
 
 A covering extends an evolution system by nonlocal variables w^a whose
 derivatives are prescribed: D̃_i = D̄_i + sum_a X_i^a d/dw^a.  Flatness
-([D̃_i, D̃_j] = 0) is verified eagerly at construction.  Applying a
-recursion shadow to a symmetry contracts the Cartan coefficients and
+([D̃_i, D̃_j] = 0) is verified eagerly at construction.  A covering is again
+an equation (`ctx`, `f`, `dsigma_f`, `check_internal`, `derive`).  Applying
+a recursion shadow to a symmetry contracts the Cartan coefficients and
 resolves each covering form by integrating the corresponding relation
 equation in the spatial direction.
 """
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, count, islice
 from typing import Sequence
 
-from .dalg import BASE, JET, NONLOCAL, TESTCOV, DiffPoly, VarId, mi_add
-from .jetspace import ONE, EvolutionSystem, JetContext, NotInternal, prefix_derivatives
+from .dalg import JET, NONLOCAL, TESTCOV, DiffPoly, VarId
+from .jetspace import EvolutionSystem, JetContext, NotInternal, prefix_derivatives
 from .cdiff import CartanShadow, CDiffOp, DimensionMismatch, contract, evolutionary, linearization
 from .variational import (
     Density,
@@ -71,13 +72,14 @@ class Covering:
 
     def __init__(self, base: EvolutionSystem, layers: Sequence[Layer]):
         self.base = base
+        self.f, self.dsigma_f = base.f, base.dsigma_f
         self.layers = tuple(layers)
         self.ctx = base.ctx.with_nonlocals([l.name for l in self.layers])
         for a, layer in enumerate(self.layers):
             if len(layer.exprs) != base.ctx.n:
                 raise ScopeError(f"layer '{layer.name}' needs one expression per independent variable")
             for p in layer.exprs:
-                self._check_scope(p, a, layer.name)
+                self._check_scope(p, a, f"layer '{layer.name}'")
         for a, layer in enumerate(self.layers):
             for i in range(base.ctx.n):
                 for j in range(i + 1, base.ctx.n):
@@ -86,17 +88,22 @@ class Covering:
                     if lhs != rhs:
                         raise NotFlat(layer.name, i, j, lhs - rhs)
 
-    def _check_scope(self, p: DiffPoly, layer_index: int, name: str):
-        t = self.base.ctx.time_index
+    def _check_scope(self, p: DiffPoly, layer_index: int, where: str):
+        t = self.ctx.time_index
         for v in p.variables():
             if v.kind == NONLOCAL and v.idx[0] >= layer_index:
-                raise ScopeError(f"layer '{name}' refers to layer '{v.name}' not introduced before it")
+                raise ScopeError(f"{where} refers to layer '{v.name}' not introduced before it")
             if v.kind == JET and t in v.idx[1]:
-                raise NotInternal(f"layer '{name}' uses non-internal coordinate {v.name}")
+                raise NotInternal(f"{where} uses non-internal coordinate {v.name}")
             if v.kind == TESTCOV:
-                raise ScopeError("covering expressions cannot contain test covectors")
+                raise ScopeError(f"{where} cannot contain test covectors")
 
-    # Duck API consumed by the Cartan-form machinery in cdiff.
+    # The equation's interface, and the layers for the Cartan-form machinery.
+
+    def check_internal(self, p: DiffPoly):
+        """Internal coordinates of the equation and the covering's own
+        nonlocal variables only."""
+        self._check_scope(p, len(self.layers), "a covering expression")
 
     def expr(self, i: int, layer: int) -> DiffPoly:
         return self.layers[layer].exprs[i]
@@ -106,22 +113,15 @@ class Covering:
 
     def derive(self, i: int, p: DiffPoly) -> DiffPoly:
         """D̃_i p = D̄_i p + sum_a X_i^a dp/dw^a."""
-        ctx = self.base.ctx
-        t = ctx.time_index
+        jets = self.base.image(i)
+        t = self.ctx.time_index
 
         def image(v: VarId) -> DiffPoly | None:
-            if v.kind == JET:
-                j, sigma = v.idx
-                if t in sigma:
-                    raise NotInternal(f"{v.name} is not a covering-ring coordinate")
-                if i == t:
-                    return self.base.dsigma_f(j, sigma)
-                return DiffPoly.var(ctx.jet(j, mi_add(sigma, i)))
             if v.kind == NONLOCAL:
                 return self.layers[v.idx[0]].exprs[i]
-            if v.kind == TESTCOV:
-                raise ScopeError("extended derivatives do not act on test covectors")
-            return ONE if v.kind == BASE and v.idx[0] == i else None
+            if v.kind == TESTCOV or v.kind == JET and t in v.idx[1]:
+                self.check_internal(p)  # raises, naming the coordinate
+            return jets(v)
 
         return p.derivation(image)
 
@@ -189,17 +189,11 @@ def _remainder_ansatz(cov: Covering, r: DiffPoly, x: int) -> DiffPoly | None:
     return None
 
 
-def extended_linearization_residual(cov: Covering, psi: Sequence[DiffPoly]) -> list[DiffPoly]:
-    """Components of the linearization equation with extended derivatives:
-    D̃_t psi^beta - sum df^beta/du^alpha_sigma D̃_sigma psi^alpha."""
-    sys = cov.base
-    t = sys.ctx.time_index
-    derivs = [prefix_derivatives(cov.derive, q) for q in psi]
-
-    def image(v: VarId) -> DiffPoly | None:
-        return derivs[v.idx[0]](v.idx[1]) if v.kind == JET else None
-
-    return [cov.derive(t, psi[beta]) - f.derivation(image) for beta, f in enumerate(sys.f)]
+def extended_linearization_residual(space, psi: Sequence[DiffPoly]) -> list[DiffPoly]:
+    """Components of the linearization equation in the derivatives of
+    `space`, extended on a covering: D̃_t psi^beta - sum df^beta/du^alpha_sigma
+    D̃_sigma psi^alpha."""
+    return linearization(space).apply(psi)
 
 
 def apply_shadow(sh: CartanShadow, phi: Sequence[DiffPoly],
@@ -210,20 +204,20 @@ def apply_shadow(sh: CartanShadow, phi: Sequence[DiffPoly],
     contributes a nonlocal factor a with D̃_x a = (evolutionary field of the
     lifted symmetry applied to X_x), resolved layer by layer through the
     extended integration.  The output (which may involve nonlocal variables)
-    is post-verified against the (extended) linearization equation.
+    is post-verified against the linearization equation of the covering, or
+    of `sys` without one.
     """
-    cov = cov if cov is not None else (sh.covering if isinstance(sh.covering, Covering) else None)
-    if sys is None:
-        if cov is None:
-            raise ValueError("apply_shadow needs the owning system or a covering")
-        sys = cov.base
+    cov = cov or sh.covering
+    space = cov or sys
+    if space is None:
+        raise ValueError("apply_shadow needs the owning system or a covering")
     local, residues = contract(list(phi), sh)
     used_layers = {a for res in residues for a in res}
     resolved: dict[int, DiffPoly] = {}
     if used_layers:
         if cov is None:
             raise ValueError("shadow carries covering forms but no covering was supplied")
-        x = sys.ctx.spatial_indices[0]
+        x = space.ctx.spatial_indices[0]
         derivs = [prefix_derivatives(cov.derive, q) for q in phi]
 
         def image(v: VarId) -> DiffPoly | None:
@@ -235,10 +229,7 @@ def apply_shadow(sh: CartanShadow, phi: Sequence[DiffPoly],
             resolved[a] = dx_inverse_extended(cov, cov.expr(x, a).derivation(image))
     result = [DiffPoly.sum([comp] + [coef * resolved[a] for a, coef in res.items()])
               for comp, res in zip(local, residues)]
-    if cov is not None:
-        residual = extended_linearization_residual(cov, result)
-    else:
-        residual = linearization(sys).apply(result)
+    residual = extended_linearization_residual(space, result)
     if any(r for r in residual):
         raise VerificationFailed(f"shadow image is not a symmetry; residual {[str(r) for r in residual]}")
     return result

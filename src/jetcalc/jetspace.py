@@ -1,10 +1,10 @@
 """Jet-coordinate bookkeeping, equations, and total derivatives.
 
 A JetContext fixes the independent/dependent variable names (the time
-variable, when present, is always the last independent one).  Total
-derivatives act on the free jet space; an EvolutionSystem u^j_t = f^j owns
-the restricted derivative D̄_t and the rewriting of arbitrary jet
-expressions into internal coordinates (spatial jets only).
+variable, when present, is always the last independent one).  Each space
+answers `derive(i, p)`: a JetContext with the free D_i, an EvolutionSystem
+u^j_t = f^j with the restricted D̄_i on internal coordinates (spatial jets
+only), which it also rewrites arbitrary jet expressions into.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .dalg import (
     TESTCOV,
     DiffPoly,
     MultiIndex,
+    ParseError,
     UnknownIdentifier,
     VarId,
     base_var,
@@ -119,13 +120,15 @@ class JetContext:
     # -- parser hook ---------------------------------------------------------
 
     def parse_subscript(self, sub: str, pos: int) -> MultiIndex:
-        """The decomposition of a subscript into base names.
+        """The decomposition of a subscript, written at `pos`, into base names.
 
         Every split of a prefix is followed, so a name that is a prefix of
         another does not block the split.  A context admits only name sets
         without an `ambiguous_subscript`, where the split that reaches the
-        end is the only one.
+        end is the only one.  An empty subscript (`u_{}`) is no jet.
         """
+        if not sub:
+            raise ParseError("empty subscript", pos)
         reach: dict[int, tuple[int, ...]] = {0: ()}
         for k in range(len(sub)):
             head = reach.get(k)
@@ -150,13 +153,17 @@ class JetContext:
                 return self.nonlocal_(self.nonlocals.index(base))
             raise UnknownIdentifier(base, pos)
         if base in self.dependent:
-            return self.jet(self.dependent.index(base), self.parse_subscript(sub, pos))
+            return self.jet(self.dependent.index(base), self.parse_subscript(sub, pos + len(base) + 1))
         raise UnknownIdentifier(f"{base}_{sub}", pos)
 
     def parse(self, text: str) -> DiffPoly:
         from .dalg import parse as _parse
 
         return _parse(text, self)
+
+    def derive(self, i: int, p: DiffPoly) -> DiffPoly:
+        """The free total derivative D_i."""
+        return total_derivative(self, i, p)
 
 
 def ambiguous_subscript(names: Sequence[str]) -> str | None:
@@ -187,12 +194,8 @@ def ambiguous_subscript(names: Sequence[str]) -> str | None:
 # Total derivatives on the free jet space
 
 
-def total_derivative(ctx: JetContext, i: int, p: DiffPoly) -> DiffPoly:
-    """D_i p = dp/dx_i + sum u^j_{sigma+i} dp/du^j_sigma (test covectors too)."""
-    if p.has_kind(NONLOCAL):
-        raise NonlocalVariablePresent(
-            "expression contains covering variables; use the covering's extended derivative")
-
+def _shift(ctx: JetContext, i: int) -> Callable[[VarId], DiffPoly | None]:
+    """The image map of D_i: x_i -> 1, and jets and test covectors shift."""
     def image(v: VarId) -> DiffPoly | None:
         if v.kind == JET:
             j, sigma = v.idx
@@ -202,7 +205,15 @@ def total_derivative(ctx: JetContext, i: int, p: DiffPoly) -> DiffPoly:
             return DiffPoly.var(ctx.testcov(nm, comp, mi_add(sigma, i)))
         return ONE if v.kind == BASE and v.idx[0] == i else None
 
-    return p.derivation(image)
+    return image
+
+
+def total_derivative(ctx: JetContext, i: int, p: DiffPoly) -> DiffPoly:
+    """D_i p = dp/dx_i + sum u^j_{sigma+i} dp/du^j_sigma (test covectors too)."""
+    if p.has_kind(NONLOCAL):
+        raise NonlocalVariablePresent(
+            "expression contains covering variables; use the covering's extended derivative")
+    return p.derivation(_shift(ctx, i))
 
 
 def total_derivative_iterated(ctx: JetContext, sigma: MultiIndex, p: DiffPoly) -> DiffPoly:
@@ -286,7 +297,7 @@ class EvolutionSystem:
                     raise NotInternal(f"right-hand side {j} contains time derivative {v.name}")
         self.ctx = ctx
         self.f = tuple(f)
-        self._dsigma_f = [prefix_derivatives(lambda i, p: total_derivative(ctx, i, p), comp) for comp in self.f]
+        self._dsigma_f = [prefix_derivatives(ctx.derive, comp) for comp in self.f]
 
     @property
     def order(self) -> int:
@@ -319,26 +330,33 @@ class EvolutionSystem:
             if v.kind == NONLOCAL:
                 raise NonlocalVariablePresent(v.name)
 
-    def restricted_time(self, p: DiffPoly) -> DiffPoly:
-        """D̄_t p = dp/dt + sum_sigma D_sigma(f^j) dp/du^j_sigma on internal p."""
-        self.check_internal(p)
-        if p.has_kind(TESTCOV):
-            raise NotInternal("the restricted time derivative does not act on test covectors")
+    def image(self, i: int) -> Callable[[VarId], DiffPoly | None]:
+        """The image map of D̄_i on internal coordinates: the shift of D_i
+        in space; along t, u^j_sigma -> D_sigma(f^j) and t -> 1."""
         t = self.ctx.time_index
+        if i != t:
+            return _shift(self.ctx, i)
 
         def image(v: VarId) -> DiffPoly | None:
             if v.kind == JET:
                 return self.dsigma_f(*v.idx)
             return ONE if v.kind == BASE and v.idx[0] == t else None
 
-        return p.derivation(image)
+        return image
 
-    def restricted_derivative(self, i: int, p: DiffPoly) -> DiffPoly:
+    def restricted_time(self, p: DiffPoly) -> DiffPoly:
+        """D̄_t p = dp/dt + sum_sigma D_sigma(f^j) dp/du^j_sigma on internal p."""
+        self.check_internal(p)
+        if p.has_kind(TESTCOV):
+            raise NotInternal("the restricted time derivative does not act on test covectors")
+        return p.derivation(self.image(self.ctx.time_index))
+
+    def derive(self, i: int, p: DiffPoly) -> DiffPoly:
         """D̄_i on internal expressions: spatial D_i, or D̄_t for the time index."""
         if i == self.ctx.time_index:
             return self.restricted_time(p)
         self.check_internal(p)
-        return total_derivative(self.ctx, i, p)
+        return self.ctx.derive(i, p)
 
     def to_internal(self, p: DiffPoly) -> DiffPoly:
         """Rewrite time-derivative jets via u^j_t = f^j until only internal

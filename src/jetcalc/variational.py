@@ -19,13 +19,7 @@ from .dalg import (
     DiffPoly,
     VarId,
 )
-from .jetspace import (
-    EvolutionSystem,
-    GeneralSystem,
-    JetContext,
-    total_derivative,
-    total_derivative_iterated,
-)
+from .jetspace import EvolutionSystem, GeneralSystem, JetContext, total_derivative_iterated
 from .cdiff import flow_linearization, linearization
 
 
@@ -193,7 +187,7 @@ def dx_inverse(ctx: JetContext, g: DiffPoly, i: int = 0) -> DiffPoly:
     then the antiderivative in x_i of the jet-free remainder."""
     if g.has_kind(NONLOCAL):
         raise ValueError("use the covering-aware inverse for nonlocal expressions")
-    parts, g = integrate_top_down(ctx, g, i, lambda k, p: total_derivative(ctx, k, p))
+    parts, g = integrate_top_down(ctx, g, i, ctx.derive)
     if any(v.kind in (JET, TESTCOV) for v in g.variables()):
         raise NotExactDerivative(g)
     parts.append(g.antiderivative(ctx.base(i)))
@@ -231,12 +225,8 @@ def divergence_residual(sys: EvolutionSystem, J: ConservedCurrent) -> DiffPoly:
     ctx = sys.ctx
     if len(J.components) != ctx.n:
         raise ValueError(f"current needs {ctx.n} components")
-    for comp in J.components:
-        sys.check_internal(comp)
-    parts = [sys.restricted_time(J.components[0])]
-    for k, idx in enumerate(ctx.spatial_indices):
-        parts.append(total_derivative_iterated(ctx, (idx,), J.components[k + 1]))
-    return sys.to_internal(DiffPoly.sum(parts))
+    directions = (ctx.time_index,) + ctx.spatial_indices
+    return sys.to_internal(DiffPoly.sum(sys.derive(i, J_i) for i, J_i in zip(directions, J.components)))
 
 
 def verify_conserved_current(sys: EvolutionSystem, J: ConservedCurrent) -> bool:

@@ -263,3 +263,11 @@ def test_shadow_residual_identity_is_zero(burgers):
 def test_shadow_residual_detects_nonsolutions(burgers, ctx):
     bad = CartanShadow(ctx, ({("u", 0, (0,)): DiffPoly.const(1)},))
     assert not shadow_residual(bad, burgers).is_zero()
+
+
+def test_a_covering_form_needs_a_space_with_layers(burgers, ctx):
+    from jetcalc.cdiff import RegimeMismatch
+
+    sh = CartanShadow(ctx, ({("u", 0, ()): DiffPoly.const(1), ("w", 0): ctx.parse("u_x")},))
+    with pytest.raises(RegimeMismatch):
+        shadow_residual(sh, burgers)

@@ -455,3 +455,73 @@ def test_commands_are_resolved_at_call_time(kdv_file, capsys, monkeypatch):
     code, out, _ = run(capsys, "euler", kdv_file, "--density", "H2")
     assert code == 0 and out == "u\n"
     assert seen == ["H2"]
+
+
+# --------------------------------------------------------------------------
+# Expression input that used to be read silently or to escape as a bare
+# Python error is a ParseError with a position, and exit 2 with the line.
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("u_{}", 2),  # was read as u
+    ("x + u_{}*u_x", 6),
+    ("u*3²", 3),  # '²' is a digit but not a decimal one: int() raised
+    ("u*u_x + ²", 8),
+    ("2^128", 2),  # a constant power was built exactly, however large
+    ("u^" + "9" * 5000, 2),  # past the digits int() converts
+], ids=["empty-subscript", "empty-subscript-inside", "superscript-two", "lone-superscript", "constant-power",
+        "long-exponent"])
+def test_expression_errors_carry_a_position(ctx, text, pos):
+    from jetcalc.dalg import ParseError
+
+    with pytest.raises(ParseError) as err:
+        ctx.parse(text)
+    assert err.value.pos == pos
+
+
+def test_context_lookup_rejects_an_empty_subscript(ctx):
+    from jetcalc.dalg import ParseError
+
+    for text in ("u_{}", "u_"):
+        with pytest.raises(ParseError, match="empty subscript") as err:
+            ctx.u(text)
+        assert err.value.pos == 2
+    assert ctx.u("u_{xx}") == ctx.jet(0, (0, 0))
+
+
+def test_exponent_literals_are_bounded_for_every_base(ctx):
+    from jetcalc.dalg import MAX_EXPONENT, ParseError
+
+    assert MAX_EXPONENT == 127
+    assert ctx.parse("2^127") == DiffPoly.const(2 ** 127)
+    assert parse_operator("D_x^127", ctx).order == 127
+    for text in ("2^128", "u^128", "D_x^128", "(u*D_x)^128"):
+        with pytest.raises(ParseError, match="127") as err:
+            parse_operator(text, ctx)
+        assert err.value.pos == text.index("^") + 1
+
+
+@pytest.mark.parametrize("lines, line", [
+    ("evolution: u_t = u_{}*u_x", 3),
+    ("evolution: u_t = u*u_x + ²", 3),
+    ("evolution: u_t = 2^128*u_x", 3),
+    ("evolution: u_t = u_{xx}\noperator A = D_x^128", 4),
+], ids=["empty-subscript", "superscript-two", "constant-power", "operator-power"])
+def test_expression_errors_in_an_equation_file_exit_2_with_the_line(tmp_path, capsys, lines, line):
+    path = tmp_path / "bad.eqn"
+    path.write_text("independent: x, t(time)\ndependent: u\n" + lines + "\n")
+    code, out, err = run(capsys, "linearize", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: line {line}:") and "(at position " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("euler", "--density", "u*3²"),
+    ("euler", "--density", "u_{}^2"),
+    ("euler", "--density", "2^128*u"),
+    ("adjoint", "--op", "D_x^128"),
+], ids=["superscript-two", "empty-subscript", "constant-power", "operator-power"])
+def test_expression_errors_in_options_exit_2_with_a_position(burgers_file, capsys, argv):
+    code, out, err = run(capsys, argv[0], burgers_file, *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "(at position " in err

@@ -273,7 +273,7 @@ def test_apply_with_constant_coefficients_equals_the_product_form(text, c):
     free = CDiffOp.scalar(CTX1, {(): DiffPoly.const(c[0]), (0,): DiffPoly.const(c[1]),
                                  (0, 0): CTX1.parse("u") + DiffPoly.const(c[2]), (0, 0, 0): DiffPoly.const(c[3])})
     v = CTX1.parse("u*u_x + x*u_{xx} + 1/2")
-    for op, derive in ((ell, sys.restricted_derivative), (free, lambda i, p: total_derivative(CTX1, i, p))):
+    for op, derive in ((ell, sys.derive), (free, lambda i, p: total_derivative(CTX1, i, p))):
         def d(sigma, p=v):
             for i in sigma:
                 p = derive(i, p)

@@ -155,6 +155,28 @@ def test_extended_linearization_residual(pot, ctx):
     assert not extended_linearization_residual(pot, [pot.parse("u")])[0].is_zero()
 
 
+def test_a_covering_is_an_equation_with_the_extended_derivatives(pot, ctx, rng):
+    from jetcalc.jetspace import NotInternal
+
+    ell = linearization(pot)
+    assert ell.system is pot and ell.ctx == pot.ctx
+    D = pot.derive
+    for _ in range(10):
+        psi = random_internal(rng, ctx) * pot.parse("w") + random_internal(rng, ctx)
+        # D̃_t psi - (u_x psi + u D̃_x psi + D̃_x^2 psi), Burgers' f = u*u_x + u_xx
+        expected = D(1, psi) - (ctx.parse("u_x") * psi + ctx.parse("u") * D(0, psi) + D(0, D(0, psi)))
+        assert ell.apply([psi]) == extended_linearization_residual(pot, [psi]) == [expected]
+    pot.check_internal(pot.parse("w^2*u_{xx}"))
+    with pytest.raises(NotInternal):
+        pot.check_internal(ctx.parse("u_{xt}"))
+    with pytest.raises(ScopeError):
+        pot.check_internal(DiffPoly.var(ctx.testcov("p")))
+    with pytest.raises(ScopeError):
+        pot.check_internal(ctx.with_nonlocals(("w", "v")).parse("v"))
+    with pytest.raises(NotInternal):
+        D(0, ctx.parse("u_t"))
+
+
 def test_skew_adjoint_examples(ctx):
     assert is_skew_adjoint(Dx(ctx))
     assert is_skew_adjoint(kdv_second_structure(ctx))

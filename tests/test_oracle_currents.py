@@ -10,7 +10,10 @@ that computed them:
   evolution equation, and the Euler derivative of J0 is the generating
   function listed with it;
 * every self-adjoint `inverse-problem` answer is a Lagrangian of the given
-  section: its Euler-Lagrange expressions are the `--psi` components.
+  section: its Euler-Lagrange expressions are the `--psi` components;
+* every `verify-current` answer is the sympy divergence D_t J0 + sum_k
+  D_k Jk on the equation: the recorded residual equals it, and the current
+  is reported conserved exactly when it is zero.
 """
 
 import json
@@ -30,20 +33,27 @@ _JET = re.compile(r"\b([A-Za-z][A-Za-z0-9]*)_(?:\{([A-Za-z]+)\}|([A-Za-z]+))")
 
 class Space:
     """The jet space of an equation file: independent symbols (time
-    included), dependent functions of all of them, and the evolution
-    right-hand sides as jetcalc text."""
+    included, last), dependent functions of all of them, and the evolution
+    right-hand sides and named currents as jetcalc text."""
 
     def __init__(self, path):
         decl = {}
         self.evolution = {}
+        self.currents = {}
         with open(os.path.join(ROOT, path)) as fh:
             for line in fh:
+                if line.startswith("current "):
+                    name, payload = line[len("current "):].split("=", 1)
+                    self.currents[name.strip()] = payload.strip()
+                    continue
                 head, _, body = line.partition(":")
                 if head == "evolution":
                     lhs, rhs = body.split("=", 1)
                     self.evolution[lhs.strip().split("_")[0]] = rhs.strip()
                 elif head in ("independent", "dependent"):
-                    decl[head] = [n.strip().removesuffix("(time)") for n in body.split(",")]
+                    decl[head] = [n.strip() for n in body.split(",")]
+        assert decl["independent"][-1].endswith("(time)")
+        decl["independent"] = [n.removesuffix("(time)") for n in decl["independent"]]
         assert all(len(n) == 1 for n in decl["independent"])
         self.xs = {n: sympy.Symbol(n) for n in decl["independent"]}
         args = tuple(self.xs.values())
@@ -61,15 +71,15 @@ class Space:
                              locals={"D": D, **self.xs, **self.funcs})
 
     def on_equation(self, expr, t):
-        """Replace every time derivative u_{x..xt} by the x-derivatives of
-        the evolution right-hand side (one spatial variable)."""
-        (x,) = [s for s in self.xs.values() if s != t]
+        """Replace every time derivative u_{sigma t} by the spatial
+        derivatives D_sigma of the evolution right-hand side."""
         rhs = {f: self.parse(self.evolution[d]) for d, f in self.funcs.items()}
         subs = {}
         for d in expr.atoms(sympy.Derivative):
             if d.expr in rhs and t in d.variables:
                 assert list(d.variables).count(t) == 1
-                subs[d] = sympy.diff(rhs[d.expr], x, list(d.variables).count(x))
+                sigma = [v for v in d.variables if v != t]
+                subs[d] = sympy.diff(rhs[d.expr], *sigma) if sigma else rhs[d.expr]
         return expr.xreplace(subs)
 
 
@@ -124,3 +134,20 @@ def test_self_adjoint_inverse_problem_lagrangians_give_back_psi():
             assert sympy.expand(e - p) == 0, (argv, doc["result"])
         checked += 1
     assert checked >= 10
+
+
+def test_verify_current_goldens_are_the_sympy_divergence_on_the_equation():
+    checked = conserved = 0
+    for argv, doc in _goldens("verify-current"):
+        space = Space(argv[1])
+        *spatial, t = space.xs.values()
+        text = argv[argv.index("--current") + 1]
+        J = space.parse(space.currents.get(text, text))
+        assert len(J) == len(space.xs)
+        divergence = sympy.expand(space.on_equation(sympy.diff(J[0], t), t)
+                                  + sum(sympy.diff(Jk, x) for Jk, x in zip(J[1:], spatial)))
+        assert sympy.expand(divergence - space.parse(doc["residual"])) == 0, (argv, doc["residual"])
+        assert doc["result"] is (divergence == 0), argv
+        checked += 1
+        conserved += doc["result"]
+    assert checked == 26 and 0 < conserved < checked

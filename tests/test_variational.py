@@ -131,7 +131,7 @@ def test_trivial_currents_skew_three_vars(rng):
             entries[(a, b)] = random_internal(rng, ctx, max_order=1, max_deg=2)
     # J_i = sum_l D_l(L_il) for skew L; indices ordered (t, x, y) time-first
     def dbar(i, p):
-        return sys.restricted_derivative(i, p)
+        return sys.derive(i, p)
 
     order = (2, 0, 1)
     comps = []
