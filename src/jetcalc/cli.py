@@ -12,9 +12,10 @@ import functools
 import hashlib
 import json
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .dalg import DiffPoly, ParseError, _Parser, split_identifier
+from .dalg import MAX_EXPONENT, DiffPoly, ParseError, _Parser, split_identifier
 from .jetspace import EvolutionSystem, JetContext, NotInternal, ambiguous_subscript
 from .cdiff import CDiffOp, linearization
 from .variational import (
@@ -50,15 +51,45 @@ class InputError(ValueError):
         self.line = line
 
 
+class _Later(functools.partial):
+    """A declaration that was checked but is not built yet."""
+
+
+class _Declared(Mapping):
+    """The named declarations of one kind.  A value held as a `_Later` is
+    built on its first lookup and kept."""
+
+    def __init__(self):
+        self._values: dict[str, object] = {}
+
+    def add(self, name: str, value):
+        self._values[name] = value
+
+    def __getitem__(self, name: str):
+        value = self._values[name]
+        if type(value) is _Later:
+            value = self._values[name] = value()
+        return value
+
+    def __contains__(self, name) -> bool:
+        return name in self._values
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+
 @dataclass
 class EquationFile:
     path: str
     ctx: JetContext
     system: EvolutionSystem | None = None
     coverings: dict[str, Covering] = field(default_factory=dict)
-    operators: dict[str, CDiffOp] = field(default_factory=dict)
-    densities: dict[str, Density] = field(default_factory=dict)
-    currents: dict[str, ConservedCurrent] = field(default_factory=dict)
+    operators: Mapping[str, CDiffOp] = field(default_factory=_Declared)
+    densities: Mapping[str, Density] = field(default_factory=_Declared)
+    currents: Mapping[str, ConservedCurrent] = field(default_factory=_Declared)
     raw: bytes = b""
 
     def need_system(self) -> EvolutionSystem:
@@ -86,13 +117,21 @@ def _split_top_level(text: str, sep: str) -> list[str]:
     return [s.strip() for s in out]
 
 
-def _current_tuple(ctx: JetContext, text: str, error: str, line: int | None = None) -> ConservedCurrent:
-    """The current that `text` writes as a parenthesized tuple; InputError
-    `error` when it is not one."""
+def _components(text: str, error: str, line: int | None = None) -> list[str]:
+    """The component texts of a current written as a parenthesized tuple;
+    InputError `error` when `text` is not one."""
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise InputError(error, line)
-    return ConservedCurrent(tuple(ctx.parse(c) for c in _split_top_level(text[1:-1], ",")))
+    return _split_top_level(text[1:-1], ",")
+
+
+def _current(ctx: JetContext, texts: list[str]) -> ConservedCurrent:
+    return ConservedCurrent(tuple(ctx.parse(c) for c in texts))
+
+
+def _density(ctx: JetContext, text: str) -> Density:
+    return Density(ctx, ctx.parse(text))
 
 
 # --------------------------------------------------------------------------
@@ -104,8 +143,8 @@ class _OpParser(_Parser):
     expression grammar: `D_<var>` atoms, functions as multiplication
     operators, `*` as composition and `^n` as n-fold composition."""
 
-    def number(self, digits: str) -> CDiffOp:
-        return CDiffOp.mult(self.ctx, super().number(digits))
+    def number(self, value: int) -> CDiffOp:
+        return CDiffOp.mult(self.ctx, super().number(value))
 
     def identifier(self, base: str, sub: str | None, pos: int) -> CDiffOp:
         if base == "D" and sub is not None and sub in self.ctx.independent:
@@ -134,6 +173,95 @@ def parse_operator(text: str, ctx: JetContext) -> CDiffOp:
     if "D" in ctx.dependent:
         raise InputError(_DEPENDENT_D)
     return _OpParser(text, ctx).parse()
+
+
+# --------------------------------------------------------------------------
+# Checking a declaration without building it
+
+
+class _Unsure(Exception):
+    """The checker cannot tell whether a declaration builds."""
+
+
+class _Shape:
+    """What the checker knows of a value: its rational value when it is a
+    constant, else None, and an upper bound on its total degree.  Past
+    MAX_EXPONENT, an exponent might overflow or cancel first: unsure."""
+
+    __slots__ = ("const", "deg")
+
+    def __init__(self, const, deg: int):
+        if deg > MAX_EXPONENT:
+            raise _Unsure
+        self.const = const
+        self.deg = deg
+
+    def __add__(self, other: "_Shape") -> "_Shape":
+        known = self.const is not None and other.const is not None
+        return _Shape(self.const + other.const if known else None, max(self.deg, other.deg))
+
+    def __neg__(self) -> "_Shape":
+        return _Shape(None if self.const is None else -self.const, self.deg)
+
+    def __sub__(self, other: "_Shape") -> "_Shape":
+        return self + (-other)
+
+    def scale(self, c) -> "_Shape":
+        return _Shape(None if self.const is None else self.const * c, self.deg)
+
+
+class _Checker(_Parser):
+    """Build-nothing hooks on the expression grammar, for polynomials or,
+    with `operator`, for operators (`D_<var>` has degree 0).  Identifiers
+    resolve as in a build and the grammar is the same, so an error it
+    raises is the build's.  An exponent that can pass MAX_EXPONENT or a
+    divisor that is not a known constant makes it unsure (`_Unsure`);
+    otherwise the build cannot fail."""
+
+    def __init__(self, text: str, ctx: JetContext, operator: bool):
+        super().__init__(text, ctx)
+        self.operator = operator
+
+    def number(self, value: int) -> _Shape:
+        return _Shape(value, 0)
+
+    def identifier(self, base: str, sub: str | None, pos: int) -> _Shape:
+        if self.operator and base == "D" and sub is not None and sub in self.ctx.independent:
+            return _Shape(None, 0)
+        self.ctx.resolve_identifier(base, sub, pos)
+        return _Shape(None, 1)
+
+    def product(self, a: _Shape, b: _Shape) -> _Shape:
+        known = a.const is not None and b.const is not None
+        return _Shape(a.const * b.const if known else None, a.deg + b.deg)
+
+    def power(self, a: _Shape, n: int) -> _Shape:
+        if n == 0:
+            return _Shape(1, 0)
+        return _Shape(None if a.const is None else a.const ** n, a.deg * n)
+
+    def constant(self, a: _Shape):
+        if a.const is None:
+            raise _Unsure
+        return a.const
+
+
+# Parentheses and signs nest the recursive descent.  Where Python's
+# recursion limit strikes depends on the hooks' own frames, so a text that
+# could nest this deep is built rather than checked.
+_NESTING_BUDGET = 200
+
+
+def _checks(text: str, ctx: JetContext, operator: bool = False) -> bool:
+    """True when `text` is sure to build, False when the checker is unsure;
+    a ParseError it raises is the one the build raises."""
+    if 5 * text.count("(") + text.count("-") + text.count("+") > _NESTING_BUDGET:
+        return False
+    try:
+        _Checker(text, ctx, operator).parse()
+    except _Unsure:
+        return False
+    return True
 
 
 # --------------------------------------------------------------------------
@@ -285,14 +413,22 @@ def parse_equation_file(path: str) -> EquationFile:
         except (NotFlat, ValueError) as exc:
             raise InputError(f"covering '{name}': {exc}", no)
 
+    # Each named declaration is checked now and built on its first lookup;
+    # one the checker is unsure of is built now, so it fails as it would.
+    tables = {"operator": eq.operators, "density": eq.densities, "current": eq.currents}
     for kind, name, payload, no in named:
         try:
             if kind == "operator":
-                eq.operators[name] = parse_operator(payload, ctx)
+                build = _Later(parse_operator, payload, ctx)
+                sure = _checks(payload, ctx, operator=True)
             elif kind == "density":
-                eq.densities[name] = Density(ctx, ctx.parse(payload))
+                build = _Later(_density, ctx, payload)
+                sure = _checks(payload, ctx)
             else:
-                eq.currents[name] = _current_tuple(ctx, payload, "current needs a parenthesized component tuple", no)
+                texts = _components(payload, "current needs a parenthesized component tuple", no)
+                build = _Later(_current, ctx, texts)
+                sure = all(_checks(t, ctx) for t in texts)
+            tables[kind].add(name, build if sure else build())
         except ParseError as exc:
             raise InputError(f"in {kind} '{name}': {exc}", no)
     return eq
@@ -332,7 +468,7 @@ def _ansatz_of(args) -> Ansatz:
 def _lookup_density(eq: EquationFile, ref: str) -> Density:
     if ref in eq.densities:
         return eq.densities[ref]
-    return Density(eq.ctx, eq.ctx.parse(ref))
+    return _density(eq.ctx, ref)
 
 
 def _lookup_operator(eq: EquationFile, ref: str) -> CDiffOp:
@@ -344,7 +480,7 @@ def _lookup_operator(eq: EquationFile, ref: str) -> CDiffOp:
 def _lookup_current(eq: EquationFile, ref: str) -> ConservedCurrent:
     if ref in eq.currents:
         return eq.currents[ref]
-    return _current_tuple(eq.ctx, ref, f"unknown current '{ref.strip()}'")
+    return _current(eq.ctx, _components(ref, f"unknown current '{ref.strip()}'"))
 
 
 def _basis_report(command: str, eq: EquationFile, a: Ansatz, basis, heading: str, render) -> Report:

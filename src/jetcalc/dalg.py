@@ -56,9 +56,10 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
+from itertools import compress, pairwise
 from math import comb, gcd, lcm
 from operator import itemgetter, or_
+import sys
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Rational = Fraction
@@ -302,8 +303,10 @@ def _check(num: Iterable[int]):
 def _overflow(acc: int) -> ValueError:
     if acc & _LOW_GUARD:
         return NonlinearInUnknowns("a product of two template unknowns")
-    names = [v.name for v, e in zip(_VARS, _field_bytes(acc)) if e > MAX_EXPONENT]
-    return ExponentOverflow(f"exponent of {names[0]} above {MAX_EXPONENT}, the largest a monomial holds")
+    # The least variable, not the first field: the message must not depend
+    # on the order in which the process happened to meet the variables.
+    v = min(v for v, e in zip(_VARS, _field_bytes(acc)) if e > MAX_EXPONENT)
+    return ExponentOverflow(f"exponent of {v.name} above {MAX_EXPONENT}, the largest a monomial holds")
 
 
 def _monomial_key(factors: Factors) -> tuple:
@@ -358,11 +361,19 @@ class DiffPoly:
     @property
     def terms(self) -> Mapping[Factors, Coef]:
         """Read-only view, decoded: factor tuples to coefficients, each an
-        int or a non-integral Fraction."""
+        int or a non-integral Fraction.  ValueError if two monomials decode
+        alike, which happens when the polynomial mixes one variable under
+        two names (from two contexts)."""
         den = self.den
         if den == 1:
-            return {_decode(m): c for m, c in self.num.items()}
-        return {_decode(m): c // den if c % den == 0 else Fraction(c, den) for m, c in self.num.items()}
+            out = {_decode(m): c for m, c in self.num.items()}
+        else:
+            out = {_decode(m): c // den if c % den == 0 else Fraction(c, den) for m, c in self.num.items()}
+        if len(out) < len(self.num):
+            a, b = next((a, b) for a, b in pairwise(sorted(compress(_VARS, _field_bytes(reduce(or_, self.num)))))
+                        if a == b)
+            raise ValueError(f"'{a.name}' and '{b.name}' are one variable under two names")
+        return out
 
     def __reduce__(self):
         # Through the decoded terms: a copy re-interns its variables, and
@@ -824,9 +835,11 @@ class _Parser:
 
     The grammar is fixed; what its atoms and operators build is not.  The
     hooks `number`, `identifier`, `product`, `power` and `constant` make
-    polynomials here; the operator parser of the CLI overrides them to build
-    operators in total derivatives from the same grammar.  Values must
-    support `+`, `-`, unary `-` and `scale`.
+    polynomials here; the CLI overrides them to build operators in total
+    derivatives from the same grammar, and to check a declaration without
+    building it.  Values must support `+`, `-`, unary `-` and `scale`.
+    The grammar reads number literals and exponents itself, so every hook
+    set gets the same ints and the same errors for them.
 
     `ctx.resolve_identifier(base, subscript, pos) -> VarId` maps identifiers
     to variables; it raises UnknownIdentifier for names not in scope.
@@ -839,8 +852,8 @@ class _Parser:
 
     # -- hooks ---------------------------------------------------------------
 
-    def number(self, digits: str):
-        return DiffPoly.const(int(digits))
+    def number(self, value: int):
+        return DiffPoly.const(value)
 
     def identifier(self, base: str, sub: str | None, pos: int):
         return DiffPoly.var(self.ctx.resolve_identifier(base, sub, pos))
@@ -931,7 +944,12 @@ class _Parser:
     def parse_atom(self):
         typ, val, pos = self.next()
         if typ == "num":
-            return self.number(val)
+            try:
+                value = int(val)
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"number longer than {sys.get_int_max_str_digits()} digits, "
+                                 "the longest one allowed", pos) from None
+            return self.number(value)
         if typ == "ident":
             base, sub = split_identifier(val)
             return self.identifier(base, sub, pos)

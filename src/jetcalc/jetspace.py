@@ -67,6 +67,12 @@ class JetContext:
         twice = ambiguous_subscript(self.independent)
         if twice is not None:
             raise ValueError(f"the subscript '{twice}' splits into the independent variables in two ways")
+        # (base, subscript) -> VarId of every identifier resolved so far; not
+        # a field, so equality, hashing, repr and the pickle ignore it.
+        object.__setattr__(self, "_resolved", {})
+
+    def __reduce__(self):
+        return JetContext, (self.independent, self.dependent, self.parameters, self.has_time, self.nonlocals)
 
     # -- shape -------------------------------------------------------------
 
@@ -142,6 +148,14 @@ class JetContext:
         return tuple(sorted(sigma))
 
     def resolve_identifier(self, base: str, sub: str | None, pos: int) -> VarId:
+        """The variable an identifier names, memoized per context.  Only
+        successes are kept, so an unknown name raises at each position."""
+        v = self._resolved.get((base, sub))
+        if v is None:
+            v = self._resolved[base, sub] = self._resolve(base, sub, pos)
+        return v
+
+    def _resolve(self, base: str, sub: str | None, pos: int) -> VarId:
         if sub is None:
             if base in self.independent:
                 return self.base(self.independent.index(base))
@@ -225,13 +239,20 @@ def total_derivative_iterated(ctx: JetContext, sigma: MultiIndex, p: DiffPoly) -
 def prefix_derivatives(derive: Callable[[int, DiffPoly], DiffPoly],
                        p: DiffPoly) -> Callable[[MultiIndex], DiffPoly]:
     """sigma -> derive(sigma[-1], ... derive(sigma[0], p)), memoized so that
-    multi-indices sharing a prefix derive it once."""
+    multi-indices sharing a prefix derive it once.  `at` does not call
+    itself: a closure that refers to itself is a reference cycle, which
+    would keep the memo alive until the cycle collector runs."""
     memo = {(): p}
 
     def at(sigma: MultiIndex) -> DiffPoly:
         got = memo.get(sigma)
         if got is None:
-            got = memo[sigma] = derive(sigma[-1], at(sigma[:-1]))
+            k = len(sigma) - 1
+            while sigma[:k] not in memo:
+                k -= 1
+            got = memo[sigma[:k]]
+            for k in range(k, len(sigma)):
+                got = memo[sigma[:k + 1]] = derive(sigma[k], got)
         return got
 
     return at

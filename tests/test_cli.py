@@ -525,3 +525,27 @@ def test_expression_errors_in_options_exit_2_with_a_position(burgers_file, capsy
     code, out, err = run(capsys, argv[0], burgers_file, *argv[1:])
     assert code == 2 and out == ""
     assert err.startswith("error:") and "(at position " in err
+
+
+def _past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int() converts any number of digits here")
+    return limit, "9" * (limit + 1)
+
+
+def test_a_number_past_the_digit_limit_is_an_error_at_its_position(burgers_file, capsys):
+    limit, literal = _past_the_digit_limit()
+    code, out, err = run(capsys, "euler", burgers_file, "--density", f"u + {literal}*u")
+    assert code == 2 and out == ""
+    assert err == f"error: number longer than {limit} digits, the longest one allowed (at position 4)\n"
+
+
+def test_a_number_past_the_digit_limit_in_an_equation_file_cites_the_line(tmp_path, capsys):
+    limit, literal = _past_the_digit_limit()
+    path = tmp_path / "long.eqn"
+    path.write_text(f"independent: x, t(time)\ndependent: u\nevolution: u_t = {literal}*u_x\n")
+    code, out, err = run(capsys, "linearize", str(path))
+    assert code == 2 and out == ""
+    assert err == (f"error: line 3: in evolution for u: number longer than {limit} digits, "
+                   "the longest one allowed (at position 0)\n")

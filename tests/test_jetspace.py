@@ -187,3 +187,18 @@ def test_dsigma_f_matches_iterated_total_derivatives():
             expected = total_derivative_iterated(ctx3, sigma, sys.f[j])
             assert sys.dsigma_f(j, sigma) == expected
             assert copy.dsigma_f(j, sigma) == expected
+
+
+def test_resolved_identifiers_are_memoized_per_context_and_stay_out_of_its_value():
+    from jetcalc.dalg import UnknownIdentifier
+
+    ctx = JetContext(("x", "t"), ("u",), ("a",), has_time=True)
+    fresh = JetContext(("x", "t"), ("u",), ("a",), has_time=True)
+    u_xx = ctx.resolve_identifier("u", "xx", 0)
+    assert ctx.resolve_identifier("u", "xx", 7) is u_xx and u_xx == ctx.jet(0, (0, 0))
+    assert ctx == fresh and hash(ctx) == hash(fresh) and repr(ctx) == repr(fresh)
+    assert pickle.dumps(ctx) == pickle.dumps(fresh) and pickle.loads(pickle.dumps(ctx)) == ctx
+    for pos in (3, 9):  # a failure is not kept: each one cites its own position
+        with pytest.raises(UnknownIdentifier) as err:
+            ctx.resolve_identifier("q", None, pos)
+        assert err.value.pos == pos

@@ -34,17 +34,20 @@ _JET = re.compile(r"\b([A-Za-z][A-Za-z0-9]*)_(?:\{([A-Za-z]+)\}|([A-Za-z]+))")
 class Space:
     """The jet space of an equation file: independent symbols (time
     included, last), dependent functions of all of them, and the evolution
-    right-hand sides and named currents as jetcalc text."""
+    right-hand sides and named operators, densities and currents as
+    jetcalc text."""
 
     def __init__(self, path):
         decl = {}
         self.evolution = {}
-        self.currents = {}
+        self.operators, self.densities, self.currents = {}, {}, {}
+        named = {"operator": self.operators, "density": self.densities, "current": self.currents}
         with open(os.path.join(ROOT, path)) as fh:
             for line in fh:
-                if line.startswith("current "):
-                    name, payload = line[len("current "):].split("=", 1)
-                    self.currents[name.strip()] = payload.strip()
+                kind = line.split(" ", 1)[0]
+                if kind in named:
+                    name, payload = line[len(kind):].split("=", 1)
+                    named[kind][name.strip()] = payload.strip()
                     continue
                 head, _, body = line.partition(":")
                 if head == "evolution":

@@ -9,7 +9,11 @@ no jetcalc code, one per derivative regime:
   evolution right-hand side f;
 * extended D̃ (the potential coverings): every `apply-recursion` iterate
   solves the linearized equation on the equation, D_t phi = ell_f(phi) once
-  time derivatives are replaced through u_t = f.
+  time derivatives are replaced through u_t = f;
+* Hamiltonian operators (the declared A1 and A2 of kdv.eqn): every `flow`
+  answer is A(E(H)), and every `bracket` answer is the density
+  E(H2)*A(E(H1)) up to a total divergence, with its Euler image as the
+  `euler-image` and `trivial` exactly when that image is zero.
 
 Operators are read in normal form (coefficients left of the derivatives) as
 polynomials in commuting symbols, one per total derivative.
@@ -22,7 +26,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.calculus.euler import euler_equations  # noqa: E402
 
-from test_oracle_currents import Space, _goldens  # noqa: E402
+from test_oracle_currents import Space, _euler, _goldens  # noqa: E402
 
 _D = re.compile(r"\bD_([A-Za-z])\b")
 
@@ -109,3 +113,43 @@ def test_recursion_iterates_solve_the_linearized_equation():
             assert sympy.expand(residual) == 0, (argv, text)
             checked += 1
     assert checked == 30
+
+
+def _hamiltonian(space, argv, *options):
+    """The operator and the densities an argv names, as declared or written."""
+    op = argv[argv.index("--op") + 1]
+    texts = [argv[argv.index(o) + 1] for o in options]
+    return (_operator(space, space.operators.get(op, op)),
+            *(space.parse(space.densities.get(t, t)) for t in texts))
+
+
+def test_flow_goldens_are_the_hamiltonian_vector_field():
+    checked = 0
+    for argv, doc in _goldens("flow"):
+        space = Space(argv[1])
+        A, H = _hamiltonian(space, argv, "--density")
+        (E,) = _euler(space, H)
+        assert sympy.expand(_apply(space, A, E) - space.parse(doc["result"])) == 0, (argv, doc["result"])
+        checked += 1
+    assert checked == 16
+
+
+def test_bracket_goldens_are_the_poisson_bracket_density():
+    checked = 0
+    for argv, doc in _goldens("bracket"):
+        space = Space(argv[1])
+        A, H1, H2 = _hamiltonian(space, argv, "--density", "--density2")
+        (E1,), (E2,) = _euler(space, H1), _euler(space, H2)
+        density = space.parse(doc["result"])
+        if argv[4:] == ["--density", "(-3/2)*(u^3/6 - u_x^2/2)", "--density2", "(1)*u^2/2"]:
+            # The order of the factors: this one is E(H2)*A(E(H1)) as it stands.
+            assert doc["result"] == "-3/2*u^2*u_x - 3/2*u*u_{xxx}"
+            assert sympy.expand(density - E2 * _apply(space, A, E1)) == 0
+        (off,) = _euler(space, density - E2 * _apply(space, A, E1))
+        assert sympy.expand(off) == 0, (argv, doc["result"])
+        (image,) = _euler(space, density)
+        (recorded,) = doc["euler-image"]
+        assert sympy.expand(image - space.parse(recorded)) == 0, (argv, recorded)
+        assert doc["trivial"] is (sympy.expand(image) == 0), argv
+        checked += 1
+    assert checked == 16

@@ -99,6 +99,20 @@ def test_contexts_that_share_a_variable_identity_print_their_own_names():
     assert sorted(v.name for v in pb.variables()) == ["v", "v_{yy}", "x"]
 
 
+def test_a_product_of_two_contexts_that_share_a_variable_does_not_decode():
+    """Four monomials would decode to three terms: `terms`, and with it
+    printing and pickling, refuse rather than drop one."""
+    a = JetContext(("x", "y"), ("u",))
+    b = JetContext(("x", "y"), ("v",))
+    p = a.parse("u_{yy}^2 + x*u") * b.parse("v_{yy}^2 + x*v")
+    assert len(p) == 4
+    for view in (lambda: p.terms, lambda: str(p), lambda: pickle.dumps(p)):
+        with pytest.raises(ValueError, match="one variable under two names") as err:
+            view()
+        # The least shared variable: u and v, which sort before u_{yy} and v_{yy}.
+        assert set(str(err.value).split()[:3:2]) == {"'u'", "'v'"}
+
+
 SEED_OTHER_ORDER = """
 import pickle, sys
 from jetcalc.cli import parse_equation_file
