@@ -11,6 +11,7 @@ from .jetspace import (
     JetContext,
     NonlocalVariablePresent,
     NotInternal,
+    RegimeMismatch,
     prolong,
     total_derivative,
     total_derivative_iterated,
@@ -20,7 +21,6 @@ from .cdiff import (
     CDiffOp,
     DimensionMismatch,
     HorForm,
-    RegimeMismatch,
     cartan_differential,
     contract,
     evolutionary,

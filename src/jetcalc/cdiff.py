@@ -1,11 +1,10 @@
 """Operators in total derivatives and the Cartan-form calculus.
 
 A CDiffOp is a matrix whose entries are finite sums sum_sigma a_sigma D_sigma
-in normal form (coefficients to the left of the derivatives).  Operators may
-live on the free jet space or be owned by an equation: an evolution system,
-whose D are the restricted derivatives on internal coordinates (the time
-index refers to D̄_t), or a covering, whose D are the extended derivatives.
-Every D is the owning space's `derive(i, p)`.
+in normal form (coefficients to the left of the derivatives).  An operator
+holds one space (`jetspace`), and every D is that space's `derive(i, p)`:
+the free D on a JetContext, the restricted derivatives on an evolution
+system (the time index refers to D̄_t), the extended ones on a covering.
 
 Cartan-form-valued sections (shadows) are handled through the Lie-derivative
 action of total derivatives on contact forms: the derivative along i of the
@@ -32,16 +31,13 @@ from .jetspace import (
     GeneralSystem,
     JetContext,
     ONE,
+    RegimeMismatch,
     prefix_derivatives,
 )
 
 
 class DimensionMismatch(ValueError):
     pass
-
-
-class RegimeMismatch(ValueError):
-    """Mixed free-jet and on-equation operators cannot be combined."""
 
 
 class DegreeOverflow(ValueError):
@@ -66,53 +62,54 @@ def _collect(pairs: Iterable[tuple[Hashable, DiffPoly]]) -> dict:
 
 
 class CDiffOp:
-    """Matrix operator sum_sigma a_sigma D_sigma in normal form."""
+    """Matrix operator sum_sigma a_sigma D_sigma in normal form, with the D
+    of its `space`."""
 
-    __slots__ = ("ctx", "rows", "cols", "entries", "system")
+    __slots__ = ("space", "rows", "cols", "entries")
 
-    def __init__(self, ctx: JetContext, rows: int, cols: int,
-                 entries: Sequence[Sequence[Entry]], system: EvolutionSystem | None = None):
-        self.ctx = ctx
+    def __init__(self, space, rows: int, cols: int, entries: Sequence[Sequence[Entry]]):
+        self.space = space
         self.rows = rows
         self.cols = cols
         self.entries = tuple(tuple(_clean(dict(entries[r][c])) for c in range(cols)) for r in range(rows))
-        self.system = system
 
     @staticmethod
-    def _make(ctx: JetContext, rows: int, cols: int, entries: list[list[Entry]],
-              system: EvolutionSystem | None) -> "CDiffOp":
+    def _make(space, rows: int, cols: int, entries: list[list[Entry]]) -> "CDiffOp":
         """Trusted constructor: every entry is clean and owned by the new value."""
         op = object.__new__(CDiffOp)
-        op.ctx = ctx
+        op.space = space
         op.rows = rows
         op.cols = cols
         op.entries = tuple(tuple(row) for row in entries)
-        op.system = system
         return op
+
+    @property
+    def ctx(self) -> JetContext:
+        return self.space.ctx
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(ctx: JetContext, rows: int = 1, cols: int = 1, system=None) -> "CDiffOp":
-        return CDiffOp(ctx, rows, cols, [[{} for _ in range(cols)] for _ in range(rows)], system)
+    def zero(space, rows: int = 1, cols: int = 1) -> "CDiffOp":
+        return CDiffOp(space, rows, cols, [[{} for _ in range(cols)] for _ in range(rows)])
 
     @staticmethod
-    def scalar(ctx: JetContext, entry: Entry, system=None) -> "CDiffOp":
-        return CDiffOp(ctx, 1, 1, [[entry]], system)
+    def scalar(space, entry: Entry) -> "CDiffOp":
+        return CDiffOp(space, 1, 1, [[entry]])
 
     @staticmethod
-    def identity(ctx: JetContext, size: int = 1, system=None) -> "CDiffOp":
+    def identity(space, size: int = 1) -> "CDiffOp":
         one = DiffPoly.const(1)
-        return CDiffOp(ctx, size, size,
-                       [[{(): one} if r == c else {} for c in range(size)] for r in range(size)], system)
+        return CDiffOp(space, size, size,
+                       [[{(): one} if r == c else {} for c in range(size)] for r in range(size)])
 
     @staticmethod
-    def d(ctx: JetContext, i: int, system=None) -> "CDiffOp":
-        return CDiffOp.scalar(ctx, {(i,): DiffPoly.const(1)}, system)
+    def d(space, i: int) -> "CDiffOp":
+        return CDiffOp.scalar(space, {(i,): DiffPoly.const(1)})
 
     @staticmethod
-    def mult(ctx: JetContext, a: DiffPoly, system=None) -> "CDiffOp":
-        return CDiffOp.scalar(ctx, {(): a}, system)
+    def mult(space, a: DiffPoly) -> "CDiffOp":
+        return CDiffOp.scalar(space, {(): a})
 
     # -- structure -----------------------------------------------------------
 
@@ -125,7 +122,8 @@ class CDiffOp:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CDiffOp) and self.rows == other.rows and self.cols == other.cols
-                and self.system == other.system and self.entries == other.entries)
+                and (self.space is other.space or self.space == other.space)
+                and self.entries == other.entries)
 
     def __hash__(self) -> int:
         return hash((self.rows, self.cols,
@@ -134,11 +132,11 @@ class CDiffOp:
     def _derivatives(self, p: DiffPoly) -> Callable[[MultiIndex], DiffPoly]:
         """sigma -> D_sigma(p), memoized so that multi-indices sharing a
         prefix derive it once."""
-        return prefix_derivatives((self.system or self.ctx).derive, p)
+        return prefix_derivatives(self.space.derive, p)
 
     def _check_compatible(self, other: "CDiffOp"):
-        if self.system != other.system:
-            raise RegimeMismatch("operators live on different (free vs restricted) regimes")
+        if self.space is not other.space and self.space != other.space:
+            raise RegimeMismatch("operators live on different spaces")
 
     # -- algebra ---------------------------------------------------------------
 
@@ -148,14 +146,13 @@ class CDiffOp:
             raise DimensionMismatch("operator shapes differ")
         out = [[_collect(chain(a.items(), b.items())) for a, b in zip(ra, rb)]
                for ra, rb in zip(self.entries, other.entries)]
-        return CDiffOp._make(self.ctx, self.rows, self.cols, out, self.system)
+        return CDiffOp._make(self.space, self.rows, self.cols, out)
 
     def scale(self, c: int | Fraction) -> "CDiffOp":
         if not c:
-            return CDiffOp.zero(self.ctx, self.rows, self.cols, self.system)
-        return CDiffOp._make(self.ctx, self.rows, self.cols,
-                             [[{s: p.scale(c) for s, p in e.items()} for e in row] for row in self.entries],
-                             self.system)
+            return CDiffOp.zero(self.space, self.rows, self.cols)
+        return CDiffOp._make(self.space, self.rows, self.cols,
+                             [[{s: p.scale(c) for s, p in e.items()} for e in row] for row in self.entries])
 
     def __neg__(self) -> "CDiffOp":
         return self.scale(-1)
@@ -168,10 +165,7 @@ class CDiffOp:
         if len(vec) != self.cols:
             raise DimensionMismatch(f"expected {self.cols} components, got {len(vec)}")
         for v in vec:
-            if self.system is not None:
-                self.system.check_internal(v)
-            elif v.has_kind(NONLOCAL):
-                raise RegimeMismatch("free-jet operator applied to a covering expression")
+            self.space.check_internal(v)
         derivs = [self._derivatives(v) for v in vec]
 
         def times(a: DiffPoly, p: DiffPoly) -> DiffPoly:
@@ -204,7 +198,7 @@ class CDiffOp:
             raise DimensionMismatch("inner dimensions differ")
         cols = list(zip(*other.entries))
         out = [[_collect(self._compose_terms(row, col)) for col in cols] for row in self.entries]
-        return CDiffOp._make(self.ctx, self.rows, other.cols, out, self.system)
+        return CDiffOp._make(self.space, self.rows, other.cols, out)
 
     def adjoint(self) -> "CDiffOp":
         """Formal integration-by-parts transpose.
@@ -221,8 +215,8 @@ class CDiffOp:
                     if coef:
                         yield rest, coef
 
-        return CDiffOp._make(self.ctx, self.cols, self.rows,
-                             [[_collect(terms(e)) for e in col] for col in zip(*self.entries)], self.system)
+        return CDiffOp._make(self.space, self.cols, self.rows,
+                             [[_collect(terms(e)) for e in col] for col in zip(*self.entries)])
 
     def is_skew_adjoint(self) -> bool:
         return (self + self.adjoint()).is_zero()
@@ -297,12 +291,12 @@ def linearization(sys) -> CDiffOp:
     entries = _jet_partials(ctx, [-f for f in sys.f])
     for r, row in enumerate(entries):
         row[r] = {(ctx.time_index,): ONE, **row[r]}
-    return CDiffOp(ctx, ctx.m, ctx.m, entries, system=sys)
+    return CDiffOp(sys, ctx.m, ctx.m, entries)
 
 
 def flow_linearization(sys: EvolutionSystem) -> CDiffOp:
     """ell_f = sum_sigma df^beta/du^alpha_sigma D_sigma (spatial, on-equation)."""
-    return CDiffOp(sys.ctx, sys.ctx.m, sys.ctx.m, _jet_partials(sys.ctx, sys.f), system=sys)
+    return CDiffOp(sys, sys.ctx.m, sys.ctx.m, _jet_partials(sys.ctx, sys.f))
 
 
 def evolutionary(ctx: JetContext, phi: Sequence[DiffPoly], p: DiffPoly) -> DiffPoly:
@@ -417,21 +411,20 @@ class CartanShadow:
     """Cartan-1-form-valued section: one CartanMap per output component.
 
     A plain Cartan differential has a single component; a recursion-operator
-    shadow of an m-component evolution system has m of them.  `covering`
-    (duck-typed, may be None) supplies the meaning of the "w" keys.
+    shadow of an m-component evolution system has m of them.  The key
+    ("w", a) is the form of the covering variable `ctx.nonlocals[a]`.
     """
 
     ctx: JetContext
     comps: tuple[CartanMap, ...]
-    covering: object | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "comps", tuple({k: p for k, p in c.items() if p} for c in self.comps))
 
     @staticmethod
-    def identity(ctx: JetContext, covering=None) -> "CartanShadow":
+    def identity(ctx: JetContext) -> "CartanShadow":
         one = DiffPoly.const(1)
-        return CartanShadow(ctx, tuple({("u", j, ()): one} for j in range(ctx.m)), covering)
+        return CartanShadow(ctx, tuple({("u", j, ()): one} for j in range(ctx.m)))
 
     def is_zero(self) -> bool:
         return all(not c for c in self.comps)
@@ -448,8 +441,8 @@ class CartanShadow:
     def _key_str(self, k: CartanKey) -> str:
         if k[0] == "u":
             return f"om({self.ctx.jet(k[1], k[2]).name})"
-        name = self.covering.layers[k[1]].name if self.covering is not None else f"w{k[1]}"
-        return f"th({name})"
+        a, names = k[1], self.ctx.nonlocals
+        return f"th({names[a]})" if a < len(names) else f"th(w{a})"
 
     def comp_str(self, c: CartanMap) -> str:
         if not c:
@@ -472,7 +465,7 @@ class CartanShadow:
         return "; ".join(f"[{self.ctx.dependent[j]}] {self.comp_str(c)}" for j, c in enumerate(self.comps))
 
 
-def cartan_differential(p: DiffPoly, ctx: JetContext, covering=None) -> CartanShadow:
+def cartan_differential(p: DiffPoly, ctx: JetContext) -> CartanShadow:
     """d_C p = sum dp/du^j_sigma om^j_sigma (+ dp/dw^a th^a inside a covering)."""
     out: CartanMap = {}
     for v in p.variables():
@@ -481,7 +474,7 @@ def cartan_differential(p: DiffPoly, ctx: JetContext, covering=None) -> CartanSh
             out[("u", j, sigma)] = p.partial(v)
         elif v.kind == NONLOCAL:
             out[("w", v.idx[0])] = p.partial(v)
-    return CartanShadow(ctx, (out,), covering)
+    return CartanShadow(ctx, (out,))
 
 
 def _cmap_derive(cmap: CartanMap, i: int, space) -> Iterator[tuple[CartanKey, DiffPoly]]:
@@ -498,8 +491,8 @@ def _cmap_derive(cmap: CartanMap, i: int, space) -> Iterator[tuple[CartanKey, Di
                 continue
             image = cartan_differential(space.dsigma_f(j, sigma), ctx)
         else:
-            if not hasattr(space, "layers"):
-                raise RegimeMismatch("shadow carries a covering form but no covering was supplied")
+            if key[1] >= len(ctx.nonlocals):
+                raise RegimeMismatch(f"the space has no covering layer {key[1]}")
             image = cartan_differential(space.expr(i, key[1]), ctx)
         for k, p in image.comps[0].items():
             yield k, coef * p
@@ -529,7 +522,7 @@ def shadow_residual(sh: CartanShadow, space) -> CartanShadow:
                 for k, p in derivs[alpha](sigma).items():
                     yield k, neg * p
 
-    return CartanShadow(sh.ctx, tuple(_collect(terms(beta)) for beta in range(ctx.m)), sh.covering)
+    return CartanShadow(sh.ctx, tuple(_collect(terms(beta)) for beta in range(ctx.m)))
 
 
 def contract(phi: Sequence[DiffPoly], sh: CartanShadow) -> tuple[list[DiffPoly], list[dict[int, DiffPoly]]]:

@@ -632,13 +632,13 @@ def cmd_bracket(eq: EquationFile, args) -> tuple[Report, int]:
 
 
 def _solve_shadows(eq: EquationFile, args):
-    sysm = eq.need_system()
-    cov = None
+    """The shadow basis and the space it was solved on, covering or system."""
+    space = eq.need_system()
     if args.covering:
         if args.covering not in eq.coverings:
             raise InputError(f"unknown covering '{args.covering}'")
-        cov = eq.coverings[args.covering]
-    return shadows(sysm, cov, _ansatz_of(args)), cov
+        space = eq.coverings[args.covering]
+    return shadows(space, _ansatz_of(args)), space
 
 
 def cmd_recursion(eq: EquationFile, args) -> tuple[Report, int]:
@@ -649,8 +649,7 @@ def cmd_recursion(eq: EquationFile, args) -> tuple[Report, int]:
 def cmd_apply_recursion(eq: EquationFile, args) -> tuple[Report, int]:
     if args.times < 0:
         raise InputError(f"--times must be nonnegative, got {args.times}")
-    sysm = eq.need_system()
-    basis, cov = _solve_shadows(eq, args)
+    basis, space = _solve_shadows(eq, args)
     if not len(basis):
         raise InputError("no shadows in the given ansatz")
     if args.index is not None:
@@ -668,7 +667,7 @@ def cmd_apply_recursion(eq: EquationFile, args) -> tuple[Report, int]:
     results, verified = [], []
     for _ in range(args.times):
         try:
-            phi = apply_shadow(sh, phi, sys=sysm, cov=cov)
+            phi = apply_shadow(sh, phi, space)
         except NonlocalObstruction as exc:
             rep.set("result", results)
             rep.set("obstruction", str(exc))

@@ -722,12 +722,11 @@ class DiffPoly:
         for f, c in sorted(self.terms.items(), key=lambda t: _monomial_key(t[0])):
             body = "*".join(v.name if e == 1 else f"{v.name}^{e}" for v, e in f)
             mag = abs(c)
-            if not body:
-                chunk = str(mag)
-            elif mag == 1:
-                chunk = body
-            else:
-                chunk = f"{mag}*{body}"
+            try:
+                chunk = str(mag) if not body else body if mag == 1 else f"{mag}*{body}"
+            except ValueError:  # more digits than str() converts, which no literal may have
+                raise ValueError(f"a coefficient longer than {sys.get_int_max_str_digits()} digits, "
+                                 "the most a report prints") from None
             if not parts:
                 parts.append(chunk if c > 0 else "-" + chunk)
             else:

@@ -106,9 +106,9 @@ def build_symmetry_template(ctx: JetContext, a: Ansatz) -> tuple[list[DiffPoly],
     return [tb.combination(monos, j) for j in range(ctx.m)], tb
 
 
-def build_shadow_template(ctx: JetContext, a: Ansatz, covering=None) -> tuple[CartanShadow, TemplateBuilder]:
+def build_shadow_template(ctx: JetContext, a: Ansatz) -> tuple[CartanShadow, TemplateBuilder]:
     """One coefficient template per Cartan form om^alpha_sigma (|sigma| <=
-    jet_order) and per covering form, for every output component.
+    jet_order) and per name in `ctx.nonlocals`, for every output component.
 
     Unknowns are declared covering forms first and jet forms in ascending
     order, so that the echelon-normalized basis comes out monic in the
@@ -117,17 +117,16 @@ def build_shadow_template(ctx: JetContext, a: Ansatz, covering=None) -> tuple[Ca
     tb = TemplateBuilder()
     monos = ansatz_monomials(ctx, a)
     sigmas = multi_indices_up_to(ctx, a.jet_order, spatial_only=True)
-    nlayers = len(covering.layers) if covering is not None else 0
     comps = []
     for j in range(ctx.m):
         cmap = {}
-        for layer in range(nlayers):
+        for layer in range(len(ctx.nonlocals)):
             cmap[("w", layer)] = tb.combination(monos, (j, ("w", layer)))
         for alpha in range(ctx.m):
             for s in sigmas:
                 cmap[("u", alpha, s)] = tb.combination(monos, (j, ("u", alpha, s)))
         comps.append(cmap)
-    return CartanShadow(ctx, tuple(comps), covering), tb
+    return CartanShadow(ctx, tuple(comps)), tb
 
 
 @dataclass
@@ -280,7 +279,6 @@ class SolutionBasis:
     """Echelon-normalized solutions, rendered back into target objects."""
 
     solutions: list
-    vectors: list[dict[str, Fraction]]
 
     def __len__(self) -> int:
         return len(self.solutions)
@@ -299,7 +297,7 @@ def _solve(residuals, tb: TemplateBuilder, render, verify) -> SolutionBasis:
         if any(check):
             raise VerificationFailed(f"solver produced a non-solution; residuals {[str(r) for r in check]}")
         solutions.append(obj)
-    return SolutionBasis(solutions, vectors)
+    return SolutionBasis(solutions)
 
 
 def _components(tb: TemplateBuilder, m: int):
@@ -336,21 +334,22 @@ def generating_functions(sys: EvolutionSystem, a: Ansatz) -> SolutionBasis:
     return _solve(residuals, tb, _components(tb, ctx.m), verify)
 
 
-def shadows(sys: EvolutionSystem, covering, a: Ansatz) -> SolutionBasis:
-    """Cartan-1-form-valued solutions of the (extended) shadow equation."""
-    ctx = sys.ctx
-    template, tb = build_shadow_template(ctx, a, covering)
-    residual = shadow_residual(template, covering or sys)
+def shadows(space, a: Ansatz) -> SolutionBasis:
+    """Cartan-1-form-valued solutions of the shadow equation of `space`, an
+    evolution system or a covering (the extended equation)."""
+    ctx = space.ctx
+    template, tb = build_shadow_template(ctx, a)
+    residual = shadow_residual(template, space)
     rows = [p for cmap in residual.comps for _, p in sorted(cmap.items(), key=lambda kv: str(kv[0]))]
 
     def render(vec):
         values = tb.read_off(vec)
         comps = tuple({key: values[j, key] for key in cmap if (j, key) in values}
                       for j, cmap in enumerate(template.comps))
-        return CartanShadow(ctx, comps, covering)
+        return CartanShadow(ctx, comps)
 
     def verify(sh):
-        res = shadow_residual(sh, covering or sys)
+        res = shadow_residual(sh, space)
         return [p for cmap in res.comps for p in cmap.values()]
 
     return _solve(rows, tb, render, verify)

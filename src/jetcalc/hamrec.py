@@ -3,10 +3,10 @@
 A covering extends an evolution system by nonlocal variables w^a whose
 derivatives are prescribed: D̃_i = D̄_i + sum_a X_i^a d/dw^a.  Flatness
 ([D̃_i, D̃_j] = 0) is verified eagerly at construction.  A covering is again
-an equation (`ctx`, `f`, `dsigma_f`, `check_internal`, `derive`).  Applying
-a recursion shadow to a symmetry contracts the Cartan coefficients and
-resolves each covering form by integrating the corresponding relation
-equation in the spatial direction.
+an equation (`ctx`, `f`, `dsigma_f`, `check_internal`, `derive`), and its
+`ctx` names its layers.  Applying a recursion shadow to a symmetry
+contracts the Cartan coefficients and resolves each covering form by
+integrating the corresponding relation equation in the spatial direction.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement, count, islice
 from typing import Sequence
 
 from .dalg import JET, NONLOCAL, TESTCOV, DiffPoly, VarId
-from .jetspace import EvolutionSystem, JetContext, NotInternal, prefix_derivatives
+from .jetspace import EvolutionSystem, JetContext, NotInternal, RegimeMismatch, prefix_derivatives
 from .cdiff import CartanShadow, CDiffOp, DimensionMismatch, contract, evolutionary, linearization
 from .variational import (
     Density,
@@ -108,9 +108,6 @@ class Covering:
     def expr(self, i: int, layer: int) -> DiffPoly:
         return self.layers[layer].exprs[i]
 
-    def nonlocal_var(self, layer: int) -> VarId:
-        return self.ctx.nonlocal_(layer)
-
     def derive(self, i: int, p: DiffPoly) -> DiffPoly:
         """D̃_i p = D̄_i p + sum_a X_i^a dp/dw^a."""
         jets = self.base.image(i)
@@ -147,14 +144,14 @@ def dx_inverse_extended(cov: Covering, g: DiffPoly) -> DiffPoly:
     against an exact linear ansatz over the remainder's variables, the
     nonlocal variables, and x.
     """
-    ctx = cov.base.ctx
+    ctx = cov.ctx
     if ctx.n != 2:
         raise ValueError("extended integration requires exactly one spatial variable")
     x = ctx.spatial_indices[0]
     q = max((len(v.idx[1]) for layer in cov.layers for v in layer.exprs[x].variables() if v.kind == JET),
             default=0)
     try:
-        parts, g = integrate_top_down(ctx, g, x, cov.derive, q)
+        parts, g = integrate_top_down(cov, g, x, q)
     except NotExactDerivative as exc:
         raise NonlocalObstruction(exc.remainder) from None
     if not any(v.kind == NONLOCAL for v in g.variables()):
@@ -170,8 +167,8 @@ def dx_inverse_extended(cov: Covering, g: DiffPoly) -> DiffPoly:
 
 def _remainder_ansatz(cov: Covering, r: DiffPoly, x: int) -> DiffPoly | None:
     """Exact linear solve of D̃_x h = r over a finite monomial pool."""
-    ctx = cov.base.ctx
-    pool_vars = sorted(r.variables() | {cov.nonlocal_var(a) for a in range(len(cov.layers))}
+    ctx = cov.ctx
+    pool_vars = sorted(r.variables() | {ctx.nonlocal_(a) for a in range(len(cov.layers))}
                        | {ctx.base(x)})
     degree = r.total_degree() + 1
     monos = [DiffPoly.monomial(combo)
@@ -196,37 +193,33 @@ def extended_linearization_residual(space, psi: Sequence[DiffPoly]) -> list[Diff
     return linearization(space).apply(psi)
 
 
-def apply_shadow(sh: CartanShadow, phi: Sequence[DiffPoly],
-                 sys: EvolutionSystem | None = None, cov: Covering | None = None) -> list[DiffPoly]:
-    """Act by a recursion shadow on a symmetry.
+def apply_shadow(sh: CartanShadow, phi: Sequence[DiffPoly], space) -> list[DiffPoly]:
+    """Act by a recursion shadow on a symmetry of `space`, an evolution
+    system or a covering.
 
     Jet Cartan coefficients contract to D_sigma(phi); each covering form
     contributes a nonlocal factor a with D̃_x a = (evolutionary field of the
     lifted symmetry applied to X_x), resolved layer by layer through the
     extended integration.  The output (which may involve nonlocal variables)
-    is post-verified against the linearization equation of the covering, or
-    of `sys` without one.
+    is post-verified against the linearization equation of `space`.
     """
-    cov = cov or sh.covering
-    space = cov or sys
-    if space is None:
-        raise ValueError("apply_shadow needs the owning system or a covering")
     local, residues = contract(list(phi), sh)
     used_layers = {a for res in residues for a in res}
     resolved: dict[int, DiffPoly] = {}
     if used_layers:
-        if cov is None:
-            raise ValueError("shadow carries covering forms but no covering was supplied")
+        top = max(used_layers)
+        if top >= len(space.ctx.nonlocals):
+            raise RegimeMismatch(f"the space has no covering layer {top}")
         x = space.ctx.spatial_indices[0]
-        derivs = [prefix_derivatives(cov.derive, q) for q in phi]
+        derivs = [prefix_derivatives(space.derive, q) for q in phi]
 
         def image(v: VarId) -> DiffPoly | None:
             if v.kind == JET:
                 return derivs[v.idx[0]](v.idx[1])
             return resolved[v.idx[0]] if v.kind == NONLOCAL else None
 
-        for a in range(max(used_layers) + 1):
-            resolved[a] = dx_inverse_extended(cov, cov.expr(x, a).derivation(image))
+        for a in range(top + 1):
+            resolved[a] = dx_inverse_extended(space, space.expr(x, a).derivation(image))
     result = [DiffPoly.sum([comp] + [coef * resolved[a] for a, coef in res.items()])
               for comp, res in zip(local, residues)]
     residual = extended_linearization_residual(space, result)
@@ -255,7 +248,7 @@ def _coefficient_linearization_applied(op: CDiffOp, phi: list[DiffPoly], psi: li
     along the evolutionary field of phi, applied to psi."""
     ctx = op.ctx
     entries = [[{sigma: evolutionary(ctx, phi, a) for sigma, a in e.items()} for e in row] for row in op.entries]
-    return CDiffOp(ctx, op.rows, op.cols, entries, op.system).apply(psi)
+    return CDiffOp(op.space, op.rows, op.cols, entries).apply(psi)
 
 
 def jacobi_criterion_density(op: CDiffOp) -> Density:

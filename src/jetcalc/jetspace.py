@@ -1,10 +1,12 @@
 """Jet-coordinate bookkeeping, equations, and total derivatives.
 
 A JetContext fixes the independent/dependent variable names (the time
-variable, when present, is always the last independent one).  Each space
-answers `derive(i, p)`: a JetContext with the free D_i, an EvolutionSystem
-u^j_t = f^j with the restricted D̄_i on internal coordinates (spatial jets
-only), which it also rewrites arbitrary jet expressions into.
+variable, when present, is always the last independent one).  Every space
+offers `ctx`, `derive(i, p)` and `check_internal(p)`: a JetContext is the
+free space with the free D_i, an EvolutionSystem u^j_t = f^j has the
+restricted D̄_i on internal coordinates (spatial jets only), which it also
+rewrites arbitrary jet expressions into, and a covering (`hamrec`) the
+extended D̃_i.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ class NonlocalVariablePresent(ValueError):
 
 class NotInternal(ValueError):
     """Expression contains time-derivative jets (or other non-internal vars)."""
+
+
+class RegimeMismatch(ValueError):
+    """Objects on different spaces cannot be combined."""
 
 
 @dataclass(frozen=True)
@@ -174,6 +180,16 @@ class JetContext:
         from .dalg import parse as _parse
 
         return _parse(text, self)
+
+    @property
+    def ctx(self) -> "JetContext":
+        """A context is the free space on its own coordinates."""
+        return self
+
+    def check_internal(self, p: DiffPoly):
+        """The free space has no covering variables."""
+        if p.has_kind(NONLOCAL):
+            raise RegimeMismatch("free-jet operator applied to a covering expression")
 
     def derive(self, i: int, p: DiffPoly) -> DiffPoly:
         """The free total derivative D_i."""

@@ -9,7 +9,6 @@ operator identities with free covector arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .dalg import (
     HOMOTOPY_SCALAR,
@@ -113,11 +112,10 @@ def is_divergence(density: Density) -> bool:
     return all(comp.is_zero() for comp in euler(density))
 
 
-def integrate_top_down(ctx: JetContext, g: DiffPoly, i: int, derive: Callable[[int, DiffPoly], DiffPoly],
-                       q: int = 0) -> tuple[list[DiffPoly], DiffPoly]:
-    """Integrate the positive-order jets of g against `derive(i, .)` from the
-    top order downwards: returns the parts h1 found and the remainder
-    g - sum derive(i, h1), which has jets of order 0 only.
+def integrate_top_down(space, g: DiffPoly, i: int, q: int = 0) -> tuple[list[DiffPoly], DiffPoly]:
+    """Integrate the positive-order jets of g against `space.derive(i, .)`
+    from the top order downwards: returns the parts h1 found and the
+    remainder g - sum derive(i, h1), which has jets of order 0 only.
 
     At each pass the coefficients of the highest-order jet variables are
     demanded (a) to contain derivatives in the direction i, (b) to enter
@@ -141,6 +139,7 @@ def integrate_top_down(ctx: JetContext, g: DiffPoly, i: int, derive: Callable[[i
     well-founded, so the loop ends; a pass that lowers neither is reported
     as not exact.
     """
+    ctx, derive = space.ctx, space.derive
     parts = []
     last = None
     while True:
@@ -187,7 +186,7 @@ def dx_inverse(ctx: JetContext, g: DiffPoly, i: int = 0) -> DiffPoly:
     then the antiderivative in x_i of the jet-free remainder."""
     if g.has_kind(NONLOCAL):
         raise ValueError("use the covering-aware inverse for nonlocal expressions")
-    parts, g = integrate_top_down(ctx, g, i, ctx.derive)
+    parts, g = integrate_top_down(ctx, g, i)
     if any(v.kind in (JET, TESTCOV) for v in g.variables()):
         raise NotExactDerivative(g)
     parts.append(g.antiderivative(ctx.base(i)))

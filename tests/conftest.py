@@ -51,7 +51,7 @@ def random_internal(rng, ctx, max_order=2, max_deg=2, terms=3):
     return random_poly(rng, ctx, max_order, max_deg, terms, with_time_jets=False)
 
 
-def random_scalar_op(rng, ctx, sys=None, max_order=2):
+def random_scalar_op(rng, ctx, max_order=2):
     """Random scalar operator in spatial total derivatives."""
     from jetcalc.cdiff import CDiffOp
 
@@ -63,4 +63,4 @@ def random_scalar_op(rng, ctx, sys=None, max_order=2):
         if coef.is_zero():
             coef = DiffPoly.const(1)
         entry[sigma] = entry.get(sigma, DiffPoly.zero()) + coef
-    return CDiffOp.scalar(ctx, entry, system=sys)
+    return CDiffOp.scalar(ctx, entry)

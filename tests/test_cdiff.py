@@ -1,7 +1,7 @@
 import pytest
 
 from jetcalc.dalg import DiffPoly
-from jetcalc.jetspace import GeneralSystem
+from jetcalc.jetspace import GeneralSystem, JetContext
 from jetcalc.cdiff import (
     CartanShadow,
     CDiffOp,
@@ -47,7 +47,7 @@ def test_regime_mismatch(ctx, burgers):
     from jetcalc.cdiff import RegimeMismatch
 
     free = Dx(ctx)
-    restricted = CDiffOp.d(ctx, 0, system=burgers)
+    restricted = CDiffOp.d(burgers, 0)
     with pytest.raises(RegimeMismatch):
         free.compose(restricted)
     with pytest.raises(RegimeMismatch):
@@ -55,6 +55,10 @@ def test_regime_mismatch(ctx, burgers):
     scope = ctx.with_nonlocals(("w",))
     with pytest.raises(RegimeMismatch):
         free.apply([scope.parse("w")])
+    elsewhere = CDiffOp.d(JetContext(("x", "t"), ("v",), has_time=True), 0)
+    assert free != elsewhere and free == Dx(JetContext(("x", "t"), ("u",), has_time=True))
+    with pytest.raises(RegimeMismatch):
+        free + elsewhere
 
 
 def test_compose_examples(ctx):
@@ -140,7 +144,7 @@ def test_linearization_free_burgers(ctx):
 
 def test_linearization_restricted_burgers(burgers, ctx):
     ell = linearization(burgers)
-    assert ell.system is burgers
+    assert ell.space is burgers
     assert ell.entries[0][0][(1,)] == DiffPoly.const(1)
     assert ell.entries[0][0][(0,)] == ctx.parse("-u")
     assert ell.apply([ctx.parse("u_x")])[0].is_zero()
@@ -271,3 +275,5 @@ def test_a_covering_form_needs_a_space_with_layers(burgers, ctx):
     sh = CartanShadow(ctx, ({("u", 0, ()): DiffPoly.const(1), ("w", 0): ctx.parse("u_x")},))
     with pytest.raises(RegimeMismatch):
         shadow_residual(sh, burgers)
+    assert str(sh) == "om(u) + u_x*th(w0)"
+    assert str(CartanShadow(ctx.with_nonlocals(("w",)), sh.comps)) == "om(u) + u_x*th(w)"

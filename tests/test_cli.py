@@ -549,3 +549,12 @@ def test_a_number_past_the_digit_limit_in_an_equation_file_cites_the_line(tmp_pa
     assert code == 2 and out == ""
     assert err == (f"error: line 3: in evolution for u: number longer than {limit} digits, "
                    "the longest one allowed (at position 0)\n")
+
+
+def test_a_result_coefficient_past_the_digit_limit_exits_2_naming_the_limit(burgers_file, capsys):
+    limit, _ = _past_the_digit_limit()
+    if limit >= 4856:  # 2^(127*127) has 4856 digits
+        pytest.skip("the result's coefficient prints here")
+    code, out, err = run(capsys, "euler", burgers_file, "--density", "((2^127)^127)*u^2")
+    assert code == 2 and out == ""
+    assert err == f"error: a coefficient longer than {limit} digits, the most a report prints\n"

@@ -47,7 +47,7 @@ def test_symmetry_template_unknown_count(ctx):
 
 
 def test_shadow_template_shapes(burgers, ctx, pot):
-    template, tb = build_shadow_template(ctx, Ansatz(1, 1, 0), pot)
+    template, tb = build_shadow_template(pot.ctx, Ansatz(1, 1, 0))
     keys = set(template.comps[0])
     assert keys == {("w", 0), ("u", 0, ()), ("u", 0, (0,))}
     assert len(tb.names) == 9
@@ -147,27 +147,27 @@ def test_monotonicity_of_ansatz(burgers, ctx):
 
 def test_local_shadows_are_identity_only(burgers):
     for k in (1, 2, 3):
-        basis = shadows(burgers, None, Ansatz(k, 2, 2))
+        basis = shadows(burgers, Ansatz(k, 2, 2))
         assert len(basis) == 1
         assert basis.solutions[0] == CartanShadow.identity(burgers.ctx)
 
 
 def test_burgers_covering_shadows(burgers, ctx, pot):
-    basis = shadows(burgers, pot, Ansatz(1, 1, 0))
+    basis = shadows(pot, Ansatz(1, 1, 0))
     assert len(basis) == 2
-    expected = CartanShadow(ctx, ({("u", 0, (0,)): DiffPoly.const(1),
-                                   ("u", 0, ()): ctx.parse("u/2"),
-                                   ("w", 0): ctx.parse("u_x/2")},), pot)
+    expected = CartanShadow(pot.ctx, ({("u", 0, (0,)): DiffPoly.const(1),
+                                       ("u", 0, ()): ctx.parse("u/2"),
+                                       ("w", 0): ctx.parse("u_x/2")},))
     assert expected in basis.solutions
-    assert CartanShadow.identity(ctx, covering=pot) in basis.solutions
+    assert CartanShadow.identity(pot.ctx) in basis.solutions
 
 
 def test_kdv_covering_shadow(kdv, ctx):
     kpot = make_covering(kdv, [("w", [ctx.parse("u"), ctx.parse("u^2/2 + u_{xx}")])])
-    basis = shadows(kdv, kpot, Ansatz(2, 1, 0))
-    expected = CartanShadow(ctx, ({("u", 0, (0, 0)): DiffPoly.const(1),
-                                   ("u", 0, ()): ctx.parse("2*u/3"),
-                                   ("w", 0): ctx.parse("u_x/3")},), kpot)
+    basis = shadows(kpot, Ansatz(2, 1, 0))
+    expected = CartanShadow(kpot.ctx, ({("u", 0, (0, 0)): DiffPoly.const(1),
+                                        ("u", 0, ()): ctx.parse("2*u/3"),
+                                        ("w", 0): ctx.parse("u_x/3")},))
     assert expected in basis.solutions
 
 
@@ -207,15 +207,15 @@ def _symmetry_slots(ctx, a):
     return dict(enumerate(templates)), tb
 
 
-def _shadow_slots(ctx, a, covering):
-    template, tb = build_shadow_template(ctx, a, covering)
+def _shadow_slots(ctx, a):
+    template, tb = build_shadow_template(ctx, a)
     return {(j, key): p for j, cmap in enumerate(template.comps) for key, p in cmap.items()}, tb
 
 
 TEMPLATES = {
     "symmetry-m1": lambda: _symmetry_slots(CTX1, Ansatz(2, 2, 1)),
     "symmetry-m2": lambda: _symmetry_slots(CTX2, Ansatz(1, 2, 1)),
-    "shadow-pot": lambda: _shadow_slots(CTX1, Ansatz(1, 1, 1), POT),
+    "shadow-pot": lambda: _shadow_slots(POT.ctx, Ansatz(1, 1, 1)),
     "params": lambda: _symmetry_slots(CTXP, Ansatz(1, 1, 2, include_params=True)),
 }
 

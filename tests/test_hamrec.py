@@ -78,20 +78,27 @@ def test_extended_commutator_on_random(pot, rng):
 
 
 def burgers_recursion(ctx, pot):
-    return CartanShadow(ctx, ({("u", 0, (0,)): DiffPoly.const(1),
-                               ("u", 0, ()): ctx.parse("u/2"),
-                               ("w", 0): ctx.parse("u_x/2")},), pot)
+    return CartanShadow(pot.ctx, ({("u", 0, (0,)): DiffPoly.const(1),
+                                   ("u", 0, ()): ctx.parse("u/2"),
+                                   ("w", 0): ctx.parse("u_x/2")},))
 
 
 def test_apply_shadow_examples(burgers, ctx, pot):
     R = burgers_recursion(ctx, pot)
-    out = apply_shadow(R, [ctx.parse("u_x")], sys=burgers)
+    out = apply_shadow(R, [ctx.parse("u_x")], pot)
     assert out[0] == ctx.parse("u_{xx} + u*u_x")
-    out2 = apply_shadow(R, [ctx.parse("u*u_x + u_{xx}")], sys=burgers)
+    out2 = apply_shadow(R, [ctx.parse("u*u_x + u_{xx}")], pot)
     assert out2[0] == ctx.parse("u_{xxx} + 3/2*u*u_{xx} + 3/2*u_x^2 + 3/4*u^2*u_x")
-    ident = CartanShadow.identity(ctx, covering=pot)
+    ident = CartanShadow.identity(pot.ctx)
     phi = [ctx.parse("t*u_x + 1")]
-    assert apply_shadow(ident, phi, sys=burgers) == phi
+    assert apply_shadow(ident, phi, pot) == phi
+
+
+def test_a_covering_form_needs_a_space_with_its_layer(burgers, ctx, pot):
+    from jetcalc.cdiff import RegimeMismatch
+
+    with pytest.raises(RegimeMismatch):
+        apply_shadow(burgers_recursion(ctx, pot), [ctx.parse("u_x")], burgers)
 
 
 def test_iterated_recursion_gives_symmetries(burgers, ctx, pot):
@@ -99,23 +106,23 @@ def test_iterated_recursion_gives_symmetries(burgers, ctx, pot):
     ell = linearization(burgers)
     phi = [ctx.parse("u_x")]
     for _ in range(3):
-        phi = apply_shadow(R, phi, sys=burgers)
+        phi = apply_shadow(R, phi, pot)
         assert ell.apply(phi)[0].is_zero()
 
 
 def test_kdv_recursion_reaches_fifth_order_flow(kdv, ctx, kpot):
-    R = CartanShadow(ctx, ({("u", 0, (0, 0)): DiffPoly.const(1),
-                            ("u", 0, ()): ctx.parse("2*u/3"),
-                            ("w", 0): ctx.parse("u_x/3")},), kpot)
-    r1 = apply_shadow(R, [ctx.parse("u_x")], sys=kdv)
+    R = CartanShadow(kpot.ctx, ({("u", 0, (0, 0)): DiffPoly.const(1),
+                                 ("u", 0, ()): ctx.parse("2*u/3"),
+                                 ("w", 0): ctx.parse("u_x/3")},))
+    r1 = apply_shadow(R, [ctx.parse("u_x")], kpot)
     assert r1[0] == ctx.parse("u*u_x + u_{xxx}")
-    r2 = apply_shadow(R, r1, sys=kdv)
+    r2 = apply_shadow(R, r1, kpot)
     assert r2[0] == ctx.parse("u_{xxxxx} + 5/3*u*u_{xxx} + 10/3*u_x*u_{xx} + 5/6*u^2*u_x")
 
 
 def test_apply_shadow_galilean(burgers, ctx, pot):
     R = burgers_recursion(ctx, pot)
-    out = apply_shadow(R, [ctx.parse("t*u_x + 1")], sys=burgers)
+    out = apply_shadow(R, [ctx.parse("t*u_x + 1")], pot)
     assert all(v.kind != 2 for v in out[0].variables())
     assert linearization(burgers).apply(out)[0].is_zero()
 
@@ -159,7 +166,7 @@ def test_a_covering_is_an_equation_with_the_extended_derivatives(pot, ctx, rng):
     from jetcalc.jetspace import NotInternal
 
     ell = linearization(pot)
-    assert ell.system is pot and ell.ctx == pot.ctx
+    assert ell.space is pot and ell.ctx == pot.ctx
     D = pot.derive
     for _ in range(10):
         psi = random_internal(rng, ctx) * pot.parse("w") + random_internal(rng, ctx)
@@ -237,7 +244,7 @@ def test_poisson_bracket_examples(ctx):
 
 
 def test_owned_operator_acts_like_the_free_one(kdv, ctx):
-    free, owned = Dx(ctx), CDiffOp.d(ctx, 0, system=kdv)
+    free, owned = Dx(ctx), CDiffOp.d(kdv, 0)
     H1, H2 = Density(ctx, ctx.parse("u^3/6 - u_x^2/2")), Density(ctx, ctx.parse("u^2/2"))
     assert hamiltonian_flow(owned, H1).f == hamiltonian_flow(free, H1).f
     owned_br, free_br = poisson_bracket(owned, H1, H2), poisson_bracket(free, H1, H2)

@@ -492,7 +492,7 @@ BURGERS = JetContext(("x", "t"), ("u",), has_time=True)
 BURGERS_SYS = EvolutionSystem(BURGERS, [BURGERS.parse("u*u_x + u_{xx}")])
 POT = make_covering(BURGERS_SYS, [("w", [BURGERS.parse("u"), BURGERS.parse("u^2/2 + u_x")])])
 POT_VARS = [BURGERS.base(0), BURGERS.base(1), BURGERS.jet(0), BURGERS.jet(0, (0,)), BURGERS.jet(0, (0, 0)),
-            POT.nonlocal_var(0)]
+            POT.ctx.nonlocal_(0)]
 
 
 def reference_covering_derive(i: int, p: DiffPoly) -> DiffPoly:

@@ -3,7 +3,10 @@ no jetcalc code, one per derivative regime:
 
 * free D_x: every `adjoint` answer A* is the formal adjoint of the given
   operator A.  With test functions P and Q, P*A(Q) - Q*A*(P) is a total
-  divergence, so its Euler derivative with respect to P vanishes;
+  divergence, so its Euler derivative with respect to P vanishes.  Every
+  `check-hamiltonian` answer reports A skew-adjoint exactly when the Euler
+  derivative in P of P*A(Q) + Q*A(P), which is A(Q) + A*(Q), vanishes (the
+  Jacobi verdict is not rechecked);
 * restricted D_t: every `linearize` answer, applied to free functions phi,
   gives phi_t - ell_f(phi), where ell_f is the Frechet derivative of the
   evolution right-hand side f;
@@ -61,22 +64,39 @@ def _frechet(space, f, phi):
     return out
 
 
+def _pairing_euler(space, pairing):
+    """The Euler derivative in P of pairing(P, Q), for free functions P and
+    Q of every independent variable."""
+    xs = list(space.xs.values())
+    P, Q = (sympy.Function(n)(*xs) for n in ("P", "Q"))
+    # sympy drops an Euler-Lagrange equation that is identically zero;
+    # the extra term z*P, whose Euler derivative is z, keeps it.
+    z = sympy.Dummy("z")
+    (eq,) = euler_equations(pairing(P, Q) + z * P, [P], xs)
+    return sympy.expand(eq.lhs - eq.rhs - z)
+
+
 def test_adjoint_goldens_are_formal_adjoints():
     checked = 0
     for argv, doc in _goldens("adjoint"):
         space = Space(argv[1])
-        xs = list(space.xs.values())
-        P, Q = (sympy.Function(n)(*xs) for n in ("P", "Q"))
         A = _operator(space, argv[argv.index("--op") + 1])
         A_star = _operator(space, doc["result"])
-        L = P * _apply(space, A, Q) - Q * _apply(space, A_star, P)
-        # sympy drops an Euler-Lagrange equation that is identically zero;
-        # the extra term z*P, whose Euler derivative is z, keeps it.
-        z = sympy.Dummy("z")
-        (eq,) = euler_equations(L + z * P, [P], xs)
-        assert sympy.expand(eq.lhs - eq.rhs - z) == 0, (argv, doc["result"])
+        off = _pairing_euler(space, lambda P, Q: P * _apply(space, A, Q) - Q * _apply(space, A_star, P))
+        assert off == 0, (argv, doc["result"])
         checked += 1
     assert checked == 32
+
+
+def test_check_hamiltonian_goldens_report_skew_adjointness():
+    checked = 0
+    for argv, doc in _goldens("check-hamiltonian"):
+        space = Space(argv[1])
+        (A,) = _hamiltonian(space, argv)
+        off = _pairing_euler(space, lambda P, Q: P * _apply(space, A, Q) + Q * _apply(space, A, P))
+        assert doc["skew-adjoint"] is (off == 0), (argv, doc)
+        checked += 1
+    assert checked == 22
 
 
 def test_linearize_goldens_are_the_linearized_equation():
