@@ -9,7 +9,6 @@ from .jetspace import (
     EvolutionSystem,
     GeneralSystem,
     JetContext,
-    NonlocalVariablePresent,
     NotInternal,
     RegimeMismatch,
     prolong,

@@ -5,6 +5,9 @@ in normal form (coefficients to the left of the derivatives).  An operator
 holds one space (`jetspace`), and every D is that space's `derive(i, p)`:
 the free D on a JetContext, the restricted derivatives on an evolution
 system (the time index refers to D̄_t), the extended ones on a covering.
+The functions on forms and shadows take the space whose derivative they
+use in the same way (`horizontal_differential`, `shadow_residual`,
+`contract`).
 
 Cartan-form-valued sections (shadows) are handled through the Lie-derivative
 action of total derivatives on contact forms: the derivative along i of the
@@ -373,13 +376,13 @@ def wedge(a: HorForm, b: HorForm) -> HorForm:
     return HorForm.make(a.ctx, a.degree + b.degree, _collect(terms()))
 
 
-def horizontal_differential(omega: HorForm, sys: EvolutionSystem | None = None) -> HorForm:
-    """d̄(a dx_I) = sum_i D_i(a) dx_i ^ dx_I, restricted derivatives when on
-    an equation; the result is re-sorted into canonical components."""
+def horizontal_differential(omega: HorForm, space) -> HorForm:
+    """d̄(a dx_I) = sum_i D_i(a) dx_i ^ dx_I with the derivatives of `space`;
+    the result is re-sorted into canonical components."""
     ctx = omega.ctx
     if omega.degree >= ctx.n:
         raise DegreeOverflow(f"cannot raise degree {omega.degree} in {ctx.n} variables")
-    derive = (sys or ctx).derive
+    derive = space.derive
 
     def terms() -> Iterator[tuple[tuple[int, ...], DiffPoly]]:
         for idx, a in omega.comps:
@@ -525,18 +528,19 @@ def shadow_residual(sh: CartanShadow, space) -> CartanShadow:
     return CartanShadow(sh.ctx, tuple(_collect(terms(beta)) for beta in range(ctx.m)))
 
 
-def contract(phi: Sequence[DiffPoly], sh: CartanShadow) -> tuple[list[DiffPoly], list[dict[int, DiffPoly]]]:
+def contract(phi: Sequence[DiffPoly], sh: CartanShadow, space) -> tuple[list[DiffPoly], list[dict[int, DiffPoly]]]:
     """Contraction of an evolutionary field into a shadow.
 
-    Jet keys resolve as om^j_sigma -> D_sigma(phi^j); covering keys cannot be
-    resolved without integrating the covering relations, so their coefficients
-    are returned unevaluated: for output component r, residues[r] maps each
-    covering layer to the coefficient standing in front of its contact form.
+    Jet keys resolve as om^j_sigma -> D_sigma(phi^j) with the derivatives of
+    `space`, so phi may hold the variables of a covering; covering keys cannot
+    be resolved without integrating the covering relations, so their
+    coefficients are returned unevaluated: for output component r, residues[r]
+    maps each covering layer to the coefficient in front of its contact form.
     """
     ctx = sh.ctx
     if len(phi) != ctx.m:
         raise DimensionMismatch(f"symmetry vector needs {ctx.m} components")
-    derivs = [prefix_derivatives(ctx.derive, c) for c in phi]
+    derivs = [prefix_derivatives(space.derive, c) for c in phi]
     local = [DiffPoly.sum(coef * derivs[key[1]](key[2]) for key, coef in cmap.items() if key[0] == "u")
              for cmap in sh.comps]
     residues = [_collect((key[1], coef) for key, coef in cmap.items() if key[0] != "u") for cmap in sh.comps]

@@ -659,9 +659,9 @@ def cmd_apply_recursion(eq: EquationFile, args) -> tuple[Report, int]:
     else:
         nontrivial = [s for s in basis.solutions if s.max_order() > 0]
         sh = nontrivial[0] if nontrivial else basis.solutions[0]
-    phi = [eq.ctx.parse(p) for p in args.to]
-    if len(phi) != eq.ctx.m:
-        raise InputError(f"--to needs {eq.ctx.m} components")
+    phi = [space.ctx.parse(p) for p in args.to]
+    if len(phi) != space.ctx.m:
+        raise InputError(f"--to needs {space.ctx.m} components")
     rep = Report("apply-recursion", eq)
     rep.set("shadow", str(sh))
     results, verified = [], []

@@ -46,7 +46,9 @@ Kernel invariants, which every operation keeps:
   Each space answers `derive(i, p)` with its own: the free D_i of a
   `JetContext`, the restricted D̄_i of an `EvolutionSystem` and the extended
   D̃_i of a covering, which adds the layer images to its equation's image
-  map.
+  map.  No caller picks a derivative: operators, forms, shadows and
+  contractions derive through the space they are given, and rewriting into
+  internal coordinates is one `substitute` of memoized D̄_sigma f.
 - A `VarId` is the tuple of its canonical sort key, so hashing, equality
   and ordering of variables and factor tuples never run Python code.
 """

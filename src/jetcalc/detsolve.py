@@ -55,12 +55,11 @@ class Ansatz:
         return {"jet-order": self.jet_order, "poly-deg": self.poly_deg, "base-deg": self.base_deg}
 
 
-def ansatz_monomials(ctx: JetContext, a: Ansatz, spatial_only: bool = True) -> list[DiffPoly]:
-    """The monomial pool, deterministically ordered by the canonical monomial
-    order (degree descending, then the fixed variable order)."""
-    jets = [ctx.jet(j, s)
-            for j in range(ctx.m)
-            for s in multi_indices_up_to(ctx, a.jet_order, spatial_only=spatial_only)]
+def ansatz_monomials(ctx: JetContext, a: Ansatz) -> list[DiffPoly]:
+    """The monomial pool over internal jets (spatial multi-indices only),
+    deterministically ordered by the canonical monomial order (degree
+    descending, then the fixed variable order)."""
+    jets = [ctx.jet(j, s) for j in range(ctx.m) for s in multi_indices_up_to(ctx.spatial_indices, a.jet_order)]
     bases = [ctx.base(i) for i in range(ctx.n)]
     if a.include_params:
         bases += [param_var(p) for p in ctx.parameters]
@@ -116,7 +115,7 @@ def build_shadow_template(ctx: JetContext, a: Ansatz) -> tuple[CartanShadow, Tem
     """
     tb = TemplateBuilder()
     monos = ansatz_monomials(ctx, a)
-    sigmas = multi_indices_up_to(ctx, a.jet_order, spatial_only=True)
+    sigmas = multi_indices_up_to(ctx.spatial_indices, a.jet_order)
     comps = []
     for j in range(ctx.m):
         cmap = {}

@@ -203,7 +203,7 @@ def apply_shadow(sh: CartanShadow, phi: Sequence[DiffPoly], space) -> list[DiffP
     extended integration.  The output (which may involve nonlocal variables)
     is post-verified against the linearization equation of `space`.
     """
-    local, residues = contract(list(phi), sh)
+    local, residues = contract(list(phi), sh, space)
     used_layers = {a for res in residues for a in res}
     resolved: dict[int, DiffPoly] = {}
     if used_layers:

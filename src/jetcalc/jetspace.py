@@ -2,15 +2,18 @@
 
 A JetContext fixes the independent/dependent variable names (the time
 variable, when present, is always the last independent one).  Every space
-offers `ctx`, `derive(i, p)` and `check_internal(p)`: a JetContext is the
-free space with the free D_i, an EvolutionSystem u^j_t = f^j has the
-restricted D̄_i on internal coordinates (spatial jets only), which it also
-rewrites arbitrary jet expressions into, and a covering (`hamrec`) the
-extended D̃_i.
+offers `ctx`, `derive(i, p)` and `check_internal(p)`, and every derivative
+of the package is taken by the space its object lives on: a JetContext is
+the free space with the free D_i, an EvolutionSystem u^j_t = f^j has the
+restricted D̄_i on internal coordinates (spatial jets only), and a covering
+(`hamrec`) the extended D̃_i.  An evolution system also rewrites any jet
+expression into internal coordinates, in one substitution
+u^j_sigma -> D̄_{sigma - t} f^j read from its memo of the D̄_sigma f^j.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -38,10 +41,6 @@ from .dalg import (
 
 
 ONE = DiffPoly.const(1)
-
-
-class NonlocalVariablePresent(ValueError):
-    """Plain total derivatives do not act on covering variables."""
 
 
 class NotInternal(ValueError):
@@ -241,8 +240,7 @@ def _shift(ctx: JetContext, i: int) -> Callable[[VarId], DiffPoly | None]:
 def total_derivative(ctx: JetContext, i: int, p: DiffPoly) -> DiffPoly:
     """D_i p = dp/dx_i + sum u^j_{sigma+i} dp/du^j_sigma (test covectors too)."""
     if p.has_kind(NONLOCAL):
-        raise NonlocalVariablePresent(
-            "expression contains covering variables; use the covering's extended derivative")
+        raise RegimeMismatch("expression contains covering variables; use the covering's extended derivative")
     return p.derivation(_shift(ctx, i))
 
 
@@ -274,9 +272,8 @@ def prefix_derivatives(derive: Callable[[int, DiffPoly], DiffPoly],
     return at
 
 
-def multi_indices_up_to(ctx: JetContext, order: int, spatial_only: bool = False) -> list[MultiIndex]:
-    """All multi-indices of order <= `order`, in graded-lex order."""
-    indices = ctx.spatial_indices if spatial_only else tuple(range(ctx.n))
+def multi_indices_up_to(indices: Sequence[int], order: int) -> list[MultiIndex]:
+    """All multi-indices over `indices` of order <= `order`, in graded-lex order."""
     out: list[MultiIndex] = [()]
     layer: list[MultiIndex] = [()]
     for _ in range(order):
@@ -306,7 +303,7 @@ class GeneralSystem:
 
 def prolong(sys: GeneralSystem, order: int) -> list[DiffPoly]:
     """All D_sigma F^k with |sigma| <= order (k major, sigma graded-lex minor)."""
-    sigmas = multi_indices_up_to(sys.ctx, order)
+    sigmas = multi_indices_up_to(range(sys.ctx.n), order)
     return [total_derivative_iterated(sys.ctx, s, comp) for comp in sys.F for s in sigmas]
 
 
@@ -314,8 +311,8 @@ class EvolutionSystem:
     """An evolution system u^j_t = f^j in internal coordinates.
 
     The right-hand sides may involve base variables, parameters, and spatial
-    jets only.  The instance memoizes D_sigma(f^j) since restriction formulas
-    reuse them heavily.
+    jets only.  The instance memoizes D̄_sigma(f^j), built on its own
+    `derive`, since restriction formulas reuse them heavily.
     """
 
     def __init__(self, ctx: JetContext, f: Sequence[DiffPoly]):
@@ -334,7 +331,10 @@ class EvolutionSystem:
                     raise NotInternal(f"right-hand side {j} contains time derivative {v.name}")
         self.ctx = ctx
         self.f = tuple(f)
-        self._dsigma_f = [prefix_derivatives(ctx.derive, comp) for comp in self.f]
+        # The memo derives through a weak reference: holding `self.derive`
+        # would make a reference cycle, freed only by the cycle collector.
+        me = weakref.ref(self)
+        self._dsigma_f = [prefix_derivatives(lambda i, p: me().derive(i, p), comp) for comp in self.f]
 
     @property
     def order(self) -> int:
@@ -356,7 +356,7 @@ class EvolutionSystem:
         return hash((self.ctx, self.f))
 
     def dsigma_f(self, j: int, sigma: MultiIndex) -> DiffPoly:
-        """Spatial D_sigma(f^j), memoized."""
+        """D̄_sigma(f^j), memoized; sigma may contain the time index."""
         return self._dsigma_f[j](tuple(sorted(sigma)))
 
     def check_internal(self, p: DiffPoly):
@@ -365,7 +365,7 @@ class EvolutionSystem:
             if v.kind == JET and t in v.idx[1]:
                 raise NotInternal(f"{v.name} is not an internal coordinate")
             if v.kind == NONLOCAL:
-                raise NonlocalVariablePresent(v.name)
+                raise RegimeMismatch(f"{v.name} is a covering variable; use the covering's extended derivative")
 
     def image(self, i: int) -> Callable[[VarId], DiffPoly | None]:
         """The image map of D̄_i on internal coordinates: the shift of D_i
@@ -383,33 +383,22 @@ class EvolutionSystem:
 
     def restricted_time(self, p: DiffPoly) -> DiffPoly:
         """D̄_t p = dp/dt + sum_sigma D_sigma(f^j) dp/du^j_sigma on internal p."""
-        self.check_internal(p)
-        if p.has_kind(TESTCOV):
-            raise NotInternal("the restricted time derivative does not act on test covectors")
-        return p.derivation(self.image(self.ctx.time_index))
+        return self.derive(self.ctx.time_index, p)
 
     def derive(self, i: int, p: DiffPoly) -> DiffPoly:
-        """D̄_i on internal expressions: spatial D_i, or D̄_t for the time index."""
-        if i == self.ctx.time_index:
-            return self.restricted_time(p)
+        """D̄_i on internal expressions: spatial D_i, or D̄_t for the time
+        index, which does not act on test covectors."""
         self.check_internal(p)
-        return self.ctx.derive(i, p)
+        if i != self.ctx.time_index:
+            return self.ctx.derive(i, p)
+        if p.has_kind(TESTCOV):
+            raise NotInternal("the restricted time derivative does not act on test covectors")
+        return p.derivation(self.image(i))
 
     def to_internal(self, p: DiffPoly) -> DiffPoly:
-        """Rewrite time-derivative jets via u^j_t = f^j until only internal
-        coordinates remain.
-
-        The highest-total-order offender is eliminated first; each rewrite
-        u^j_{sigma+t} -> D_sigma(f^j) (free total derivatives) strictly lowers
-        the time-count of the remaining offenders, so the loop terminates.
-        """
+        """Rewrite time-derivative jets via u^j_t = f^j in one substitution:
+        u^j_sigma with t in sigma becomes D̄_{sigma - t}(f^j), which is
+        already internal."""
         t = self.ctx.time_index
-        while True:
-            offenders = [v for v in p.variables() if v.kind == JET and t in v.idx[1]]
-            if not offenders:
-                return p
-            v = max(offenders, key=lambda w: (len(w.idx[1]), w))
-            j, sigma = v.idx
-            rest = mi_remove_one(sigma, t)
-            image = total_derivative_iterated(self.ctx, rest, self.f[j])
-            p = p.substitute({v: image})
+        return p.substitute({v: self.dsigma_f(v.idx[0], mi_remove_one(v.idx[1], t))
+                             for v in p.variables() if v.kind == JET and t in v.idx[1]})

@@ -220,12 +220,12 @@ def homotopy_lagrangian(ctx: JetContext, psi: list[DiffPoly]) -> Density:
 
 
 def divergence_residual(sys: EvolutionSystem, J: ConservedCurrent) -> DiffPoly:
-    """to_internal(D̄_t J_t + sum_k D_k J_k) for a time-first current."""
+    """D̄_t J_t + sum_k D_k J_k for a time-first current."""
     ctx = sys.ctx
     if len(J.components) != ctx.n:
         raise ValueError(f"current needs {ctx.n} components")
     directions = (ctx.time_index,) + ctx.spatial_indices
-    return sys.to_internal(DiffPoly.sum(sys.derive(i, J_i) for i, J_i in zip(directions, J.components)))
+    return DiffPoly.sum(sys.derive(i, J_i) for i, J_i in zip(directions, J.components))
 
 
 def verify_conserved_current(sys: EvolutionSystem, J: ConservedCurrent) -> bool:
@@ -276,7 +276,6 @@ def current_from_gf(sys: EvolutionSystem, psi: list[DiffPoly]) -> ConservedCurre
     if not self_adjoint_test(ctx, psi):
         raise NotGeneratingFunction("section is not a variational derivative")
     j0 = homotopy_lagrangian(ctx, psi).value
-    j0 = sys.to_internal(j0)
     jx = dx_inverse(ctx, -sys.restricted_time(j0), ctx.spatial_indices[0])
     J = ConservedCurrent((j0, jx))
     residual = divergence_residual(sys, J)

@@ -30,7 +30,7 @@ def rng():
 def random_poly(rng, ctx, max_order=2, max_deg=2, terms=3, with_time_jets=True,
                 with_base=True, families=None):
     """Small random differential polynomial with rational coefficients."""
-    sigmas = multi_indices_up_to(ctx, max_order, spatial_only=not with_time_jets)
+    sigmas = multi_indices_up_to(range(ctx.n) if with_time_jets else ctx.spatial_indices, max_order)
     pool = []
     fams = families if families is not None else range(ctx.m)
     for j in fams:

@@ -98,7 +98,7 @@ def test_operations_drop_cancelled_entries(ctx):
     w = ctx.parse("u_x/2")
     sh = CartanShadow(ctx, ({("u", 0, ()): DiffPoly.const(1), ("w", 0): w - w},
                             {("w", 0): w + w, ("u", 0, (0,)): -w}))
-    local, residues = contract([ctx.parse("u")], sh)
+    local, residues = contract([ctx.parse("u")], sh, ctx)
     assert local == [ctx.parse("u"), ctx.parse("-u_x^2/2")]
     assert residues == [{}, {0: ctx.parse("u_x")}]
 
@@ -203,7 +203,7 @@ def test_jacobi_identity(ctx, rng):
 
 def test_horizontal_differential_free(ctx):
     omega = HorForm.make(ctx, 1, {(0,): ctx.parse("u")})
-    d = horizontal_differential(omega)
+    d = horizontal_differential(omega, ctx)
     assert d.coefficient((0, 1)) == ctx.parse("-u_t")
 
 
@@ -215,13 +215,13 @@ def test_horizontal_differential_burgers_closed(burgers, ctx):
 def test_dbar_squared_zero(ctx, rng):
     for _ in range(20):
         omega = HorForm.make(ctx, 0, {(): random_poly(rng, ctx)})
-        assert horizontal_differential(horizontal_differential(omega)).is_zero()
+        assert horizontal_differential(horizontal_differential(omega, ctx), ctx).is_zero()
 
 
 def test_degree_overflow(ctx):
     top = HorForm.make(ctx, 2, {(0, 1): ctx.parse("u")})
     with pytest.raises(DegreeOverflow):
-        horizontal_differential(top)
+        horizontal_differential(top, ctx)
 
 
 def test_dbar_leibniz_over_wedge(ctx, rng):
@@ -229,10 +229,10 @@ def test_dbar_leibniz_over_wedge(ctx, rng):
         a = HorForm.make(ctx, 0, {(): random_poly(rng, ctx, terms=2)})
         b = HorForm.make(ctx, 1, {(0,): random_poly(rng, ctx, terms=2),
                                   (1,): random_poly(rng, ctx, terms=2)})
-        lhs = horizontal_differential(wedge(a, b))
-        rhs_parts = wedge(horizontal_differential(a), b)
+        lhs = horizontal_differential(wedge(a, b), ctx)
+        rhs_parts = wedge(horizontal_differential(a, ctx), b)
         rhs = HorForm.make(ctx, 2, {idx: rhs_parts.coefficient(idx)
-                                    + wedge(a, horizontal_differential(b)).coefficient(idx)
+                                    + wedge(a, horizontal_differential(b, ctx)).coefficient(idx)
                                     for idx in [(0, 1)]})
         assert lhs.coefficient((0, 1)) == rhs.coefficient((0, 1))
 
@@ -247,16 +247,32 @@ def test_cartan_differential_examples(ctx):
 def test_contract_examples(ctx):
     ident = CartanShadow.identity(ctx)
     phi = [ctx.parse("u*u_x + u_{xx}")]
-    local, residues = contract(phi, ident)
+    local, residues = contract(phi, ident, ctx)
     assert local == phi and residues == [{}]
 
     sh = CartanShadow(ctx, ({("u", 0, (0,)): DiffPoly.const(1), ("u", 0, ()): ctx.parse("u/2")},))
-    local, _ = contract([ctx.parse("u_x")], sh)
+    local, _ = contract([ctx.parse("u_x")], sh, ctx)
     assert local[0] == ctx.parse("u_{xx} + u*u_x/2")
 
     sh2 = CartanShadow(ctx, ({("u", 0, ()): ctx.parse("u")},))
-    local, _ = contract([ctx.parse("u_x^2")], sh2)
+    local, _ = contract([ctx.parse("u_x^2")], sh2, ctx)
     assert local[0] == ctx.parse("u*u_x^2")
+
+
+def test_contract_derives_a_nonlocal_phi_through_the_covering(burgers, ctx):
+    from jetcalc.cdiff import RegimeMismatch
+    from jetcalc.hamrec import make_covering
+
+    pot = make_covering(burgers, [("w", [ctx.parse("u"), ctx.parse("u^2/2 + u_x")])])
+    scope = pot.ctx
+    sh = CartanShadow(scope, ({("u", 0, (0,)): DiffPoly.const(1), ("u", 0, ()): scope.parse("u/2"),
+                               ("w", 0): scope.parse("u_x/2")},))
+    # om(u_x) -> D̃_x(u_x*w) = u_{xx}*w + u_x*u, since D̃_x w = u.
+    local, residues = contract([scope.parse("u_x*w")], sh, pot)
+    assert local == [scope.parse("u_{xx}*w + u*u_x + u*u_x*w/2")]
+    assert residues == [{0: scope.parse("u_x/2")}]
+    with pytest.raises(RegimeMismatch):
+        contract([scope.parse("u_x*w")], sh, burgers)
 
 
 def test_shadow_residual_identity_is_zero(burgers):

@@ -216,6 +216,45 @@ def test_apply_recursion_rejects_negative_times(burgers_file, capsys):
     assert "iterate" not in out
 
 
+KDV_SCALING = "x*u_x + 3*t*(u*u_x + u_{xxx}) + 2*u"
+TWO_LAYERS = "covering pot2: w_x = u ; w_t = u^2/2 + u_{xx} ; v_x = u^2/2 ; v_t = u^3/3 + u*u_{xx} - u_x^2/2\n"
+
+
+def _kdv_recursion(capsys, path, covering, *argv):
+    code, out, err = run(capsys, "apply-recursion", path, "--covering", covering, "--order", "2", "--deg", "1",
+                         *argv, "--format", "structured")
+    return code, json.loads(out) if out else None, err
+
+
+def test_recursion_iterates_through_a_nonlocal_symmetry_until_a_layer_is_missing(kdv_file, capsys):
+    code, doc, _ = _kdv_recursion(capsys, kdv_file, "pot", "--to", KDV_SCALING, "--times", "2")
+    assert code == 1
+    assert len(doc["result"]) == 1 and doc["result"][0].endswith("1/3*u_x*w + 4*u_{xx}")
+    assert doc["obstruction"] == "nonlocal obstruction; non-integrable remainder: 1/2*u^2"
+
+
+def test_a_second_layer_certifies_the_second_nonlocal_iterate(tmp_path, capsys):
+    path = tmp_path / "kdv2.eqn"
+    path.write_text(KDV + TWO_LAYERS)
+    code, doc, _ = _kdv_recursion(capsys, str(path), "pot2", "--to", KDV_SCALING, "--times", "2")
+    assert code == 0 and doc["verified"] == [True, True]
+    assert "*w" in doc["result"][1] and "*v" in doc["result"][1]
+    code, doc, _ = _kdv_recursion(capsys, str(path), "pot2", "--to", KDV_SCALING, "--times", "3")
+    assert code == 1 and len(doc["result"]) == 2
+    assert doc["obstruction"].startswith("nonlocal obstruction; non-integrable remainder: ")
+
+
+def test_to_may_use_the_covering_variables(tmp_path, kdv_file, capsys):
+    path = tmp_path / "kdv2.eqn"
+    path.write_text(KDV + TWO_LAYERS)
+    _, doc, _ = _kdv_recursion(capsys, str(path), "pot2", "--to", KDV_SCALING, "--times", "2")
+    first, second = doc["result"]
+    code, doc, _ = _kdv_recursion(capsys, str(path), "pot2", "--to", first)
+    assert code == 0 and doc["result"] == [second]
+    code, out, err = run(capsys, "apply-recursion", kdv_file, "--order", "2", "--deg", "1", "--to", first)
+    assert code == 2 and out == "" and "unknown identifier 'w'" in err
+
+
 def test_conslaws_with_currents(kdv_file, capsys):
     code, out, _ = run(capsys, "conslaws", kdv_file, "--order", "2", "--deg", "2", "--currents")
     assert code == 0

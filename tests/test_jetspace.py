@@ -9,8 +9,8 @@ from jetcalc.jetspace import (
     EvolutionSystem,
     GeneralSystem,
     JetContext,
-    NonlocalVariablePresent,
     NotInternal,
+    RegimeMismatch,
     ambiguous_subscript,
     prolong,
     total_derivative,
@@ -40,7 +40,7 @@ def test_total_derivative_iterated(ctx):
 
 def test_rejects_nonlocal(ctx):
     scope = ctx.with_nonlocals(("w",))
-    with pytest.raises(NonlocalVariablePresent):
+    with pytest.raises(RegimeMismatch):
         total_derivative(scope, 0, scope.parse("w"))
 
 
@@ -84,6 +84,22 @@ def test_to_internal_examples(burgers, ctx):
     assert burgers.to_internal(ctx.parse("u_{xt}")) == ctx.parse("u_x^2 + u*u_{xx} + u_{xxx}")
     assert burgers.to_internal(ctx.parse("u_{tt}")) == burgers.restricted_time(f)
     assert burgers.to_internal(f) == f
+
+
+def test_to_internal_repeated_and_mixed_time_jets(burgers, ctx):
+    # D̄_t f = f*u_x + u*D_x f + D_x^2 f for Burgers' f = u*u_x + u_{xx}, and
+    # u_{xtt} is D_x of that.
+    f_t = ctx.parse("2*u*u_x^2 + 4*u_x*u_{xx} + u^2*u_{xx} + 2*u*u_{xxx} + u_{xxxx}")
+    assert burgers.to_internal(ctx.parse("u_{tt}")) == f_t
+    assert burgers.to_internal(ctx.parse("u_{xtt}")) == ctx.parse(
+        "2*u_x^3 + 6*u*u_x*u_{xx} + 4*u_{xx}^2 + 6*u_x*u_{xxx} + u^2*u_{xxx} + 2*u*u_{xxxx} + u_{xxxxx}")
+    assert burgers.to_internal(ctx.parse("x*u_{tt}^2 + u_t")) == ctx.parse("x") * f_t * f_t + burgers.f[0]
+    # u_t = u*v_x, v_t = u_x: u_{tt} = u_t*v_x + u*v_{xt} = u*v_x^2 + u*u_{xx}, v_{xt} = u_{xx}.
+    ctx2 = JetContext(("x", "t"), ("u", "v"), has_time=True)
+    sys = EvolutionSystem(ctx2, [ctx2.parse("u*v_x"), ctx2.parse("u_x")])
+    assert sys.to_internal(ctx2.parse("u_{tt} + v_{xt}")) == ctx2.parse("u*v_x^2 + u*u_{xx} + u_{xx}")
+    assert sys.to_internal(ctx2.parse("u_{tt}*v_{xt}")) == ctx2.parse("(u*v_x^2 + u*u_{xx})*u_{xx}")
+    assert sys.dsigma_f(0, (1, 0)) == sys.to_internal(ctx2.parse("u_{xtt}"))
 
 
 def test_to_internal_idempotent(burgers, ctx, rng):
@@ -187,6 +203,21 @@ def test_dsigma_f_matches_iterated_total_derivatives():
             expected = total_derivative_iterated(ctx3, sigma, sys.f[j])
             assert sys.dsigma_f(j, sigma) == expected
             assert copy.dsigma_f(j, sigma) == expected
+
+
+def test_an_evolution_system_is_freed_without_the_cycle_collector(burgers, ctx):
+    import gc
+    import weakref
+
+    sys = EvolutionSystem(ctx, burgers.f)
+    assert sys.to_internal(ctx.parse("u_{xtt}")) == burgers.to_internal(ctx.parse("u_{xtt}"))
+    ref = weakref.ref(sys)
+    gc.disable()
+    try:
+        del sys
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_resolved_identifiers_are_memoized_per_context_and_stay_out_of_its_value():
