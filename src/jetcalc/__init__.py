@@ -76,6 +76,7 @@ from .hamrec import (
     jacobi_criterion_density,
     make_covering,
     poisson_bracket,
+    shadow_iterates,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -6,8 +6,10 @@ holds one space (`jetspace`), and every D is that space's `derive(i, p)`:
 the free D on a JetContext, the restricted derivatives on an evolution
 system (the time index refers to D̄_t), the extended ones on a covering.
 The functions on forms and shadows take the space whose derivative they
-use in the same way (`horizontal_differential`, `shadow_residual`,
-`contract`).
+use in the same way (`horizontal_differential`, `shadow_residual`).
+`contract` and `CDiffOp.apply_derivatives` take a vector by its memo of
+derivatives, `prefix_derivatives(space.derive, .)` per component, so that
+the consumers of one vector derive it once.
 
 Cartan-form-valued sections (shadows) are handled through the Lie-derivative
 action of total derivatives on contact forms: the derivative along i of the
@@ -165,11 +167,16 @@ class CDiffOp:
 
     def apply(self, vec: Sequence[DiffPoly]) -> list[DiffPoly]:
         """Componentwise sum_sigma a_sigma D_sigma(v), canonical."""
-        if len(vec) != self.cols:
-            raise DimensionMismatch(f"expected {self.cols} components, got {len(vec)}")
-        for v in vec:
-            self.space.check_internal(v)
-        derivs = [self._derivatives(v) for v in vec]
+        return self.apply_derivatives([self._derivatives(v) for v in vec])
+
+    def apply_derivatives(self, derivs: Sequence[Callable[[MultiIndex], DiffPoly]]) -> list[DiffPoly]:
+        """`apply` to the vector v with derivs[c](sigma) = D_sigma(v^c) in the
+        derivatives of this operator's space (`prefix_derivatives(space.derive,
+        v^c)`), so that a caller who holds that memo shares it."""
+        if len(derivs) != self.cols:
+            raise DimensionMismatch(f"expected {self.cols} components, got {len(derivs)}")
+        for d in derivs:
+            self.space.check_internal(d(()))
 
         def times(a: DiffPoly, p: DiffPoly) -> DiffPoly:
             # A constant coefficient (the ±1 of D̄_t and D_x^3 in a
@@ -528,19 +535,21 @@ def shadow_residual(sh: CartanShadow, space) -> CartanShadow:
     return CartanShadow(sh.ctx, tuple(_collect(terms(beta)) for beta in range(ctx.m)))
 
 
-def contract(phi: Sequence[DiffPoly], sh: CartanShadow, space) -> tuple[list[DiffPoly], list[dict[int, DiffPoly]]]:
-    """Contraction of an evolutionary field into a shadow.
+def contract(derivs: Sequence[Callable[[MultiIndex], DiffPoly]],
+             sh: CartanShadow) -> tuple[list[DiffPoly], list[dict[int, DiffPoly]]]:
+    """Contraction of an evolutionary field phi into a shadow.
 
-    Jet keys resolve as om^j_sigma -> D_sigma(phi^j) with the derivatives of
-    `space`, so phi may hold the variables of a covering; covering keys cannot
-    be resolved without integrating the covering relations, so their
-    coefficients are returned unevaluated: for output component r, residues[r]
-    maps each covering layer to the coefficient in front of its contact form.
+    The field comes as derivs[j](sigma) = D_sigma(phi^j) in the derivatives
+    of the space phi lives on (`prefix_derivatives(space.derive, phi^j)`), so
+    phi may hold the variables of a covering.  Jet keys resolve as
+    om^j_sigma -> derivs[j](sigma); covering keys cannot be resolved without
+    integrating the covering relations, so their coefficients are returned
+    unevaluated: for output component r, residues[r] maps each covering
+    layer to the coefficient in front of its contact form.
     """
     ctx = sh.ctx
-    if len(phi) != ctx.m:
+    if len(derivs) != ctx.m:
         raise DimensionMismatch(f"symmetry vector needs {ctx.m} components")
-    derivs = [prefix_derivatives(space.derive, c) for c in phi]
     local = [DiffPoly.sum(coef * derivs[key[1]](key[2]) for key, coef in cmap.items() if key[0] == "u")
              for cmap in sh.comps]
     residues = [_collect((key[1], coef) for key, coef in cmap.items() if key[0] != "u") for cmap in sh.comps]

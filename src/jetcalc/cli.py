@@ -35,12 +35,12 @@ from .hamrec import (
     Covering,
     NonlocalObstruction,
     NotFlat,
-    apply_shadow,
     hamiltonian_flow,
     is_skew_adjoint,
     jacobi_check,
     make_covering,
     poisson_bracket,
+    shadow_iterates,
 )
 
 
@@ -665,9 +665,10 @@ def cmd_apply_recursion(eq: EquationFile, args) -> tuple[Report, int]:
     rep = Report("apply-recursion", eq)
     rep.set("shadow", str(sh))
     results, verified = [], []
+    iterates = shadow_iterates(sh, phi, space)
     for _ in range(args.times):
         try:
-            phi = apply_shadow(sh, phi, space)
+            phi = next(iterates)
         except NonlocalObstruction as exc:
             rep.set("result", results)
             rep.set("obstruction", str(exc))

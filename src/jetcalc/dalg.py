@@ -22,13 +22,15 @@ Kernel invariants, which every operation keeps:
   assigned the first time its variable is seen, in a process-wide,
   append-only table that interns variables only, keyed by (VarId, name),
   and never holds a result.  Field offsets depend on that order, so
-  nothing orders by the packed int: printing, `order_key`, `terms` and
-  pickling decode to sorted factor tuples.  Other modules build and take
-  apart polynomials only through the `DiffPoly` API and read them through
-  the decoded `terms` view.  Monomials come from `var` and `monomial`,
-  ordered by `order_key`; templates from `combination` over
-  `unknown_var`s; coefficient rows from `linear_rows`; integrals from
-  `antiderivative`.
+  nothing orders by the packed int: `order_key`, `terms` and pickling
+  decode to sorted factor tuples, and printing, which decodes nothing,
+  ranks the variables of a polynomial in VarId order once and sorts its
+  monomials by their field bytes permuted into that rank.  Other modules
+  build and take apart polynomials only through the `DiffPoly` API and
+  read them through the decoded `terms` view.  Monomials come from `var`
+  and `monomial`, ordered by `order_key`; templates from `combination`
+  over `unknown_var`s; coefficient rows from `linear_rows`; integrals
+  from `antiderivative`.
 - Coefficients are nonzero int numerators over one positive denominator
   coprime to them, 1 for an integer polynomial (FLINT's `fmpq_poly`).  Ring
   operations run on ints and divide out one gcd, in `DiffPoly._make`;
@@ -311,6 +313,15 @@ def _overflow(acc: int) -> ValueError:
     return ExponentOverflow(f"exponent of {v.name} above {MAX_EXPONENT}, the largest a monomial holds")
 
 
+def _two_names(ranked: Sequence[VarId]) -> ValueError | None:
+    """The refusal of the least variable that sorted `ranked` holds under
+    two names (from two contexts), or None."""
+    for a, b in pairwise(ranked):
+        if a == b:
+            return ValueError(f"'{a.name}' and '{b.name}' are one variable under two names")
+    return None
+
+
 def _monomial_key(factors: Factors) -> tuple:
     """Canonical order: total degree descending, then exponents read from the
     highest variable downwards ascending.  Makes `u^2 - u_x^2` print with u^2
@@ -372,9 +383,7 @@ class DiffPoly:
         else:
             out = {_decode(m): c // den if c % den == 0 else Fraction(c, den) for m, c in self.num.items()}
         if len(out) < len(self.num):
-            a, b = next((a, b) for a, b in pairwise(sorted(compress(_VARS, _field_bytes(reduce(or_, self.num)))))
-                        if a == b)
-            raise ValueError(f"'{a.name}' and '{b.name}' are one variable under two names")
+            raise _two_names(sorted(compress(_VARS, _field_bytes(reduce(or_, self.num)))))
         return out
 
     def __reduce__(self):
@@ -718,21 +727,50 @@ class DiffPoly:
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.num:
+        """Terms in `order_key` order, read from the field bytes: the
+        support's variables are ranked in VarId order once, and a monomial
+        sorts by (-degree, unknown bits, its exponents from the highest
+        variable down), which orders like `_monomial_key`.  A support that
+        holds one variable under two names (from two contexts) is refused."""
+        num, den = self.num, self.den
+        if not num:
             return "0"
+        fields = reduce(or_, num) >> _LOW_BITS
+        width = (fields.bit_length() + 7) >> 3
+        ranked = sorted(compress(range(width), fields.to_bytes(width, "little")), key=_VARS.__getitem__)
+        refusal = _two_names([_VARS[k] for k in ranked])
+        if refusal:
+            raise refusal
+        down = ranked[::-1]
+        names = [_VARS[k].name for k in down]
+        # The exponents from the highest variable down; itemgetter of one
+        # index would return a bare int.
+        pick = itemgetter(*down) if len(down) > 1 else lambda fb: tuple(fb[k] for k in down)
+        keyed = []
+        for m, c in num.items():
+            fb = (m >> _LOW_BITS).to_bytes(width, "little")
+            low = m & _LOW
+            keyed.append((-sum(fb) - (low > 0), low, pick(fb), c))
+        keyed.sort()
         parts: list[str] = []
-        for f, c in sorted(self.terms.items(), key=lambda t: _monomial_key(t[0])):
-            body = "*".join(v.name if e == 1 else f"{v.name}^{e}" for v, e in f)
-            mag = abs(c)
-            try:
-                chunk = str(mag) if not body else body if mag == 1 else f"{mag}*{body}"
-            except ValueError:  # more digits than str() converts, which no literal may have
-                raise ValueError(f"a coefficient longer than {sys.get_int_max_str_digits()} digits, "
-                                 "the most a report prints") from None
-            if not parts:
-                parts.append(chunk if c > 0 else "-" + chunk)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + chunk)
+        try:
+            for _, low, exps, c in keyed:
+                factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+                factors.reverse()
+                if low:
+                    factors.append(unknown_var(low ^ _UNKNOWN_FLAG).name)
+                body = "*".join(factors)
+                mag = abs(c)
+                g = gcd(mag, den)
+                coef = str(mag // g) if g == den else f"{mag // g}/{den // g}"
+                chunk = coef if not body else body if coef == "1" else f"{coef}*{body}"
+                if not parts:
+                    parts.append(chunk if c > 0 else "-" + chunk)
+                else:
+                    parts.append(("+ " if c > 0 else "- ") + chunk)
+        except ValueError:  # more digits than str() converts, which no literal may have
+            raise ValueError(f"a coefficient longer than {sys.get_int_max_str_digits()} digits, "
+                             "the most a report prints") from None
         return " ".join(parts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -7,15 +7,18 @@ an equation (`ctx`, `f`, `dsigma_f`, `check_internal`, `derive`), and its
 `ctx` names its layers.  Applying a recursion shadow to a symmetry
 contracts the Cartan coefficients and resolves each covering form by
 integrating the corresponding relation equation in the spatial direction.
+The iterates of a shadow (`shadow_iterates`) hold one derivative memo
+each, which lives for one iterate: the derivatives that certify iterate k
+also contract iterate k + 1 and give its layer images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, count, islice
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
-from .dalg import JET, NONLOCAL, TESTCOV, DiffPoly, VarId
+from .dalg import JET, NONLOCAL, TESTCOV, DiffPoly, MultiIndex, VarId
 from .jetspace import EvolutionSystem, JetContext, NotInternal, RegimeMismatch, prefix_derivatives
 from .cdiff import CartanShadow, CDiffOp, DimensionMismatch, contract, evolutionary, linearization
 from .variational import (
@@ -186,46 +189,60 @@ def _remainder_ansatz(cov: Covering, r: DiffPoly, x: int) -> DiffPoly | None:
     return None
 
 
-def extended_linearization_residual(space, psi: Sequence[DiffPoly]) -> list[DiffPoly]:
+def extended_linearization_residual(space, derivs: Sequence[Callable[[MultiIndex], DiffPoly]]) -> list[DiffPoly]:
     """Components of the linearization equation in the derivatives of
     `space`, extended on a covering: D̃_t psi^beta - sum df^beta/du^alpha_sigma
-    D̃_sigma psi^alpha."""
-    return linearization(space).apply(psi)
+    D̃_sigma psi^alpha, with psi given by its memo of derivatives
+    derivs[alpha](sigma) = D̃_sigma psi^alpha (`prefix_derivatives`)."""
+    return linearization(space).apply_derivatives(derivs)
 
 
 def apply_shadow(sh: CartanShadow, phi: Sequence[DiffPoly], space) -> list[DiffPoly]:
-    """Act by a recursion shadow on a symmetry of `space`, an evolution
-    system or a covering.
+    """Act once by a recursion shadow on a symmetry of `space`, an
+    evolution system or a covering: the first of `shadow_iterates`."""
+    return next(shadow_iterates(sh, phi, space))
+
+
+def shadow_iterates(sh: CartanShadow, phi: Sequence[DiffPoly], space) -> Iterator[list[DiffPoly]]:
+    """R(phi), R(R(phi)), ... for the recursion shadow R, each certified.
 
     Jet Cartan coefficients contract to D_sigma(phi); each covering form
     contributes a nonlocal factor a with D̃_x a = (evolutionary field of the
     lifted symmetry applied to X_x), resolved layer by layer through the
-    extended integration.  The output (which may involve nonlocal variables)
-    is post-verified against the linearization equation of `space`.
+    extended integration.  Each output (which may involve nonlocal
+    variables) is post-verified against the linearization equation of
+    `space`.
+
+    One derivative memo per iterate: the memo that certifies iterate k also
+    gives the contraction and the layer images of iterate k + 1, and is
+    dropped when iterate k + 1 has its own, so at most one lives at a time
+    and none outlives the generator.
     """
-    local, residues = contract(list(phi), sh, space)
-    used_layers = {a for res in residues for a in res}
-    resolved: dict[int, DiffPoly] = {}
-    if used_layers:
-        top = max(used_layers)
-        if top >= len(space.ctx.nonlocals):
-            raise RegimeMismatch(f"the space has no covering layer {top}")
-        x = space.ctx.spatial_indices[0]
-        derivs = [prefix_derivatives(space.derive, q) for q in phi]
+    derivs = [prefix_derivatives(space.derive, q) for q in phi]
+    while True:
+        local, residues = contract(derivs, sh)
+        used_layers = {a for res in residues for a in res}
+        resolved: dict[int, DiffPoly] = {}
+        if used_layers:
+            top = max(used_layers)
+            if top >= len(space.ctx.nonlocals):
+                raise RegimeMismatch(f"the space has no covering layer {top}")
+            x = space.ctx.spatial_indices[0]
 
-        def image(v: VarId) -> DiffPoly | None:
-            if v.kind == JET:
-                return derivs[v.idx[0]](v.idx[1])
-            return resolved[v.idx[0]] if v.kind == NONLOCAL else None
+            def image(v: VarId) -> DiffPoly | None:
+                if v.kind == JET:
+                    return derivs[v.idx[0]](v.idx[1])
+                return resolved[v.idx[0]] if v.kind == NONLOCAL else None
 
-        for a in range(top + 1):
-            resolved[a] = dx_inverse_extended(space, space.expr(x, a).derivation(image))
-    result = [DiffPoly.sum([comp] + [coef * resolved[a] for a, coef in res.items()])
-              for comp, res in zip(local, residues)]
-    residual = extended_linearization_residual(space, result)
-    if any(r for r in residual):
-        raise VerificationFailed(f"shadow image is not a symmetry; residual {[str(r) for r in residual]}")
-    return result
+            for a in range(top + 1):
+                resolved[a] = dx_inverse_extended(space, space.expr(x, a).derivation(image))
+        result = [DiffPoly.sum([comp] + [coef * resolved[a] for a, coef in res.items()])
+                  for comp, res in zip(local, residues)]
+        derivs = [prefix_derivatives(space.derive, q) for q in result]
+        residual = extended_linearization_residual(space, derivs)
+        if any(r for r in residual):
+            raise VerificationFailed(f"shadow image is not a symmetry; residual {[str(r) for r in residual]}")
+        yield result
 
 
 # --------------------------------------------------------------------------

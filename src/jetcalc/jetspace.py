@@ -9,6 +9,8 @@ restricted D̄_i on internal coordinates (spatial jets only), and a covering
 (`hamrec`) the extended D̃_i.  An evolution system also rewrites any jet
 expression into internal coordinates, in one substitution
 u^j_sigma -> D̄_{sigma - t} f^j read from its memo of the D̄_sigma f^j.
+The shifted variable that D_i makes of a jet or a test covector is
+memoized on the context, which names it, and lives as long as the context.
 """
 
 from __future__ import annotations
@@ -72,9 +74,11 @@ class JetContext:
         twice = ambiguous_subscript(self.independent)
         if twice is not None:
             raise ValueError(f"the subscript '{twice}' splits into the independent variables in two ways")
-        # (base, subscript) -> VarId of every identifier resolved so far; not
-        # a field, so equality, hashing, repr and the pickle ignore it.
+        # (base, subscript) -> VarId of every identifier resolved so far, and
+        # (VarId, i) -> the D_i image of a jet or test covector (`_shift`);
+        # not fields, so equality, hashing, repr and the pickle ignore them.
         object.__setattr__(self, "_resolved", {})
+        object.__setattr__(self, "_shifted", {})
 
     def __reduce__(self):
         return JetContext, (self.independent, self.dependent, self.parameters, self.has_time, self.nonlocals)
@@ -224,14 +228,20 @@ def ambiguous_subscript(names: Sequence[str]) -> str | None:
 
 
 def _shift(ctx: JetContext, i: int) -> Callable[[VarId], DiffPoly | None]:
-    """The image map of D_i: x_i -> 1, and jets and test covectors shift."""
+    """The image map of D_i: x_i -> 1, and jets and test covectors shift.
+    The shifted variables are memoized on the context, which they name."""
+    shifted = ctx._shifted
+
     def image(v: VarId) -> DiffPoly | None:
-        if v.kind == JET:
-            j, sigma = v.idx
-            return DiffPoly.var(ctx.jet(j, mi_add(sigma, i)))
-        if v.kind == TESTCOV:
-            nm, comp, sigma = v.idx
-            return DiffPoly.var(ctx.testcov(nm, comp, mi_add(sigma, i)))
+        if v.kind == JET or v.kind == TESTCOV:
+            got = shifted.get((v, i))
+            if got is None:
+                if v.kind == JET:
+                    shift = ctx.jet(v.idx[0], mi_add(v.idx[1], i))
+                else:
+                    shift = ctx.testcov(v.idx[0], v.idx[1], mi_add(v.idx[2], i))
+                got = shifted[v, i] = DiffPoly.var(shift)
+            return got
         return ONE if v.kind == BASE and v.idx[0] == i else None
 
     return image

@@ -1,7 +1,7 @@
 import pytest
 
 from jetcalc.dalg import DiffPoly
-from jetcalc.jetspace import GeneralSystem, JetContext
+from jetcalc.jetspace import GeneralSystem, JetContext, prefix_derivatives
 from jetcalc.cdiff import (
     CartanShadow,
     CDiffOp,
@@ -98,7 +98,7 @@ def test_operations_drop_cancelled_entries(ctx):
     w = ctx.parse("u_x/2")
     sh = CartanShadow(ctx, ({("u", 0, ()): DiffPoly.const(1), ("w", 0): w - w},
                             {("w", 0): w + w, ("u", 0, (0,)): -w}))
-    local, residues = contract([ctx.parse("u")], sh, ctx)
+    local, residues = contract([prefix_derivatives(ctx.derive, ctx.parse("u"))], sh)
     assert local == [ctx.parse("u"), ctx.parse("-u_x^2/2")]
     assert residues == [{}, {0: ctx.parse("u_x")}]
 
@@ -247,15 +247,15 @@ def test_cartan_differential_examples(ctx):
 def test_contract_examples(ctx):
     ident = CartanShadow.identity(ctx)
     phi = [ctx.parse("u*u_x + u_{xx}")]
-    local, residues = contract(phi, ident, ctx)
+    local, residues = contract([prefix_derivatives(ctx.derive, q) for q in phi], ident)
     assert local == phi and residues == [{}]
 
     sh = CartanShadow(ctx, ({("u", 0, (0,)): DiffPoly.const(1), ("u", 0, ()): ctx.parse("u/2")},))
-    local, _ = contract([ctx.parse("u_x")], sh, ctx)
+    local, _ = contract([prefix_derivatives(ctx.derive, ctx.parse("u_x"))], sh)
     assert local[0] == ctx.parse("u_{xx} + u*u_x/2")
 
     sh2 = CartanShadow(ctx, ({("u", 0, ()): ctx.parse("u")},))
-    local, _ = contract([ctx.parse("u_x^2")], sh2, ctx)
+    local, _ = contract([prefix_derivatives(ctx.derive, ctx.parse("u_x^2"))], sh2)
     assert local[0] == ctx.parse("u*u_x^2")
 
 
@@ -268,11 +268,11 @@ def test_contract_derives_a_nonlocal_phi_through_the_covering(burgers, ctx):
     sh = CartanShadow(scope, ({("u", 0, (0,)): DiffPoly.const(1), ("u", 0, ()): scope.parse("u/2"),
                                ("w", 0): scope.parse("u_x/2")},))
     # om(u_x) -> D̃_x(u_x*w) = u_{xx}*w + u_x*u, since D̃_x w = u.
-    local, residues = contract([scope.parse("u_x*w")], sh, pot)
+    local, residues = contract([prefix_derivatives(pot.derive, scope.parse("u_x*w"))], sh)
     assert local == [scope.parse("u_{xx}*w + u*u_x + u*u_x*w/2")]
     assert residues == [{0: scope.parse("u_x/2")}]
     with pytest.raises(RegimeMismatch):
-        contract([scope.parse("u_x*w")], sh, burgers)
+        contract([prefix_derivatives(burgers.derive, scope.parse("u_x*w"))], sh)
 
 
 def test_shadow_residual_identity_is_zero(burgers):

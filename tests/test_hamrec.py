@@ -1,5 +1,7 @@
 import json
 import os
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from jetcalc import hamrec
 from jetcalc.cli import main
 from jetcalc.dalg import DiffPoly
-from jetcalc.jetspace import EvolutionSystem, JetContext
+from jetcalc.jetspace import EvolutionSystem, JetContext, prefix_derivatives
 from jetcalc.cdiff import CartanShadow, CDiffOp, linearization
 from jetcalc.variational import Density, dx_inverse, is_divergence
 from jetcalc.hamrec import (
@@ -29,6 +31,7 @@ from jetcalc.hamrec import (
 )
 
 from conftest import random_internal
+from test_cli import TWO_LAYERS
 
 
 @pytest.fixture
@@ -158,8 +161,8 @@ def test_dx_inverse_extended_with_jet_dependent_covering():
 
 
 def test_extended_linearization_residual(pot, ctx):
-    assert extended_linearization_residual(pot, [pot.parse("u_x")])[0].is_zero()
-    assert not extended_linearization_residual(pot, [pot.parse("u")])[0].is_zero()
+    assert extended_linearization_residual(pot, [prefix_derivatives(pot.derive, pot.parse("u_x"))])[0].is_zero()
+    assert not extended_linearization_residual(pot, [prefix_derivatives(pot.derive, pot.parse("u"))])[0].is_zero()
 
 
 def test_a_covering_is_an_equation_with_the_extended_derivatives(pot, ctx, rng):
@@ -172,7 +175,7 @@ def test_a_covering_is_an_equation_with_the_extended_derivatives(pot, ctx, rng):
         psi = random_internal(rng, ctx) * pot.parse("w") + random_internal(rng, ctx)
         # D̃_t psi - (u_x psi + u D̃_x psi + D̃_x^2 psi), Burgers' f = u*u_x + u_xx
         expected = D(1, psi) - (ctx.parse("u_x") * psi + ctx.parse("u") * D(0, psi) + D(0, D(0, psi)))
-        assert ell.apply([psi]) == extended_linearization_residual(pot, [psi]) == [expected]
+        assert ell.apply([psi]) == extended_linearization_residual(pot, [prefix_derivatives(D, psi)]) == [expected]
     pot.check_internal(pot.parse("w^2*u_{xx}"))
     with pytest.raises(NotInternal):
         pot.check_internal(ctx.parse("u_{xt}"))
@@ -306,3 +309,62 @@ def test_kdv_scaling_recursion_goes_through_the_remainder_solve(monkeypatch, cap
         "shadow": "2/3*u*om(u) + om(u_{xx}) + 1/3*u_x*th(w)",
         "verified": [True],
     }
+
+
+PERFBENCH = os.path.dirname(os.path.dirname(KDV_FILE))
+# The accessor of a derivative memo: a `Covering.derive` call made from it
+# derives an iterate (or the input) for the certificate, the contraction or
+# the layer images.
+MEMO_ACCESSOR = prefix_derivatives(None, DiffPoly.zero()).__code__
+
+
+def _golden_iterates(eqn: str, times: int) -> list[str]:
+    """The first iterates of the recorded `apply-recursion ... --to u_x` run."""
+    with open(os.path.join(PERFBENCH, "goldens.json")) as fh:
+        goldens = json.load(fh)
+    (doc,) = [json.loads(golden["stdout"]) for key, golden in goldens.items()
+              if json.loads(key)[:2] == ["apply-recursion", f"perfbench/eqn/{eqn}.eqn"] and '"--to", "u_x"' in key]
+    return doc["result"][:times]
+
+
+@pytest.mark.parametrize("eqn, covering, order, to, times", [
+    ("burgers", "pot", "1", "u_x", 4),
+    ("kdv", "pot", "2", "u_x", 3),
+    ("kdv2", "pot2", "2", "x*u_x + 3*t*(u*u_x + u_{xxx}) + 2*u", 2),
+])
+def test_each_derivative_of_an_iterate_is_taken_once(tmp_path, monkeypatch, capsys, eqn, covering, order, to,
+                                                     times):
+    """One memo per iterate: the derivatives that certify iterate k also
+    contract iterate k + 1 and give its layer images, so no (i, p) is
+    derived twice by the memos of a run.  The iterates must equal the
+    recorded goldens; `pot2` has none, so its two iterates are written out."""
+    if eqn == "kdv2":
+        path = tmp_path / "kdv2.eqn"
+        with open(KDV_FILE) as fh:
+            path.write_text(fh.read() + TWO_LAYERS)
+        expected = [
+            "5/2*t*u^2*u_x + x*u*u_x + 10*t*u_x*u_{xx} + 5*t*u*u_{xxx} + 4/3*u^2 + x*u_{xxx} + 3*t*u_{xxxxx}"
+            " + 1/3*u_x*w + 4*u_{xx}",
+            "35/18*t*u^3*u_x + 5/6*x*u^2*u_x + 35/6*t*u_x^3 + 70/3*t*u*u_x*u_{xx} + 35/6*t*u^2*u_{xxx}"
+            " + 8/9*u^3 + 10/3*x*u_x*u_{xx} + 5/3*x*u*u_{xxx} + 35*t*u_{xx}*u_{xxx} + 21*t*u_x*u_{xxxx}"
+            " + 7*t*u*u_{xxxxx} + 1/3*u*u_x*w + 6*u_x^2 + 8*u*u_{xx} + x*u_{xxxxx} + 3*t*u_{xxxxxxx}"
+            " + 1/3*u_{xxx}*w + 1/3*u_x*v + 6*u_{xxxx}",
+        ]
+    else:
+        path = os.path.join(PERFBENCH, "eqn", f"{eqn}.eqn")
+        expected = _golden_iterates(eqn, times)
+    pairs = Counter()
+    derive = hamrec.Covering.derive
+
+    def counted(self, i, p):
+        if sys._getframe(1).f_code is MEMO_ACCESSOR:
+            pairs[i, p] += 1
+        return derive(self, i, p)
+
+    monkeypatch.setattr(hamrec.Covering, "derive", counted)
+    code = main(["apply-recursion", str(path), "--covering", covering, "--order", order, "--deg", "1",
+                 "--to", to, "--times", str(times), "--format", "structured"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["verified"] == [True] * times
+    assert doc["result"] == expected
+    assert pairs and [key for key, n in pairs.items() if n > 1] == []

@@ -33,6 +33,7 @@ from jetcalc.dalg import (
     TESTCOV,
     DiffPoly,
     VarId,
+    _monomial_key,
     unknown_var,
 )
 from jetcalc.cdiff import CDiffOp, _collect
@@ -170,6 +171,65 @@ def test_evaluate_agrees_with_constant_substitution(a, b):
     values = {w: Fraction(k, 3) for k, w in enumerate(VARS[2:6])}
     p = a * b
     assert p.evaluate(values) == p.substitute({w: DiffPoly.const(c) for w, c in values.items()})
+
+
+
+# The printer against the algorithm it replaced: decode every monomial to its
+# factor tuple and coefficient, sort by `_monomial_key`, join the names.
+PRINT_CTX = JetContext(("x", "t"), ("u", "v"), ("c0",), has_time=True, nonlocals=("w",))
+# A second context on the same names: the covering's, with one more layer
+# and one more dependent variable.
+PRINT_CTX2 = JetContext(("x", "t"), ("u", "v", "q"), ("c0",), has_time=True, nonlocals=("w", "z"))
+PRINT_VARS = [PRINT_CTX.base(0), PRINT_CTX.base(1), PRINT_CTX.jet(0), PRINT_CTX.jet(0, (0,)),
+              PRINT_CTX.jet(1, (0, 0, 0)), PRINT_CTX.nonlocal_(0), PRINT_CTX.param("c0"),
+              PRINT_CTX.testcov("p", 1, (0,)), PRINT_CTX.testcov("p", 0, ()), HOMOTOPY_SCALAR,
+              PRINT_CTX2.jet(2, (0,)), PRINT_CTX2.nonlocal_(1), PRINT_CTX2.jet(1, (0, 0, 0, 0))]
+print_coefficients = st.one_of(st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=7),
+                               st.integers(-10 ** 30, 10 ** 30))
+
+
+def reference_str(p: DiffPoly) -> str:
+    if not p:
+        return "0"
+    parts = []
+    for f, c in sorted(p.terms.items(), key=lambda t: _monomial_key(t[0])):
+        body = "*".join(v.name if e == 1 else f"{v.name}^{e}" for v, e in f)
+        mag = abs(c)
+        chunk = str(mag) if not body else body if mag == 1 else f"{mag}*{body}"
+        parts.append((chunk if c > 0 else "-" + chunk) if not parts else ("+ " if c > 0 else "- ") + chunk)
+    return " ".join(parts)
+
+
+@st.composite
+def printable_polys(draw):
+    """A sum of random terms over both contexts, plus a template (a
+    `combination` of unknowns) or nothing."""
+    free = draw(polys(max_terms=6, variables=PRINT_VARS)).scale(draw(print_coefficients))
+    pairs = [(unknown_var(k), draw(polys(max_terms=2, variables=PRINT_VARS)).scale(draw(print_coefficients)))
+             for k in draw(st.lists(st.integers(0, 40), unique=True, max_size=4))]
+    return free + DiffPoly.combination([(u, m) for u, m in pairs if m])
+
+
+@KERNEL
+@given(printable_polys())
+@example(DiffPoly.const(Fraction(-3, 4)))
+@example(DiffPoly.combination([(unknown_var(3), DiffPoly.const(1)), (unknown_var(1), DiffPoly.const(-2))]))
+def test_printing_matches_the_decoded_reference(p):
+    assert str(p) == reference_str(p)
+    # Print order has one definition: that of `order_key` on the monomials.
+    monomials = [DiffPoly({f: 1}) for f in p.terms]
+    by_order_key = [m.terms for m in sorted(monomials, key=DiffPoly.order_key)]
+    assert by_order_key == [{f: 1} for f in sorted(p.terms, key=_monomial_key)]
+
+
+def test_printing_refuses_one_variable_under_two_names():
+    """A context that calls x 'y' shares its identity: a polynomial that
+    holds both names is refused, even where no two terms decode alike."""
+    other = JetContext(("y", "t"), ("u", "v"), has_time=True)
+    for p in (PRINT_CTX.parse("x") + other.parse("y^2"), PRINT_CTX.parse("x*u") * other.parse("y")):
+        with pytest.raises(ValueError, match="'x' and 'y' are one variable under two names|"
+                                             "'y' and 'x' are one variable under two names"):
+            str(p)
 
 
 def old_sort_key(v: VarId) -> tuple:
