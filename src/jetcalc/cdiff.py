@@ -487,13 +487,15 @@ def cartan_differential(p: DiffPoly, ctx: JetContext) -> CartanShadow:
     return CartanShadow(ctx, (out,))
 
 
-def _cmap_derive(cmap: CartanMap, i: int, space) -> Iterator[tuple[CartanKey, DiffPoly]]:
+def _cmap_derive(cmap: CartanMap, i: int, space,
+                 derive: Callable[[int, DiffPoly], DiffPoly]) -> Iterator[tuple[CartanKey, DiffPoly]]:
     """Terms of the Lie action of the space's i-th total derivative on a
-    Cartan-form value: derives coefficients and maps the contact form of a
-    generator v to the Cartan differential of D_i(v)."""
+    Cartan-form value: derives coefficients with `derive` (the space's) and
+    maps the contact form of a generator v to the Cartan differential of
+    D_i(v)."""
     ctx = space.ctx
     for key, coef in cmap.items():
-        yield key, space.derive(i, coef)
+        yield key, derive(i, coef)
         if key[0] == "u":
             j, sigma = key[1], key[2]
             if i != ctx.time_index:
@@ -515,17 +517,27 @@ def shadow_residual(sh: CartanShadow, space) -> CartanShadow:
 
     with the derivatives of `space` (an evolution system or a covering)
     throughout.  A shadow solves the equation iff every Cartan coefficient
-    of the result vanishes.
+    of the result vanishes.  One call derives each (i, coefficient) once:
+    a coefficient recurs under the shifted key of its derivative and
+    across keys and components.
     """
     ctx = space.ctx
     if len(sh.comps) != ctx.m:
         raise DimensionMismatch("shadow must have one component per dependent variable")
-    derivs = [prefix_derivatives(lambda i, c: _collect(_cmap_derive(c, i, space)), comp)
+    memo: dict[tuple[int, DiffPoly], DiffPoly] = {}
+
+    def derive(i: int, p: DiffPoly) -> DiffPoly:
+        got = memo.get((i, p))
+        if got is None:
+            got = memo[i, p] = space.derive(i, p)
+        return got
+
+    derivs = [prefix_derivatives(lambda i, c: _collect(_cmap_derive(c, i, space, derive)), comp)
               for comp in sh.comps]
     ell = flow_linearization(space)
 
     def terms(beta: int) -> Iterator[tuple[CartanKey, DiffPoly]]:
-        yield from _cmap_derive(sh.comps[beta], ctx.time_index, space)
+        yield from _cmap_derive(sh.comps[beta], ctx.time_index, space, derive)
         for alpha, entry in enumerate(ell.entries[beta]):
             for sigma, coef in entry.items():
                 neg = -coef

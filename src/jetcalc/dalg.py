@@ -28,9 +28,13 @@ Kernel invariants, which every operation keeps:
   monomials by their field bytes permuted into that rank.  Other modules
   build and take apart polynomials only through the `DiffPoly` API and
   read them through the decoded `terms` view.  Monomials come from `var`
-  and `monomial`, ordered by `order_key`; templates from `combination`
-  over `unknown_var`s; coefficient rows from `linear_rows`; integrals
-  from `antiderivative`.
+  and `monomial`, ordered by `order_key`; an ansatz pool is built packed
+  by `pool`, as sums of variable units sorted by the print-order key of
+  their field bytes; templates from `combination` over `unknown_var`s;
+  the derivatives of a template's further slots are those of its first
+  slot with the unknown indices offset (`offset_unknowns`), since no
+  derivation acts on an unknown; coefficient rows from `linear_rows`;
+  integrals from `antiderivative`.
 - Coefficients are nonzero int numerators over one positive denominator
   coprime to them, 1 for an integer polynomial (FLINT's `fmpq_poly`).  Ring
   operations run on ints and divide out one gcd, in `DiffPoly._make`;
@@ -60,7 +64,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, pairwise
+from itertools import combinations_with_replacement, compress, pairwise
 from math import comb, gcd, lcm
 from operator import itemgetter, or_
 import sys
@@ -322,6 +326,30 @@ def _two_names(ranked: Sequence[VarId]) -> ValueError | None:
     return None
 
 
+def _print_rank(support: int) -> tuple[int, list[int]]:
+    """The byte width of the fields of `support`, a union of monomials, and
+    the indices of its nonzero fields in VarId order."""
+    fields = support >> _LOW_BITS
+    width = (fields.bit_length() + 7) >> 3
+    return width, sorted(compress(range(width), fields.to_bytes(width, "little")), key=_VARS.__getitem__)
+
+
+def _print_key(width: int, down: Sequence[int]) -> Callable[[int], tuple]:
+    """The print-order key of a monomial whose fields are among `down`, field
+    indices from the highest variable down: (-degree, unknown bits, its
+    exponents from the highest variable down), which orders like
+    `_monomial_key`."""
+    # itemgetter of one index would return a bare int.
+    pick = itemgetter(*down) if len(down) > 1 else lambda fb: tuple(fb[k] for k in down)
+
+    def key(m: int) -> tuple:
+        fb = (m >> _LOW_BITS).to_bytes(width, "little")
+        low = m & _LOW
+        return -sum(fb) - (low > 0), low, pick(fb)
+
+    return key
+
+
 def _monomial_key(factors: Factors) -> tuple:
     """Canonical order: total degree descending, then exponents read from the
     highest variable downwards ascending.  Makes `u^2 - u_x^2` print with u^2
@@ -410,6 +438,24 @@ class DiffPoly:
         """The monic monomial of a multiset of variables: the product of
         `var(v)` over `vs`, repeats included."""
         return DiffPoly._make({_encode(Counter(vs).items()): 1})
+
+    @staticmethod
+    def pool(groups: Sequence[tuple[Sequence[VarId], int]]) -> list["DiffPoly"]:
+        """The monic monomials p_1 * ... * p_g, where p_k is a product of at
+        most deg_k variables of the k-th group (variables, deg_k), repeats
+        allowed, in `order_key` order.  Built packed: a part is a sum of
+        variable units, a monomial a sum of parts, and the pool is sorted
+        by the print-order key of its field bytes, decoding nothing."""
+        packed = [0]
+        for vs, deg in groups:
+            if vs and deg > MAX_EXPONENT:
+                raise ExponentOverflow(f"exponent {MAX_EXPONENT + 1} of {vs[0].name} is outside 0..{MAX_EXPONENT}")
+            units = [_unit(v) for v in vs]
+            parts = [sum(c) for d in range(deg + 1) for c in combinations_with_replacement(units, d)]
+            packed = [m + p for m in packed for p in parts]
+        _check(packed)  # a variable in two groups
+        width, ranked = _print_rank(reduce(or_, packed))
+        return [DiffPoly._make({m: 1}) for m in sorted(set(packed), key=_print_key(width, ranked[::-1]))]
 
     @staticmethod
     def combination(pairs: Sequence[tuple[VarId, "DiffPoly"]]) -> "DiffPoly":
@@ -603,6 +649,27 @@ class DiffPoly:
                 free = True
         return list(grouped.values()), free
 
+    def offset_unknowns(self, k: int) -> "DiffPoly":
+        """self with the index of every template unknown raised by k: the
+        combination over c_{i+k} of the one over c_i.  Derivations treat
+        unknowns as constants, so they commute with the offset.  ValueError
+        if a term holds no unknown or an index leaves the unknowns' range."""
+        num = self.num
+        if not num:
+            return self
+        lows = [m & _LOW for m in num]
+        lo, hi = min(lows), max(lows)
+        if not lo:
+            raise ValueError("a term without a template unknown cannot be offset")
+        if (lo ^ _UNKNOWN_FLAG) + k < 0 or (hi ^ _UNKNOWN_FLAG) + k >= _UNKNOWN_FLAG:
+            raise ValueError(f"a template holds at most {_UNKNOWN_FLAG} unknowns")
+        # The coefficients are unchanged, so they need no new reduction.
+        p = _new_poly(DiffPoly)
+        p.num = {m + k: c for m, c in num.items()}
+        p.den = self.den
+        p._hash = None
+        return p
+
     # -- calculus ----------------------------------------------------------
 
     # Distinct monomials stay distinct once the exponent of one variable is
@@ -735,26 +802,17 @@ class DiffPoly:
         num, den = self.num, self.den
         if not num:
             return "0"
-        fields = reduce(or_, num) >> _LOW_BITS
-        width = (fields.bit_length() + 7) >> 3
-        ranked = sorted(compress(range(width), fields.to_bytes(width, "little")), key=_VARS.__getitem__)
+        width, ranked = _print_rank(reduce(or_, num))
         refusal = _two_names([_VARS[k] for k in ranked])
         if refusal:
             raise refusal
         down = ranked[::-1]
         names = [_VARS[k].name for k in down]
-        # The exponents from the highest variable down; itemgetter of one
-        # index would return a bare int.
-        pick = itemgetter(*down) if len(down) > 1 else lambda fb: tuple(fb[k] for k in down)
-        keyed = []
-        for m, c in num.items():
-            fb = (m >> _LOW_BITS).to_bytes(width, "little")
-            low = m & _LOW
-            keyed.append((-sum(fb) - (low > 0), low, pick(fb), c))
-        keyed.sort()
+        # Keys are distinct, so the coefficients are never compared.
+        keyed = sorted(zip(map(_print_key(width, down), num), num.values()))
         parts: list[str] = []
         try:
-            for _, low, exps, c in keyed:
+            for (_, low, exps), c in keyed:
                 factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
                 factors.reverse()
                 if low:

@@ -4,7 +4,13 @@ The solvers share one pipeline: build a polynomial template with fresh
 unknown coefficients, push it through the relevant linear operator
 (linearization, cosymmetry equation, or shadow equation), match the
 coefficient of every known monomial to zero, and extract an exact rational
-nullspace.  The template builder keeps a table of the monomial (and the
+nullspace.  Each piece of work is done once.  The monomial pool is built
+packed (`DiffPoly.pool`).  The slots of a symmetry template are one pool
+over consecutive unknowns, so slot j is slot 0 with every unknown index
+raised by j*N; the derivations treat unknowns as constants, so slot 0 is
+derived once and slot j reads those derivatives offset
+(`slot_derivatives`).  The nullspace eliminates the sparse rows first.
+The template builder keeps a table of the monomial (and the
 slot: component or Cartan key) each unknown multiplies, so a solution is
 read off that table over the nonzero entries of its nullspace vector, not
 substituted into the whole template.  Every emitted solution is still
@@ -17,12 +23,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import gcd, lcm
-from typing import Hashable, Mapping
+from typing import Callable, Hashable, Mapping
 
-from .dalg import Coef, DiffPoly, NonlinearInUnknowns, VarId, param_var, unknown_var
-from .jetspace import EvolutionSystem, JetContext, multi_indices_up_to
+from .dalg import Coef, DiffPoly, MultiIndex, NonlinearInUnknowns, VarId, param_var, unknown_var
+from .jetspace import EvolutionSystem, JetContext, multi_indices_up_to, prefix_derivatives
 from .cdiff import (
     CartanShadow,
     _collect,
@@ -58,15 +63,12 @@ class Ansatz:
 def ansatz_monomials(ctx: JetContext, a: Ansatz) -> list[DiffPoly]:
     """The monomial pool over internal jets (spatial multi-indices only),
     deterministically ordered by the canonical monomial order (degree
-    descending, then the fixed variable order)."""
+    descending, then the fixed variable order): `DiffPoly.pool`."""
     jets = [ctx.jet(j, s) for j in range(ctx.m) for s in multi_indices_up_to(ctx.spatial_indices, a.jet_order)]
     bases = [ctx.base(i) for i in range(ctx.n)]
     if a.include_params:
         bases += [param_var(p) for p in ctx.parameters]
-    jet_parts = [p for d in range(a.poly_deg + 1) for p in combinations_with_replacement(jets, d)]
-    base_parts = [p for e in range(a.base_deg + 1) for p in combinations_with_replacement(bases, e)]
-    pool = {DiffPoly.monomial(jp + bp) for jp in jet_parts for bp in base_parts}
-    return sorted(pool, key=DiffPoly.order_key)
+    return DiffPoly.pool([(jets, a.poly_deg), (bases, a.base_deg)])
 
 
 class TemplateBuilder:
@@ -99,10 +101,37 @@ class TemplateBuilder:
 
 
 def build_symmetry_template(ctx: JetContext, a: Ansatz) -> tuple[list[DiffPoly], TemplateBuilder]:
-    """One template per dependent component, disjoint unknowns."""
+    """One template per dependent component over consecutive unknowns: slot
+    j is slot 0 with every unknown index raised by j*N, N the pool size."""
     tb = TemplateBuilder()
     monos = ansatz_monomials(ctx, a)
     return [tb.combination(monos, j) for j in range(ctx.m)], tb
+
+
+def slot_derivatives(space, templates: list[DiffPoly]) -> list[Callable[[MultiIndex], DiffPoly]]:
+    """Derivative memos of the slots of `build_symmetry_template`, in the
+    derivatives of `space`: one `prefix_derivatives(space.derive, .)` for
+    slot 0, and for slot j the memoized view that offsets its values by
+    j*N unknowns (`DiffPoly.offset_unknowns`).  D_sigma(slot j) is that
+    offset, for D̄_t too, since no derivation acts on an unknown."""
+    first = prefix_derivatives(space.derive, templates[0])
+    stride = len(templates[0])  # one term per monomial of the pool
+    views = [first] + [_offset_view(first, j * stride) for j in range(1, len(templates))]
+    if any(view(()) != t for view, t in zip(views, templates)):
+        raise ValueError("the slots are not offsets of slot 0")
+    return views
+
+
+def _offset_view(at: Callable[[MultiIndex], DiffPoly], k: int) -> Callable[[MultiIndex], DiffPoly]:
+    memo: dict[MultiIndex, DiffPoly] = {}
+
+    def view(sigma: MultiIndex) -> DiffPoly:
+        got = memo.get(sigma)
+        if got is None:
+            got = memo[sigma] = at(sigma).offset_unknowns(k)
+        return got
+
+    return view
 
 
 def build_shadow_template(ctx: JetContext, a: Ansatz) -> tuple[CartanShadow, TemplateBuilder]:
@@ -227,15 +256,18 @@ def nullspace(system: LinearSystem) -> list[dict[str, Fraction]]:
     finds those rows without a scan of every pivot, and gives each basis
     vector directly.  The reduced row echelon form of a row space is
     unique, so the basis depends neither on the row order nor on the order
-    of the eliminations.  Rows are kept fraction-free, as coprime integers
-    positive at the pivot; the quotients are taken once, for the basis.
-    Each basis vector sets one free unknown to 1; that unknown is absent
-    from every other vector, which fixes the echelon-normalized
-    representatives.  The rows of `system` are not modified.
+    of the eliminations.  That leaves the order free: the rows are taken by
+    descending lowest column, so that a new pivot rarely lands in a column
+    that earlier pivot rows hold, and back-elimination stays small.  Rows
+    are kept fraction-free, as coprime integers positive at the pivot; the
+    quotients are taken once, for the basis.  Each basis vector sets one
+    free unknown to 1; that unknown is absent from every other vector,
+    which fixes the echelon-normalized representatives.  The rows of `system` are not modified.
     """
     if system.inconsistent:
         return []
     pinned, rows = _strip_pinned(system.rows)
+    rows.sort(key=min, reverse=True)
     pivots: dict[int, dict[int, int]] = {c: {c: 1} for c in pinned}
     holders: defaultdict[int, set[int]] = defaultdict(set)
     for row in rows:
@@ -313,7 +345,7 @@ def symmetries(sys: EvolutionSystem, a: Ansatz) -> SolutionBasis:
     ctx = sys.ctx
     templates, tb = build_symmetry_template(ctx, a)
     ell = linearization(sys)
-    residuals = ell.apply(templates)
+    residuals = ell.apply_derivatives(slot_derivatives(sys, templates))
 
     def verify(phi):
         return ell.apply(list(phi))
@@ -325,10 +357,10 @@ def generating_functions(sys: EvolutionSystem, a: Ansatz) -> SolutionBasis:
     """Solutions of the cosymmetry equation D̄_t psi + ell_f^*(psi) = 0."""
     ctx = sys.ctx
     templates, tb = build_symmetry_template(ctx, a)
-    residuals = gf_residual(sys, templates)
+    residuals = gf_residual(sys, slot_derivatives(sys, templates))
 
     def verify(psi):
-        return gf_residual(sys, list(psi))
+        return gf_residual(sys, [prefix_derivatives(sys.derive, p) for p in psi])
 
     return _solve(residuals, tb, _components(tb, ctx.m), verify)
 

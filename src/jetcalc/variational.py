@@ -9,6 +9,7 @@ operator identities with free covector arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .dalg import (
     HOMOTOPY_SCALAR,
@@ -16,9 +17,10 @@ from .dalg import (
     NONLOCAL,
     TESTCOV,
     DiffPoly,
+    MultiIndex,
     VarId,
 )
-from .jetspace import EvolutionSystem, GeneralSystem, JetContext, total_derivative_iterated
+from .jetspace import EvolutionSystem, GeneralSystem, JetContext, prefix_derivatives, total_derivative_iterated
 from .cdiff import flow_linearization, linearization
 
 
@@ -232,16 +234,22 @@ def verify_conserved_current(sys: EvolutionSystem, J: ConservedCurrent) -> bool:
     return divergence_residual(sys, J).is_zero()
 
 
-def gf_residual(sys: EvolutionSystem, psi: list[DiffPoly]) -> list[DiffPoly]:
+def gf_residual(sys: EvolutionSystem, derivs: Sequence[Callable[[MultiIndex], DiffPoly]]) -> list[DiffPoly]:
     """Components of D̄_t psi + ell_f^*(psi); zero iff psi generates a
-    conservation law candidate (cosymmetry equation)."""
-    lstar = flow_linearization(sys).adjoint()
-    applied = lstar.apply(list(psi))
-    return [sys.restricted_time(p) + a for p, a in zip(psi, applied)]
+    conservation law candidate (cosymmetry equation).  psi comes as its
+    memo of derivatives derivs[j](sigma) = D̄_sigma psi^j
+    (`prefix_derivatives(sys.derive, psi^j)`), which a caller may share."""
+    t = (sys.ctx.time_index,)
+    applied = flow_linearization(sys).adjoint().apply_derivatives(derivs)
+    return [d(t) + a for d, a in zip(derivs, applied)]
+
+
+def _gf_residual_of(sys: EvolutionSystem, psi: list[DiffPoly]) -> list[DiffPoly]:
+    return gf_residual(sys, [prefix_derivatives(sys.derive, p) for p in psi])
 
 
 def is_generating_function(sys: EvolutionSystem, psi: list[DiffPoly]) -> bool:
-    return all(r.is_zero() for r in gf_residual(sys, psi))
+    return all(r.is_zero() for r in _gf_residual_of(sys, psi))
 
 
 def generating_function(sys: EvolutionSystem, J: ConservedCurrent) -> list[DiffPoly]:
@@ -253,7 +261,7 @@ def generating_function(sys: EvolutionSystem, J: ConservedCurrent) -> list[DiffP
     psi = euler(Density(ctx, J.components[0]))[: ctx.m]
     if not is_generating_function(sys, psi):
         raise VerificationFailed(
-            f"generating function failed its defining equation; residual {[str(r) for r in gf_residual(sys, psi)]}")
+            f"generating function failed its defining equation; residual {[str(r) for r in _gf_residual_of(sys, psi)]}")
     return psi
 
 
@@ -270,7 +278,7 @@ def current_from_gf(sys: EvolutionSystem, psi: list[DiffPoly]) -> ConservedCurre
         raise ValueError("current reconstruction requires exactly one spatial variable")
     if not is_generating_function(sys, psi):
         raise NotGeneratingFunction(
-            f"cosymmetry residual: {[str(r) for r in gf_residual(sys, psi)]}")
+            f"cosymmetry residual: {[str(r) for r in _gf_residual_of(sys, psi)]}")
     if all(p.is_zero() for p in psi):
         return ConservedCurrent((DiffPoly.zero(), DiffPoly.zero()))
     if not self_adjoint_test(ctx, psi):

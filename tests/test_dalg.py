@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetcalc.dalg import HOMOTOPY_SCALAR, DiffPoly, ParseError, UnknownIdentifier
+from jetcalc.dalg import HOMOTOPY_SCALAR, DiffPoly, ParseError, UnknownIdentifier, unknown_var
 
 from conftest import random_poly
 
@@ -120,3 +120,26 @@ def test_variables_and_kinds(ctx):
     p = ctx.parse("x*u_x + 2")
     names = sorted(v.name for v in p.variables())
     assert names == ["u_x", "x"]
+
+
+def test_offset_unknowns_raises_every_index(ctx):
+    c = [DiffPoly.var(unknown_var(k)) for k in range(6)]
+    p = c[0] * ctx.parse("u_x") + c[1] * ctx.parse("1/2*x") + c[2]
+    assert p.offset_unknowns(3) == c[3] * ctx.parse("u_x") + c[4] * ctx.parse("1/2*x") + c[5]
+    assert p.offset_unknowns(0) == p
+    assert c[3].offset_unknowns(-3) == c[0]
+    assert DiffPoly.zero().offset_unknowns(5).is_zero()
+
+
+def test_offset_unknowns_refuses_a_free_term_and_an_index_past_the_limit(ctx):
+    c1 = DiffPoly.var(unknown_var(1))
+    with pytest.raises(ValueError, match="without a template unknown"):
+        (c1 * ctx.parse("u") + ctx.parse("u_x")).offset_unknowns(1)
+    with pytest.raises(ValueError) as limit:
+        unknown_var(1 << 30)
+    top = int(str(limit.value).split()[-2])  # "a template holds at most N unknowns"
+    assert c1.offset_unknowns(top - 2) == DiffPoly.var(unknown_var(top - 1))
+    with pytest.raises(ValueError, match=f"at most {top} unknowns"):
+        c1.offset_unknowns(top - 1)
+    with pytest.raises(ValueError, match=f"at most {top} unknowns"):
+        c1.offset_unknowns(-2)

@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetcalc.dalg import DiffPoly, param_var, unknown_var
-from jetcalc.jetspace import EvolutionSystem, JetContext, total_derivative
-from jetcalc.cdiff import CartanShadow, CDiffOp, linearization, jacobi_bracket
+from itertools import combinations_with_replacement
+
+from jetcalc.dalg import UNKNOWN, DiffPoly, ExponentOverflow, param_var, unknown_var
+from jetcalc.jetspace import EvolutionSystem, JetContext, multi_indices_up_to, prefix_derivatives, total_derivative
+from jetcalc.cdiff import CartanShadow, CDiffOp, flow_linearization, linearization, jacobi_bracket
 from jetcalc.detsolve import (
     Ansatz,
     LinearSystem,
@@ -18,6 +20,7 @@ from jetcalc.detsolve import (
     match_coefficients,
     nullspace,
     shadows,
+    slot_derivatives,
     span_contains,
     symmetries,
 )
@@ -33,6 +36,90 @@ def test_ansatz_monomials_symmetry_example(ctx):
     monos = ansatz_monomials(ctx, Ansatz(1, 1, 0))
     assert {str(m) for m in monos} == {"1", "u", "u_x"}
     assert [str(m) for m in ansatz_monomials(ctx, Ansatz(0, 0, 0))] == ["1"]
+
+
+def _reference_pool(ctx, a):
+    """The pool as it was built before the packed constructor: one
+    `DiffPoly.monomial` per product of parts, sorted by the decoded key."""
+    jets = [ctx.jet(j, s) for j in range(ctx.m) for s in multi_indices_up_to(ctx.spatial_indices, a.jet_order)]
+    bases = [ctx.base(i) for i in range(ctx.n)]
+    if a.include_params:
+        bases += [param_var(p) for p in ctx.parameters]
+    jet_parts = [p for d in range(a.poly_deg + 1) for p in combinations_with_replacement(jets, d)]
+    base_parts = [p for e in range(a.base_deg + 1) for p in combinations_with_replacement(bases, e)]
+    return sorted({DiffPoly.monomial(jp + bp) for jp in jet_parts for bp in base_parts}, key=DiffPoly.order_key)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spatial=st.integers(1, 2), m=st.integers(1, 2), jet_order=st.integers(0, 2), poly_deg=st.integers(0, 3),
+       base_deg=st.integers(0, 2), include_params=st.booleans())
+def test_packed_pool_equals_the_decoded_reference(spatial, m, jet_order, poly_deg, base_deg, include_params):
+    ctx = JetContext(("x", "y")[:spatial] + ("t",), ("u", "v")[:m], ("a", "b"), has_time=True)
+    a = Ansatz(jet_order, poly_deg, base_deg, include_params)
+    assert ansatz_monomials(ctx, a) == _reference_pool(ctx, a)
+
+
+@pytest.mark.parametrize("a, message", [
+    (Ansatz(0, 128, 0), "exponent 128 of u is outside 0..127"),
+    (Ansatz(0, 3, 130), "exponent 128 of x is outside 0..127"),
+])
+def test_pool_refuses_an_exponent_past_the_field(ctx, a, message):
+    with pytest.raises(ExponentOverflow, match=message):
+        ansatz_monomials(ctx, a)
+
+
+@pytest.fixture
+def nls():
+    ctx2 = JetContext(("x", "t"), ("v", "w"), has_time=True)
+    return EvolutionSystem(ctx2, [ctx2.parse("w_{xx} + (v^2 + w^2)*w"), ctx2.parse("-(v_{xx}) - (v^2 + w^2)*v")])
+
+
+def _operator_sigmas(op):
+    return {s for row in op.entries for e in row for s in e}
+
+
+def test_slot_derivatives_equal_the_derivatives_of_each_slot(nls):
+    """Slot j reads slot 0's derivatives offset by j*N unknowns; at every
+    multi-index of the linearization and of the cosymmetry operator (D̄_t
+    included) that equals the slot's own `prefix_derivatives`."""
+    templates, _ = build_symmetry_template(nls.ctx, Ansatz(2, 2, 1))
+    sigmas = _operator_sigmas(linearization(nls)) | _operator_sigmas(flow_linearization(nls).adjoint())
+    assert (nls.ctx.time_index,) in sigmas and (0, 0) in sigmas
+    shared = slot_derivatives(nls, templates)
+    for template, view in zip(templates, shared):
+        direct = prefix_derivatives(nls.derive, template)
+        for sigma in sigmas:
+            assert view(sigma) == direct(sigma)
+
+
+def test_slot_derivatives_refuse_templates_that_are_not_offsets(nls):
+    templates, _ = build_symmetry_template(nls.ctx, Ansatz(1, 1, 0))
+    with pytest.raises(ValueError, match="not offsets"):
+        slot_derivatives(nls, [templates[0], templates[1].scale(2)])
+
+
+@pytest.mark.parametrize("solve, operator, count", [
+    (symmetries, lambda s: linearization(s), 3),
+    (generating_functions, lambda s: flow_linearization(s).adjoint(), 2),
+])
+def test_nls_derives_each_multi_index_once(nls, monkeypatch, solve, operator, count):
+    """The residual derives the template of slot 0 once per prefix of the
+    operator's multi-indices (and D̄_t), not once per slot."""
+    sigmas = _operator_sigmas(operator(nls)) | {(nls.ctx.time_index,)}
+    prefixes = {s[:k] for s in sigmas for k in range(1, len(s) + 1)}
+    derived = []
+    derive = EvolutionSystem.derive
+
+    def counted(self, i, p):
+        if p.has_kind(UNKNOWN):
+            derived.append((i, len(p)))
+        return derive(self, i, p)
+
+    monkeypatch.setattr(EvolutionSystem, "derive", counted)
+    a = Ansatz(2, 2, 1 if solve is symmetries else 0)
+    basis = solve(nls, a)
+    assert len(basis) == count
+    assert len(derived) == len(prefixes)
 
 
 def test_ansatz_validation():

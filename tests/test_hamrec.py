@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetcalc import hamrec
+from jetcalc import cdiff, detsolve, hamrec
 from jetcalc.cli import main
 from jetcalc.dalg import DiffPoly
 from jetcalc.jetspace import EvolutionSystem, JetContext, prefix_derivatives
@@ -368,3 +368,39 @@ def test_each_derivative_of_an_iterate_is_taken_once(tmp_path, monkeypatch, caps
     assert code == 0 and doc["verified"] == [True] * times
     assert doc["result"] == expected
     assert pairs and [key for key, n in pairs.items() if n > 1] == []
+
+
+@pytest.mark.parametrize("eqn, space, ansatz, basis", [
+    ("kdv", hamrec.Covering, ["--covering", "pot", "--order", "2", "--deg", "1"],
+     ["om(u)", "2/3*u*om(u) + om(u_{xx}) + 1/3*u_x*th(w)"]),
+    ("burgers", EvolutionSystem, ["--order", "3", "--deg", "2", "--xt-deg", "2"], ["om(u)"]),
+])
+def test_each_shadow_residual_derives_a_coefficient_once(monkeypatch, capsys, eqn, space, ansatz, basis):
+    """One memo per `shadow_residual` call: a coefficient recurs under the
+    key its derivative shifts to, and across keys and components, yet each
+    (i, coefficient) is derived once in the residual of the template and
+    once in the check of each solution."""
+    calls = []
+    active = [None]
+    residual, derive = detsolve.shadow_residual, space.derive
+
+    def counted_residual(sh, sp):
+        active[0] = Counter()
+        try:
+            return residual(sh, sp)
+        finally:
+            calls.append(active[0])
+            active[0] = None
+
+    def counted(self, i, p):
+        if active[0] is not None and sys._getframe(1).f_code.co_filename == cdiff.__file__:
+            active[0][i, p] += 1
+        return derive(self, i, p)
+
+    monkeypatch.setattr(detsolve, "shadow_residual", counted_residual)
+    monkeypatch.setattr(space, "derive", counted)
+    code = main(["recursion", os.path.join(PERFBENCH, "eqn", f"{eqn}.eqn")] + ansatz + ["--format", "structured"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["basis"] == basis
+    assert len(calls) == 1 + len(basis)
+    assert all(pairs and max(pairs.values()) == 1 for pairs in calls)
