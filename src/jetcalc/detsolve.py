@@ -9,11 +9,14 @@ packed (`DiffPoly.pool`).  The slots of a symmetry template are one pool
 over consecutive unknowns, so slot j is slot 0 with every unknown index
 raised by j*N; the derivations treat unknowns as constants, so slot 0 is
 derived once and slot j reads those derivatives offset
-(`slot_derivatives`).  The nullspace eliminates the sparse rows first.
-The template builder keeps a table of the monomial (and the
-slot: component or Cartan key) each unknown multiplies, so a solution is
-read off that table over the nonzero entries of its nullspace vector, not
-substituted into the whole template.  Every emitted solution is still
+(`slot_derivatives`).  The nullspace is one elimination loop that takes
+the shortest rows first, so an unknown that a one-entry row forces to
+zero becomes a unit pivot and is struck from the other pivot rows as
+soon as it is found; there is no separate pinning pass.  The template
+builder keeps a table of the monomial (and the slot: component or Cartan
+key) each unknown multiplies, so a solution is read off that table over
+the nonzero entries of its nullspace vector, not substituted into the
+whole template.  Every emitted solution is still
 re-substituted into its determining equation before being returned; the
 solver never trusts its own elimination.
 """
@@ -209,79 +212,66 @@ def _integer_row(row: dict[int, Coef]) -> dict[int, int]:
     return {k: v // g for k, v in ints.items()} if g > 1 else ints
 
 
-def _strip_pinned(rows: list[dict[int, Coef]]) -> tuple[set[int], list[dict[int, Coef]]]:
-    """The unknowns that one-entry rows force to zero, and the other rows
-    with those unknowns struck.
-
-    Striking a pinned unknown can leave another one-entry row, which pins
-    in turn; only live-entry counts change on the way.  A row ends with no
-    live entry, and is dropped, or with two or more; one that held no
-    pinned unknown comes back as it is.
-    """
-    holders: defaultdict[int, list[int]] = defaultdict(list)
-    for i, r in enumerate(rows):
-        for c in r:
-            holders[c].append(i)
-    live = [len(r) for r in rows]
-    stack = [c for r in rows if len(r) == 1 for c in r]
-    pinned: set[int] = set()
-    while stack:
-        c = stack.pop()
-        if c in pinned:
-            continue
-        pinned.add(c)
-        for i in holders[c]:
-            live[i] -= 1
-            if live[i] == 1:
-                stack.extend(k for k in rows[i] if k not in pinned)
-    left = [r if n == len(r) else {k: v for k, v in r.items() if k not in pinned}
-            for r, n in zip(rows, live) if n]
-    return pinned, left
-
-
 def nullspace(system: LinearSystem) -> list[dict[str, Fraction]]:
     """Exact reduced nullspace basis; pivots follow unknown declaration order.
 
-    Unknowns forced to zero are pinned first (`_strip_pinned`): a one-entry
-    row sets its unknown to zero, and striking it from the other rows can
-    force more.  Each pinned unknown becomes the pivot row {c: 1}.  Striking
-    an entry is the row operation that subtracts a multiple of that unit
-    row, so the row space is unchanged and the unit rows are rows of its
-    reduced row echelon form.
-
-    The rest of the form is built one row at a time: an incoming row is
-    reduced by the pivot rows so far, its lowest remaining column becomes a
-    new pivot, and that column is eliminated from the earlier pivot rows
-    that hold it.  An index from each column to the pivot rows holding it
-    finds those rows without a scan of every pivot, and gives each basis
-    vector directly.  The reduced row echelon form of a row space is
-    unique, so the basis depends neither on the row order nor on the order
-    of the eliminations.  That leaves the order free: the rows are taken by
-    descending lowest column, so that a new pivot rarely lands in a column
-    that earlier pivot rows hold, and back-elimination stays small.  Rows
-    are kept fraction-free, as coprime integers positive at the pivot; the
-    quotients are taken once, for the basis.  Each basis vector sets one
-    free unknown to 1; that unknown is absent from every other vector,
-    which fixes the echelon-normalized representatives.  The rows of `system` are not modified.
+    One loop builds the reduced row echelon form a row at a time.  The rows
+    go in shortest first, so the one-entry rows, which force their unknown
+    to zero, come first.  A forced unknown c gets the unit pivot row {c: 1}
+    and is struck from every pivot row that holds it: that is the row
+    operation subtracting a multiple of the unit row.  A pivot row left
+    with one entry is a unit row in turn.  An incoming row drops its unit
+    columns (it is skipped if nothing is left), is reduced by the other
+    pivot rows, and its lowest remaining column becomes a new pivot, which
+    is eliminated from the earlier pivot rows that hold it.  An index from
+    each column to the pivot rows holding it finds those rows without a
+    scan of every pivot, and gives each basis vector directly.  The reduced
+    row echelon form of a row space is unique, so the basis depends neither
+    on the row order nor on the order of the eliminations.  Rows are kept
+    fraction-free, as integers positive at the pivot, made coprime when a
+    pivot is stored; only a row with a rational entry is scaled to
+    integers.  The quotients are taken once, for the basis.  Each basis
+    vector sets one free unknown to 1; that unknown is absent from every
+    other vector, which fixes the echelon-normalized representatives.  The
+    rows of `system` are not modified.
     """
     if system.inconsistent:
         return []
-    pinned, rows = _strip_pinned(system.rows)
-    rows.sort(key=min, reverse=True)
-    pivots: dict[int, dict[int, int]] = {c: {c: 1} for c in pinned}
+    pivots: dict[int, dict[int, int]] = {}
     holders: defaultdict[int, set[int]] = defaultdict(set)
-    for row in rows:
-        r = _integer_row(row)
+    units: set[int] = set()
+
+    def pin(c: int):
+        units.add(c)
+        pivots[c] = {c: 1}
+        for pc in holders.pop(c, ()):
+            p = pivots[pc]
+            del p[c]
+            if len(p) == 1:
+                pin(pc)
+
+    for row in sorted(system.rows, key=len):
+        if units.issuperset(row):
+            continue
+        r = {k: v for k, v in row.items() if k not in units}
+        if any(v.__class__ is not int for v in r.values()):
+            r = _integer_row(r)
         for pc in [c for c in r if c in pivots]:
             p = pivots[pc]
             r = _combine(p[pc], r, r[pc], p)
         if not r:
             continue
         col = min(r)
+        if len(r) == 1:
+            pin(col)
+            continue
+        g = gcd(*r.values())
         a = r[col]
         if a < 0:
-            r = {k: -v for k, v in r.items()}
-            a = -a
+            g = -g
+        if g != 1:
+            r = {k: v // g for k, v in r.items()}
+            a //= g
         for pc in holders.pop(col, ()):
             p = pivots[pc]
             q = pivots[pc] = _combine(a, p, p[col], r)
@@ -289,6 +279,8 @@ def nullspace(system: LinearSystem) -> list[dict[str, Fraction]]:
                 holders[k].discard(pc)
             for k in q.keys() - p.keys():
                 holders[k].add(pc)
+            if len(q) == 1:
+                pin(pc)
         for k in r:
             if k != col:
                 holders[k].add(col)

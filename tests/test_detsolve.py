@@ -1,3 +1,5 @@
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from itertools import combinations_with_replacement
 
+from jetcalc import detsolve
+from jetcalc.cli import main
 from jetcalc.dalg import UNKNOWN, DiffPoly, ExponentOverflow, param_var, unknown_var
 from jetcalc.jetspace import EvolutionSystem, JetContext, multi_indices_up_to, prefix_derivatives, total_derivative
 from jetcalc.cdiff import CartanShadow, CDiffOp, flow_linearization, linearization, jacobi_bracket
@@ -169,6 +173,100 @@ def test_nullspace_trivials():
     both = LinearSystem(["c0", "c1"], [{0: Fraction(1), 1: Fraction(1)},
                                        {0: Fraction(1), 1: Fraction(-1)}])
     assert nullspace(both) == []
+
+
+def test_span_contains_with_fractional_coefficients(ctx):
+    basis = [(ctx.parse("1/2*u_x + 2/3*u"),), (ctx.parse("u_x/3 - 5/4*u^2"),)]
+    inside = ctx.parse("3/4*(1/2*u_x + 2/3*u) - 5/7*(u_x/3 - 5/4*u^2)")
+    assert span_contains(basis, (inside,))
+    assert span_contains(basis, (ctx.parse("7/3*u_x + 28/9*u"),))
+    assert not span_contains(basis, (inside + ctx.parse("1/9*u"),))
+    assert not span_contains(basis, (ctx.parse("u_x"),))
+
+
+STOCK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "eqn")
+# The two largest symmetry systems of the solve_ansatz benchmark workload.
+BENCHMARK_SYSTEMS = [("nls1", ["--order", "3", "--deg", "3", "--xt-deg", "1"], 6),
+                     ("kdv", ["--order", "7", "--deg", "3", "--xt-deg", "1"], 5)]
+
+
+def _determining_system(monkeypatch, capsys, name, flags):
+    """The linear system that `symmetries` on a stock equation file solves,
+    with the nullspace basis it got and the basis the report prints."""
+    caught = []
+    solve = detsolve.nullspace
+
+    def spy(system):
+        caught.append((system, solve(system)))
+        return caught[-1][1]
+
+    monkeypatch.setattr(detsolve, "nullspace", spy)
+    assert main(["symmetries", os.path.join(STOCK, f"{name}.eqn"), *flags, "--format", "structured"]) == 0
+    (system, vectors), = caught
+    return system, vectors, json.loads(capsys.readouterr().out)["basis"]
+
+
+MERSENNE_61 = 2 ** 61 - 1
+
+
+def _rank_mod_p(rows, p=MERSENNE_61):
+    """Rank over Z/p by plain forward elimination on the lowest column, rows
+    in input order; it shares no code with `nullspace`."""
+    pivots = {}
+    for row in rows:
+        r = {k: c.numerator * pow(c.denominator, -1, p) % p for k, c in row.items()}
+        r = {k: v for k, v in r.items() if v}
+        while r:
+            col = min(r)
+            piv = pivots.get(col)
+            if piv is None:
+                inv = pow(r[col], -1, p)
+                pivots[col] = {k: v * inv % p for k, v in r.items()}
+                break
+            f = r[col]
+            for k, v in piv.items():
+                nv = (r.get(k, 0) - f * v) % p
+                if nv:
+                    r[k] = nv
+                else:
+                    r.pop(k, None)
+    return len(pivots)
+
+
+@pytest.mark.parametrize("name, flags, nullity", BENCHMARK_SYSTEMS, ids=[n for n, _, _ in BENCHMARK_SYSTEMS])
+def test_nullspace_is_complete_on_the_benchmark_systems(monkeypatch, capsys, name, flags, nullity):
+    """Every basis vector solves every row exactly, each holds an unknown
+    that no other does (so they are independent), and their number is
+    n - rank mod p.  A rank mod p never exceeds the rank over Q, so the
+    nullspace over Q has no room for another vector: the basis is complete."""
+    system, vectors, printed = _determining_system(monkeypatch, capsys, name, flags)
+    assert len(vectors) == len(printed) == nullity
+    assert len(system.unknowns) - _rank_mod_p(system.rows) == nullity
+    column = {u: k for k, u in enumerate(system.unknowns)}
+    for vec in vectors:
+        others = set().union(*(w for w in vectors if w is not vec))
+        assert vec.keys() - others
+        values = {column[u]: c for u, c in vec.items()}
+        for row in system.rows:
+            assert sum(c * values.get(k, 0) for k, c in row.items()) == 0
+
+
+def test_nls_elimination_work_stays_bounded(monkeypatch, capsys):
+    """Row rebuilds (`_combine` calls) on the largest benchmark system: the
+    single shortest-rows-first loop makes 1367, the two-pass elimination it
+    replaced 8108."""
+    calls = []
+    combine = detsolve._combine
+
+    def counted(*args):
+        calls.append(None)
+        return combine(*args)
+
+    monkeypatch.setattr(detsolve, "_combine", counted)
+    name, flags, nullity = BENCHMARK_SYSTEMS[0]
+    _, vectors, _ = _determining_system(monkeypatch, capsys, name, flags)
+    assert len(vectors) == nullity
+    assert len(calls) <= 2000
 
 
 def test_burgers_symmetries_acceptance_shape(burgers, ctx):

@@ -37,7 +37,7 @@ from jetcalc.dalg import (
     unknown_var,
 )
 from jetcalc.cdiff import CDiffOp, _collect
-from jetcalc.detsolve import LinearSystem, _strip_pinned, match_coefficients, nullspace
+from jetcalc.detsolve import LinearSystem, match_coefficients, nullspace
 from jetcalc.jetspace import EvolutionSystem, JetContext, total_derivative
 from jetcalc.hamrec import make_covering
 from jetcalc.variational import Density, dx_inverse, euler
@@ -289,20 +289,26 @@ def test_varid_order_is_graded_on_every_kind():
 
 @st.composite
 def sparse_systems(draw):
-    """Sparse rational rows with zero, duplicate and dependent rows mixed in."""
+    """Sparse rows with zero, duplicate, fraction-scaled and dependent rows
+    mixed in.  Entries mix ints, integral Fractions and proper fractions, so
+    int rows and rows that must be scaled to integers meet in one
+    elimination."""
     n = draw(st.integers(1, 7))
-    entry = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+    entry = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=3)).filter(bool)
     rows = []
     for _ in range(draw(st.integers(0, 6))):
         cols = draw(st.sets(st.integers(0, n - 1), max_size=3))
         rows.append({k: draw(entry) for k in cols})
     extra = []
     for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from(["zero", "duplicate", "dependent"]))
+        kind = draw(st.sampled_from(["zero", "duplicate", "scaled", "dependent"]))
         if kind == "zero" or not rows:
             extra.append({})
         elif kind == "duplicate":
             extra.append(dict(draw(st.sampled_from(rows))))
+        elif kind == "scaled":
+            scale = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(lambda f: f.denominator > 1))
+            extra.append({k: scale * v for k, v in draw(st.sampled_from(rows)).items()})
         else:
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
             ka, kb = draw(entry), draw(entry)
@@ -321,6 +327,9 @@ def sympy_nullspace(n, rows, names):
 
 @KERNEL
 @given(sparse_systems(), st.randoms(use_true_random=False))
+# An int row, the same row scaled by 1/6, and int rows beside a rational one.
+@example((4, [{0: 2, 1: 4, 2: 6}, {0: Fraction(1, 3), 1: Fraction(2, 3), 2: Fraction(1)},
+              {1: 3, 3: Fraction(5, 2)}, {0: -1, 1: 4}]), random.Random(0))
 def test_nullspace_matches_sympy_and_ignores_row_order(system, rnd):
     n, rows = system
     names = [f"c{k}" for k in range(n)]
@@ -349,18 +358,26 @@ def test_nullspace_of_large_random_system_matches_sympy():
 
 
 @st.composite
-def pinning_systems(draw):
+def pinning_systems(draw, pin_last=False):
     """Systems whose one-entry rows pin unknowns in cascades: the k-th chain
     row holds one new unknown and some already pinned ones, so it is left
     with one entry once those are struck.  Free rows, repeated rows and
     scalar multiples are mixed in, and the rows are shuffled.  Returns the
-    unknown count, the rows and the unknowns the chain pins."""
+    unknown count, the rows and the unknowns the chain pins.
+
+    With `pin_last` the chain's one-entry row is replaced by two rows on
+    the first three unknowns of the chain's order that differ only at its
+    first unknown.  They are as long as the longest other rows and go after
+    them without a shuffle, followed by a few longer rows.  `nullspace`
+    takes the rows shortest first, so that unknown is pinned only after the
+    rows holding it are stored as pivots, striking it cascades through
+    them, and the longer rows are reduced by the struck pivots."""
     n = draw(st.integers(1, 8))
     entry = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
     order = draw(st.permutations(range(n)))
     rows = []
-    chain = order[:draw(st.integers(0, n))]
-    for k in range(len(chain)):
+    chain = order[:draw(st.integers(1 if pin_last else 0, n))]
+    for k in range(1 if pin_last else 0, len(chain)):
         cols = {order[k]} | draw(st.sets(st.sampled_from(order[:k]), max_size=2)) if k else {order[0]}
         rows.append({c: draw(entry) for c in cols})
     for _ in range(draw(st.integers(0, 4))):
@@ -370,25 +387,46 @@ def pinning_systems(draw):
         if rows:
             row, scale = draw(st.sampled_from(rows)), draw(st.one_of(st.sampled_from([1, -1]), entry))
             rows.append({c: scale * v for c, v in row.items()})
-    return n, draw(st.permutations(rows)), chain
+    rows = draw(st.permutations(rows))
+    if not pin_last:
+        return n, rows, chain
+    c = order[0]
+    first = {k: draw(entry) for k in order[:3]}
+    shift = draw(entry.filter(lambda e: e != -first[c]))
+    later = [{k: draw(entry) for k in draw(st.sets(st.integers(0, n - 1), min_size=4, max_size=5))}
+             for _ in range(draw(st.integers(0, 3)) if n > 3 else 0)]
+    return n, rows + [first, {**first, c: first[c] + shift}] + later, chain
 
 
-@KERNEL
-@given(pinning_systems(), st.randoms(use_true_random=False))
-def test_pinned_elimination_matches_sympy_and_leaves_rows_alone(system, rnd):
-    n, rows, chain = system
-    pinned, left = _strip_pinned(rows)
-    assert set(chain) <= pinned
-    assert all(len(r) >= 2 and not pinned & r.keys() for r in left)
+def check_pinned_elimination(n, rows, chain, rnd):
+    """The chain's unknowns are zero in every basis vector, the basis is
+    sympy's whatever the row order, and the rows of the system are left as
+    they were."""
     names = [f"c{k}" for k in range(n)]
     snapshot = [list(r.items()) for r in rows]
     linear = LinearSystem(names, rows)
     basis = nullspace(linear)
     assert [list(r.items()) for r in linear.rows] == snapshot
+    assert not any(names[c] in vec for vec in basis for c in chain)
     assert basis == sympy_nullspace(n, rows, names)
     shuffled = list(rows)
     rnd.shuffle(shuffled)
     assert nullspace(LinearSystem(names, shuffled)) == basis
+
+
+@KERNEL
+@given(pinning_systems(), st.randoms(use_true_random=False))
+def test_pinned_elimination_matches_sympy_and_leaves_rows_alone(system, rnd):
+    check_pinned_elimination(*system, rnd)
+
+
+@KERNEL
+@given(pinning_systems(pin_last=True), st.randoms(use_true_random=False))
+# c2 is pinned by the third row; the last row is then reduced by pivot row
+# c0, which must no longer hold c2.
+@example((6, [{0: 1, 1: 1}, {1: 1, 2: 1}, {1: 2, 2: 1}, {0: 1, 3: 1, 4: 1, 5: 1}], [2, 1, 0]), random.Random(0))
+def test_a_late_pin_strikes_the_stored_pivots(system, rnd):
+    check_pinned_elimination(*system, rnd)
 
 
 KNOWN = [v for v in VARS if v.kind != PARAM]
