@@ -477,6 +477,17 @@ def _lookup_operator(eq: EquationFile, ref: str) -> CDiffOp:
     return parse_operator(ref, eq.ctx)
 
 
+def _hamiltonian_operator(eq: EquationFile, ref: str) -> CDiffOp:
+    """The operator `ref`, which must map the file's m-component sections to
+    m-component sections: InputError unless it is m x m."""
+    op = _lookup_operator(eq, ref)
+    m = eq.ctx.m
+    if (op.rows, op.cols) != (m, m):
+        raise InputError(f"operator '{ref}' is {op.rows}x{op.cols}, but the file declares {m} dependent "
+                         f"variables, so a Hamiltonian operator must be {m}x{m}")
+    return op
+
+
 def _lookup_current(eq: EquationFile, ref: str) -> ConservedCurrent:
     if ref in eq.currents:
         return eq.currents[ref]
@@ -594,7 +605,7 @@ def cmd_verify_current(eq: EquationFile, args) -> tuple[Report, int]:
 
 
 def cmd_check_hamiltonian(eq: EquationFile, args) -> tuple[Report, int]:
-    op = _lookup_operator(eq, args.op)
+    op = _hamiltonian_operator(eq, args.op)
     skew = is_skew_adjoint(op)
     jac = jacobi_check(op) if skew else False
     rep = Report("check-hamiltonian", eq)
@@ -606,7 +617,7 @@ def cmd_check_hamiltonian(eq: EquationFile, args) -> tuple[Report, int]:
 
 
 def cmd_flow(eq: EquationFile, args) -> tuple[Report, int]:
-    op = _lookup_operator(eq, args.op)
+    op = _hamiltonian_operator(eq, args.op)
     H = _lookup_density(eq, args.density)
     flow = hamiltonian_flow(op, H)
     rep = Report("flow", eq)
@@ -617,7 +628,7 @@ def cmd_flow(eq: EquationFile, args) -> tuple[Report, int]:
 
 
 def cmd_bracket(eq: EquationFile, args) -> tuple[Report, int]:
-    op = _lookup_operator(eq, args.op)
+    op = _hamiltonian_operator(eq, args.op)
     H1 = _lookup_density(eq, args.density)
     H2 = _lookup_density(eq, args.density2)
     br = poisson_bracket(op, H1, H2)

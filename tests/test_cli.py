@@ -193,6 +193,28 @@ def test_bracket_command(kdv_file, capsys):
     assert "zero in cohomology: yes" in out
 
 
+NLS = """\
+independent: x, t(time)
+dependent: v, w
+evolution: v_t = w_{xx} + (v^2 + w^2)*w
+evolution: w_t = -(v_{xx}) - (v^2 + w^2)*v
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-hamiltonian", "--op", "D_x"),
+    ("flow", "--op", "D_x", "--density", "v^2"),
+    ("bracket", "--op", "D_x", "--density", "v^2", "--density2", "w^2"),
+])
+def test_hamiltonian_commands_reject_an_operator_of_the_wrong_shape(tmp_path, capsys, argv):
+    path = tmp_path / "nls.eqn"
+    path.write_text(NLS)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert err == ("error: operator 'D_x' is 1x1, but the file declares 2 dependent variables, "
+                   "so a Hamiltonian operator must be 2x2\n")
+
+
 def test_recursion_commands(burgers_file, capsys):
     code, out, _ = run(capsys, "recursion", burgers_file, "--order", "1", "--deg", "1")
     assert code == 0

@@ -31,7 +31,9 @@ from jetcalc.dalg import (
     NONLOCAL,
     PARAM,
     TESTCOV,
+    UNKNOWN,
     DiffPoly,
+    ExponentOverflow,
     VarId,
     _monomial_key,
     unknown_var,
@@ -480,21 +482,27 @@ def assert_canonical(p: DiffPoly):
 fractional_polys = polys().map(lambda q: q.scale(Fraction(1, 6)))
 
 
-@KERNEL
-@given(polys(), st.lists(st.one_of(st.none(), polys(max_terms=3), fractional_polys), min_size=len(VARS),
-                         max_size=len(VARS)))
-def test_derivation_matches_partial_sum(p, imgs):
-    table = dict(zip(VARS, imgs))
+def check_derivation(p: DiffPoly, table: dict) -> DiffPoly:
+    """p.derivation(table.get): the reference sum, asked once per variable
+    in `variables()` order, canonical."""
     asked = []
 
     def image(v):
         asked.append(v)
-        return table[v]
+        return table.get(v)
 
     got = p.derivation(image)
     assert asked == list(p.variables())
     assert got == reference_derivation(p, table.get)
     assert_canonical(got)
+    return got
+
+
+@KERNEL
+@given(polys(), st.lists(st.one_of(st.none(), polys(max_terms=3), fractional_polys), min_size=len(VARS),
+                         max_size=len(VARS)))
+def test_derivation_matches_partial_sum(p, imgs):
+    check_derivation(p, dict(zip(VARS, imgs)))
 
 
 @KERNEL
@@ -522,6 +530,91 @@ def test_derivation_keeps_integral_coefficients_int(p, c):
     got = p.scale(c).derivation(image)
     assert got == reference_derivation(p.scale(c), image)
     assert_canonical(got)
+
+
+nonzero_coefficients = coefficients.filter(bool)
+# A one-term image: a monomial (1 included) times a nonzero rational.
+one_term_images = st.builds(lambda vs, c: DiffPoly.monomial(vs).scale(c),
+                            st.lists(st.sampled_from(VARS), max_size=2), nonzero_coefficients)
+
+
+@KERNEL
+@given(polys(), st.lists(st.one_of(st.none(), one_term_images), min_size=len(VARS), max_size=len(VARS)))
+@example(HALF_U2 + DiffPoly.var(VARS[0]) * DiffPoly.var(VARS[2]),
+         [DiffPoly.const(Fraction(-2, 3))] + [None] * (len(VARS) - 1))
+def test_derivation_by_one_term_images(p, imgs):
+    check_derivation(p, dict(zip(VARS, imgs)))
+
+
+weights = st.lists(st.integers(-2, 2), min_size=len(VARS), max_size=len(VARS))
+
+
+def weight(factors, lam: dict) -> int:
+    return sum(lam[v] * e for v, e in factors)
+
+
+@KERNEL
+@given(polys(), weights)
+def test_diagonal_field_scales_each_monomial_by_its_weight(p, lam):
+    """v -> lam_v*v: by Euler's identity each monomial comes back times
+    its lam-weight; every pass writes the key of the monomial itself."""
+    lam = dict(zip(VARS, lam))
+    table = {v: DiffPoly.var(v).scale(k) for v, k in lam.items()}
+    got = check_derivation(p, table)
+    assert got == DiffPoly({f: c * weight(f, lam) for f, c in p.terms.items()})
+
+
+@KERNEL
+@given(polys(max_terms=6), st.lists(st.integers(-1, 1), min_size=len(VARS), max_size=len(VARS)))
+@example(DiffPoly.var(VARS[0]) * DiffPoly.var(VARS[2]) + DiffPoly.const(3), [1, 0, -1, 0, 0, 0, 0, 0, 0])
+def test_diagonal_field_of_weight_zero_cancels_every_key(p, lam):
+    """A later pass cancels every key that the first pass wrote."""
+    lam = dict(zip(VARS, lam))
+    p = DiffPoly({f: c for f, c in p.terms.items() if weight(f, lam) == 0})
+    got = p.derivation({v: DiffPoly.var(v).scale(k) for v, k in lam.items()}.get)
+    assert got.is_zero() and got.terms == {}
+
+
+@st.composite
+def templates(draw, max_slots=4):
+    """sum_k c_k*m_k over distinct monic monomials m_k, the shape of
+    `TemplateBuilder.combination`, its unknowns numbered from a drawn index."""
+    monos = draw(st.lists(st.lists(st.sampled_from(VARS), max_size=3).map(DiffPoly.monomial),
+                          max_size=max_slots, unique=True))
+    first = draw(st.integers(0, 5))
+    return DiffPoly.combination([(unknown_var(first + k), m) for k, m in enumerate(monos)])
+
+
+@KERNEL
+@given(templates(), st.lists(st.one_of(st.none(), one_term_images, polys(max_terms=3), fractional_polys),
+                             min_size=len(VARS), max_size=len(VARS)))
+def test_derivation_of_templates(p, imgs):
+    got = check_derivation(p, dict(zip(VARS, imgs)))
+    assert all(any(v.kind == UNKNOWN for v, _ in f) for f in got.terms)
+
+
+@KERNEL
+@given(templates(), st.lists(st.one_of(st.none(), one_term_images, polys(max_terms=3)), min_size=len(VARS),
+                             max_size=len(VARS)), st.integers(0, 7))
+def test_offset_commutes_with_derivation(p, imgs, k):
+    """`detsolve.slot_derivatives` derives one slot and offsets the rest."""
+    image = dict(zip(VARS, imgs)).get
+    assert p.offset_unknowns(k).derivation(image) == p.derivation(image).offset_unknowns(k)
+
+
+def test_one_term_image_past_the_maximum_exponent_raises_with_an_unknown():
+    x, t, u = VARS[0], VARS[1], VARS[2]
+    c0 = DiffPoly.var(unknown_var(0))
+    top = DiffPoly.var(u) ** 127
+    shift = {x: DiffPoly.var(u)}.get
+    with pytest.raises(ExponentOverflow, match="127"):
+        (c0 * top * DiffPoly.var(x)).derivation(shift)  # the first pass
+    with pytest.raises(ExponentOverflow, match="127"):
+        (top * DiffPoly.var(x)).derivation({x: c0 * DiffPoly.var(u)}.get)
+    # x -> 1 writes the first keys; t -> u overflows in a later pass.
+    p = c0 * (DiffPoly.var(x) + top * DiffPoly.var(t))
+    with pytest.raises(ExponentOverflow, match="127"):
+        p.derivation({x: DiffPoly.const(1), t: DiffPoly.var(u)}.get)
 
 
 # --------------------------------------------------------------------------
