@@ -2,9 +2,9 @@
 
 Expressions are polynomials with rational coefficients in a mixed set of
 formal variables: base (independent) variables, jet variables u^j_sigma,
-nonlocal variables of a covering, named parameters, test covectors, an
-auxiliary scalar used by the homotopy integral, and the unknown
-coefficients of ansatz templates.  Everything is immutable
+nonlocal variables of a covering, named parameters, and the unknown
+coefficients of ansatz templates.  A covector argument is no kind of its
+own: it is a dependent variable of a widened context.  Everything is immutable
 and canonical: equal values have equal representations, so equality of
 expressions is equality of their numerator maps and denominators.
 
@@ -34,12 +34,13 @@ Kernel invariants, which every operation keeps:
   the derivatives of a template's further slots are those of its first
   slot with the unknown indices offset (`offset_unknowns`), since no
   derivation acts on an unknown; coefficient rows from `linear_rows`;
-  integrals from `antiderivative`.
+  integrals from `antiderivative`; the parts of each degree in one kind of
+  variable from `homogeneous_parts`.
 - Coefficients are nonzero int numerators over one positive denominator
   coprime to them, 1 for an integer polynomial (FLINT's `fmpq_poly`).  Ring
   operations run on ints and divide out one gcd, in `DiffPoly._make`;
-  rationals enter through `DiffPoly(terms)`, `const`, `scale` and
-  `evaluate`, and leave through the `terms` view.
+  rationals enter through `DiffPoly(terms)`, `const` and `scale`, and
+  leave through the `terms` view.
 - `DiffPoly(terms)` cleans its input; the trusted `DiffPoly._make` is only
   for numerator dicts that hold no zero and are owned by the new value.
 - `DiffPoly.sum` is the only accumulator.  A sum of many polynomials is
@@ -79,9 +80,7 @@ BASE = 0
 JET = 1
 NONLOCAL = 2
 PARAM = 3
-TESTCOV = 4
-HSCALAR = 5
-UNKNOWN = 6
+UNKNOWN = 4
 
 # A multi-index is a sorted tuple of base-variable indices; repetition
 # encodes the derivative order in that variable.
@@ -137,8 +136,7 @@ class VarId(tuple):
 
     The tuple itself is the canonical sort key, computed once at
     construction: the kind, then for jets (component, order, multi-index),
-    for test covectors (name, component, order, multi-index), and the
-    payload for every other kind.  The key determines (kind, idx), so
+    and the payload for every other kind.  The key determines (kind, idx), so
     hashing, equality and ordering are plain tuple operations; `kind`,
     `idx` and `name` ride along as attributes.
     """
@@ -146,8 +144,6 @@ class VarId(tuple):
     def __new__(cls, kind: int, idx: tuple, name: str = ""):
         if kind == JET:
             key = (JET, idx[0], len(idx[1]), idx[1])
-        elif kind == TESTCOV:
-            key = (TESTCOV, idx[0], idx[1], len(idx[2]), idx[2])
         else:
             key = (kind,) + idx
         self = tuple.__new__(cls, key)
@@ -192,16 +188,6 @@ def nonlocal_var(layer: int, name: str) -> VarId:
 
 def param_var(name: str) -> VarId:
     return VarId(PARAM, (name,), name)
-
-
-def testcov_var(name: str, comp: int, sigma: MultiIndex, base_names: tuple[str, ...], dep_names: tuple[str, ...] = ()) -> VarId:
-    display = name if len(dep_names) <= 1 else f"{name}[{dep_names[comp]}]"
-    return VarId(TESTCOV, (name, comp, tuple(sorted(sigma))), display + jet_subscript(tuple(sorted(sigma)), base_names))
-
-
-# The homotopy scalar is unique; its display name cannot be produced by the
-# expression grammar, so it can never collide with user identifiers.
-HOMOTOPY_SCALAR = VarId(HSCALAR, (), "@s")
 
 
 # A monomial's factor part, as `terms` yields it: ((VarId, exponent), ...)
@@ -620,6 +606,15 @@ class DiffPoly:
             return None
         return c if self.den == 1 else Fraction(c, self.den)
 
+    def homogeneous_parts(self, kind: int) -> dict[int, "DiffPoly"]:
+        """{d: the terms of self whose exponents of the variables of `kind`
+        add up to d}, for a kind other than UNKNOWN; the parts sum to self."""
+        mask = _KIND_MASKS.get(kind, 0)
+        groups: dict[int, dict[int, int]] = {}
+        for m, c in self.num.items():
+            groups.setdefault(sum(_field_bytes(m & mask)), {})[m] = c
+        return {d: DiffPoly._make(num, self.den) for d, num in groups.items()}
+
     def total_degree(self) -> int:
         return max((sum(_field_bytes(m)) + (m & _LOW > 0) for m in self.num), default=0)
 
@@ -795,25 +790,6 @@ class DiffPoly:
                 for img in images:
                     term = term * img
                 yield term
-
-        return DiffPoly.sum(terms())
-
-    def evaluate(self, values: Mapping[VarId, Coef]) -> "DiffPoly":
-        """Substitution of rational constants: `substitute` with constant
-        images, without building the intermediate products."""
-        units = [(_unit(v), val) for v, val in values.items()]
-
-        def terms():
-            for m, c in self.num.items():
-                d = self.den
-                for unit, val in units:
-                    e = _exponent(m, unit)
-                    if e:
-                        m -= unit * e
-                        c *= val.numerator ** e
-                        d *= val.denominator ** e
-                if c:
-                    yield DiffPoly._make({m: c}, d)
 
         return DiffPoly.sum(terms())
 

@@ -363,7 +363,7 @@ def shadows(space, a: Ansatz) -> SolutionBasis:
     ctx = space.ctx
     template, tb = build_shadow_template(ctx, a)
     residual = shadow_residual(template, space)
-    rows = [p for cmap in residual.comps for _, p in sorted(cmap.items(), key=lambda kv: str(kv[0]))]
+    rows = [p for cmap in residual.comps for p in cmap.values()]
 
     def render(vec):
         values = tb.read_off(vec)

@@ -7,6 +7,8 @@ an equation (`ctx`, `f`, `dsigma_f`, `check_internal`, `derive`), and its
 `ctx` names its layers.  Applying a recursion shadow to a symmetry
 contracts the Cartan coefficients and resolves each covering form by
 integrating the corresponding relation equation in the spatial direction.
+The Jacobi criterion takes its three covector arguments as dependent
+variables of a widened context, on which the operator is re-hosted.
 The iterates of a shadow (`shadow_iterates`) hold one derivative memo
 each, which lives for one iterate: the derivatives that certify iterate k
 also contract iterate k + 1 and give its layer images.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, count, islice
 from typing import Callable, Iterator, Sequence
 
-from .dalg import JET, NONLOCAL, TESTCOV, DiffPoly, MultiIndex, VarId
+from .dalg import JET, NONLOCAL, DiffPoly, MultiIndex, VarId
 from .jetspace import EvolutionSystem, JetContext, NotInternal, RegimeMismatch, prefix_derivatives
 from .cdiff import CartanShadow, CDiffOp, DimensionMismatch, contract, evolutionary, linearization
 from .variational import (
@@ -98,8 +100,6 @@ class Covering:
                 raise ScopeError(f"{where} refers to layer '{v.name}' not introduced before it")
             if v.kind == JET and t in v.idx[1]:
                 raise NotInternal(f"{where} uses non-internal coordinate {v.name}")
-            if v.kind == TESTCOV:
-                raise ScopeError(f"{where} cannot contain test covectors")
 
     # The equation's interface, and the layers for the Cartan-form machinery.
 
@@ -119,7 +119,7 @@ class Covering:
         def image(v: VarId) -> DiffPoly | None:
             if v.kind == NONLOCAL:
                 return self.layers[v.idx[0]].exprs[i]
-            if v.kind == TESTCOV or v.kind == JET and t in v.idx[1]:
+            if v.kind == JET and t in v.idx[1]:
                 self.check_internal(p)  # raises, naming the coordinate
             return jets(v)
 
@@ -262,31 +262,40 @@ def _test_covector_names(ctx: JetContext, n: int) -> list[str]:
 
 def _coefficient_linearization_applied(op: CDiffOp, phi: list[DiffPoly], psi: list[DiffPoly]) -> list[DiffPoly]:
     """(ell_A(phi))(psi): the operator whose coefficients are differentiated
-    along the evolutionary field of phi, applied to psi."""
+    along the evolutionary field of phi, applied to psi.  phi is padded with
+    zeros up to the context's dependent variables (the covectors on the
+    widened context of the Jacobi criterion), which the coefficients of A
+    do not hold."""
     ctx = op.ctx
+    phi = list(phi) + [DiffPoly.zero()] * (ctx.m - len(phi))
     entries = [[{sigma: evolutionary(ctx, phi, a) for sigma, a in e.items()} for e in row] for row in op.entries]
     return CDiffOp(op.space, op.rows, op.cols, entries).apply(psi)
 
 
 def jacobi_criterion_density(op: CDiffOp) -> Density:
-    """The cyclic criterion density sum_cyc <ell_A(A(p))(q), r> built from
-    three fresh covector arguments (full jet variables)."""
+    """The cyclic criterion density sum_cyc <ell_A(A(p))(q), r> in three
+    covector arguments p, q, r of m components each.  They are the dependent
+    variables m + k*m + c of a widened context, which adds 3m fresh names to
+    the operator's dependent variables; the operator is re-hosted on that
+    free context, and the density lives on it."""
     ctx = op.ctx
     m = op.rows
-    names = _test_covector_names(ctx, 3)
-    covecs = [[DiffPoly.var(ctx.testcov(nm, c)) for c in range(m)] for nm in names]
+    wide = JetContext(ctx.independent, ctx.dependent + tuple(_test_covector_names(ctx, 3 * m)),
+                      ctx.parameters, ctx.has_time)
+    op = CDiffOp(wide, op.rows, op.cols, op.entries)
+    covecs = [[DiffPoly.var(wide.jet(m + k * m + c)) for c in range(m)] for k in range(3)]
     parts = []
     for k in range(3):
         p, q, r = covecs[k], covecs[(k + 1) % 3], covecs[(k + 2) % 3]
         ap = op.apply(p)
         lq = _coefficient_linearization_applied(op, ap, q)
         parts.extend(comp * rr for comp, rr in zip(lq, r))
-    return Density(ctx, DiffPoly.sum(parts))
+    return Density(wide, DiffPoly.sum(parts))
 
 
 def jacobi_check(op: CDiffOp) -> bool:
     """Divergence test of the cyclic criterion density; the Euler test runs
-    over the dependent variables and the covectors alike."""
+    over the dependent variables of the widened context, covectors included."""
     if not op.is_skew_adjoint():
         raise PreconditionFailed("operator is not skew-adjoint")
     return is_divergence(jacobi_criterion_density(op))

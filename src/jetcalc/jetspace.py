@@ -9,8 +9,10 @@ restricted D̄_i on internal coordinates (spatial jets only), and a covering
 (`hamrec`) the extended D̃_i.  An evolution system also rewrites any jet
 expression into internal coordinates, in one substitution
 u^j_sigma -> D̄_{sigma - t} f^j read from its memo of the D̄_sigma f^j.
-The shifted variable that D_i makes of a jet or a test covector is
-memoized on the context, which names it, and lives as long as the context.
+The shifted variable that D_i makes of a jet is memoized on the context,
+which names it, and lives as long as the context.  A covector argument
+(Green's formula, the Jacobi criterion) is a dependent variable of a
+widened context, so it is a jet like any other.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .dalg import (
     JET,
     NONLOCAL,
     PARAM,
-    TESTCOV,
     DiffPoly,
     MultiIndex,
     ParseError,
@@ -38,7 +39,6 @@ from .dalg import (
     mi_remove_one,
     nonlocal_var,
     param_var,
-    testcov_var,
 )
 
 
@@ -75,7 +75,7 @@ class JetContext:
         if twice is not None:
             raise ValueError(f"the subscript '{twice}' splits into the independent variables in two ways")
         # (base, subscript) -> VarId of every identifier resolved so far, and
-        # (VarId, i) -> the D_i image of a jet or test covector (`_shift`);
+        # (VarId, i) -> the D_i image of a jet (`_shift`);
         # not fields, so equality, hashing, repr and the pickle ignore them.
         object.__setattr__(self, "_resolved", {})
         object.__setattr__(self, "_shifted", {})
@@ -121,9 +121,6 @@ class JetContext:
 
     def nonlocal_(self, layer: int) -> VarId:
         return nonlocal_var(layer, self.nonlocals[layer])
-
-    def testcov(self, name: str, comp: int = 0, sigma: MultiIndex = ()) -> VarId:
-        return testcov_var(name, comp, sigma, self.independent, self.dependent)
 
     def u(self, name_with_subscript: str) -> VarId:
         """Convenience lookup by printed form, e.g. ctx.u('u_{xx}')."""
@@ -228,19 +225,15 @@ def ambiguous_subscript(names: Sequence[str]) -> str | None:
 
 
 def _shift(ctx: JetContext, i: int) -> Callable[[VarId], DiffPoly | None]:
-    """The image map of D_i: x_i -> 1, and jets and test covectors shift.
-    The shifted variables are memoized on the context, which they name."""
+    """The image map of D_i: x_i -> 1, and jets shift.  The shifted
+    variables are memoized on the context, which names them."""
     shifted = ctx._shifted
 
     def image(v: VarId) -> DiffPoly | None:
-        if v.kind == JET or v.kind == TESTCOV:
+        if v.kind == JET:
             got = shifted.get((v, i))
             if got is None:
-                if v.kind == JET:
-                    shift = ctx.jet(v.idx[0], mi_add(v.idx[1], i))
-                else:
-                    shift = ctx.testcov(v.idx[0], v.idx[1], mi_add(v.idx[2], i))
-                got = shifted[v, i] = DiffPoly.var(shift)
+                got = shifted[v, i] = DiffPoly.var(ctx.jet(v.idx[0], mi_add(v.idx[1], i)))
             return got
         return ONE if v.kind == BASE and v.idx[0] == i else None
 
@@ -248,7 +241,7 @@ def _shift(ctx: JetContext, i: int) -> Callable[[VarId], DiffPoly | None]:
 
 
 def total_derivative(ctx: JetContext, i: int, p: DiffPoly) -> DiffPoly:
-    """D_i p = dp/dx_i + sum u^j_{sigma+i} dp/du^j_sigma (test covectors too)."""
+    """D_i p = dp/dx_i + sum u^j_{sigma+i} dp/du^j_sigma."""
     if p.has_kind(NONLOCAL):
         raise RegimeMismatch("expression contains covering variables; use the covering's extended derivative")
     return p.derivation(_shift(ctx, i))
@@ -335,8 +328,6 @@ class EvolutionSystem:
             for v in comp.variables():
                 if v.kind == NONLOCAL:
                     raise ValueError("right-hand sides must be covering-free")
-                if v.kind == TESTCOV:
-                    raise ValueError("right-hand sides must not contain test covectors")
                 if v.kind == JET and t in v.idx[1]:
                     raise NotInternal(f"right-hand side {j} contains time derivative {v.name}")
         self.ctx = ctx
@@ -397,12 +388,10 @@ class EvolutionSystem:
 
     def derive(self, i: int, p: DiffPoly) -> DiffPoly:
         """D̄_i on internal expressions: spatial D_i, or D̄_t for the time
-        index, which does not act on test covectors."""
+        index."""
         self.check_internal(p)
         if i != self.ctx.time_index:
             return self.ctx.derive(i, p)
-        if p.has_kind(TESTCOV):
-            raise NotInternal("the restricted time derivative does not act on test covectors")
         return p.derivation(self.image(i))
 
     def to_internal(self, p: DiffPoly) -> DiffPoly:

@@ -1,25 +1,19 @@
 """Euler operator, divergence tests, homotopy reconstruction, and currents.
 
 Densities are plain coefficient polynomials (the top-degree horizontal form
-they multiply is implicit).  The Euler operator treats test covectors as
-additional dependent variables, which makes the divergence test usable for
-operator identities with free covector arguments.
+they multiply is implicit).  The Euler operator has one component per
+dependent variable of the density's context.  A covector argument of an
+operator identity (Green's formula, the Jacobi criterion) is a dependent
+variable of a widened context, so the divergence test covers it unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
-from .dalg import (
-    HOMOTOPY_SCALAR,
-    JET,
-    NONLOCAL,
-    TESTCOV,
-    DiffPoly,
-    MultiIndex,
-    VarId,
-)
+from .dalg import JET, NONLOCAL, DiffPoly, MultiIndex, mi_remove_one
 from .jetspace import EvolutionSystem, GeneralSystem, JetContext, prefix_derivatives, total_derivative_iterated
 from .cdiff import flow_linearization, linearization
 
@@ -66,51 +60,23 @@ class ConservedCurrent:
     components: tuple[DiffPoly, ...]
 
 
-def _jet_families(ctx: JetContext, p: DiffPoly) -> list[tuple]:
-    """Slots the Euler operator differentiates in: every dependent variable,
-    then every test-covector component present in p, in sorted order."""
-    fams: list[tuple] = [("u", j) for j in range(ctx.m)]
-    seen = set()
-    for v in p.variables():
-        if v.kind == TESTCOV:
-            seen.add((v.idx[0], v.idx[1]))
-    fams.extend(("tc",) + key for key in sorted(seen))
-    return fams
-
-
-def _family_var(ctx: JetContext, fam: tuple, sigma) -> VarId:
-    if fam[0] == "u":
-        return ctx.jet(fam[1], sigma)
-    return ctx.testcov(fam[1], fam[2], sigma)
-
-
-def _euler_component(ctx: JetContext, L: DiffPoly, fam: tuple) -> DiffPoly:
-    parts = []
-    for v in L.variables():
-        if fam[0] == "u" and not (v.kind == JET and v.idx[0] == fam[1]):
-            continue
-        if fam[0] == "tc" and not (v.kind == TESTCOV and (v.idx[0], v.idx[1]) == (fam[1], fam[2])):
-            continue
-        sigma = v.idx[-1]
-        term = total_derivative_iterated(ctx, sigma, L.partial(v))
-        parts.append(term.scale((-1) ** len(sigma)))
-    return DiffPoly.sum(parts)
-
-
 def euler(density: Density) -> list[DiffPoly]:
-    """Variational derivative: component j is sum_sigma (-D)_sigma dL/du^j_sigma.
-
-    Components for the m dependent variables come first; when the density
-    contains test covectors, one component per covector family is appended.
-    """
+    """Variational derivative: component j is sum_sigma (-D)_sigma dL/du^j_sigma,
+    one for each dependent variable of the density's context."""
     ctx, L = density.ctx, density.value
     if L.has_kind(NONLOCAL):
         raise ValueError("Euler operator is defined for covering-free densities")
-    return [_euler_component(ctx, L, fam) for fam in _jet_families(ctx, L)]
+    parts: list[list[DiffPoly]] = [[] for _ in range(ctx.m)]
+    for v in L.variables():
+        if v.kind == JET:
+            sigma = v.idx[1]
+            term = total_derivative_iterated(ctx, sigma, L.partial(v))
+            parts[v.idx[0]].append(term.scale((-1) ** len(sigma)))
+    return [DiffPoly.sum(p) for p in parts]
 
 
 def is_divergence(density: Density) -> bool:
-    """True iff every Euler component (dependents and covectors) vanishes."""
+    """True iff every Euler component vanishes."""
     return all(comp.is_zero() for comp in euler(density))
 
 
@@ -145,26 +111,23 @@ def integrate_top_down(space, g: DiffPoly, i: int, q: int = 0) -> tuple[list[Dif
     parts = []
     last = None
     while True:
-        jets = [v for v in g.variables() if v.kind in (JET, TESTCOV) and v.idx[-1]]
+        jets = [v for v in g.variables() if v.kind == JET and v.idx[1]]
         if not jets:
             return parts, g
-        k = max(len(v.idx[-1]) for v in jets)
+        k = max(len(v.idx[1]) for v in jets)
         measure = (k,) if k > q else (q, _profile(g))
         if last is not None and measure >= last:
             raise NotExactDerivative(g)
         last = measure
-        top = sorted(v for v in jets if len(v.idx[-1]) == k)
+        top = sorted(v for v in jets if len(v.idx[1]) == k)
         coeffs = []
         for v in top:
-            if i not in v.idx[-1]:
+            if i not in v.idx[1]:
                 raise NotExactDerivative(g)
             a = g.partial(v)
-            if any(w.kind in (JET, TESTCOV) and len(w.idx[-1]) >= k for w in a.variables()):
+            if any(w.kind == JET and len(w.idx[1]) >= k for w in a.variables()):
                 raise NotExactDerivative(g)
-            sigma = list(v.idx[-1])
-            sigma.remove(i)
-            coeffs.append((_family_var(ctx, ("u", v.idx[0]) if v.kind == JET else ("tc",) + v.idx[:2],
-                                       tuple(sigma)), a))
+            coeffs.append((ctx.jet(v.idx[0], mi_remove_one(v.idx[1], i)), a))
         h1 = DiffPoly.zero()
         for w, a in coeffs:
             h1 = h1 + (a - h1.partial(w)).antiderivative(w)
@@ -189,7 +152,7 @@ def dx_inverse(ctx: JetContext, g: DiffPoly, i: int = 0) -> DiffPoly:
     if g.has_kind(NONLOCAL):
         raise ValueError("use the covering-aware inverse for nonlocal expressions")
     parts, g = integrate_top_down(ctx, g, i)
-    if any(v.kind in (JET, TESTCOV) for v in g.variables()):
+    if g.has_kind(JET):
         raise NotExactDerivative(g)
     parts.append(g.antiderivative(ctx.base(i)))
     return DiffPoly.sum(parts)
@@ -207,18 +170,20 @@ def self_adjoint_test(ctx: JetContext, psi: list[DiffPoly]) -> bool:
 def homotopy_lagrangian(ctx: JetContext, psi: list[DiffPoly]) -> Density:
     """Reconstruct L with euler(L) = psi along the fiber-scaling path.
 
-    L = integral_0^1 sum_j u^j psi^j[u_sigma <- s u_sigma] ds; requires psi
-    to pass the self-adjointness test (inverse problem solvability).
+    L = integral_0^1 sum_j u^j psi^j[u_sigma <- s u_sigma] ds.  The scaling
+    multiplies a term of jet degree d by s^d, whose integral is 1/(d+1), so
+    L = sum_j u^j sum_d psi^j_d / (d+1) over the parts psi^j_d of jet degree
+    d (Olver, Applications of Lie Groups to Differential Equations, 5.4).
+    Requires psi to pass the self-adjointness test (inverse problem
+    solvability); NotVariational otherwise.
     """
     if not self_adjoint_test(ctx, psi):
         raise NotVariational("linearization of the section is not self-adjoint")
-    s = HOMOTOPY_SCALAR
     parts = []
     for j, p in enumerate(psi):
-        scaling = {v: DiffPoly.monomial((s, v)) for v in p.variables() if v.kind == JET}
-        parts.append(DiffPoly.var(ctx.jet(j)) * p.substitute(scaling))
-    # The integral over s from 0 to 1.
-    return Density(ctx, DiffPoly.sum(parts).antiderivative(s).evaluate({s: 1}))
+        weighted = DiffPoly.sum(part.scale(Fraction(1, d + 1)) for d, part in p.homogeneous_parts(JET).items())
+        parts.append(DiffPoly.var(ctx.jet(j)) * weighted)
+    return Density(ctx, DiffPoly.sum(parts))
 
 
 def divergence_residual(sys: EvolutionSystem, J: ConservedCurrent) -> DiffPoly:
@@ -258,7 +223,7 @@ def generating_function(sys: EvolutionSystem, J: ConservedCurrent) -> list[DiffP
     if not verify_conserved_current(sys, J):
         raise NotConserved(f"current residual: {divergence_residual(sys, J)}")
     ctx = sys.ctx
-    psi = euler(Density(ctx, J.components[0]))[: ctx.m]
+    psi = euler(Density(ctx, J.components[0]))
     if not is_generating_function(sys, psi):
         raise VerificationFailed(
             f"generating function failed its defining equation; residual {[str(r) for r in _gf_residual_of(sys, psi)]}")
@@ -281,9 +246,10 @@ def current_from_gf(sys: EvolutionSystem, psi: list[DiffPoly]) -> ConservedCurre
             f"cosymmetry residual: {[str(r) for r in _gf_residual_of(sys, psi)]}")
     if all(p.is_zero() for p in psi):
         return ConservedCurrent((DiffPoly.zero(), DiffPoly.zero()))
-    if not self_adjoint_test(ctx, psi):
-        raise NotGeneratingFunction("section is not a variational derivative")
-    j0 = homotopy_lagrangian(ctx, psi).value
+    try:
+        j0 = homotopy_lagrangian(ctx, psi).value
+    except NotVariational:
+        raise NotGeneratingFunction("section is not a variational derivative") from None
     jx = dx_inverse(ctx, -sys.restricted_time(j0), ctx.spatial_indices[0])
     J = ConservedCurrent((j0, jx))
     residual = divergence_residual(sys, J)

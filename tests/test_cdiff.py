@@ -122,12 +122,16 @@ def test_adjoint_involution_and_antihomomorphism(ctx, rng):
 
 
 def test_green_formula_divergence(ctx, rng):
-    p = DiffPoly.var(ctx.testcov("p"))
+    # The covector argument p is a dependent variable of a widened context,
+    # and the operator is re-hosted there.
+    wide = JetContext(ctx.independent, ctx.dependent + ("p",), ctx.parameters, ctx.has_time)
+    p = DiffPoly.var(wide.jet(1))
     for _ in range(25):
-        op = random_scalar_op(rng, ctx)
+        op = CDiffOp(wide, 1, 1, random_scalar_op(rng, ctx).entries)
         phi = random_internal(rng, ctx, max_order=1, max_deg=2, terms=2)
         density = op.apply([phi])[0] * p - phi * op.adjoint().apply([p])[0]
-        assert is_divergence(Density(ctx, density))
+        assert is_divergence(Density(wide, density))
+        assert not phi or not is_divergence(Density(wide, density + phi * p))
 
 
 def test_linearization_free_burgers(ctx):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetcalc.dalg import HOMOTOPY_SCALAR, DiffPoly, ParseError, UnknownIdentifier, unknown_var
+from jetcalc.dalg import DiffPoly, ParseError, UnknownIdentifier, param_var, unknown_var
 
 from conftest import random_poly
 
@@ -85,7 +85,7 @@ def test_partial_commutes(ctx, rng):
 
 def test_substitute_examples(ctx):
     assert ctx.parse("u*u_x").substitute({ctx.u("u_x"): DiffPoly.const(1)}) == ctx.parse("u")
-    s = DiffPoly.var(HOMOTOPY_SCALAR)
+    s = DiffPoly.var(param_var("s"))
     cube = ctx.parse("u^3")
     scaled = cube.substitute({ctx.u("u"): s * DiffPoly.var(ctx.u("u"))})
     assert scaled == s ** 3 * cube
@@ -100,11 +100,13 @@ def test_substitute_is_simultaneous(ctx):
 
 
 def test_integrate_scalar(ctx):
-    s = DiffPoly.var(HOMOTOPY_SCALAR)
+    # The integral over s from 0 to 1: the antiderivative, then s -> 1.
+    scalar = param_var("s")
+    s = DiffPoly.var(scalar)
     u = ctx.parse("u")
 
     def integral(p):
-        return p.antiderivative(HOMOTOPY_SCALAR).evaluate({HOMOTOPY_SCALAR: 1})
+        return p.antiderivative(scalar).substitute({scalar: DiffPoly.const(1)})
 
     assert integral(s * s * u) == u.scale(Fraction(1, 3))
     assert integral(u) == u

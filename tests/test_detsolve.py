@@ -411,11 +411,11 @@ TEMPLATES = {
 def test_read_off_equals_the_bound_template(kind, data):
     slots, tb = TEMPLATES[kind]()
     vec = data.draw(st.dictionaries(st.sampled_from(tb.names), values, max_size=8))
-    bound = {unknown_var(k): vec.get(name, 0) for k, name in enumerate(tb.names)}
+    bound = {unknown_var(k): DiffPoly.const(vec.get(name, 0)) for k, name in enumerate(tb.names)}
     read = tb.read_off(vec)
     assert set(read) <= set(slots)
     for slot, template in slots.items():
-        assert read.get(slot, DiffPoly.zero()) == template.evaluate(bound)
+        assert read.get(slot, DiffPoly.zero()) == template.substitute(bound)
 
 
 def test_direct_template_inserts_unknowns_among_declared_parameters():

@@ -180,8 +180,6 @@ def test_a_covering_is_an_equation_with_the_extended_derivatives(pot, ctx, rng):
     with pytest.raises(NotInternal):
         pot.check_internal(ctx.parse("u_{xt}"))
     with pytest.raises(ScopeError):
-        pot.check_internal(DiffPoly.var(ctx.testcov("p")))
-    with pytest.raises(ScopeError):
         pot.check_internal(ctx.with_nonlocals(("w", "v")).parse("v"))
     with pytest.raises(NotInternal):
         D(0, ctx.parse("u_t"))

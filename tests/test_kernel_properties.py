@@ -25,12 +25,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from jetcalc.dalg import (
     BASE,
-    HOMOTOPY_SCALAR,
-    HSCALAR,
     JET,
     NONLOCAL,
     PARAM,
-    TESTCOV,
     UNKNOWN,
     DiffPoly,
     ExponentOverflow,
@@ -46,7 +43,7 @@ from jetcalc.variational import Density, dx_inverse, euler
 
 CTX = JetContext(("x", "t"), ("u", "v"), has_time=True)
 VARS = [CTX.base(0), CTX.base(1), CTX.jet(0), CTX.jet(0, (0,)), CTX.jet(1, (0, 0)), CTX.jet(1, (0, 1)),
-        CTX.testcov("p", 1, (0,)), VarId(PARAM, ("c0",), "c0"), HOMOTOPY_SCALAR]
+        VarId(NONLOCAL, (0,), "w"), VarId(PARAM, ("c0",), "c0"), VarId(PARAM, ("s",), "s")]
 
 KERNEL = settings(max_examples=60, deadline=None)
 
@@ -126,10 +123,12 @@ HALF_U2 = DiffPoly.const(Fraction(1, 2)) * DiffPoly.var(VARS[2]) ** 2
 @given(polys(), polys(), coefficients, st.sampled_from(VARS))
 @example(HALF_U2, HALF_U2 + DiffPoly.const(2), 2, VARS[2])
 def test_operations_store_no_zero_coefficient(a, b, c, v):
-    values = {w: Fraction(k, 2) - 1 for k, w in enumerate(VARS[:4])}
+    values = {w: DiffPoly.const(Fraction(k, 2) - 1) for k, w in enumerate(VARS[:4])}
+    s = VARS[-1]
     results = [a + b, a - b, a - a, a * b, -a, a.scale(c), a.scale(0), a.partial(v), a ** 2,
-               a.substitute({v: b}), a.evaluate(values), (a * DiffPoly.var(HOMOTOPY_SCALAR)).antiderivative(HOMOTOPY_SCALAR).evaluate({HOMOTOPY_SCALAR: 1}),
-               a.antiderivative(v),
+               a.substitute({v: b}), a.substitute(values),
+               (a * DiffPoly.var(s)).antiderivative(s).substitute({s: DiffPoly.const(1)}),
+               a.antiderivative(v), *a.homogeneous_parts(v.kind).values(),
                DiffPoly.sum([a, b, -a]), DiffPoly(a.terms)]
     for p in results:
         assert_clean(p)
@@ -170,9 +169,34 @@ def test_pickle_does_not_carry_the_hash_across_processes():
 @KERNEL
 @given(polys(), polys())
 def test_evaluate_agrees_with_constant_substitution(a, b):
+    """Substituting constants agrees with evaluating the decoded terms one
+    factor at a time."""
     values = {w: Fraction(k, 3) for k, w in enumerate(VARS[2:6])}
     p = a * b
-    assert p.evaluate(values) == p.substitute({w: DiffPoly.const(c) for w, c in values.items()})
+    expected: dict = {}
+    for f, c in p.terms.items():
+        rest = tuple((w, e) for w, e in f if w not in values)
+        for w, e in f:
+            c *= values.get(w, 1) ** e
+        expected[rest] = expected.get(rest, 0) + c
+    got = p.substitute({w: DiffPoly.const(c) for w, c in values.items()})
+    assert got == DiffPoly(expected)
+    assert_clean(got)
+
+
+@KERNEL
+@given(polys(), st.sampled_from([BASE, JET, NONLOCAL, PARAM]))
+@example(HALF_U2 * DiffPoly.var(VARS[3]) + DiffPoly.var(VARS[0]) + DiffPoly.const(Fraction(2, 3)), JET)
+def test_homogeneous_parts_sum_back_and_have_their_degree(p, kind):
+    """The parts sum to p, and each part of degree d is homogeneous of
+    degree d: the derivation v -> v over the variables of the kind gives
+    d*part (Euler's identity)."""
+    parts = p.homogeneous_parts(kind)
+    assert DiffPoly.sum(parts.values()) == p
+    for d, part in parts.items():
+        assert part and d >= 0
+        assert_clean(part)
+        assert part.derivation(lambda v: DiffPoly.var(v) if v.kind == kind else None) == part.scale(d)
 
 
 
@@ -184,7 +208,7 @@ PRINT_CTX = JetContext(("x", "t"), ("u", "v"), ("c0",), has_time=True, nonlocals
 PRINT_CTX2 = JetContext(("x", "t"), ("u", "v", "q"), ("c0",), has_time=True, nonlocals=("w", "z"))
 PRINT_VARS = [PRINT_CTX.base(0), PRINT_CTX.base(1), PRINT_CTX.jet(0), PRINT_CTX.jet(0, (0,)),
               PRINT_CTX.jet(1, (0, 0, 0)), PRINT_CTX.nonlocal_(0), PRINT_CTX.param("c0"),
-              PRINT_CTX.testcov("p", 1, (0,)), PRINT_CTX.testcov("p", 0, ()), HOMOTOPY_SCALAR,
+              PRINT_CTX.jet(1, (0,)), PRINT_CTX.jet(1), VarId(PARAM, ("s",), "s"),
               PRINT_CTX2.jet(2, (0,)), PRINT_CTX2.nonlocal_(1), PRINT_CTX2.jet(1, (0, 0, 0, 0))]
 print_coefficients = st.one_of(st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=7),
                                st.integers(-10 ** 30, 10 ** 30))
@@ -239,9 +263,6 @@ def old_sort_key(v: VarId) -> tuple:
     if v.kind == JET:
         j, sigma = v.idx
         return (JET, j, len(sigma), sigma)
-    if v.kind == TESTCOV:
-        nm, comp, sigma = v.idx
-        return (TESTCOV, nm, comp, len(sigma), sigma)
     return (v.kind,) + v.idx
 
 
@@ -252,8 +273,7 @@ var_ids = st.one_of(
     st.builds(lambda j, s: VarId(JET, (j, s), f"u{j}"), st.integers(0, 2), multi_indices),
     st.builds(lambda k: VarId(NONLOCAL, (k,), f"w{k}"), st.integers(0, 2)),
     st.builds(lambda n: VarId(PARAM, (n,), n), names),
-    st.builds(lambda n, c, s: VarId(TESTCOV, (n, c, s), n), names, st.integers(0, 1), multi_indices),
-    st.just(VarId(HSCALAR, (), "@s")),
+    st.builds(lambda k: VarId(UNKNOWN, (k,), f"@c{k}"), st.integers(0, 2)),
 )
 
 
@@ -282,9 +302,8 @@ def test_varid_order_matches_old_sort_key(vs):
 
 def test_varid_order_is_graded_on_every_kind():
     sigmas = [tuple(sorted(s)) for n in range(4) for s in combinations_with_replacement(range(2), n)]
-    vs = ([VarId(JET, (j, s)) for j in range(2) for s in sigmas]
-          + [VarId(TESTCOV, (n, c, s)) for n in "pq" for c in range(2) for s in sigmas]
-          + [VarId(BASE, (i,)) for i in range(2)] + [VarId(NONLOCAL, (0,)), VarId(PARAM, ("c",)), HOMOTOPY_SCALAR])
+    vs = ([VarId(JET, (j, s)) for j in range(4) for s in sigmas]
+          + [VarId(BASE, (i,)) for i in range(2)] + [VarId(NONLOCAL, (0,)), VarId(PARAM, ("c",)), unknown_var(0)])
     random.Random(3).shuffle(vs)
     check_order(vs)
 

@@ -5,8 +5,9 @@ no jetcalc code, one per derivative regime:
   operator A.  With test functions P and Q, P*A(Q) - Q*A*(P) is a total
   divergence, so its Euler derivative with respect to P vanishes.  Every
   `check-hamiltonian` answer reports A skew-adjoint exactly when the Euler
-  derivative in P of P*A(Q) + Q*A(P), which is A(Q) + A*(Q), vanishes (the
-  Jacobi verdict is not rechecked);
+  derivative in P of P*A(Q) + Q*A(P), which is A(Q) + A*(Q), vanishes, and
+  reports the Jacobi identity exactly when the Euler derivatives in P, Q
+  and R of the criterion density sum_cyc ell_A(A(P))(Q)*R all vanish;
 * restricted D_t: every `linearize` answer, applied to free functions phi,
   gives phi_t - ell_f(phi), where ell_f is the Frechet derivative of the
   evolution right-hand side f;
@@ -95,6 +96,54 @@ def test_check_hamiltonian_goldens_report_skew_adjointness():
         (A,) = _hamiltonian(space, argv)
         off = _pairing_euler(space, lambda P, Q: P * _apply(space, A, Q) + Q * _apply(space, A, P))
         assert doc["skew-adjoint"] is (off == 0), (argv, doc)
+        checked += 1
+    assert checked == 22
+
+
+def _jacobi_criterion_euler(space, A):
+    """The Euler derivatives in P, Q and R of sum_cyc ell_A(A(P))(Q)*R,
+    where ell_A(phi) is the operator whose coefficients are the Frechet
+    derivatives ell_a(phi) of those of A.  The density is built with sympy's
+    derivatives, then read as a polynomial in the x-jets F0, F1, ... of u,
+    P, Q and R, on which the total derivative and the Euler operator
+    (Horner's form c_0 - D(c_1 - D(c_2 - ...)), c_k = dL/dF_k) are exact
+    ring operations."""
+    xs = list(space.xs.values())
+    x = xs[0]
+    ((dep, u),) = space.funcs.items()
+    P, Q, R = (sympy.Function(n)(*xs) for n in "PQR")
+
+    def ell(phi, q):
+        return sum(_frechet(space, a, {dep: phi}) * _d(q, *[(y, k) for y, k in zip(xs, ks) if k])
+                   for ks, a in A.items())
+
+    density = sum(ell(_apply(space, A, p), q) * r for p, q, r in ((P, Q, R), (Q, R, P), (R, P, Q)))
+    top = max((d.derivative_count for d in density.atoms(sympy.Derivative)), default=0)
+    n = 2 * top + 2  # the Euler operator derives a top-order coefficient top more times
+    funcs = [u, P, Q, R]
+    ring, *gens = sympy.ring([f"{f.func}{k}" for f in funcs for k in range(n)], sympy.QQ)
+    jets = [gens[i * n:(i + 1) * n] for i in range(len(funcs))]
+    names = {f.diff(x, k) if k else f: ring.symbols[i * n + k] for i, f in enumerate(funcs) for k in range(top + 1)}
+    L = ring.from_expr(sympy.expand(density.xreplace(names)))
+
+    def D(p):
+        return sum((p.diff(js[k]) * js[k + 1] for js in jets for k in range(n - 1)), ring.zero)
+
+    out = []
+    for js in jets[1:]:
+        e = ring.zero
+        for k in range(top, -1, -1):
+            e = L.diff(js[k]) - D(e)
+        out.append(e)
+    return out
+
+
+def test_check_hamiltonian_goldens_report_the_jacobi_identity():
+    checked = 0
+    for argv, doc in _goldens("check-hamiltonian"):
+        space = Space(argv[1])
+        (A,) = _hamiltonian(space, argv)
+        assert doc["jacobi"] is not any(_jacobi_criterion_euler(space, A)), (argv, doc)
         checked += 1
     assert checked == 22
 

@@ -208,9 +208,12 @@ def test_dx_inverse_stops_when_the_top_order_does_not_fall():
 
 
 def test_euler_with_test_covectors(ctx):
-    p = DiffPoly.var(ctx.testcov("p"))
-    density = Density(ctx, ctx.parse("u_x") * p)
+    # A covector is a dependent variable of the widened context: Euler has
+    # one component for it, after the equation's own.
+    wide = JetContext(ctx.independent, ctx.dependent + ("p",), ctx.parameters, ctx.has_time)
+    p = DiffPoly.var(wide.jet(1))
+    density = Density(wide, wide.parse("u_x*p"))
     comps = euler(density)
-    assert len(comps) == 2
-    assert comps[1] == ctx.parse("u_x")
-    assert is_divergence(Density(ctx, total_derivative(ctx, 0, ctx.parse("u") * p)))
+    assert comps == [wide.parse("-p_x"), wide.parse("u_x")]
+    assert is_divergence(Density(wide, total_derivative(wide, 0, wide.parse("u") * p)))
+    assert euler(Density(ctx, ctx.parse("u_x^2"))) == [ctx.parse("-2*u_{xx}")]
