@@ -11,9 +11,10 @@ use in the same way (`horizontal_differential`, `shadow_residual`).
 derivatives, `prefix_derivatives(space.derive, .)` per component, so that
 the consumers of one vector derive it once.
 
-Cartan-form-valued sections (shadows) are handled through the Lie-derivative
-action of total derivatives on contact forms: the derivative along i of the
-contact form of a generator v is the Cartan differential of D_i(v).
+Cartan-form-valued sections (shadows) are keyed by the VarId of the jet or
+covering variable v of each form om(v) or th(v).  A total derivative acts on
+every form by one rule, L_{D_i} om(v) = d_C(D_i v), with D_i v read from the
+image map `space.image(i)` that the space's `derive` runs on.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .dalg import (
     NONLOCAL,
     DiffPoly,
     MultiIndex,
+    VarId,
     mi_key,
     mi_splittings,
 )
@@ -64,6 +66,14 @@ def _collect(pairs: Iterable[tuple[Hashable, DiffPoly]]) -> dict:
     for k, p in pairs:
         groups.setdefault(k, []).append(p)
     return {k: s for k, g in groups.items() if (s := DiffPoly.sum(g))}
+
+
+def _times(a: DiffPoly, p: DiffPoly) -> DiffPoly:
+    """a * p, where a constant a (the ±1 of D̄_t and D_x^3 in a
+    linearization, the 1 of a shifted contact form) scales p; it is not
+    multiplied out."""
+    c = a.as_constant()
+    return a * p if c is None else p.scale(c)
 
 
 class CDiffOp:
@@ -177,14 +187,7 @@ class CDiffOp:
             raise DimensionMismatch(f"expected {self.cols} components, got {len(derivs)}")
         for d in derivs:
             self.space.check_internal(d(()))
-
-        def times(a: DiffPoly, p: DiffPoly) -> DiffPoly:
-            # A constant coefficient (the ±1 of D̄_t and D_x^3 in a
-            # linearization) scales; it is not multiplied out.
-            c = a.as_constant()
-            return a * p if c is None else p.scale(c)
-
-        return [DiffPoly.sum(times(a, derivs[c](sigma))
+        return [DiffPoly.sum(_times(a, derivs[c](sigma))
                              for c in range(self.cols) for sigma, a in self.entries[r][c].items())
                 for r in range(self.rows)]
 
@@ -404,16 +407,9 @@ def horizontal_differential(omega: HorForm, space) -> HorForm:
 # --------------------------------------------------------------------------
 # Cartan-form-valued sections (shadows)
 
-# Keys of the Cartan decomposition: ("u", j, sigma) for the contact form of
-# the jet variable u^j_sigma, ("w", layer) for a covering variable's form.
-CartanKey = tuple
-CartanMap = dict[CartanKey, DiffPoly]
-
-
-def _ckey_sort(k: CartanKey) -> tuple:
-    if k[0] == "u":
-        return (0, k[1], mi_key(k[2]))
-    return (1, k[1])
+# A Cartan map sends the VarId of a jet u^j_sigma or of a covering variable
+# w^a to the coefficient of its contact form om(u^j_sigma) or th(w^a).
+CartanMap = dict[VarId, DiffPoly]
 
 
 @dataclass(frozen=True)
@@ -421,8 +417,8 @@ class CartanShadow:
     """Cartan-1-form-valued section: one CartanMap per output component.
 
     A plain Cartan differential has a single component; a recursion-operator
-    shadow of an m-component evolution system has m of them.  The key
-    ("w", a) is the form of the covering variable `ctx.nonlocals[a]`.
+    shadow of an m-component evolution system has m of them.  Forms print
+    in VarId order, jets before covering variables.
     """
 
     ctx: JetContext
@@ -434,7 +430,7 @@ class CartanShadow:
     @staticmethod
     def identity(ctx: JetContext) -> "CartanShadow":
         one = DiffPoly.const(1)
-        return CartanShadow(ctx, tuple({("u", j, ()): one} for j in range(ctx.m)))
+        return CartanShadow(ctx, tuple({ctx.jet(j): one} for j in range(ctx.m)))
 
     def is_zero(self) -> bool:
         return all(not c for c in self.comps)
@@ -446,21 +442,15 @@ class CartanShadow:
         return hash(tuple(frozenset(c.items()) for c in self.comps))
 
     def max_order(self) -> int:
-        return max((len(k[2]) for c in self.comps for k in c if k[0] == "u"), default=0)
-
-    def _key_str(self, k: CartanKey) -> str:
-        if k[0] == "u":
-            return f"om({self.ctx.jet(k[1], k[2]).name})"
-        a, names = k[1], self.ctx.nonlocals
-        return f"th({names[a]})" if a < len(names) else f"th(w{a})"
+        return max((len(v.idx[1]) for c in self.comps for v in c if v.kind == JET), default=0)
 
     def comp_str(self, c: CartanMap) -> str:
         if not c:
             return "0"
         bits = []
-        for k in sorted(c, key=_ckey_sort):
-            p = c[k]
-            ks = self._key_str(k)
+        for v in sorted(c):
+            p = c[v]
+            ks = f"om({v.name})" if v.kind == JET else f"th({v.name})"
             if p == DiffPoly.const(1):
                 bits.append(ks)
             elif len(p) == 1 and not str(p).startswith("-"):
@@ -477,37 +467,25 @@ class CartanShadow:
 
 def cartan_differential(p: DiffPoly, ctx: JetContext) -> CartanShadow:
     """d_C p = sum dp/du^j_sigma om^j_sigma (+ dp/dw^a th^a inside a covering)."""
-    out: CartanMap = {}
-    for v in p.variables():
-        if v.kind == JET:
-            j, sigma = v.idx
-            out[("u", j, sigma)] = p.partial(v)
-        elif v.kind == NONLOCAL:
-            out[("w", v.idx[0])] = p.partial(v)
-    return CartanShadow(ctx, (out,))
+    return CartanShadow(ctx, ({v: p.partial(v) for v in p.variables() if v.kind in (JET, NONLOCAL)},))
 
 
 def _cmap_derive(cmap: CartanMap, i: int, space,
-                 derive: Callable[[int, DiffPoly], DiffPoly]) -> Iterator[tuple[CartanKey, DiffPoly]]:
+                 derive: Callable[[int, DiffPoly], DiffPoly]) -> Iterator[tuple[VarId, DiffPoly]]:
     """Terms of the Lie action of the space's i-th total derivative on a
     Cartan-form value: derives coefficients with `derive` (the space's) and
-    maps the contact form of a generator v to the Cartan differential of
-    D_i(v)."""
-    ctx = space.ctx
-    for key, coef in cmap.items():
-        yield key, derive(i, coef)
-        if key[0] == "u":
-            j, sigma = key[1], key[2]
-            if i != ctx.time_index:
-                yield ("u", j, tuple(sorted(sigma + (i,)))), coef
-                continue
-            image = cartan_differential(space.dsigma_f(j, sigma), ctx)
-        else:
-            if key[1] >= len(ctx.nonlocals):
-                raise RegimeMismatch(f"the space has no covering layer {key[1]}")
-            image = cartan_differential(space.expr(i, key[1]), ctx)
-        for k, p in image.comps[0].items():
-            yield k, coef * p
+    maps the form of each variable v to d_C(image_i(v)), read from the
+    space's image map of its i-th derivative."""
+    image = space.image(i)
+    for v, coef in cmap.items():
+        yield v, derive(i, coef)
+        if v.kind == NONLOCAL and v.idx[0] >= len(space.ctx.nonlocals):
+            raise RegimeMismatch(f"the space has no covering layer {v.idx[0]}")
+        dv = image(v)
+        if dv is not None:
+            for k in dv.variables():
+                if k.kind in (JET, NONLOCAL):
+                    yield k, _times(dv.partial(k), coef)
 
 
 def shadow_residual(sh: CartanShadow, space) -> CartanShadow:
@@ -536,7 +514,7 @@ def shadow_residual(sh: CartanShadow, space) -> CartanShadow:
               for comp in sh.comps]
     ell = flow_linearization(space)
 
-    def terms(beta: int) -> Iterator[tuple[CartanKey, DiffPoly]]:
+    def terms(beta: int) -> Iterator[tuple[VarId, DiffPoly]]:
         yield from _cmap_derive(sh.comps[beta], ctx.time_index, space, derive)
         for alpha, entry in enumerate(ell.entries[beta]):
             for sigma, coef in entry.items():
@@ -562,7 +540,7 @@ def contract(derivs: Sequence[Callable[[MultiIndex], DiffPoly]],
     ctx = sh.ctx
     if len(derivs) != ctx.m:
         raise DimensionMismatch(f"symmetry vector needs {ctx.m} components")
-    local = [DiffPoly.sum(coef * derivs[key[1]](key[2]) for key, coef in cmap.items() if key[0] == "u")
+    local = [DiffPoly.sum(coef * derivs[v.idx[0]](v.idx[1]) for v, coef in cmap.items() if v.kind == JET)
              for cmap in sh.comps]
-    residues = [_collect((key[1], coef) for key, coef in cmap.items() if key[0] != "u") for cmap in sh.comps]
+    residues = [_collect((v.idx[0], coef) for v, coef in cmap.items() if v.kind == NONLOCAL) for cmap in sh.comps]
     return local, residues

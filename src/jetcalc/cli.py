@@ -91,9 +91,9 @@ class EquationFile:
     currents: Mapping[str, ConservedCurrent] = field(default_factory=_Declared)
     raw: bytes = b""
 
-    def need_system(self) -> EvolutionSystem:
+    def need_system(self, line: int | None = None) -> EvolutionSystem:
         if self.system is None:
-            raise InputError("the equation file declares no evolution system")
+            raise InputError("the equation file declares no evolution system", line)
         return self.system
 
     def input_hash(self) -> str:
@@ -290,12 +290,13 @@ def parse_equation_file(path: str) -> EquationFile:
             raise InputError(f"{kind} '{name}' is already declared on line {declared[kind, name]}", no)
         declared[kind, name] = no
 
-    def names(body: str, no: int) -> list[str]:
+    def names(body: str, no: int, timed: bool = False) -> list[str]:
         """Variable names of a declaration list, each one the expression
-        grammar can write: a letter, then letters or digits."""
+        grammar can write: a letter, then letters or digits, and with
+        `timed` (an independent list) perhaps marked '(time)'."""
         out = _split_top_level(body, ",") if body else []
         for item in out:
-            bare = item[: -len("(time)")].strip() if item.endswith("(time)") else item
+            bare = item[: -len("(time)")].strip() if timed and item.endswith("(time)") else item
             if not (bare[:1].isalpha() and bare.isalnum()):
                 raise InputError(f"'{item}' is not a variable name (a letter, then letters or digits)", no)
             declare("variable", bare, no)
@@ -320,7 +321,7 @@ def parse_equation_file(path: str) -> EquationFile:
         head = head.strip()
         body = body.strip()
         if head == "independent":
-            for item in names(body, no):
+            for item in names(body, no, timed=True):
                 if item.endswith("(time)"):
                     if time_name is not None:
                         raise InputError(f"'{time_name}' is already the (time) variable", no)
@@ -362,7 +363,8 @@ def parse_equation_file(path: str) -> EquationFile:
 
     if evolution:
         if time_name is None:
-            raise InputError("evolution declarations need a '(time)' independent variable")
+            raise InputError("evolution declarations need a '(time)' independent variable",
+                             min(no for _, no in evolution.values()))
         rhss = []
         for j, dep in enumerate(dependent):
             key = f"{dep}_{time_name}"
@@ -373,16 +375,17 @@ def parse_equation_file(path: str) -> EquationFile:
                 rhss.append(ctx.parse(text))
             except ParseError as exc:
                 raise InputError(f"in evolution for {dep}: {exc}", no)
-        extra = set(evolution) - {f"{d}_{time_name}" for d in dependent}
+        extra = sorted(set(evolution) - {f"{d}_{time_name}" for d in dependent})
         if extra:
-            raise InputError(f"evolution declared for unknown variables: {sorted(extra)}")
+            raise InputError(f"evolution declared for unknown variables: {extra}", evolution[extra[0]][1])
         try:
             eq.system = EvolutionSystem(ctx, rhss)
-        except (NotInternal, ValueError) as exc:
-            raise InputError(f"invalid evolution system: {exc}")
+        except NotInternal as exc:  # a time derivative on the right: cite its line
+            key = f"{dependent[exc.component]}_{time_name}"
+            raise InputError(f"invalid evolution system: {exc}", evolution[key][1])
 
     for name, body, no in covering_lines:
-        sysm = eq.need_system()
+        sysm = eq.need_system(no)
         entries: dict[str, dict[int, DiffPoly]] = {}  # in declaration order
         for chunk in _split_top_level(body, ";"):
             if not chunk:

@@ -148,16 +148,9 @@ def build_shadow_template(ctx: JetContext, a: Ansatz) -> tuple[CartanShadow, Tem
     tb = TemplateBuilder()
     monos = ansatz_monomials(ctx, a)
     sigmas = multi_indices_up_to(ctx.spatial_indices, a.jet_order)
-    comps = []
-    for j in range(ctx.m):
-        cmap = {}
-        for layer in range(len(ctx.nonlocals)):
-            cmap[("w", layer)] = tb.combination(monos, (j, ("w", layer)))
-        for alpha in range(ctx.m):
-            for s in sigmas:
-                cmap[("u", alpha, s)] = tb.combination(monos, (j, ("u", alpha, s)))
-        comps.append(cmap)
-    return CartanShadow(ctx, tuple(comps)), tb
+    keys = ([ctx.nonlocal_(layer) for layer in range(len(ctx.nonlocals))]
+            + [ctx.jet(alpha, s) for alpha in range(ctx.m) for s in sigmas])
+    return CartanShadow(ctx, tuple({v: tb.combination(monos, (j, v)) for v in keys} for j in range(ctx.m))), tb
 
 
 @dataclass

@@ -3,10 +3,12 @@
 A covering extends an evolution system by nonlocal variables w^a whose
 derivatives are prescribed: D̃_i = D̄_i + sum_a X_i^a d/dw^a.  Flatness
 ([D̃_i, D̃_j] = 0) is verified eagerly at construction.  A covering is again
-an equation (`ctx`, `f`, `dsigma_f`, `check_internal`, `derive`), and its
-`ctx` names its layers.  Applying a recursion shadow to a symmetry
-contracts the Cartan coefficients and resolves each covering form by
-integrating the corresponding relation equation in the spatial direction.
+an equation (`ctx`, `f`, `dsigma_f`, `check_internal`, `image`, `derive`),
+and its `ctx` names its layers; `derive(i, p)` is the derivation of the
+image map `image(i)`, which the Cartan-form calculus reads too.  Applying
+a recursion shadow to a symmetry contracts the Cartan coefficients and
+resolves each covering form by integrating the corresponding relation
+equation in the spatial direction.
 The Jacobi criterion takes its three covector arguments as dependent
 variables of a widened context, on which the operator is re-hosted.
 The iterates of a shadow (`shadow_iterates`) hold one derivative memo
@@ -111,8 +113,8 @@ class Covering:
     def expr(self, i: int, layer: int) -> DiffPoly:
         return self.layers[layer].exprs[i]
 
-    def derive(self, i: int, p: DiffPoly) -> DiffPoly:
-        """D̃_i p = D̄_i p + sum_a X_i^a dp/dw^a."""
+    def image(self, i: int) -> Callable[[VarId], DiffPoly | None]:
+        """The image map of D̃_i: the equation's D̄_i, and w^a -> X_i^a."""
         jets = self.base.image(i)
         t = self.ctx.time_index
 
@@ -120,10 +122,14 @@ class Covering:
             if v.kind == NONLOCAL:
                 return self.layers[v.idx[0]].exprs[i]
             if v.kind == JET and t in v.idx[1]:
-                self.check_internal(p)  # raises, naming the coordinate
+                self.check_internal(DiffPoly.var(v))  # raises, naming the coordinate
             return jets(v)
 
-        return p.derivation(image)
+        return image
+
+    def derive(self, i: int, p: DiffPoly) -> DiffPoly:
+        """D̃_i p = D̄_i p + sum_a X_i^a dp/dw^a."""
+        return p.derivation(self.image(i))
 
     def parse(self, text: str) -> DiffPoly:
         return self.ctx.parse(text)

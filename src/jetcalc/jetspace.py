@@ -329,7 +329,9 @@ class EvolutionSystem:
                 if v.kind == NONLOCAL:
                     raise ValueError("right-hand sides must be covering-free")
                 if v.kind == JET and t in v.idx[1]:
-                    raise NotInternal(f"right-hand side {j} contains time derivative {v.name}")
+                    err = NotInternal(f"right-hand side {j} contains time derivative {v.name}")
+                    err.component = j  # so that a reader of equation files can cite its line
+                    raise err
         self.ctx = ctx
         self.f = tuple(f)
         # The memo derives through a weak reference: holding `self.derive`

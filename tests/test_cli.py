@@ -396,6 +396,33 @@ def test_ambiguous_headers_exit_2_with_a_line(tmp_path, capsys, text, argv, mess
 
 
 
+@pytest.mark.parametrize("text, message", [
+    # '(time)' outside `independent:` declared a parameter named 'a(time)'.
+    ("independent: x, t(time)\ndependent: u\nparam: a(time)\n" + HEAT,
+     "line 3: 'a(time)' is not a variable name (a letter, then letters or digits)"),
+    # ... and a dependent 'u(time)' failed later, on a missing 'u(time)_t'.
+    ("independent: x, t(time)\ndependent: u(time)\n" + HEAT,
+     "line 2: 'u(time)' is not a variable name (a letter, then letters or digits)"),
+    ("independent: x, t(time)\ndependent: u\n\ncovering pot: w_x = u ; w_t = u_x\n",
+     "line 4: the equation file declares no evolution system"),
+    ("independent: x, t(time)\ndependent: u\n" + HEAT + "evolution: v_t = u\n",
+     "line 4: evolution declared for unknown variables: ['v_t']"),
+    ("independent: x, t\ndependent: u\n\n" + HEAT,
+     "line 4: evolution declarations need a '(time)' independent variable"),
+    ("independent: x, t(time)\ndependent: u\n# u_t = u_t is no equation\nevolution: u_t = u_t\n",
+     "line 4: invalid evolution system: right-hand side 0 contains time derivative u_t"),
+], ids=["param-time", "dependent-time", "covering-without-system", "unknown-evolution",
+        "evolution-without-time", "time-derivative-on-the-right"])
+def test_contradictory_equation_files_exit_2_with_a_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.eqn"
+    path.write_text(text)
+    with pytest.raises(InputError) as err:
+        parse_equation_file(str(path))
+    assert str(err.value) == message
+    code, out, err_text = run(capsys, "linearize", str(path))
+    assert code == 2 and out == "" and err_text == f"error: {message}\n"
+
+
 def test_parse_operator_rejects_a_dependent_named_D():
     # D_x was read as the total derivative although the context has a jet D_x.
     ctx = JetContext(("x", "t"), ("u", "D"), has_time=True)

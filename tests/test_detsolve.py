@@ -140,7 +140,7 @@ def test_symmetry_template_unknown_count(ctx):
 def test_shadow_template_shapes(burgers, ctx, pot):
     template, tb = build_shadow_template(pot.ctx, Ansatz(1, 1, 0))
     keys = set(template.comps[0])
-    assert keys == {("w", 0), ("u", 0, ()), ("u", 0, (0,))}
+    assert keys == {pot.ctx.nonlocal_(0), ctx.jet(0), ctx.jet(0, (0,))}
     assert len(tb.names) == 9
 
 
@@ -340,9 +340,9 @@ def test_local_shadows_are_identity_only(burgers):
 def test_burgers_covering_shadows(burgers, ctx, pot):
     basis = shadows(pot, Ansatz(1, 1, 0))
     assert len(basis) == 2
-    expected = CartanShadow(pot.ctx, ({("u", 0, (0,)): DiffPoly.const(1),
-                                       ("u", 0, ()): ctx.parse("u/2"),
-                                       ("w", 0): ctx.parse("u_x/2")},))
+    expected = CartanShadow(pot.ctx, ({ctx.jet(0, (0,)): DiffPoly.const(1),
+                                       ctx.jet(0): ctx.parse("u/2"),
+                                       pot.ctx.nonlocal_(0): ctx.parse("u_x/2")},))
     assert expected in basis.solutions
     assert CartanShadow.identity(pot.ctx) in basis.solutions
 
@@ -350,9 +350,9 @@ def test_burgers_covering_shadows(burgers, ctx, pot):
 def test_kdv_covering_shadow(kdv, ctx):
     kpot = make_covering(kdv, [("w", [ctx.parse("u"), ctx.parse("u^2/2 + u_{xx}")])])
     basis = shadows(kpot, Ansatz(2, 1, 0))
-    expected = CartanShadow(kpot.ctx, ({("u", 0, (0, 0)): DiffPoly.const(1),
-                                        ("u", 0, ()): ctx.parse("2*u/3"),
-                                        ("w", 0): ctx.parse("u_x/3")},))
+    expected = CartanShadow(kpot.ctx, ({ctx.jet(0, (0, 0)): DiffPoly.const(1),
+                                        ctx.jet(0): ctx.parse("2*u/3"),
+                                        kpot.ctx.nonlocal_(0): ctx.parse("u_x/3")},))
     assert expected in basis.solutions
 
 

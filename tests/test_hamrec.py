@@ -81,9 +81,9 @@ def test_extended_commutator_on_random(pot, rng):
 
 
 def burgers_recursion(ctx, pot):
-    return CartanShadow(pot.ctx, ({("u", 0, (0,)): DiffPoly.const(1),
-                                   ("u", 0, ()): ctx.parse("u/2"),
-                                   ("w", 0): ctx.parse("u_x/2")},))
+    return CartanShadow(pot.ctx, ({ctx.jet(0, (0,)): DiffPoly.const(1),
+                                   ctx.jet(0): ctx.parse("u/2"),
+                                   pot.ctx.nonlocal_(0): ctx.parse("u_x/2")},))
 
 
 def test_apply_shadow_examples(burgers, ctx, pot):
@@ -114,9 +114,9 @@ def test_iterated_recursion_gives_symmetries(burgers, ctx, pot):
 
 
 def test_kdv_recursion_reaches_fifth_order_flow(kdv, ctx, kpot):
-    R = CartanShadow(kpot.ctx, ({("u", 0, (0, 0)): DiffPoly.const(1),
-                                 ("u", 0, ()): ctx.parse("2*u/3"),
-                                 ("w", 0): ctx.parse("u_x/3")},))
+    R = CartanShadow(kpot.ctx, ({ctx.jet(0, (0, 0)): DiffPoly.const(1),
+                                 ctx.jet(0): ctx.parse("2*u/3"),
+                                 kpot.ctx.nonlocal_(0): ctx.parse("u_x/3")},))
     r1 = apply_shadow(R, [ctx.parse("u_x")], kpot)
     assert r1[0] == ctx.parse("u*u_x + u_{xxx}")
     r2 = apply_shadow(R, r1, kpot)

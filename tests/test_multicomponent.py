@@ -37,16 +37,16 @@ def test_wave_shadows_identity_and_swap(wave):
     ctx, sys = wave
     basis = shadows(sys, Ansatz(0, 0, 0))
     assert len(basis) == 2
-    swap = CartanShadow(ctx, ({("u", 1, ()): DiffPoly.const(1)},
-                              {("u", 0, ()): DiffPoly.const(1)}))
+    swap = CartanShadow(ctx, ({ctx.jet(1): DiffPoly.const(1)},
+                              {ctx.jet(0): DiffPoly.const(1)}))
     assert CartanShadow.identity(ctx) in basis.solutions
     assert swap in basis.solutions
 
 
 def test_wave_swap_shadow_acts_on_symmetries(wave):
     ctx, sys = wave
-    swap = CartanShadow(ctx, ({("u", 1, ()): DiffPoly.const(1)},
-                              {("u", 0, ()): DiffPoly.const(1)}))
+    swap = CartanShadow(ctx, ({ctx.jet(1): DiffPoly.const(1)},
+                              {ctx.jet(0): DiffPoly.const(1)}))
     out = apply_shadow(swap, [ctx.parse("u_x"), ctx.parse("v_x")], sys)
     assert out == [ctx.parse("v_x"), ctx.parse("u_x")]
     assert all(r.is_zero() for r in linearization(sys).apply(out))
