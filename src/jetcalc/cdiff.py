@@ -19,7 +19,6 @@ image map `space.image(i)` that the space's `derive` runs on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
@@ -28,6 +27,7 @@ from .dalg import (
     JET,
     NONLOCAL,
     DiffPoly,
+    Immutable,
     MultiIndex,
     VarId,
     mi_key,
@@ -329,14 +329,16 @@ def jacobi_bracket(ctx: JetContext, phi: Sequence[DiffPoly], psi: Sequence[DiffP
 # Horizontal forms
 
 
-@dataclass(frozen=True)
-class HorForm:
+class HorForm(Immutable):
     """Horizontal q-form: map from strictly increasing index tuples to
     coefficients; antisymmetry is absorbed into the sorted storage."""
 
-    ctx: JetContext
-    degree: int
-    comps: tuple[tuple[tuple[int, ...], DiffPoly], ...]
+    __slots__ = ("ctx", "degree", "comps")
+
+    def __init__(self, ctx: JetContext, degree: int, comps: tuple[tuple[tuple[int, ...], DiffPoly], ...]):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "comps", comps)
 
     @staticmethod
     def make(ctx: JetContext, degree: int, comps: dict[tuple[int, ...], DiffPoly]) -> "HorForm":
@@ -412,8 +414,7 @@ def horizontal_differential(omega: HorForm, space) -> HorForm:
 CartanMap = dict[VarId, DiffPoly]
 
 
-@dataclass(frozen=True)
-class CartanShadow:
+class CartanShadow(Immutable):
     """Cartan-1-form-valued section: one CartanMap per output component.
 
     A plain Cartan differential has a single component; a recursion-operator
@@ -421,11 +422,11 @@ class CartanShadow:
     in VarId order, jets before covering variables.
     """
 
-    ctx: JetContext
-    comps: tuple[CartanMap, ...]
+    __slots__ = ("ctx", "comps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "comps", tuple({k: p for k, p in c.items() if p} for c in self.comps))
+    def __init__(self, ctx: JetContext, comps: tuple[CartanMap, ...]):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "comps", tuple({k: p for k, p in c.items() if p} for c in comps))
 
     @staticmethod
     def identity(ctx: JetContext) -> "CartanShadow":

@@ -13,7 +13,6 @@ import hashlib
 import json
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 
 from .dalg import MAX_EXPONENT, DiffPoly, ParseError, _Parser, split_identifier
 from .jetspace import EvolutionSystem, JetContext, NotInternal, ambiguous_subscript
@@ -80,16 +79,22 @@ class _Declared(Mapping):
         return len(self._values)
 
 
-@dataclass
 class EquationFile:
-    path: str
-    ctx: JetContext
-    system: EvolutionSystem | None = None
-    coverings: dict[str, Covering] = field(default_factory=dict)
-    operators: Mapping[str, CDiffOp] = field(default_factory=_Declared)
-    densities: Mapping[str, Density] = field(default_factory=_Declared)
-    currents: Mapping[str, ConservedCurrent] = field(default_factory=_Declared)
-    raw: bytes = b""
+    __slots__ = ("path", "ctx", "system", "coverings", "operators", "densities", "currents", "raw")
+
+    def __init__(self, path: str, ctx: JetContext, system: EvolutionSystem | None = None,
+                 coverings: dict[str, Covering] | None = None, operators: Mapping[str, CDiffOp] | None = None,
+                 densities: Mapping[str, Density] | None = None, currents: Mapping[str, ConservedCurrent] | None = None,
+                 raw: bytes = b""):
+        # A table not passed in is a fresh one for each file.
+        self.path = path
+        self.ctx = ctx
+        self.system = system
+        self.coverings = {} if coverings is None else coverings
+        self.operators = _Declared() if operators is None else operators
+        self.densities = _Declared() if densities is None else densities
+        self.currents = _Declared() if currents is None else currents
+        self.raw = raw
 
     def need_system(self, line: int | None = None) -> EvolutionSystem:
         if self.system is None:
@@ -369,7 +374,7 @@ def parse_equation_file(path: str) -> EquationFile:
         for j, dep in enumerate(dependent):
             key = f"{dep}_{time_name}"
             if key not in evolution:
-                raise InputError(f"missing evolution equation for '{key}'")
+                raise InputError(f"missing evolution equation for '{key}'", declared["variable", dep])
             text, no = evolution[key]
             try:
                 rhss.append(ctx.parse(text))

@@ -127,7 +127,23 @@ def mi_splittings(sigma: MultiIndex) -> Iterator[tuple[MultiIndex, MultiIndex, i
     yield from rec(0, [], [], 1)
 
 
-class VarId(tuple):
+class Immutable:
+    """Base of the value classes: assigning an attribute raises.
+
+    A subclass sets its fields in `__init__` (or `__new__`) through
+    `object.__setattr__`, and so does unpickling and copying."""
+
+    __slots__ = ()
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {attr!r}")
+
+    def __setstate__(self, state):
+        for attr, value in state[1].items():
+            object.__setattr__(self, attr, value)
+
+
+class VarId(tuple, Immutable):
     """Identity of a formal variable.
 
     `idx` is the identity payload (per-kind encoding); `name` is display-only
@@ -153,9 +169,6 @@ class VarId(tuple):
         attrs["name"] = name
         attrs["_unit"] = None  # its monomial, once the field table has seen it
         return self
-
-    def __setattr__(self, attr, value):
-        raise AttributeError(f"VarId is immutable; cannot set {attr!r}")
 
     def __reduce__(self):
         # Pickling and copying rebuild a variable from its constructor

@@ -24,12 +24,11 @@ solver never trusts its own elimination.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Hashable, Mapping
 
-from .dalg import Coef, DiffPoly, MultiIndex, NonlinearInUnknowns, VarId, param_var, unknown_var
+from .dalg import Coef, DiffPoly, Immutable, MultiIndex, NonlinearInUnknowns, VarId, param_var, unknown_var
 from .jetspace import EvolutionSystem, JetContext, multi_indices_up_to, prefix_derivatives
 from .cdiff import (
     CartanShadow,
@@ -40,8 +39,7 @@ from .cdiff import (
 from .variational import VerificationFailed, gf_residual
 
 
-@dataclass(frozen=True)
-class Ansatz:
+class Ansatz(Immutable):
     """Bounds of the search space.
 
     jet_order: max |sigma| of jet variables used (and of Cartan form indices
@@ -50,14 +48,15 @@ class Ansatz:
     parameters to the base-variable pool.
     """
 
-    jet_order: int = 1
-    poly_deg: int = 1
-    base_deg: int = 0
-    include_params: bool = False
+    __slots__ = ("jet_order", "poly_deg", "base_deg", "include_params")
 
-    def __post_init__(self):
-        if min(self.jet_order, self.poly_deg, self.base_deg) < 0:
+    def __init__(self, jet_order: int = 1, poly_deg: int = 1, base_deg: int = 0, include_params: bool = False):
+        if min(jet_order, poly_deg, base_deg) < 0:
             raise ValueError("ansatz bounds must be nonnegative")
+        object.__setattr__(self, "jet_order", jet_order)
+        object.__setattr__(self, "poly_deg", poly_deg)
+        object.__setattr__(self, "base_deg", base_deg)
+        object.__setattr__(self, "include_params", include_params)
 
     def as_dict(self) -> dict:
         return {"jet-order": self.jet_order, "poly-deg": self.poly_deg, "base-deg": self.base_deg}
@@ -153,13 +152,15 @@ def build_shadow_template(ctx: JetContext, a: Ansatz) -> tuple[CartanShadow, Tem
     return CartanShadow(ctx, tuple({v: tb.combination(monos, (j, v)) for v in keys} for j in range(ctx.m))), tb
 
 
-@dataclass
 class LinearSystem:
     """Sparse homogeneous rows over an ordered unknown list."""
 
-    unknowns: list[str]
-    rows: list[dict[int, Coef]]
-    inconsistent: bool = False
+    __slots__ = ("unknowns", "rows", "inconsistent")
+
+    def __init__(self, unknowns: list[str], rows: list[dict[int, Coef]], inconsistent: bool = False):
+        self.unknowns = unknowns
+        self.rows = rows
+        self.inconsistent = inconsistent
 
 
 def match_coefficients(expr: DiffPoly, system: LinearSystem):
@@ -290,11 +291,13 @@ def nullspace(system: LinearSystem) -> list[dict[str, Fraction]]:
     return basis
 
 
-@dataclass
 class SolutionBasis:
     """Echelon-normalized solutions, rendered back into target objects."""
 
-    solutions: list
+    __slots__ = ("solutions",)
+
+    def __init__(self, solutions: list):
+        self.solutions = solutions
 
     def __len__(self) -> int:
         return len(self.solutions)

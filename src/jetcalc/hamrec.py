@@ -18,11 +18,10 @@ also contract iterate k + 1 and give its layer images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, count, islice
 from typing import Callable, Iterator, Sequence
 
-from .dalg import JET, NONLOCAL, DiffPoly, MultiIndex, VarId
+from .dalg import JET, NONLOCAL, DiffPoly, Immutable, MultiIndex, VarId
 from .jetspace import EvolutionSystem, JetContext, NotInternal, RegimeMismatch, prefix_derivatives
 from .cdiff import CartanShadow, CDiffOp, DimensionMismatch, contract, evolutionary, linearization
 from .variational import (
@@ -63,10 +62,15 @@ class PreconditionFailed(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Layer:
-    name: str
-    exprs: tuple[DiffPoly, ...]  # one per independent variable, ctx order
+class Layer(Immutable):
+    """A covering variable and its derivatives, one per independent
+    variable in ctx order."""
+
+    __slots__ = ("name", "exprs")
+
+    def __init__(self, name: str, exprs: tuple[DiffPoly, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "exprs", exprs)
 
 
 class Covering:
@@ -317,13 +321,15 @@ def hamiltonian_flow(op: CDiffOp, H: Density) -> EvolutionSystem:
     return EvolutionSystem(ctx, f)
 
 
-@dataclass(frozen=True)
-class BracketResult:
+class BracketResult(Immutable):
     """A Poisson bracket representative and its Euler image; the bracket is
     zero in cohomology iff the representative is a total divergence."""
 
-    density: Density
-    euler_image: tuple[DiffPoly, ...]
+    __slots__ = ("density", "euler_image")
+
+    def __init__(self, density: Density, euler_image: tuple[DiffPoly, ...]):
+        object.__setattr__(self, "density", density)
+        object.__setattr__(self, "euler_image", euler_image)
 
     @property
     def is_trivial(self) -> bool:

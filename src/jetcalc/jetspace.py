@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .dalg import (
@@ -28,6 +27,7 @@ from .dalg import (
     NONLOCAL,
     PARAM,
     DiffPoly,
+    Immutable,
     MultiIndex,
     ParseError,
     UnknownIdentifier,
@@ -53,35 +53,51 @@ class RegimeMismatch(ValueError):
     """Objects on different spaces cannot be combined."""
 
 
-@dataclass(frozen=True)
-class JetContext:
-    """Declaration context: variable names and the time designation."""
+class JetContext(Immutable):
+    """Declaration context: variable names and the time designation.
 
-    independent: tuple[str, ...]
-    dependent: tuple[str, ...]
-    parameters: tuple[str, ...] = ()
-    has_time: bool = False
-    nonlocals: tuple[str, ...] = ()  # covering variables currently in scope
+    `nonlocals` names the covering variables currently in scope."""
 
-    def __post_init__(self):
-        names = list(self.independent) + list(self.dependent) + list(self.parameters) + list(self.nonlocals)
+    __slots__ = ("independent", "dependent", "parameters", "has_time", "nonlocals", "_resolved", "_shifted")
+
+    def __init__(self, independent: tuple[str, ...], dependent: tuple[str, ...], parameters: tuple[str, ...] = (),
+                 has_time: bool = False, nonlocals: tuple[str, ...] = ()):
+        names = list(independent) + list(dependent) + list(parameters) + list(nonlocals)
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
         if not all(names):
             raise ValueError("variable names must not be empty")
-        if not self.independent or not self.dependent:
+        if not independent or not dependent:
             raise ValueError("need at least one independent and one dependent variable")
-        twice = ambiguous_subscript(self.independent)
+        twice = ambiguous_subscript(independent)
         if twice is not None:
             raise ValueError(f"the subscript '{twice}' splits into the independent variables in two ways")
+        object.__setattr__(self, "independent", independent)
+        object.__setattr__(self, "dependent", dependent)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "has_time", has_time)
+        object.__setattr__(self, "nonlocals", nonlocals)
         # (base, subscript) -> VarId of every identifier resolved so far, and
-        # (VarId, i) -> the D_i image of a jet (`_shift`);
-        # not fields, so equality, hashing, repr and the pickle ignore them.
+        # (VarId, i) -> the D_i image of a jet (`_shift`); not part of the
+        # value, so equality, hashing, repr and the pickle ignore them.
         object.__setattr__(self, "_resolved", {})
         object.__setattr__(self, "_shifted", {})
 
+    def _value(self) -> tuple:
+        return (self.independent, self.dependent, self.parameters, self.has_time, self.nonlocals)
+
+    def __eq__(self, other) -> bool:
+        return self is other or (type(other) is JetContext and self._value() == other._value())
+
+    def __hash__(self) -> int:
+        return hash(self._value())
+
+    def __repr__(self) -> str:
+        return ("JetContext(independent={!r}, dependent={!r}, parameters={!r}, has_time={!r}, nonlocals={!r})"
+                .format(*self._value()))
+
     def __reduce__(self):
-        return JetContext, (self.independent, self.dependent, self.parameters, self.has_time, self.nonlocals)
+        return JetContext, self._value()
 
     # -- shape -------------------------------------------------------------
 
@@ -290,18 +306,18 @@ def multi_indices_up_to(indices: Sequence[int], order: int) -> list[MultiIndex]:
 # Systems
 
 
-@dataclass(frozen=True)
-class GeneralSystem:
+class GeneralSystem(Immutable):
     """A system {F^k = 0} on the free jet space."""
 
-    ctx: JetContext
-    F: tuple[DiffPoly, ...]
+    __slots__ = ("ctx", "F")
 
-    def __post_init__(self):
-        for k, comp in enumerate(self.F):
+    def __init__(self, ctx: JetContext, F: tuple[DiffPoly, ...]):
+        for k, comp in enumerate(F):
             for v in comp.variables():
                 if v.kind not in (BASE, JET, PARAM):
                     raise ValueError(f"component {k} contains a non-jet variable {v.name}")
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "F", F)
 
 
 def prolong(sys: GeneralSystem, order: int) -> list[DiffPoly]:

@@ -9,11 +9,10 @@ variable of a widened context, so the divergence test covers it unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .dalg import JET, NONLOCAL, DiffPoly, MultiIndex, mi_remove_one
+from .dalg import JET, NONLOCAL, DiffPoly, Immutable, MultiIndex, mi_remove_one
 from .jetspace import EvolutionSystem, GeneralSystem, JetContext, prefix_derivatives, total_derivative_iterated
 from .cdiff import flow_linearization, linearization
 
@@ -45,19 +44,29 @@ class VerificationFailed(ValueError):
     `python -O`."""
 
 
-@dataclass(frozen=True)
-class Density:
+class Density(Immutable):
     """Lagrangian density: the coefficient of the volume form."""
 
-    ctx: JetContext
-    value: DiffPoly
+    __slots__ = ("ctx", "value")
+
+    def __init__(self, ctx: JetContext, value: DiffPoly):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Density and self.ctx == other.ctx and self.value == other.value
 
 
-@dataclass(frozen=True)
-class ConservedCurrent:
+class ConservedCurrent(Immutable):
     """Current components with the time component first (J_t, J_x1, ...)."""
 
-    components: tuple[DiffPoly, ...]
+    __slots__ = ("components",)
+
+    def __init__(self, components: tuple[DiffPoly, ...]):
+        object.__setattr__(self, "components", components)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ConservedCurrent and self.components == other.components
 
 
 def euler(density: Density) -> list[DiffPoly]:

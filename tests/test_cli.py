@@ -423,6 +423,21 @@ def test_contradictory_equation_files_exit_2_with_a_line(tmp_path, capsys, text,
     assert code == 2 and out == "" and err_text == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("text, line", [
+    ("independent: x, t(time)\ndependent: u, v\nevolution: u_t = v_x\n", 2),
+    ("independent: x, t(time)\ndependent: u\nevolution: u_t = v_x\ndependent: v\n", 4),
+])
+def test_a_missing_evolution_equation_cites_the_line_that_declared_its_variable(tmp_path, capsys, text, line):
+    path = tmp_path / "bad.eqn"
+    path.write_text(text)
+    message = f"line {line}: missing evolution equation for 'v_t'"
+    with pytest.raises(InputError) as err:
+        parse_equation_file(str(path))
+    assert str(err.value) == message and err.value.line == line
+    code, out, err_text = run(capsys, "linearize", str(path))
+    assert code == 2 and out == "" and err_text == f"error: {message}\n"
+
+
 def test_parse_operator_rejects_a_dependent_named_D():
     # D_x was read as the total derivative although the context has a jet D_x.
     ctx = JetContext(("x", "t"), ("u", "D"), has_time=True)
