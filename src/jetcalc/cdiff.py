@@ -331,24 +331,28 @@ def jacobi_bracket(ctx: JetContext, phi: Sequence[DiffPoly], psi: Sequence[DiffP
 
 class HorForm(Immutable):
     """Horizontal q-form: map from strictly increasing index tuples to
-    coefficients; antisymmetry is absorbed into the sorted storage."""
+    coefficients; antisymmetry is absorbed into the sorted storage.  The
+    (index, coefficient) pairs are checked, sorted and cleared of zeros at
+    construction; an index is a strictly increasing `degree`-tuple of
+    independent variables of `ctx`, given once."""
 
     __slots__ = ("ctx", "degree", "comps")
 
-    def __init__(self, ctx: JetContext, degree: int, comps: tuple[tuple[tuple[int, ...], DiffPoly], ...]):
+    def __init__(self, ctx: JetContext, degree: int, comps: Iterable[tuple[tuple[int, ...], DiffPoly]]):
+        comps = sorted(comps, key=lambda c: c[0])
+        for k, (idx, _) in enumerate(comps):
+            if len(idx) != degree or list(idx) != sorted(set(idx)) or not all(0 <= i < ctx.n for i in idx):
+                raise ValueError(f"component index {idx} is not a strictly increasing {degree}-tuple "
+                                 f"of the {ctx.n} independent variables")
+            if k and comps[k - 1][0] == idx:
+                raise ValueError(f"component index {idx} is given twice")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "comps", comps)
+        object.__setattr__(self, "comps", tuple((idx, p) for idx, p in comps if p))
 
     @staticmethod
     def make(ctx: JetContext, degree: int, comps: dict[tuple[int, ...], DiffPoly]) -> "HorForm":
-        clean = []
-        for idx, p in sorted(comps.items()):
-            if len(idx) != degree or list(idx) != sorted(set(idx)):
-                raise ValueError(f"component index {idx} is not a strictly increasing {degree}-tuple")
-            if p:
-                clean.append((idx, p))
-        return HorForm(ctx, degree, tuple(clean))
+        return HorForm(ctx, degree, comps.items())
 
     def coefficient(self, idx: tuple[int, ...]) -> DiffPoly:
         for i, p in self.comps:
@@ -419,14 +423,27 @@ class CartanShadow(Immutable):
 
     A plain Cartan differential has a single component; a recursion-operator
     shadow of an m-component evolution system has m of them.  Forms print
-    in VarId order, jets before covering variables.
+    in VarId order, jets before covering variables.  Every key is a jet or
+    covering variable of `ctx`, and there are at most m components, each
+    printed with its dependent variable when there are several; anything
+    else is refused at construction.
     """
 
     __slots__ = ("ctx", "comps")
 
     def __init__(self, ctx: JetContext, comps: tuple[CartanMap, ...]):
+        comps = tuple({k: p for k, p in c.items() if p} for c in comps)
+        if len(comps) > ctx.m:
+            raise DimensionMismatch(f"{len(comps)} components, but the context names {ctx.m} dependent variables")
+        for v in chain.from_iterable(comps):
+            if v.kind == JET:
+                known = v.idx[0] < ctx.m and all(i < ctx.n for i in v.idx[1])
+            else:
+                known = v.kind == NONLOCAL and v.idx[0] < len(ctx.nonlocals)
+            if not known:
+                raise ValueError(f"{v.name or v!r} is not a jet or covering variable of the context")
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "comps", tuple({k: p for k, p in c.items() if p} for c in comps))
+        object.__setattr__(self, "comps", comps)
 
     @staticmethod
     def identity(ctx: JetContext) -> "CartanShadow":

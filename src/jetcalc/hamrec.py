@@ -10,7 +10,9 @@ a recursion shadow to a symmetry contracts the Cartan coefficients and
 resolves each covering form by integrating the corresponding relation
 equation in the spatial direction.
 The Jacobi criterion takes its three covector arguments as dependent
-variables of a widened context, on which the operator is re-hosted.
+variables of a widened context, on which the operator is re-hosted.  Its
+density is linear in each covector, so the Euler components of the first
+covector alone decide whether it is a total divergence.
 The iterates of a shadow (`shadow_iterates`) hold one derivative memo
 each, which lives for one iterate: the derivatives that certify iterate k
 also contract iterate k + 1 and give its layer images.
@@ -31,7 +33,6 @@ from .variational import (
     dx_inverse,
     euler,
     integrate_top_down,
-    is_divergence,
     is_generating_function,
 )
 from .detsolve import LinearSystem, TemplateBuilder, match_coefficients, nullspace
@@ -287,9 +288,12 @@ def jacobi_criterion_density(op: CDiffOp) -> Density:
     covector arguments p, q, r of m components each.  They are the dependent
     variables m + k*m + c of a widened context, which adds 3m fresh names to
     the operator's dependent variables; the operator is re-hosted on that
-    free context, and the density lives on it."""
+    free context, and the density lives on it.  A is m x m, with m the
+    number of dependent variables: DimensionMismatch otherwise."""
     ctx = op.ctx
-    m = op.rows
+    m = ctx.m
+    if (op.rows, op.cols) != (m, m):
+        raise DimensionMismatch(f"a {op.rows}x{op.cols} operator on {m} dependent variables has no Jacobi criterion")
     wide = JetContext(ctx.independent, ctx.dependent + tuple(_test_covector_names(ctx, 3 * m)),
                       ctx.parameters, ctx.has_time)
     op = CDiffOp(wide, op.rows, op.cols, op.entries)
@@ -304,11 +308,20 @@ def jacobi_criterion_density(op: CDiffOp) -> Density:
 
 
 def jacobi_check(op: CDiffOp) -> bool:
-    """Divergence test of the cyclic criterion density; the Euler test runs
-    over the dependent variables of the widened context, covectors included."""
+    """Divergence test of the cyclic criterion density, decided by the Euler
+    components of the first covector p alone (dependent variables m..2m-1
+    of the widened context); PreconditionFailed unless op is skew-adjoint.
+
+    The coefficients of A hold no covector, so the density is linear in p:
+    L = sum_sigma a_sigma D_sigma p^c with p-free a_sigma.  Integrating by
+    parts, L = sum_c E_{p^c}(L) p^c plus a total divergence, so L is a
+    divergence if and only if E_p(L) = 0 (Olver, Applications of Lie Groups
+    to Differential Equations, Thm 4.7).  That is the verdict of
+    `is_divergence` over every component, which stays the reference."""
     if not op.is_skew_adjoint():
         raise PreconditionFailed("operator is not skew-adjoint")
-    return is_divergence(jacobi_criterion_density(op))
+    m = op.rows
+    return all(c.is_zero() for c in euler(jacobi_criterion_density(op), range(m, 2 * m)))
 
 
 def hamiltonian_flow(op: CDiffOp, H: Density) -> EvolutionSystem:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .dalg import JET, NONLOCAL, DiffPoly, Immutable, MultiIndex, mi_remove_one
-from .jetspace import EvolutionSystem, GeneralSystem, JetContext, prefix_derivatives, total_derivative_iterated
+from .jetspace import EvolutionSystem, GeneralSystem, JetContext, prefix_derivatives, total_derivative
 from .cdiff import flow_linearization, linearization
 
 
@@ -69,19 +69,48 @@ class ConservedCurrent(Immutable):
         return type(other) is ConservedCurrent and self.components == other.components
 
 
-def euler(density: Density) -> list[DiffPoly]:
+def euler(density: Density, components: Sequence[int] | None = None) -> list[DiffPoly]:
     """Variational derivative: component j is sum_sigma (-D)_sigma dL/du^j_sigma,
-    one for each dependent variable of the density's context."""
+    for each dependent variable j of the density's context, or for the
+    `components` requested, in their order.
+
+    A component is built by nested differencing over the prefixes tau of
+    the (sorted) multi-indices sigma of the jets u^j_sigma in L:
+    S(tau) = dL/du^j_tau - sum_i D_i S(tau + i) over the prefixes tau + i
+    that extend tau, and E_j(L) = S(()).  That takes one total derivative
+    per prefix, where differentiating each dL/du^j_sigma on its own takes
+    |sigma|.  The signs ride on the partials: T(tau) = (-1)^|tau| S(tau)
+    is (-1)^|tau| dL/du^j_tau + sum_i D_i T(tau + i).
+    """
     ctx, L = density.ctx, density.value
     if L.has_kind(NONLOCAL):
         raise ValueError("Euler operator is defined for covering-free densities")
-    parts: list[list[DiffPoly]] = [[] for _ in range(ctx.m)]
+    wanted = range(ctx.m) if components is None else components
+    if not all(0 <= j < ctx.m for j in wanted):
+        raise ValueError(f"Euler components must lie in range({ctx.m}), not {list(wanted)}")
+    partials: dict[int, dict[MultiIndex, DiffPoly]] = {j: {} for j in wanted}
     for v in L.variables():
-        if v.kind == JET:
+        if v.kind == JET and v.idx[0] in partials:
             sigma = v.idx[1]
-            term = total_derivative_iterated(ctx, sigma, L.partial(v))
-            parts[v.idx[0]].append(term.scale((-1) ** len(sigma)))
-    return [DiffPoly.sum(p) for p in parts]
+            partials[v.idx[0]][sigma] = L.partial(v).scale(-1 if len(sigma) % 2 else 1)
+    return [_nested_differences(ctx, partials[j]) for j in wanted]
+
+
+def _nested_differences(ctx: JetContext, partials: dict[MultiIndex, DiffPoly]) -> DiffPoly:
+    """T(()) from the signed partials (-1)^|sigma| dL/du_sigma, keyed by
+    sigma: the longest prefixes first, each summed and derived once into
+    the prefix one shorter."""
+    pending: dict[MultiIndex, list[DiffPoly]] = {}
+    for sigma, p in partials.items():
+        pending.setdefault(sigma, []).append(p)
+        for k in range(len(sigma)):
+            pending.setdefault(sigma[:k], [])
+    for tau in sorted(pending, key=len, reverse=True):
+        if tau:
+            t = DiffPoly.sum(pending.pop(tau))
+            if t:
+                pending[tau[:-1]].append(total_derivative(ctx, tau[-1], t))
+    return DiffPoly.sum(pending.get((), ()))
 
 
 def is_divergence(density: Density) -> bool:

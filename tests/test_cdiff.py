@@ -95,13 +95,14 @@ def test_operations_drop_cancelled_entries(ctx):
     assert op.adjoint() == -(mult(ctx, "u").compose(Dx(ctx)))
     for got in (op.scale(0), op - op, row.compose(col), op.adjoint()):
         assert all(p for r in got.entries for e in r for p in e.values())
-    w = ctx.parse("u_x/2")
-    th = nonlocal_var(0, "w")
-    sh = CartanShadow(ctx, ({ctx.jet(0): DiffPoly.const(1), th: w - w},
-                            {th: w + w, ctx.jet(0, (0,)): -w}))
-    local, residues = contract([prefix_derivatives(ctx.derive, ctx.parse("u"))], sh)
-    assert local == [ctx.parse("u"), ctx.parse("-u_x^2/2")]
-    assert residues == [{}, {0: ctx.parse("u_x")}]
+    two = JetContext(ctx.independent, ("u", "v"), has_time=True, nonlocals=("w",))
+    w = two.parse("u_x/2")
+    th = two.nonlocal_(0)
+    sh = CartanShadow(two, ({two.jet(0): DiffPoly.const(1), th: w - w},
+                            {th: w + w, two.jet(0, (0,)): -w}))
+    local, residues = contract([prefix_derivatives(two.derive, two.parse(c)) for c in ("u", "v")], sh)
+    assert local == [two.parse("u"), two.parse("-u_x^2/2")]
+    assert residues == [{}, {0: two.parse("u_x")}]
 
 
 def test_adjoint_matrix_transposes(ctx, rng):
@@ -293,7 +294,10 @@ def test_shadow_residual_detects_nonsolutions(burgers, ctx):
 def test_a_covering_form_needs_a_space_with_layers(burgers, ctx):
     from jetcalc.cdiff import RegimeMismatch
 
-    sh = CartanShadow(ctx, ({ctx.jet(0): DiffPoly.const(1), nonlocal_var(0, "w"): ctx.parse("u_x")},))
+    comps = ({ctx.jet(0): DiffPoly.const(1), nonlocal_var(0, "w"): ctx.parse("u_x")},)
+    with pytest.raises(ValueError, match="'w' is not a jet or covering variable of the context"):
+        CartanShadow(ctx, comps)
+    sh = CartanShadow(ctx.with_nonlocals(("w",)), comps)
     with pytest.raises(RegimeMismatch):
         shadow_residual(sh, burgers)
-    assert str(CartanShadow(ctx.with_nonlocals(("w",)), sh.comps)) == "om(u) + u_x*th(w)"
+    assert str(sh) == "om(u) + u_x*th(w)"

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import pytest
 
 from jetcalc.cli import InputError, main, parse_equation_file, parse_operator
 from jetcalc.cdiff import CDiffOp
-from jetcalc.dalg import DiffPoly
+from jetcalc.dalg import DiffPoly, _Parser
 from jetcalc.jetspace import JetContext
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -97,6 +98,77 @@ def test_operator_powers_are_composition_chains(ctx):
     assert parse_operator("D_x^1", ctx) == dx
     assert parse_operator("D_x^3", ctx) == dx.compose(dx).compose(dx)
     assert parse_operator("(u*D_x)^2", ctx) == udx.compose(udx)
+
+
+class _Composing(_Parser):
+    """The operator grammar with every product a `CDiffOp.compose` and every
+    power a chain of them: the reference each operator text must equal."""
+
+    def number(self, value):
+        return CDiffOp.mult(self.ctx, DiffPoly.const(value))
+
+    def identifier(self, base, sub, pos):
+        if base == "D" and sub in self.ctx.independent:
+            return CDiffOp.d(self.ctx, self.ctx.independent.index(sub))
+        return CDiffOp.mult(self.ctx, DiffPoly.var(self.ctx.resolve_identifier(base, sub, pos)))
+
+    def product(self, a, b):
+        return a.compose(b)
+
+    def power(self, a, n):
+        out = CDiffOp.identity(self.ctx)
+        for _ in range(n):
+            out = out.compose(a)
+        return out
+
+    def constant(self, a):
+        return None if a.order else a.entries[0][0].get((), DiffPoly.zero()).as_constant()
+
+
+def _calculus_query_operators():
+    """(equation file, text) of every operator text of the benchmark's
+    calculus_queries jobs, at its default and its held-out seed: the
+    `--op` texts, and the declarations that an `--op` name refers to."""
+    perfbench = os.path.join(os.path.dirname(SRC), "perfbench")
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", os.path.join(perfbench, "jobs.py"))
+    jobs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    try:
+        spec.loader.exec_module(jobs)
+    finally:
+        del sys.modules[spec.name]
+    texts = set()
+    for seed in (jobs.DEFAULT_SEED, jobs.HELD_OUT_SEED):
+        for job in jobs.WORKLOADS["calculus_queries"](seed).jobs:
+            if "--op" in job.argv:
+                path = os.path.join(os.path.dirname(perfbench), job.argv[1])
+                with open(path) as fh:
+                    declared = dict(line[len("operator"):].split("=", 1) for line in fh
+                                    if line.startswith("operator "))
+                declared = {name.strip(): text.strip() for name, text in declared.items()}
+                op = job.argv[job.argv.index("--op") + 1]
+                texts.add((path, declared.get(op, op)))
+    return sorted(texts)
+
+
+@pytest.mark.parametrize("ctx_name, text", [
+    ("ctx", "(2/3)*u*D_x"), ("ctx", "(3/2 + (-7/4)*u)*D_x"),  # an order-0 left factor scales
+    ("ctx", "u*D_x*u"), ("ctx", "D_x*u*D_x"), ("ctx", "u^3*D_x^2*u_x"),  # a derivative composes
+    ("ctx", "D_x^0"), ("ctx", "D_x^127"), ("two", "D_x^2*D_y"), ("two", "(2*D_x*D_y)^3"),  # one term
+    ("ctx", "(u*D_x + 1)^3"), ("ctx", "0*D_x*u + (u - u)^2*D_x^2"),
+])
+def test_operator_texts_equal_their_composed_products(ctx, ctx_name, text):
+    if ctx_name == "two":
+        ctx = JetContext(("x", "y"), ("u",))
+    assert parse_operator(text, ctx) == _Composing(text, ctx).parse()
+
+
+def test_benchmark_operator_texts_equal_their_composed_products():
+    texts = _calculus_query_operators()
+    assert len(texts) > 40 and ("kdv.eqn", "D_x^3 + (2/3)*u*D_x + (1/3)*u_x") in [
+        (os.path.basename(path), text) for path, text in texts]
+    for path, text in texts:
+        ctx = parse_equation_file(path).ctx
+        assert parse_operator(text, ctx) == _Composing(text, ctx).parse(), (path, text)
 
 
 def test_symmetries_command(burgers_file, capsys):

@@ -5,9 +5,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetcalc import cdiff, detsolve, hamrec
-from jetcalc.cli import main
+from jetcalc.cli import main, parse_operator
 from jetcalc.dalg import DiffPoly
 from jetcalc.jetspace import EvolutionSystem, JetContext, prefix_derivatives
 from jetcalc.cdiff import CartanShadow, CDiffOp, linearization
@@ -216,6 +217,67 @@ def test_jacobi_scale_invariance(ctx):
     A = kdv_second_structure(ctx)
     assert jacobi_check(A.scale(Fraction(5, 7)))
     assert jacobi_check(A.scale(-3))
+
+
+def _matrix(ctx, rows):
+    """The matrix operator whose entries are the operator texts `rows`."""
+    return CDiffOp(ctx, len(rows), len(rows), [[parse_operator(t, ctx).entries[0][0] for t in row] for row in rows])
+
+
+PAIR = JetContext(("x", "t"), ("v", "w"), has_time=True)
+
+
+@pytest.mark.parametrize("rows, hamiltonian", [
+    ([["D_x^3 + u^2*D_x + u*u_x"]], False),
+    ([["2*u_x*D_x + u_{xx}"]], False),
+    ([["u*D_x + D_x*u"]], True),
+    ([["0", "v_x"], ["-v_x", "0"]], False),
+    ([["D_x", "0"], ["0", "D_x^3 + v^2*D_x + v*v_x"]], False),
+    ([["0", "1"], ["-1", "0"]], True),
+])
+def test_jacobi_on_skew_operators(ctx, rows, hamiltonian):
+    """Skew-adjoint operators on both sides of the Jacobi identity; the
+    one-covector verdict agrees with the divergence test over every
+    component of the widened context."""
+    op = _matrix(ctx if len(rows) == 1 else PAIR, rows)
+    assert is_skew_adjoint(op)
+    assert jacobi_check(op) is hamiltonian
+    assert is_divergence(jacobi_criterion_density(op)) is hamiltonian
+
+
+def test_the_jacobi_criterion_needs_an_operator_on_every_dependent_variable():
+    """A 1x1 operator on two dependent variables would take the second one
+    for a covector."""
+    from jetcalc.cdiff import DimensionMismatch
+
+    op = _matrix(PAIR, [["D_x^3 + v^2*D_x + v*v_x"]])
+    for check in (lambda: jacobi_criterion_density(op), lambda: jacobi_check(op)):
+        with pytest.raises(DimensionMismatch, match="a 1x1 operator on 2 dependent variables"):
+            check()
+
+
+@st.composite
+def skew_operators(draw):
+    """B - B* for a random 1x1 or 2x2 operator B of order at most 3 in D_x."""
+    space = draw(st.sampled_from([JetContext(("x", "t"), ("u",), has_time=True), PAIR]))
+    jets = [space.jet(j, (0,) * k) for j in range(space.m) for k in range(2)]
+
+    def coefficient():
+        c = DiffPoly.const(draw(st.fractions(-3, 3, max_denominator=3).filter(bool)))
+        for v in draw(st.lists(st.sampled_from(jets), max_size=2)):
+            c = c * DiffPoly.var(v)
+        return c
+
+    entries = [[{(0,) * k: coefficient() for k in draw(st.sets(st.integers(0, 3), max_size=2))}
+                for _ in range(space.m)] for _ in range(space.m)]
+    B = CDiffOp(space, space.m, space.m, entries)
+    return B - B.adjoint()
+
+
+@settings(max_examples=40, deadline=None)
+@given(skew_operators())
+def test_jacobi_check_is_the_divergence_test_of_the_criterion(op):
+    assert jacobi_check(op) == is_divergence(jacobi_criterion_density(op))
 
 
 def test_hamiltonian_flows(ctx):

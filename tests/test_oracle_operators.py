@@ -21,8 +21,14 @@ no jetcalc code, one per derivative regime:
 
 Operators are read in normal form (coefficients left of the derivatives) as
 polynomials in commuting symbols, one per total derivative.
+
+No golden holds a skew-adjoint operator that fails the Jacobi identity, so
+two such `check-hamiltonian` verdicts are computed here by the CLI and
+rechecked in the same way.
 """
 
+import json
+import os
 import re
 
 import pytest
@@ -30,7 +36,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.calculus.euler import euler_equations  # noqa: E402
 
-from test_oracle_currents import Space, _euler, _goldens  # noqa: E402
+from test_oracle_currents import ROOT, Space, _euler, _goldens  # noqa: E402
 
 _D = re.compile(r"\bD_([A-Za-z])\b")
 
@@ -146,6 +152,20 @@ def test_check_hamiltonian_goldens_report_the_jacobi_identity():
         assert doc["jacobi"] is not any(_jacobi_criterion_euler(space, A)), (argv, doc)
         checked += 1
     assert checked == 22
+
+
+@pytest.mark.parametrize("eqn, op", [("kdv", "D_x^3 + u^2*D_x + u*u_x"), ("burgers", "2*u_x*D_x + u_{xx}")])
+def test_check_hamiltonian_refuses_skew_operators_that_fail_the_jacobi_identity(capsys, eqn, op):
+    from jetcalc.cli import main
+
+    path = f"perfbench/eqn/{eqn}.eqn"
+    code = main(["check-hamiltonian", os.path.join(ROOT, path), "--op", op, "--format", "structured"])
+    doc = json.loads(capsys.readouterr().out)
+    assert (code, doc["skew-adjoint"], doc["jacobi"], doc["result"]) == (1, True, False, False)
+    space = Space(path)
+    A = _operator(space, op)
+    assert _pairing_euler(space, lambda P, Q: P * _apply(space, A, Q) + Q * _apply(space, A, P)) == 0
+    assert any(_jacobi_criterion_euler(space, A))
 
 
 def test_linearize_goldens_are_the_linearized_equation():

@@ -19,7 +19,7 @@ from jetcalc import (
     JetContext,
 )
 from jetcalc.cli import EquationFile
-from jetcalc.dalg import DiffPoly
+from jetcalc.dalg import DiffPoly, jet_var
 from jetcalc.hamrec import Layer
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -141,3 +141,35 @@ def test_shadows_drop_zero_coefficients_and_systems_reject_covering_variables():
         CartanShadow(ctx, (), ())
     with pytest.raises(ValueError, match="non-jet variable"):
         GeneralSystem(ctx.with_nonlocals(("w",)), (ctx.with_nonlocals(("w",)).parse("w"),))
+
+
+def test_shadows_refuse_what_they_cannot_print():
+    """A key that is no jet or covering variable of the context, or a
+    component that the printed form cannot name, is refused when the
+    shadow is built, not when it is printed."""
+    ctx = JetContext(("x", "t"), ("u",), has_time=True)
+    u, one = ctx.parse("u"), DiffPoly.const(1)
+    for comps, message in [
+        (({ctx.base(0): u}, {ctx.jet(0): one}), "2 components, but the context names 1 dependent variables"),
+        (({ctx.base(0): u},), "'x' is not a jet or covering variable of the context"),
+        (({jet_var(1, (), "v", ctx.independent): one},), "'v' is not a jet or covering variable"),
+        (({jet_var(0, (2,), "u", ("x", "t", "y")): one},), "'u_y' is not a jet or covering variable"),
+        (({ctx.with_nonlocals(("w",)).nonlocal_(0): one},), "'w' is not a jet or covering variable"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            CartanShadow(ctx, comps)
+    cov = ctx.with_nonlocals(("w",))
+    assert str(CartanShadow(cov, ({ctx.jet(0, (1,)): u, cov.nonlocal_(0): one},))) == "u*om(u_t) + th(w)"
+
+
+def test_horizontal_forms_check_their_indices_however_built():
+    ctx = JetContext(("x", "t"), ("u",), has_time=True)
+    u = ctx.parse("u")
+    for degree, comps in [(1, (((1, 0), u),)), (2, (((1, 0), u),)), (1, (((2,), u),)), (1, (((0,), u), ((0,), u)))]:
+        with pytest.raises(ValueError, match="component index"):
+            HorForm(ctx, degree, comps)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        HorForm.make(ctx, 2, {(1, 0): u})
+    form = HorForm(ctx, 1, (((1,), u), ((0,), u * u)))
+    assert HorForm(ctx, 1, (((1,), DiffPoly.zero()),)).is_zero()
+    assert form.comps == HorForm.make(ctx, 1, {(0,): u * u, (1,): u}).comps and str(form) == "u^2*dx + u*dt"

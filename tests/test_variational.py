@@ -27,6 +27,9 @@ from conftest import random_internal, random_poly
 def test_euler_examples(ctx):
     assert euler(Density(ctx, ctx.parse("u^3/6 - u_x^2/2")))[0] == ctx.parse("u^2/2 + u_{xx}")
     assert euler(Density(ctx, ctx.parse("u_x^2/2")))[0] == ctx.parse("-u_{xx}")
+    assert euler(Density(ctx, ctx.parse("u_x^2/2")), []) == []
+    with pytest.raises(ValueError, match=r"Euler components must lie in range\(1\), not \[1\]"):
+        euler(Density(ctx, ctx.parse("u")), [1])
 
 
 def test_euler_kills_total_x_derivatives(ctx, rng):
