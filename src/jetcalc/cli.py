@@ -549,13 +549,13 @@ def cmd_symmetries(eq: EquationFile, args) -> tuple[Report, int]:
 
 def cmd_conslaws(eq: EquationFile, args) -> tuple[Report, int]:
     sysm = eq.need_system()
+    if args.currents and eq.ctx.n != 2:
+        raise InputError("current reconstruction needs exactly one spatial variable")
     a = _ansatz_of(args)
     basis = generating_functions(sysm, a)
     rep = _basis_report("conslaws", eq, a, basis, "generating functions", _vec_str)
     exit_code = 0
     if args.currents:
-        if eq.ctx.n != 2:
-            raise InputError("current reconstruction needs exactly one spatial variable")
         recon = []
         for s in basis.solutions:
             try:

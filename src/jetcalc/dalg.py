@@ -30,10 +30,11 @@ Kernel invariants, which every operation keeps:
   read them through the decoded `terms` view.  Monomials come from `var`
   and `monomial`, ordered by `order_key`; an ansatz pool is built packed
   by `pool`, as sums of variable units sorted by the print-order key of
-  their field bytes; templates from `combination` over `unknown_var`s;
-  the derivatives of a template's further slots are those of its first
-  slot with the unknown indices offset (`offset_unknowns`), since no
-  derivation acts on an unknown; coefficient rows from `linear_rows`;
+  their field bytes; templates from `combination`, whose unknowns are
+  column indices written into the low bits (`unknown_var` only decodes);
+  a template's further slots, and their derivatives, are its first slot
+  with the unknown indices offset (`offset_unknowns`), since no derivation
+  acts on an unknown; coefficient rows from `linear_rows`;
   integrals from `antiderivative`; the parts of each degree in one kind of
   variable from `homogeneous_parts`.
 - Coefficients are nonzero int numerators over one positive denominator
@@ -457,17 +458,21 @@ class DiffPoly:
         return [DiffPoly._make({m: 1}) for m in sorted(set(packed), key=_print_key(width, ranked[::-1]))]
 
     @staticmethod
-    def combination(pairs: Sequence[tuple[VarId, "DiffPoly"]]) -> "DiffPoly":
-        """sum_k c_k * m_k over pairs (c_k, m_k), assembled in one numerator
-        dict with no products: each c_k, a variable of no m_k and of no
-        other pair, enters the monomials of its m_k."""
-        den = lcm(*(m.den for _, m in pairs))
+    def combination(polys: Sequence["DiffPoly"], start: int) -> "DiffPoly":
+        """sum_k c_{start+k} * p_k in one numerator dict with no products:
+        index start+k enters the low bits of the monomials of p_k.
+        ValueError past the unknowns' range, NonlinearInUnknowns if a p_k
+        holds an unknown."""
+        if start < 0 or start + len(polys) > _UNKNOWN_FLAG:
+            raise ValueError(f"a template holds at most {_UNKNOWN_FLAG} unknowns")
+        den = lcm(*(p.den for p in polys))
         num = {}
-        for c, m in pairs:
-            unit = _unit(c)
-            k = den // m.den
-            for f, n in m.num.items():
+        unit = _UNKNOWN_FLAG | start
+        for p in polys:
+            k = den // p.den
+            for f, n in p.num.items():
                 num[f + unit] = n * k
+            unit += 1
         _check(num)
         return DiffPoly._make(num, den)
 

@@ -12,13 +12,13 @@ derived once and slot j reads those derivatives offset
 (`slot_derivatives`).  The nullspace is one elimination loop that takes
 the shortest rows first, so an unknown that a one-entry row forces to
 zero becomes a unit pivot and is struck from the other pivot rows as
-soon as it is found; there is no separate pinning pass.  The template
-builder keeps a table of the monomial (and the slot: component or Cartan
-key) each unknown multiplies, so a solution is read off that table over
-the nonzero entries of its nullspace vector, not substituted into the
-whole template.  Every emitted solution is still
-re-substituted into its determining equation before being returned; the
-solver never trusts its own elimination.
+soon as it is found; there is no separate pinning pass.  A template
+unknown is its column index: in a template over a pool of N monomials,
+unknown k multiplies monomial k % N of slot k // N, so a solution is read
+off the pool and the slot keys over the nonzero entries of its nullspace
+vector, not substituted into the whole template.  Every emitted solution
+is still re-substituted into its determining equation before being
+returned; the solver never trusts its own elimination.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Hashable, Mapping
 
-from .dalg import Coef, DiffPoly, Immutable, MultiIndex, NonlinearInUnknowns, VarId, param_var, unknown_var
+from .dalg import Coef, DiffPoly, Immutable, MultiIndex, NonlinearInUnknowns, param_var
 from .jetspace import EvolutionSystem, JetContext, multi_indices_up_to, prefix_derivatives
 from .cdiff import (
     CartanShadow,
@@ -74,40 +74,35 @@ def ansatz_monomials(ctx: JetContext, a: Ansatz) -> list[DiffPoly]:
 
 
 class TemplateBuilder:
-    """Hands out unknown coefficients (`unknown_var(k)` for k = 0, 1, ...),
-    remembers their names in declaration order, and keeps the table of the
-    slot and monomial each unknown of a `combination` multiplies."""
+    """A template over a pool of N monomials and an ordered list of slot
+    keys (a component, or a component and a Cartan key): unknown k
+    multiplies monomial k % N of slot k // N.  Slot 0 is one `combination`
+    of the pool and slot s is slot 0 with its unknowns offset by s*N."""
 
-    def __init__(self):
-        self.names: list[str] = []
-        self.table: dict[str, tuple[Hashable, DiffPoly]] = {}
+    __slots__ = ("pool", "slots")
 
-    def fresh(self) -> VarId:
-        c = unknown_var(len(self.names))
-        self.names.append(c.name)
-        return c
+    def __init__(self, pool: list[DiffPoly], slots: list[Hashable]):
+        self.pool = pool
+        self.slots = slots
 
-    def combination(self, monomials: list[DiffPoly], slot: Hashable = None) -> DiffPoly:
-        """sum_k c_k * m_k over fresh unknowns c_k (`DiffPoly.combination`)."""
-        pairs = [(self.fresh(), m) for m in monomials]
-        self.table.update((c.name, (slot, m)) for c, m in pairs)
-        return DiffPoly.combination(pairs)
+    def templates(self) -> list[DiffPoly]:
+        first = DiffPoly.combination(self.pool, 0)
+        n = len(self.pool)
+        return [first] + [first.offset_unknowns(s * n) for s in range(1, len(self.slots))]
 
-    def read_off(self, vec: Mapping[str, Coef]) -> dict[Hashable, DiffPoly]:
-        """The combinations at the unknown values of `vec` (absent ones are
-        zero), keyed by slot: sum_k vec[c_k] * m_k over the entries of `vec`
-        only.  Unknowns of no combination are skipped; zero slots are left
-        out."""
-        entries = ((self.table[name], c) for name, c in vec.items() if name in self.table)
-        return _collect((slot, m.scale(c)) for (slot, m), c in entries)
+    def read_off(self, vec: Mapping[int, Coef]) -> dict[Hashable, DiffPoly]:
+        """The template at the unknown values of `vec` (absent ones are
+        zero), keyed by slot: sum_k vec[k] * pool[k % N] over the entries of
+        `vec` only; zero slots are left out."""
+        n = len(self.pool)
+        return _collect((self.slots[k // n], self.pool[k % n].scale(c)) for k, c in vec.items())
 
 
 def build_symmetry_template(ctx: JetContext, a: Ansatz) -> tuple[list[DiffPoly], TemplateBuilder]:
     """One template per dependent component over consecutive unknowns: slot
     j is slot 0 with every unknown index raised by j*N, N the pool size."""
-    tb = TemplateBuilder()
-    monos = ansatz_monomials(ctx, a)
-    return [tb.combination(monos, j) for j in range(ctx.m)], tb
+    tb = TemplateBuilder(ansatz_monomials(ctx, a), list(range(ctx.m)))
+    return tb.templates(), tb
 
 
 def slot_derivatives(space, templates: list[DiffPoly]) -> list[Callable[[MultiIndex], DiffPoly]]:
@@ -144,28 +139,28 @@ def build_shadow_template(ctx: JetContext, a: Ansatz) -> tuple[CartanShadow, Tem
     order, so that the echelon-normalized basis comes out monic in the
     highest Cartan coefficient (the customary recursion-operator shape).
     """
-    tb = TemplateBuilder()
-    monos = ansatz_monomials(ctx, a)
     sigmas = multi_indices_up_to(ctx.spatial_indices, a.jet_order)
     keys = ([ctx.nonlocal_(layer) for layer in range(len(ctx.nonlocals))]
             + [ctx.jet(alpha, s) for alpha in range(ctx.m) for s in sigmas])
-    return CartanShadow(ctx, tuple({v: tb.combination(monos, (j, v)) for v in keys} for j in range(ctx.m))), tb
+    tb = TemplateBuilder(ansatz_monomials(ctx, a), [(j, v) for j in range(ctx.m) for v in keys])
+    templates = tb.templates()
+    return CartanShadow(ctx, tuple(dict(zip(keys, templates[j * len(keys):])) for j in range(ctx.m))), tb
 
 
 class LinearSystem:
-    """Sparse homogeneous rows over an ordered unknown list."""
+    """Sparse homogeneous rows over the unknowns range(n), by column index."""
 
     __slots__ = ("unknowns", "rows", "inconsistent")
 
-    def __init__(self, unknowns: list[str], rows: list[dict[int, Coef]], inconsistent: bool = False):
-        self.unknowns = unknowns
+    def __init__(self, n: int, rows: list[dict[int, Coef]], inconsistent: bool = False):
+        self.unknowns = range(n)
         self.rows = rows
         self.inconsistent = inconsistent
 
 
 def match_coefficients(expr: DiffPoly, system: LinearSystem):
     """Append one row per distinct known monomial of an unknown-linear expr
-    (`DiffPoly.linear_rows`); column k of the system is `unknown_var(k)`.
+    (`DiffPoly.linear_rows`); column k of the system is template unknown k.
 
     Rows come in the order their monomials are first seen, which is
     deterministic; `nullspace` does not depend on row order, so no
@@ -206,8 +201,8 @@ def _integer_row(row: dict[int, Coef]) -> dict[int, int]:
     return {k: v // g for k, v in ints.items()} if g > 1 else ints
 
 
-def nullspace(system: LinearSystem) -> list[dict[str, Fraction]]:
-    """Exact reduced nullspace basis; pivots follow unknown declaration order.
+def nullspace(system: LinearSystem) -> list[dict[int, Fraction]]:
+    """Exact reduced nullspace basis, keyed by column; pivots follow column order.
 
     One loop builds the reduced row echelon form a row at a time.  The rows
     go in shortest first, so the one-entry rows, which force their unknown
@@ -280,13 +275,13 @@ def nullspace(system: LinearSystem) -> list[dict[str, Fraction]]:
                 holders[k].add(col)
         pivots[col] = r
     basis = []
-    for f, name in enumerate(system.unknowns):
+    for f in system.unknowns:
         if f in pivots:
             continue
-        vec = {name: Fraction(1)}
+        vec = {f: Fraction(1)}
         for pc in sorted(holders[f]):
             p = pivots[pc]
-            vec[system.unknowns[pc]] = Fraction(-p[f], p[pc])
+            vec[pc] = Fraction(-p[f], p[pc])
         basis.append(vec)
     return basis
 
@@ -304,7 +299,7 @@ class SolutionBasis:
 
 
 def _solve(residuals, tb: TemplateBuilder, render, verify) -> SolutionBasis:
-    system = LinearSystem(list(tb.names), [])
+    system = LinearSystem(len(tb.pool) * len(tb.slots), [])
     for residual in residuals:
         if residual:
             match_coefficients(residual, system)
@@ -393,5 +388,4 @@ def span_contains(basis: list[tuple[DiffPoly, ...]], target: tuple[DiffPoly, ...
         for i, p in enumerate(vec):
             for f, c in p.terms.items():
                 rows.setdefault((i, f), {})[k] = c
-    names = [str(k) for k in range(len(vecs))]
-    return any(names[-1] in v for v in nullspace(LinearSystem(names, list(rows.values()))))
+    return any(len(basis) in v for v in nullspace(LinearSystem(len(vecs), list(rows.values()))))

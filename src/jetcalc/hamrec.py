@@ -35,7 +35,7 @@ from .variational import (
     integrate_top_down,
     is_generating_function,
 )
-from .detsolve import LinearSystem, TemplateBuilder, match_coefficients, nullspace
+from .detsolve import LinearSystem, match_coefficients, nullspace
 
 
 class NotFlat(ValueError):
@@ -180,23 +180,22 @@ def dx_inverse_extended(cov: Covering, g: DiffPoly) -> DiffPoly:
 
 
 def _remainder_ansatz(cov: Covering, r: DiffPoly, x: int) -> DiffPoly | None:
-    """Exact linear solve of D̃_x h = r over a finite monomial pool."""
+    """Exact linear solve of D̃_x h = lambda*r over a pool of N monomials:
+    h is over unknowns 0..N-1, and lambda is unknown N."""
     ctx = cov.ctx
     pool_vars = sorted(r.variables() | {ctx.nonlocal_(a) for a in range(len(cov.layers))}
                        | {ctx.base(x)})
     degree = r.total_degree() + 1
     monos = [DiffPoly.monomial(combo)
              for d in range(1, degree + 1) for combo in combinations_with_replacement(pool_vars, d)]
-    tb = TemplateBuilder()
-    candidate = tb.combination(monos)
-    rhs = tb.fresh()
-    residual = cov.derive(x, candidate) - DiffPoly.var(rhs) * r
-    system = LinearSystem(list(tb.names), [])
+    n = len(monos)
+    residual = cov.derive(x, DiffPoly.combination(monos, 0)) - DiffPoly.combination([r], n)
+    system = LinearSystem(n + 1, [])
     match_coefficients(residual, system)
     for vec in nullspace(system):
-        lam = vec.get(rhs.name)
+        lam = vec.get(n)
         if lam:
-            return tb.read_off({n: c / lam for n, c in vec.items()}).get(None, DiffPoly.zero())
+            return DiffPoly.sum(monos[k].scale(c / lam) for k, c in vec.items() if k < n)
     return None
 
 

@@ -525,6 +525,21 @@ def test_stock_files_read_D_x_as_the_total_derivative(capsys, name):
     code, out, _ = run(capsys, "adjoint", os.path.join(STOCK, f"{name}.eqn"), "--op", "D_x")
     assert (code, out) == (0, "-D_x\n")
 
+
+def test_currents_need_one_spatial_variable_before_the_solve(capsys, monkeypatch):
+    """`conslaws --currents` on a file with two spatial variables exits 2
+    without solving the ansatz."""
+    from jetcalc import cli
+
+    def unreachable(*args):
+        raise AssertionError("the ansatz was solved")
+
+    monkeypatch.setattr(cli, "generating_functions", unreachable)
+    code, out, err = run(capsys, "conslaws", os.path.join(STOCK, "nls2.eqn"), "--order", "2", "--deg", "2",
+                         "--currents")
+    assert (code, out) == (2, "")
+    assert "error: current reconstruction needs exactly one spatial variable" in err
+
 def test_jobs_flag_is_gone(burgers_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["symmetries", burgers_file, "--jobs", "2"])

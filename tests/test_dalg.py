@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetcalc.dalg import DiffPoly, ParseError, UnknownIdentifier, param_var, unknown_var
+from jetcalc.dalg import DiffPoly, NonlinearInUnknowns, ParseError, UnknownIdentifier, param_var, unknown_var
 
 from conftest import random_poly
 
@@ -145,3 +145,19 @@ def test_offset_unknowns_refuses_a_free_term_and_an_index_past_the_limit(ctx):
         c1.offset_unknowns(top - 1)
     with pytest.raises(ValueError, match=f"at most {top} unknowns"):
         c1.offset_unknowns(-2)
+
+
+def test_combination_refuses_an_index_past_the_limit_and_a_poly_with_an_unknown(ctx):
+    u = ctx.parse("u")
+    with pytest.raises(ValueError) as limit:
+        unknown_var(1 << 30)
+    top = int(str(limit.value).split()[-2])
+    assert DiffPoly.combination([u, u], top - 2) == DiffPoly.var(unknown_var(top - 2)) * u + DiffPoly.var(
+        unknown_var(top - 1)) * u
+    for polys, start in (([u, u], top - 1), ([u], top), ([u], -1)):
+        with pytest.raises(ValueError, match=f"^{limit.value}$"):
+            DiffPoly.combination(polys, start)
+    c0 = DiffPoly.var(unknown_var(0))
+    for polys in ([c0 * u], [u, u + c0], [c0]):
+        with pytest.raises(NonlinearInUnknowns):
+            DiffPoly.combination(polys, 3)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from itertools import combinations_with_replacement
 
 from jetcalc import detsolve
-from jetcalc.cli import main
+from jetcalc.cli import main, parse_equation_file
 from jetcalc.dalg import UNKNOWN, DiffPoly, ExponentOverflow, param_var, unknown_var
 from jetcalc.jetspace import EvolutionSystem, JetContext, multi_indices_up_to, prefix_derivatives, total_derivative
 from jetcalc.cdiff import CartanShadow, CDiffOp, flow_linearization, linearization, jacobi_bracket
@@ -134,44 +134,44 @@ def test_ansatz_validation():
 def test_symmetry_template_unknown_count(ctx):
     templates, tb = build_symmetry_template(ctx, Ansatz(1, 1, 0))
     assert len(templates) == 1
-    assert len(tb.names) == 3
+    assert len(tb.pool) * len(tb.slots) == 3
 
 
 def test_shadow_template_shapes(burgers, ctx, pot):
     template, tb = build_shadow_template(pot.ctx, Ansatz(1, 1, 0))
     keys = set(template.comps[0])
     assert keys == {pot.ctx.nonlocal_(0), ctx.jet(0), ctx.jet(0, (0,))}
-    assert len(tb.names) == 9
+    assert len(tb.pool) * len(tb.slots) == 9
 
 
 def test_match_coefficients_examples(ctx):
     c0, c1, c2 = (DiffPoly.var(unknown_var(k)) for k in range(3))
     expr = c0 * ctx.parse("u") + (c1 - c2) * ctx.parse("u_x")
-    system = LinearSystem(["c0", "c1", "c2"], [])
+    system = LinearSystem(3, [])
     match_coefficients(expr, system)
     assert system.rows == [{0: Fraction(1)}, {1: Fraction(1), 2: Fraction(-1)}]
 
-    empty = LinearSystem(["c0"], [])
+    empty = LinearSystem(1, [])
     match_coefficients(DiffPoly.zero(), empty)
     assert empty.rows == []
 
-    one_row = LinearSystem(["c0", "c1"], [])
+    one_row = LinearSystem(2, [])
     match_coefficients((c0 + c1.scale(2)) * ctx.parse("x*u_{xx}"), one_row)
     assert one_row.rows == [{0: Fraction(1), 1: Fraction(2)}]
 
 
 def test_match_coefficients_nonlinear(ctx):
     c0 = DiffPoly.var(unknown_var(0))
-    system = LinearSystem(["c0"], [])
+    system = LinearSystem(1, [])
     with pytest.raises(NonlinearInUnknowns):
         match_coefficients(c0 * c0, system)
 
 
 def test_nullspace_trivials():
-    assert nullspace(LinearSystem(["c0", "c1"], [{0: Fraction(1)}])) == [{"c1": Fraction(1)}]
-    assert nullspace(LinearSystem(["c0"], [])) == [{"c0": Fraction(1)}]
-    both = LinearSystem(["c0", "c1"], [{0: Fraction(1), 1: Fraction(1)},
-                                       {0: Fraction(1), 1: Fraction(-1)}])
+    assert nullspace(LinearSystem(2, [{0: Fraction(1)}])) == [{1: Fraction(1)}]
+    assert nullspace(LinearSystem(1, [])) == [{0: Fraction(1)}]
+    both = LinearSystem(2, [{0: Fraction(1), 1: Fraction(1)},
+                            {0: Fraction(1), 1: Fraction(-1)}])
     assert nullspace(both) == []
 
 
@@ -190,8 +190,8 @@ BENCHMARK_SYSTEMS = [("nls1", ["--order", "3", "--deg", "3", "--xt-deg", "1"], 6
                      ("kdv", ["--order", "7", "--deg", "3", "--xt-deg", "1"], 5)]
 
 
-def _determining_system(monkeypatch, capsys, name, flags):
-    """The linear system that `symmetries` on a stock equation file solves,
+def _determining_system(monkeypatch, capsys, name, flags, command="symmetries"):
+    """The linear system that `command` on a stock equation file solves,
     with the nullspace basis it got and the basis the report prints."""
     caught = []
     solve = detsolve.nullspace
@@ -201,7 +201,7 @@ def _determining_system(monkeypatch, capsys, name, flags):
         return caught[-1][1]
 
     monkeypatch.setattr(detsolve, "nullspace", spy)
-    assert main(["symmetries", os.path.join(STOCK, f"{name}.eqn"), *flags, "--format", "structured"]) == 0
+    assert main([command, os.path.join(STOCK, f"{name}.eqn"), *flags, "--format", "structured"]) == 0
     (system, vectors), = caught
     return system, vectors, json.loads(capsys.readouterr().out)["basis"]
 
@@ -242,13 +242,27 @@ def test_nullspace_is_complete_on_the_benchmark_systems(monkeypatch, capsys, nam
     system, vectors, printed = _determining_system(monkeypatch, capsys, name, flags)
     assert len(vectors) == len(printed) == nullity
     assert len(system.unknowns) - _rank_mod_p(system.rows) == nullity
-    column = {u: k for k, u in enumerate(system.unknowns)}
     for vec in vectors:
         others = set().union(*(w for w in vectors if w is not vec))
         assert vec.keys() - others
-        values = {column[u]: c for u, c in vec.items()}
         for row in system.rows:
-            assert sum(c * values.get(k, 0) for k, c in row.items()) == 0
+            assert sum(c * vec.get(k, 0) for k, c in row.items()) == 0
+
+
+@pytest.mark.parametrize("command, name, flags, build, count", [
+    ("symmetries", "nls1", ["--order", "3", "--deg", "3", "--xt-deg", "1"], build_symmetry_template, 990),
+    ("recursion", "burgers", ["--order", "3", "--deg", "2", "--xt-deg", "2"], build_shadow_template, 360),
+], ids=["nls1-symmetries", "burgers-recursion"])
+def test_system_unknowns_are_the_template_unknowns(monkeypatch, capsys, command, name, flags, build, count):
+    """The benchmark's `unknowns` size is `len(system.unknowns)`: the
+    columns 0..n-1 are exactly the unknowns of the solver's template."""
+    system, _, _ = _determining_system(monkeypatch, capsys, name, flags, command)
+    eq = parse_equation_file(os.path.join(STOCK, f"{name}.eqn"))
+    template, tb = build(eq.ctx, Ansatz(*map(int, flags[1::2])))
+    slots = template if isinstance(template, list) else [p for cmap in template.comps for p in cmap.values()]
+    unknowns = {v for p in slots for f in p.terms for v, _ in f if v.kind == UNKNOWN}
+    assert unknowns == {unknown_var(k) for k in system.unknowns}
+    assert len(system.unknowns) == len(tb.pool) * len(tb.slots) == count
 
 
 def test_nls_elimination_work_stays_bounded(monkeypatch, capsys):
@@ -410,22 +424,35 @@ TEMPLATES = {
 @given(data=st.data())
 def test_read_off_equals_the_bound_template(kind, data):
     slots, tb = TEMPLATES[kind]()
-    vec = data.draw(st.dictionaries(st.sampled_from(tb.names), values, max_size=8))
-    bound = {unknown_var(k): DiffPoly.const(vec.get(name, 0)) for k, name in enumerate(tb.names)}
+    n = len(tb.pool) * len(tb.slots)
+    vec = data.draw(st.dictionaries(st.integers(0, n - 1), values, max_size=8))
+    bound = {unknown_var(k): DiffPoly.const(vec.get(k, 0)) for k in range(n)}
     read = tb.read_off(vec)
     assert set(read) <= set(slots)
     for slot, template in slots.items():
         assert read.get(slot, DiffPoly.zero()) == template.substitute(bound)
 
 
+@pytest.mark.parametrize("kind", list(TEMPLATES))
+def test_every_slot_is_slot_zero_offset(kind):
+    """Symmetry slot s and shadow slot s (covering forms first, then jets
+    ascending, per component) are slot 0 with every unknown raised by s*N,
+    N the pool size, and slot 0 is the `combination` of the pool."""
+    slots, tb = TEMPLATES[kind]()
+    assert list(slots) == tb.slots
+    first = DiffPoly.combination(tb.pool, 0)
+    assert [first.offset_unknowns(s * len(tb.pool)) for s in range(len(slots))] == list(slots.values())
+
+
 def test_direct_template_inserts_unknowns_among_declared_parameters():
     slots, tb = TEMPLATES["params"]()
-    assert not set(tb.names) & set(CTXP.parameters)
+    unknowns = {unknown_var(k).name for k in range(len(tb.pool) * len(tb.slots))}
+    assert not unknowns & set(CTXP.parameters)
     factors = list(slots[0].terms)
     assert all(list(f) == sorted(f) for f in factors)
     names = [[v.name for v, _ in f] for f in factors]
-    assert any(n[:2] == ["b", "d"] and n[2] in tb.names for n in names)
-    assert all(n[-1] in tb.names and not set(n[:-1]) & set(tb.names) for n in names)
+    assert any(n[:2] == ["b", "d"] and n[2] in unknowns for n in names)
+    assert all(n[-1] in unknowns and not set(n[:-1]) & unknowns for n in names)
 
 
 coefficients = st.one_of(st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=4))
@@ -442,11 +469,11 @@ def polys(draw):
 @READ_OFF
 @given(monos=st.lists(polys(), max_size=5))
 def test_direct_template_equals_the_sum_of_products(monos):
-    tb = TemplateBuilder()
-    template = tb.combination(monos)
+    tb = TemplateBuilder(monos, [None])
+    template, = tb.templates()
     products = DiffPoly.sum(DiffPoly.var(unknown_var(k)) * m for k, m in enumerate(monos))
     assert template == products
-    assert list(tb.table) == tb.names
+    assert [tb.read_off({k: 1}).get(None, DiffPoly.zero()) for k in range(len(monos))] == monos
 
 
 @pytest.mark.parametrize("text", ["u*u_x + u_{xx}", "u*u_x + u_{xxx}", "u^2*u_x - 3/2*u_{xxx} + x"])

@@ -231,15 +231,15 @@ def printable_polys(draw):
     """A sum of random terms over both contexts, plus a template (a
     `combination` of unknowns) or nothing."""
     free = draw(polys(max_terms=6, variables=PRINT_VARS)).scale(draw(print_coefficients))
-    pairs = [(unknown_var(k), draw(polys(max_terms=2, variables=PRINT_VARS)).scale(draw(print_coefficients)))
+    pairs = [(k, draw(polys(max_terms=2, variables=PRINT_VARS)).scale(draw(print_coefficients)))
              for k in draw(st.lists(st.integers(0, 40), unique=True, max_size=4))]
-    return free + DiffPoly.combination([(u, m) for u, m in pairs if m])
+    return free + DiffPoly.sum(DiffPoly.combination([m], k) for k, m in pairs)
 
 
 @KERNEL
 @given(printable_polys())
 @example(DiffPoly.const(Fraction(-3, 4)))
-@example(DiffPoly.combination([(unknown_var(3), DiffPoly.const(1)), (unknown_var(1), DiffPoly.const(-2))]))
+@example(DiffPoly.combination([DiffPoly.const(-2), DiffPoly.zero(), DiffPoly.const(1)], 1))
 def test_printing_matches_the_decoded_reference(p):
     assert str(p) == reference_str(p)
     # Print order has one definition: that of `order_key` on the monomials.
@@ -338,11 +338,11 @@ def sparse_systems(draw):
     return n, rows + extra
 
 
-def sympy_nullspace(n, rows, names):
+def sympy_nullspace(n, rows):
     m = sympy.Matrix([[sympy.Rational(r.get(k, 0)) for k in range(n)] for r in rows] or [[0] * n])
     out = []
     for vec in m.nullspace():
-        out.append({names[k]: Fraction(int(c.p), int(c.q)) for k, c in enumerate(vec) if c != 0})
+        out.append({k: Fraction(int(c.p), int(c.q)) for k, c in enumerate(vec) if c != 0})
     return out
 
 
@@ -353,17 +353,16 @@ def sympy_nullspace(n, rows, names):
               {1: 3, 3: Fraction(5, 2)}, {0: -1, 1: 4}]), random.Random(0))
 def test_nullspace_matches_sympy_and_ignores_row_order(system, rnd):
     n, rows = system
-    names = [f"c{k}" for k in range(n)]
-    basis = nullspace(LinearSystem(names, rows))
-    assert basis == sympy_nullspace(n, rows, names)
+    basis = nullspace(LinearSystem(n, rows))
+    assert basis == sympy_nullspace(n, rows)
     shuffled = list(rows)
     rnd.shuffle(shuffled)
-    assert nullspace(LinearSystem(names, shuffled)) == basis
+    assert nullspace(LinearSystem(n, shuffled)) == basis
 
 
 def test_nullspace_leaves_system_rows_untouched():
     rows = [{0: Fraction(2), 1: Fraction(4)}, {1: Fraction(1, 2), 2: 3}]
-    system = LinearSystem(["a", "b", "c"], [dict(r) for r in rows])
+    system = LinearSystem(3, [dict(r) for r in rows])
     nullspace(system)
     assert system.rows == rows
 
@@ -374,8 +373,7 @@ def test_nullspace_of_large_random_system_matches_sympy():
     rows = [{k: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for k in rng.sample(range(n), 4)}
             for _ in range(20)]
     rows = [{k: c for k, c in r.items() if c} for r in rows]
-    names = [f"c{k}" for k in range(n)]
-    assert nullspace(LinearSystem(names, rows)) == sympy_nullspace(n, rows, names)
+    assert nullspace(LinearSystem(n, rows)) == sympy_nullspace(n, rows)
 
 
 @st.composite
@@ -423,16 +421,15 @@ def check_pinned_elimination(n, rows, chain, rnd):
     """The chain's unknowns are zero in every basis vector, the basis is
     sympy's whatever the row order, and the rows of the system are left as
     they were."""
-    names = [f"c{k}" for k in range(n)]
     snapshot = [list(r.items()) for r in rows]
-    linear = LinearSystem(names, rows)
+    linear = LinearSystem(n, rows)
     basis = nullspace(linear)
     assert [list(r.items()) for r in linear.rows] == snapshot
-    assert not any(names[c] in vec for vec in basis for c in chain)
-    assert basis == sympy_nullspace(n, rows, names)
+    assert not any(c in vec for vec in basis for c in chain)
+    assert basis == sympy_nullspace(n, rows)
     shuffled = list(rows)
     rnd.shuffle(shuffled)
-    assert nullspace(LinearSystem(names, shuffled)) == basis
+    assert nullspace(LinearSystem(n, shuffled)) == basis
 
 
 @KERNEL
@@ -460,7 +457,6 @@ def test_match_coefficients_rows_are_the_grouped_coefficients(n, terms):
     """One row per known monomial, holding the summed coefficient of each
     unknown: the same multiset of rows whatever order they come in, and the
     same order on every call."""
-    names = [f"c{k}" for k in range(n)]
     expr = DiffPoly.zero()
     expected: dict = {}
     for k, known, c in terms:
@@ -470,7 +466,7 @@ def test_match_coefficients_rows_are_the_grouped_coefficients(n, terms):
         row[k % n] = row.get(k % n, 0) + c
     want = sorted(sorted(r.items()) for r in expected.values() if any(r.values()))
     want = [[(k, c) for k, c in r if c] for r in want]
-    first, again = LinearSystem(names, []), LinearSystem(names, [])
+    first, again = LinearSystem(n, []), LinearSystem(n, [])
     match_coefficients(expr, first)
     match_coefficients(expr, again)
     assert sorted(sorted(r.items()) for r in first.rows) == sorted(want)
@@ -596,12 +592,21 @@ def test_diagonal_field_of_weight_zero_cancels_every_key(p, lam):
 
 @st.composite
 def templates(draw, max_slots=4):
-    """sum_k c_k*m_k over distinct monic monomials m_k, the shape of
-    `TemplateBuilder.combination`, its unknowns numbered from a drawn index."""
+    """sum_k c_k*m_k over distinct monic monomials m_k, the shape of a
+    template slot, its unknowns numbered from a drawn index."""
     monos = draw(st.lists(st.lists(st.sampled_from(VARS), max_size=3).map(DiffPoly.monomial),
                           max_size=max_slots, unique=True))
     first = draw(st.integers(0, 5))
-    return DiffPoly.combination([(unknown_var(first + k), m) for k, m in enumerate(monos)])
+    return DiffPoly.combination(monos, first)
+
+
+@KERNEL
+@given(st.lists(st.one_of(polys(max_terms=3), fractional_polys), max_size=5), st.integers(0, 40))
+def test_combination_is_the_sum_of_unknown_products(ps, start):
+    """`combination` writes the unknowns' indices without products; the
+    reference multiplies each p_k by the variable of unknown start + k."""
+    reference = DiffPoly.sum(DiffPoly.var(unknown_var(start + k)) * p for k, p in enumerate(ps))
+    assert DiffPoly.combination(ps, start) == reference
 
 
 @KERNEL

@@ -11,6 +11,9 @@ that computed them:
   function listed with it;
 * every self-adjoint `inverse-problem` answer is a Lagrangian of the given
   section: its Euler-Lagrange expressions are the `--psi` components;
+* every generating function of a `conslaws` golden without `--currents`
+  solves the cosymmetry equation D_t psi + ell_f^*(psi) = 0, and the same
+  function plus u_x does not;
 * every `verify-current` answer is the sympy divergence D_t J0 + sum_k
   D_k Jk on the equation: the recorded residual equals it, and the current
   is reported conserved exactly when it is zero.
@@ -122,6 +125,34 @@ def test_conslaws_currents_are_conserved_with_their_generating_functions():
             assert sympy.expand(e - space.parse(psi)) == 0, (argv, psi, j0)
             checked += 1
     assert checked >= 7
+
+
+def _cosymmetry_residual(space, psi):
+    """D_t psi_a + ell_f^*(psi)_a on the equation, one per dependent
+    variable.  ell_f^*(psi)_a is the Euler derivative in u^a of sum_b p_b f^b
+    with new functions p_b, which are then replaced by psi_b."""
+    t = list(space.xs.values())[-1]
+    args = tuple(space.xs.values())
+    aux = [sympy.Function(f"p{b}")(*args) for b in range(len(psi))]
+    pairing = sum(p * space.parse(space.evolution[d]) for p, d in zip(aux, space.funcs))
+    adjoint = [e.subs(dict(zip(aux, psi))).doit() for e in _euler(space, pairing)]
+    return [sympy.expand(space.on_equation(sympy.diff(p, t), t) + a) for p, a in zip(psi, adjoint)]
+
+
+def test_conslaws_generating_functions_solve_the_cosymmetry_equation():
+    checked = 0
+    for argv, doc in _goldens("conslaws"):
+        if "--currents" in argv:
+            continue
+        space = Space(argv[1])
+        x = list(space.xs.values())[0]
+        for text in doc["basis"]:
+            psi = [space.parse(c) for c in (text if isinstance(text, list) else [text])]
+            assert _cosymmetry_residual(space, psi) == [0] * len(psi), (argv, text)
+            perturbed = [psi[0] + sympy.diff(next(iter(space.funcs.values())), x)] + psi[1:]
+            assert _cosymmetry_residual(space, perturbed) != [0] * len(psi), (argv, text)
+            checked += 1
+    assert checked == 5
 
 
 def test_self_adjoint_inverse_problem_lagrangians_give_back_psi():

@@ -183,7 +183,7 @@ def test_products_of_unknowns_raise(ctx):
     with pytest.raises(NonlinearInUnknowns):
         (c0 * u).derivation(lambda v: c1 if v == ctx.u("u") else None)
     with pytest.raises(NonlinearInUnknowns):
-        DiffPoly.combination([(unknown_var(2), c0 * u)])
+        DiffPoly.combination([c0 * u], 2)
     # c0*c3 - c1*c2: both products put 3 in the unknown index, and cancel there.
     c2, c3 = DiffPoly.var(unknown_var(2)), DiffPoly.var(unknown_var(3))
     with pytest.raises(NonlinearInUnknowns):
