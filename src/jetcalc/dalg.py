@@ -34,7 +34,7 @@ Kernel invariants, which every operation keeps:
   column indices written into the low bits (`unknown_var` only decodes);
   a template's further slots, and their derivatives, are its first slot
   with the unknown indices offset (`offset_unknowns`), since no derivation
-  acts on an unknown; coefficient rows from `linear_rows`;
+  acts on an unknown; integer coefficient rows from `linear_rows`;
   integrals from `antiderivative`; the parts of each degree in one kind of
   variable from `homogeneous_parts`.
 - Coefficients are nonzero int numerators over one positive denominator
@@ -641,23 +641,23 @@ class DiffPoly:
         (m,) = self.num
         return _monomial_key(_decode(m))
 
-    def linear_rows(self) -> tuple[list[dict[int, Coef]], bool]:
-        """Coefficient rows of an expression linear in template unknowns.
+    def linear_rows(self) -> tuple[list[dict[int, int]], bool]:
+        """Integer coefficient rows of an expression linear in template unknowns.
 
         Terms are grouped by their unknown-free monomial; each group is one
-        row {k: coefficient of unknown_var(k)}, in the order the groups are
-        first seen.  The flag is True when some term holds no unknown.  (A
-        product of unknowns never gets this far: it raises
-        NonlinearInUnknowns where it is formed.)
+        row {k: numerator of the coefficient of unknown_var(k)}, in the order
+        the groups are first seen.  The rows leave out the common
+        denominator, which does not change their solutions.  The flag is
+        True when some term holds no unknown.  (A product of unknowns never
+        gets this far: it raises NonlinearInUnknowns where it is formed.)
         """
-        den = self.den
-        grouped: dict[int, dict[int, Coef]] = {}
+        grouped: dict[int, dict[int, int]] = {}
         free = False
         for m, c in self.num.items():
             u = m & _LOW
             if u:
                 # (known, unknown) determines the term, so no entry repeats.
-                grouped.setdefault(m ^ u, {})[u ^ _UNKNOWN_FLAG] = c if den == 1 else Fraction(c, den)
+                grouped.setdefault(m ^ u, {})[u ^ _UNKNOWN_FLAG] = c
             else:
                 free = True
         return list(grouped.values()), free

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Hashable, Mapping
 
 from .dalg import Coef, DiffPoly, Immutable, MultiIndex, NonlinearInUnknowns, param_var
@@ -148,19 +148,20 @@ def build_shadow_template(ctx: JetContext, a: Ansatz) -> tuple[CartanShadow, Tem
 
 
 class LinearSystem:
-    """Sparse homogeneous rows over the unknowns range(n), by column index."""
+    """Sparse homogeneous integer rows over the unknowns range(n), by column index."""
 
     __slots__ = ("unknowns", "rows", "inconsistent")
 
-    def __init__(self, n: int, rows: list[dict[int, Coef]], inconsistent: bool = False):
+    def __init__(self, n: int, rows: list[dict[int, int]], inconsistent: bool = False):
         self.unknowns = range(n)
         self.rows = rows
         self.inconsistent = inconsistent
 
 
 def match_coefficients(expr: DiffPoly, system: LinearSystem):
-    """Append one row per distinct known monomial of an unknown-linear expr
-    (`DiffPoly.linear_rows`); column k of the system is template unknown k.
+    """Append one integer row per distinct known monomial of an
+    unknown-linear expr (`DiffPoly.linear_rows`); column k of the system is
+    template unknown k.
 
     Rows come in the order their monomials are first seen, which is
     deterministic; `nullspace` does not depend on row order, so no
@@ -190,19 +191,9 @@ def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, 
     return out
 
 
-def _integer_row(row: dict[int, Coef]) -> dict[int, int]:
-    """A rational row scaled to coprime integers."""
-    den = 1
-    for c in row.values():
-        if c.__class__ is not int:
-            den = lcm(den, c.denominator)
-    ints = {k: int(c * den) for k, c in row.items()}
-    g = gcd(*ints.values())
-    return {k: v // g for k, v in ints.items()} if g > 1 else ints
-
-
 def nullspace(system: LinearSystem) -> list[dict[int, Fraction]]:
-    """Exact reduced nullspace basis, keyed by column; pivots follow column order.
+    """Exact reduced nullspace basis of integer rows, keyed by column; pivots
+    follow column order.
 
     One loop builds the reduced row echelon form a row at a time.  The rows
     go in shortest first, so the one-entry rows, which force their unknown
@@ -216,10 +207,9 @@ def nullspace(system: LinearSystem) -> list[dict[int, Fraction]]:
     each column to the pivot rows holding it finds those rows without a
     scan of every pivot, and gives each basis vector directly.  The reduced
     row echelon form of a row space is unique, so the basis depends neither
-    on the row order nor on the order of the eliminations.  Rows are kept
+    on the row order nor on the order of the eliminations.  Rows stay
     fraction-free, as integers positive at the pivot, made coprime when a
-    pivot is stored; only a row with a rational entry is scaled to
-    integers.  The quotients are taken once, for the basis.  Each basis
+    pivot is stored.  The quotients are taken once, for the basis.  Each basis
     vector sets one free unknown to 1; that unknown is absent from every
     other vector, which fixes the echelon-normalized representatives.  The
     rows of `system` are not modified.
@@ -243,8 +233,6 @@ def nullspace(system: LinearSystem) -> list[dict[int, Fraction]]:
         if units.issuperset(row):
             continue
         r = {k: v for k, v in row.items() if k not in units}
-        if any(v.__class__ is not int for v in r.values()):
-            r = _integer_row(r)
         for pc in [c for c in r if c in pivots]:
             p = pivots[pc]
             r = _combine(p[pc], r, r[pc], p)
@@ -378,14 +366,12 @@ def span_contains(basis: list[tuple[DiffPoly, ...]], target: tuple[DiffPoly, ...
 
     With the vectors as the columns of a linear system, target last, the
     target column is free in the reduced echelon form, and so enters a
-    nullspace vector, exactly when it is a combination of the others.
+    nullspace vector, exactly when it is a combination of the others.  The
+    rows are built as the solvers build theirs: the i-th components of the
+    vectors are one `DiffPoly.combination`, matched to zero.
     """
-    if all(p.is_zero() for p in target):
-        return True
     vecs = list(basis) + [target]
-    rows: dict[tuple, dict[int, Coef]] = {}
-    for k, vec in enumerate(vecs):
-        for i, p in enumerate(vec):
-            for f, c in p.terms.items():
-                rows.setdefault((i, f), {})[k] = c
-    return any(len(basis) in v for v in nullspace(LinearSystem(len(vecs), list(rows.values()))))
+    system = LinearSystem(len(vecs), [])
+    for comps in zip(*vecs):
+        match_coefficients(DiffPoly.combination(comps, 0), system)
+    return any(len(basis) in v for v in nullspace(system))

@@ -30,7 +30,6 @@ from .variational import (
     Density,
     NotExactDerivative,
     VerificationFailed,
-    dx_inverse,
     euler,
     integrate_top_down,
     is_generating_function,
@@ -50,7 +49,7 @@ class ScopeError(ValueError):
     pass
 
 
-class NonlocalObstruction(ValueError):
+class NonlocalObstruction(VerificationFailed):
     """The contraction integrand is not an exact extended derivative in the
     current covering; a further nonlocal layer would be needed."""
 
@@ -59,7 +58,7 @@ class NonlocalObstruction(ValueError):
         self.remainder = remainder
 
 
-class PreconditionFailed(ValueError):
+class PreconditionFailed(VerificationFailed):
     pass
 
 
@@ -125,6 +124,8 @@ class Covering:
 
         def image(v: VarId) -> DiffPoly | None:
             if v.kind == NONLOCAL:
+                if v.idx[0] >= len(self.layers):
+                    self.check_internal(DiffPoly.var(v))  # raises ScopeError, naming the layer
                 return self.layers[v.idx[0]].exprs[i]
             if v.kind == JET and t in v.idx[1]:
                 self.check_internal(DiffPoly.var(v))  # raises, naming the coordinate
@@ -168,11 +169,8 @@ def dx_inverse_extended(cov: Covering, g: DiffPoly) -> DiffPoly:
         parts, g = integrate_top_down(cov, g, x, q)
     except NotExactDerivative as exc:
         raise NonlocalObstruction(exc.remainder) from None
-    if not any(v.kind == NONLOCAL for v in g.variables()):
-        try:
-            return DiffPoly.sum(parts + [dx_inverse(ctx, g, x)])
-        except NotExactDerivative:
-            pass  # the preimage may still exist once nonlocal variables are allowed
+    if not g.has_kind(JET) and not g.has_kind(NONLOCAL):
+        return DiffPoly.sum(parts + [g.antiderivative(ctx.base(x))])
     h2 = _remainder_ansatz(cov, g, x)
     if h2 is None:
         raise NonlocalObstruction(g)

@@ -17,7 +17,16 @@ from .jetspace import EvolutionSystem, GeneralSystem, JetContext, prefix_derivat
 from .cdiff import flow_linearization, linearization
 
 
-class NotExactDerivative(ValueError):
+class VerificationFailed(ValueError):
+    """A check ran and said no: a computed result failed the exact check of
+    its defining equation, or an input failed the property asked of it.
+    The base class of every refutation, which the CLI reports with exit 1.
+
+    Raised, never asserted, so that no certificate disappears under
+    `python -O`."""
+
+
+class NotExactDerivative(VerificationFailed):
     """Carries the non-integrable remainder."""
 
     def __init__(self, remainder: DiffPoly):
@@ -25,23 +34,16 @@ class NotExactDerivative(ValueError):
         self.remainder = remainder
 
 
-class NotVariational(ValueError):
+class NotVariational(VerificationFailed):
     pass
 
 
-class NotConserved(ValueError):
+class NotConserved(VerificationFailed):
     pass
 
 
-class NotGeneratingFunction(ValueError):
+class NotGeneratingFunction(VerificationFailed):
     pass
-
-
-class VerificationFailed(ValueError):
-    """A computed result failed the exact check of its defining equation.
-
-    Raised, never asserted, so that no certificate disappears under
-    `python -O`."""
 
 
 class Density(Immutable):

@@ -363,6 +363,47 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert "error:" in err
 
 
+REFUTATIONS = {"VerificationFailed", "NotExactDerivative", "NotVariational", "NotConserved",
+               "NotGeneratingFunction", "NonlocalObstruction", "PreconditionFailed"}
+
+
+def _exception_classes():
+    """Every public exception class the package defines."""
+    import jetcalc
+
+    modules = [importlib.import_module(f"jetcalc.{name}")
+               for name in ("dalg", "jetspace", "cdiff", "variational", "detsolve", "hamrec", "cli")]
+    found = {obj for mod in modules for obj in vars(mod).values()
+             if isinstance(obj, type) and issubclass(obj, Exception)
+             and obj.__module__.startswith(jetcalc.__name__ + ".") and not obj.__name__.startswith("_")}
+    return sorted(found, key=lambda c: c.__name__)
+
+
+def test_the_exception_classes_are_found():
+    names = {c.__name__ for c in _exception_classes()}
+    assert REFUTATIONS <= names
+    assert {"InputError", "ParseError", "NotFlat", "NotInternal", "ScopeError"} <= names
+
+
+@pytest.mark.parametrize("cls", _exception_classes(), ids=lambda c: c.__name__)
+def test_the_exception_class_decides_the_exit_code(kdv_file, capsys, monkeypatch, cls):
+    """A refutation, a check that ran and said no, exits 1; every other
+    error exits 2."""
+    from jetcalc import cli
+
+    def refuse(eq, args):
+        exc = cls.__new__(cls)
+        Exception.__init__(exc, "probe")
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_euler", refuse)
+    code, out, err = run(capsys, "euler", kdv_file, "--density", "H1")
+    if cls.__name__ in REFUTATIONS:
+        assert (code, out, err) == (1, "", "verification failed: probe\n")
+    else:
+        assert (code, out, err) == (2, "", "error: probe\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("euler", "--density", "(" * 3000 + "u" + ")" * 3000),
     ("flow", "--op", "(" * 3000 + "D_x" + ")" * 3000, "--density", "u^2"),

@@ -186,6 +186,17 @@ def test_a_covering_is_an_equation_with_the_extended_derivatives(pot, ctx, rng):
         D(0, ctx.parse("u_t"))
 
 
+def test_a_covering_refuses_a_layer_it_lacks(pot, ctx):
+    """The image map refuses a nonlocal variable past the covering's layers
+    as `check_internal` does, instead of indexing past them."""
+    v = ctx.with_nonlocals(("w", "v")).parse("v")
+    for i in range(ctx.n):
+        with pytest.raises(ScopeError, match="layer 'v'"):
+            pot.derive(i, v)
+        with pytest.raises(ScopeError, match="layer 'v'"):
+            pot.derive(i, pot.parse("w") * v)
+
+
 def test_skew_adjoint_examples(ctx):
     assert is_skew_adjoint(Dx(ctx))
     assert is_skew_adjoint(kdv_second_structure(ctx))

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, lcm
 
 import jetcalc
 import pytest
@@ -312,8 +312,8 @@ def test_varid_order_is_graded_on_every_kind():
 def sparse_systems(draw):
     """Sparse rows with zero, duplicate, fraction-scaled and dependent rows
     mixed in.  Entries mix ints, integral Fractions and proper fractions, so
-    int rows and rows that must be scaled to integers meet in one
-    elimination."""
+    rows scaled by different factors to the integer rows `nullspace` takes
+    (`integer_rows`) meet in one elimination."""
     n = draw(st.integers(1, 7))
     entry = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=3)).filter(bool)
     rows = []
@@ -338,6 +338,16 @@ def sparse_systems(draw):
     return n, rows + extra
 
 
+def integer_rows(rows):
+    """Each rational row times the lcm of its denominators: the integer rows
+    `nullspace` takes, with the solutions of the rational ones."""
+    out = []
+    for r in rows:
+        den = lcm(*(Fraction(c).denominator for c in r.values()))
+        out.append({k: int(c * den) for k, c in r.items()})
+    return out
+
+
 def sympy_nullspace(n, rows):
     m = sympy.Matrix([[sympy.Rational(r.get(k, 0)) for k in range(n)] for r in rows] or [[0] * n])
     out = []
@@ -353,15 +363,16 @@ def sympy_nullspace(n, rows):
               {1: 3, 3: Fraction(5, 2)}, {0: -1, 1: 4}]), random.Random(0))
 def test_nullspace_matches_sympy_and_ignores_row_order(system, rnd):
     n, rows = system
-    basis = nullspace(LinearSystem(n, rows))
+    ints = integer_rows(rows)
+    basis = nullspace(LinearSystem(n, ints))
     assert basis == sympy_nullspace(n, rows)
-    shuffled = list(rows)
+    shuffled = list(ints)
     rnd.shuffle(shuffled)
     assert nullspace(LinearSystem(n, shuffled)) == basis
 
 
 def test_nullspace_leaves_system_rows_untouched():
-    rows = [{0: Fraction(2), 1: Fraction(4)}, {1: Fraction(1, 2), 2: 3}]
+    rows = [{0: 2, 1: 4}, {1: 1, 2: 6}]
     system = LinearSystem(3, [dict(r) for r in rows])
     nullspace(system)
     assert system.rows == rows
@@ -373,7 +384,7 @@ def test_nullspace_of_large_random_system_matches_sympy():
     rows = [{k: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for k in rng.sample(range(n), 4)}
             for _ in range(20)]
     rows = [{k: c for k, c in r.items() if c} for r in rows]
-    assert nullspace(LinearSystem(n, rows)) == sympy_nullspace(n, rows)
+    assert nullspace(LinearSystem(n, integer_rows(rows))) == sympy_nullspace(n, rows)
 
 
 @st.composite
@@ -418,16 +429,17 @@ def pinning_systems(draw, pin_last=False):
 
 
 def check_pinned_elimination(n, rows, chain, rnd):
-    """The chain's unknowns are zero in every basis vector, the basis is
-    sympy's whatever the row order, and the rows of the system are left as
-    they were."""
-    snapshot = [list(r.items()) for r in rows]
-    linear = LinearSystem(n, rows)
+    """The chain's unknowns are zero in every basis vector, the basis of the
+    integer rows is sympy's of the rational ones whatever the row order, and
+    the rows of the system are left as they were."""
+    ints = integer_rows(rows)
+    snapshot = [list(r.items()) for r in ints]
+    linear = LinearSystem(n, ints)
     basis = nullspace(linear)
     assert [list(r.items()) for r in linear.rows] == snapshot
     assert not any(c in vec for vec in basis for c in chain)
     assert basis == sympy_nullspace(n, rows)
-    shuffled = list(rows)
+    shuffled = list(ints)
     rnd.shuffle(shuffled)
     assert nullspace(LinearSystem(n, shuffled)) == basis
 
@@ -450,13 +462,14 @@ def test_a_late_pin_strikes_the_stored_pivots(system, rnd):
 KNOWN = [v for v in VARS if v.kind != PARAM]
 
 
-@KERNEL
-@given(st.integers(1, 5), st.lists(st.tuples(st.integers(0, 4), st.lists(st.sampled_from(KNOWN), max_size=3),
-                                              coefficients.filter(bool)), max_size=12))
-def test_match_coefficients_rows_are_the_grouped_coefficients(n, terms):
-    """One row per known monomial, holding the summed coefficient of each
-    unknown: the same multiset of rows whatever order they come in, and the
-    same order on every call."""
+@st.composite
+def unknown_linear(draw, coefficient=coefficients):
+    """An expression linear in n unknowns, built through the ring operations,
+    with its rational coefficient rows: for each known monomial, the summed
+    coefficient of each unknown, zero ones left out."""
+    n = draw(st.integers(1, 5))
+    terms = draw(st.lists(st.tuples(st.integers(0, 4), st.lists(st.sampled_from(KNOWN), max_size=3),
+                                    coefficient.filter(bool)), max_size=12))
     expr = DiffPoly.zero()
     expected: dict = {}
     for k, known, c in terms:
@@ -464,14 +477,40 @@ def test_match_coefficients_rows_are_the_grouped_coefficients(n, terms):
         expr = expr + DiffPoly.var(unknown_var(k % n)).scale(c) * mono
         row = expected.setdefault(next(iter(mono.terms)), {})
         row[k % n] = row.get(k % n, 0) + c
-    want = sorted(sorted(r.items()) for r in expected.values() if any(r.values()))
-    want = [[(k, c) for k, c in r if c] for r in want]
+    rows = [{k: c for k, c in r.items() if c} for r in expected.values()]
+    return n, expr, [r for r in rows if r]
+
+
+@KERNEL
+@given(unknown_linear())
+def test_match_coefficients_rows_are_the_grouped_coefficients(system):
+    """One row per known monomial, holding the summed coefficient of each
+    unknown times the lcm of all their denominators: the same multiset of
+    rows whatever order they come in, and the same order on every call."""
+    n, expr, rows = system
+    den = lcm(*(Fraction(c).denominator for r in rows for c in r.values()))
+    want = [sorted((k, int(c * den)) for k, c in r.items()) for r in rows]
     first, again = LinearSystem(n, []), LinearSystem(n, [])
     match_coefficients(expr, first)
     match_coefficients(expr, again)
     assert sorted(sorted(r.items()) for r in first.rows) == sorted(want)
     assert [list(r.items()) for r in again.rows] == [list(r.items()) for r in first.rows]
     assert not first.inconsistent
+
+
+@KERNEL
+@given(unknown_linear(st.fractions(min_value=-3, max_value=3, max_denominator=6)))
+@example((2, DiffPoly.var(unknown_var(0)).scale(Fraction(1, 2)) + DiffPoly.var(unknown_var(1)).scale(Fraction(2, 3)),
+          [{0: Fraction(1, 2), 1: Fraction(2, 3)}]))
+def test_nullspace_of_the_integer_rows_is_that_of_the_rational_coefficients(system):
+    """`linear_rows` gives numerators, not coefficients: for an expression
+    with a denominator above 1 their nullspace is sympy's nullspace of the
+    rational coefficient rows."""
+    n, expr, rows = system
+    assume(any(Fraction(c).denominator > 1 for r in rows for c in r.values()))
+    linear, free = expr.linear_rows()
+    assert not free and all(type(c) is int for r in linear for c in r.values())
+    assert nullspace(LinearSystem(n, linear)) == sympy_nullspace(n, rows)
 
 # --------------------------------------------------------------------------
 # The derivation primitive
