@@ -120,11 +120,11 @@ class CDiffOp:
 
     @staticmethod
     def d(space, i: int) -> "CDiffOp":
-        return CDiffOp.scalar(space, {(i,): DiffPoly.const(1)})
+        return CDiffOp._make(space, 1, 1, [[{(i,): ONE}]])
 
     @staticmethod
     def mult(space, a: DiffPoly) -> "CDiffOp":
-        return CDiffOp.scalar(space, {(): a})
+        return CDiffOp._make(space, 1, 1, [[{(): a} if a else {}]])
 
     # -- structure -----------------------------------------------------------
 
@@ -168,6 +168,11 @@ class CDiffOp:
             return CDiffOp.zero(self.space, self.rows, self.cols)
         return CDiffOp._make(self.space, self.rows, self.cols,
                              [[{s: p.scale(c) for s, p in e.items()} for e in row] for row in self.entries])
+
+    def __truediv__(self, c: int | Fraction) -> "CDiffOp":
+        """self / c for a nonzero rational c, entry by entry."""
+        return CDiffOp._make(self.space, self.rows, self.cols,
+                             [[{s: p / c for s, p in e.items()} for e in row] for row in self.entries])
 
     def __neg__(self) -> "CDiffOp":
         return self.scale(-1)

@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 from collections.abc import Mapping
+from fractions import Fraction
 
 from .dalg import MAX_EXPONENT, DiffPoly, ParseError, _Parser, split_identifier
 from .jetspace import EvolutionSystem, JetContext, NotInternal, ambiguous_subscript
@@ -228,8 +229,8 @@ class _Shape:
     def __sub__(self, other: "_Shape") -> "_Shape":
         return self + (-other)
 
-    def scale(self, c) -> "_Shape":
-        return _Shape(None if self.const is None else self.const * c, self.deg)
+    def __truediv__(self, c) -> "_Shape":
+        return _Shape(None if self.const is None else Fraction(self.const, c), self.deg)
 
 
 class _Checker(_Parser):
@@ -296,7 +297,7 @@ def parse_equation_file(path: str) -> EquationFile:
             raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read '{path}': {exc}")
-    lines = raw.decode("utf-8").splitlines()
+    lines = raw.decode("utf-8-sig").splitlines()
 
     independent: list[str] = []
     time_name: str | None = None

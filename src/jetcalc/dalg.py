@@ -40,7 +40,7 @@ Kernel invariants, which every operation keeps:
 - Coefficients are nonzero int numerators over one positive denominator
   coprime to them, 1 for an integer polynomial (FLINT's `fmpq_poly`).  Ring
   operations run on ints and divide out one gcd, in `DiffPoly._make`;
-  rationals enter through `DiffPoly(terms)`, `const` and `scale`, and
+  rationals enter through `DiffPoly(terms)`, `const`, `scale` and `/`, and
   leave through the `terms` view.
 - `DiffPoly(terms)` cleans its input; the trusted `DiffPoly._make` is only
   for numerator dicts that hold no zero and are owned by the new value.
@@ -571,9 +571,35 @@ class DiffPoly:
         n = c.numerator
         return DiffPoly._make({f: n * k for f, k in self.num.items()}, self.den * c.denominator)
 
+    def __truediv__(self, c: Coef) -> "DiffPoly":
+        """self / c for a nonzero rational c: an int c multiplies the
+        denominator, and `_make` reduces once."""
+        if not c:
+            raise ZeroDivisionError("division of a differential polynomial by zero")
+        n, d = c.denominator, c.numerator
+        if d < 0:
+            n, d = -n, -d
+        return DiffPoly._make({f: n * k for f, k in self.num.items()}, self.den * d)
+
     def __pow__(self, n: int) -> "DiffPoly":
         if n < 0:
             raise ValueError("negative power of a differential polynomial")
+        if len(self.num) == 1:
+            # One term: the squarings below on its packed monomial, each a
+            # doubling under the guard checks of a product.
+            (m, c), = self.num.items()
+            out, k = 0, n
+            while k:
+                if k & 1:
+                    out += m
+                    if out & _GUARDS:
+                        raise _overflow(out)
+                k >>= 1
+                if k:
+                    m += m
+                    if m & _GUARDS:
+                        raise _overflow(m)
+            return DiffPoly._make({out: c ** n}, self.den ** n)
         result = DiffPoly.const(1)
         square = self
         while n:
@@ -963,9 +989,11 @@ class _Parser:
     hooks `number`, `identifier`, `product`, `power` and `constant` make
     polynomials here; the CLI overrides them to build operators in total
     derivatives from the same grammar, and to check a declaration without
-    building it.  Values must support `+`, `-`, unary `-` and `scale`.
-    The grammar reads number literals and exponents itself, so every hook
-    set gets the same ints and the same errors for them.
+    building it.  Values must support `+`, `-`, unary `-` and `/` by a
+    nonzero rational constant (an int or a Fraction), which is how the
+    grammar divides.  The grammar reads number literals and exponents
+    itself, so every hook set gets the same ints and the same errors for
+    them.
 
     `ctx.resolve_identifier(base, subscript, pos) -> VarId` maps identifiers
     to variables; it raises UnknownIdentifier for names not in scope.
@@ -995,97 +1023,91 @@ class _Parser:
         return a.as_constant()
 
     # -- grammar -------------------------------------------------------------
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def next(self) -> tuple[str, str, int]:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
+    # `self.pos` indexes the next token; a hook runs with every token of its
+    # operands read, so an exponent overflow cites the last one.
 
     def parse(self):
         """The whole input as one expression."""
         try:
             result = self.parse_expr()
         except RecursionError:
-            raise ParseError("expression nested too deeply", self.peek()[2]) from None
+            raise ParseError("expression nested too deeply", self.tokens[self.pos][2]) from None
         except ExponentOverflow as exc:
             raise ParseError(str(exc), self.tokens[self.pos - 1][2]) from None
-        typ, _, pos = self.peek()
+        typ, _, pos = self.tokens[self.pos]
         if typ != "end":
             raise ParseError("trailing input", pos)
         return result
 
     def parse_expr(self):
         acc = self.parse_term()
+        tokens = self.tokens
         while True:
-            typ, val, _ = self.peek()
-            if typ == "op" and val in "+-":
-                self.next()
-                rhs = self.parse_term()
-                acc = acc + rhs if val == "+" else acc - rhs
-            else:
+            typ, val, _ = tokens[self.pos]
+            if typ != "op" or val not in "+-":
                 return acc
+            self.pos += 1
+            rhs = self.parse_term()
+            acc = acc + rhs if val == "+" else acc - rhs
 
     def parse_term(self):
         acc = self.parse_factor()
+        tokens = self.tokens
         while True:
-            typ, val, pos = self.peek()
-            if typ == "op" and val == "*":
-                self.next()
-                acc = self.product(acc, self.parse_factor())
-            elif typ == "op" and val == "/":
-                self.next()
-                c = self.constant(self.parse_factor())
-                if c is None:
-                    raise ParseError("division is only defined by rational constants", pos)
-                if c == 0:
-                    raise ParseError("division by zero", pos)
-                acc = acc.scale(Fraction(1) / c)
-            else:
+            typ, val, pos = tokens[self.pos]
+            if typ != "op" or val not in "*/":
                 return acc
+            self.pos += 1
+            rhs = self.parse_factor()
+            if val == "*":
+                acc = self.product(acc, rhs)
+                continue
+            c = self.constant(rhs)
+            if c is None:
+                raise ParseError("division is only defined by rational constants", pos)
+            if c == 0:
+                raise ParseError("division by zero", pos)
+            acc = acc / c
 
     def parse_factor(self):
-        typ, val, pos = self.peek()
-        if typ == "op" and val in "+-":
-            self.next()
-            inner = self.parse_factor()
-            return inner if val == "+" else -inner
-        return self.parse_power()
-
-    def parse_power(self):
-        atom = self.parse_atom()
-        typ, val, pos = self.peek()
-        if typ == "op" and val == "^":
-            self.next()
-            etyp, eval_, epos = self.next()
-            if etyp != "num":
-                raise ParseError("exponent must be a nonnegative integer", epos)
-            if len(eval_.lstrip("0")) > len(str(MAX_EXPONENT)) or int(eval_) > MAX_EXPONENT:
-                raise ParseError(f"exponent above {MAX_EXPONENT}, the largest one allowed", epos)
-            return self.power(atom, int(eval_))
-        return atom
-
-    def parse_atom(self):
-        typ, val, pos = self.next()
-        if typ == "num":
+        """A sign and a factor, or an atom (a number, an identifier or a
+        parenthesised expression) with an optional `^n`."""
+        tokens = self.tokens
+        typ, val, pos = tokens[self.pos]
+        self.pos += 1
+        if typ == "ident":
+            base, sub = split_identifier(val)
+            atom = self.identifier(base, sub, pos)
+        elif typ == "num":
             try:
                 value = int(val)
             except ValueError:  # more digits than int() converts
                 raise ParseError(f"number longer than {sys.get_int_max_str_digits()} digits, "
                                  "the longest one allowed", pos) from None
-            return self.number(value)
-        if typ == "ident":
-            base, sub = split_identifier(val)
-            return self.identifier(base, sub, pos)
-        if typ == "op" and val == "(":
-            inner = self.parse_expr()
-            typ, val, pos = self.next()
+            atom = self.number(value)
+        elif typ != "op":
+            raise ParseError("expected a number, identifier or '('", pos)
+        elif val == "(":
+            atom = self.parse_expr()
+            typ, val, pos = tokens[self.pos]
+            self.pos += 1
             if typ != "op" or val != ")":
                 raise ParseError("expected ')'", pos)
-            return inner
-        raise ParseError("expected a number, identifier or '('", pos)
+        elif val in "+-":
+            inner = self.parse_factor()
+            return inner if val == "+" else -inner
+        else:
+            raise ParseError("expected a number, identifier or '('", pos)
+        typ, val, _ = tokens[self.pos]
+        if typ != "op" or val != "^":
+            return atom
+        typ, val, pos = tokens[self.pos + 1]
+        self.pos += 2
+        if typ != "num":
+            raise ParseError("exponent must be a nonnegative integer", pos)
+        if len(val.lstrip("0")) > len(str(MAX_EXPONENT)) or int(val) > MAX_EXPONENT:
+            raise ParseError(f"exponent above {MAX_EXPONENT}, the largest one allowed", pos)
+        return self.power(atom, int(val))
 
 
 def parse(text: str, ctx) -> DiffPoly:
