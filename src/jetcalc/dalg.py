@@ -1085,15 +1085,13 @@ class _Parser:
                 raise ParseError(f"number longer than {sys.get_int_max_str_digits()} digits, "
                                  "the longest one allowed", pos) from None
             atom = self.number(value)
-        elif typ != "op":
-            raise ParseError("expected a number, identifier or '('", pos)
-        elif val == "(":
+        elif typ == "op" and val == "(":
             atom = self.parse_expr()
             typ, val, pos = tokens[self.pos]
             self.pos += 1
             if typ != "op" or val != ")":
                 raise ParseError("expected ')'", pos)
-        elif val in "+-":
+        elif typ == "op" and val in "+-":
             inner = self.parse_factor()
             return inner if val == "+" else -inner
         else:

@@ -567,6 +567,24 @@ def test_stock_files_read_D_x_as_the_total_derivative(capsys, name):
     assert (code, out) == (0, "-D_x\n")
 
 
+def test_a_byte_order_mark_is_read_past(tmp_path, capsys):
+    """A file saved with a UTF-8 byte-order mark reads like the same file
+    without it; its input hash stays that of the bytes on disk."""
+    import hashlib
+
+    raw = open(os.path.join(STOCK, "burgers.eqn"), "rb").read()
+    marked = tmp_path / "burgers.eqn"
+    marked.write_bytes(b"\xef\xbb\xbf" + raw)
+    docs = []
+    for path in (os.path.join(STOCK, "burgers.eqn"), str(marked)):
+        code, out, err = run(capsys, "linearize", path, "--format", "structured")
+        assert (code, err) == (0, "")
+        docs.append(json.loads(out))
+    assert docs[1].pop("input-hash") == hashlib.sha256(marked.read_bytes()).hexdigest()
+    assert docs[0].pop("input-hash") == hashlib.sha256(raw).hexdigest()
+    assert docs[0] == docs[1]
+
+
 def test_currents_need_one_spatial_variable_before_the_solve(capsys, monkeypatch):
     """`conslaws --currents` on a file with two spatial variables exits 2
     without solving the ansatz."""

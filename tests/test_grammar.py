@@ -1,6 +1,8 @@
 """The shared expression grammar (`dalg._Parser`): its errors, pinned by
 message and position on every path that reads an expression, and an
-independent oracle for what it builds.
+independent oracle for what it builds: sympy, a test-only dependency,
+reading the same text.  The ring operations the grammar leans on for
+powers and division are checked against the plain products and `scale`.
 
 The same malformed text raises the same ParseError whether it is a
 polynomial (`JetContext.parse`), an operator (`cli.parse_operator`) or a
@@ -8,10 +10,16 @@ polynomial (`JetContext.parse`), an operator (`cli.parse_operator`) or a
 and the error cites the line.
 """
 
+from fractions import Fraction
+from functools import reduce
+from operator import mul
+
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from jetcalc.cli import InputError, main, parse_equation_file, parse_operator
-from jetcalc.dalg import ParseError
+from jetcalc.dalg import DiffPoly, ExponentOverflow, NonlinearInUnknowns, ParseError
 from jetcalc.jetspace import JetContext
 
 CTX = JetContext(("x", "t"), ("u",), has_time=True)
@@ -76,3 +84,93 @@ def test_a_3000_deep_nesting_is_refused_on_every_path(tmp_path, capsys):
     assert main(["linearize", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {DENSITY_LINE}: in density 'H': expression nested too deeply (at position ")
+
+
+# --------------------------------------------------------------------------
+# sympy reads the same text: `^` is `**` and each jet is a symbol, under
+# either order of its subscript letters.
+
+JETS = ["u", "u_x", "u_t", "u_{xx}", "u_{xt}", "u_{tx}", "x"]
+SYMBOLS = {name.replace("{", "").replace("}", ""): sympy.Symbol(name) for name in JETS}
+SYMBOLS["u_tx"] = SYMBOLS["u_xt"]
+
+divisors = st.one_of(st.integers(1, 9).map(str), st.integers(-9, -1).map(str),
+                     st.tuples(st.integers(-5, 5).filter(bool), st.integers(1, 5)).map(lambda r: f"({r[0]}/{r[1]})"))
+atoms = st.one_of(
+    st.sampled_from(JETS),
+    st.integers(0, 12).map(str),
+    st.tuples(st.sampled_from(JETS), st.integers(0, 4)).map(lambda a: f"{a[0]}^{a[1]}"),
+)
+
+
+def _grow(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*"]), inner).map(" ".join),
+        st.tuples(inner, divisors).map(lambda a: f"{a[0]} / {a[1]}"),
+        st.tuples(st.sampled_from(["-", "+"]), inner).map("".join),
+        st.tuples(inner, st.integers(0, 4)).map(lambda a: f"({a[0]})^{a[1]}"),
+    )
+
+
+texts = st.recursive(atoms, _grow, max_leaves=8)
+
+
+def _sympy(p: DiffPoly):
+    return sum((sympy.Rational(c.numerator, c.denominator) * reduce(mul, (sympy.Symbol(v.name) ** e for v, e in f), 1)
+                for f, c in p.terms.items()), sympy.Integer(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=texts)
+def test_a_text_parses_to_the_polynomial_sympy_reads(text):
+    try:
+        ours = CTX.parse(text)
+    except ParseError as exc:
+        assume("the largest a monomial holds" not in str(exc))
+        raise
+    theirs = sympy.parse_expr(text.replace("^", "**").replace("{", "").replace("}", ""), local_dict=SYMBOLS)
+    assert sympy.expand(_sympy(ours) - theirs) == 0
+
+
+# --------------------------------------------------------------------------
+# The fast paths: a one-term power and division by a constant.
+
+U, UX, UXX = CTX.parse("u"), CTX.parse("u_x"), CTX.parse("u_{xx}")
+OP = parse_operator("D_x*u + u_x", CTX)
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=coefficients, e=st.integers(0, 40), rest=st.lists(st.sampled_from([UX, UXX]), unique=True),
+       n=st.integers(0, 127))
+def test_a_one_term_power_is_the_product_of_its_copies(c, e, rest, n):
+    # Only u can pass 127: the other factors have exponent at most n.
+    p = reduce(mul, rest, DiffPoly.const(c) * U ** e)
+    assert len(p) == 1
+    try:
+        expected = reduce(mul, [p] * n, DiffPoly.const(1))
+    except ExponentOverflow as exc:
+        with pytest.raises(ExponentOverflow) as err:
+            p ** n
+        assert str(err.value) == str(exc) == "exponent of u above 127, the largest a monomial holds"
+    else:
+        assert p ** n == expected
+
+
+def test_a_power_of_a_one_term_template_is_refused_past_the_first():
+    p = DiffPoly.combination([DiffPoly.const(Fraction(-2, 3)) * U], 0)
+    assert len(p) == 1 and p ** 0 == DiffPoly.const(1) and p ** 1 == p
+    for n in (2, 3, 127):
+        with pytest.raises(NonlinearInUnknowns, match="a product of two template unknowns"):
+            p ** n
+
+
+polys = st.lists(st.tuples(coefficients, st.sampled_from([DiffPoly.const(1), U, UX, U * UXX])), max_size=4).map(
+    lambda terms: DiffPoly.sum([DiffPoly.const(c) * m for c, m in terms]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=polys, c=st.one_of(st.integers(-12, 12), coefficients).filter(bool))
+def test_division_by_a_constant_is_scaling_by_its_inverse(p, c):
+    assert p / c == p.scale(Fraction(1, c))
+    assert OP / c == OP.scale(Fraction(1, c))
