@@ -31,7 +31,6 @@ from .variational import (
 )
 from .detsolve import Ansatz, generating_functions, shadows, symmetries
 from .hamrec import (
-    Covering,
     NonlocalObstruction,
     NotFlat,
     PreconditionFailed,
@@ -83,18 +82,14 @@ class _Declared(Mapping):
 class EquationFile:
     __slots__ = ("path", "ctx", "system", "coverings", "operators", "densities", "currents", "raw")
 
-    def __init__(self, path: str, ctx: JetContext, system: EvolutionSystem | None = None,
-                 coverings: dict[str, Covering] | None = None, operators: Mapping[str, CDiffOp] | None = None,
-                 densities: Mapping[str, Density] | None = None, currents: Mapping[str, ConservedCurrent] | None = None,
-                 raw: bytes = b""):
-        # A table not passed in is a fresh one for each file.
+    def __init__(self, path: str, ctx: JetContext, raw: bytes = b""):
         self.path = path
         self.ctx = ctx
-        self.system = system
-        self.coverings = {} if coverings is None else coverings
-        self.operators = _Declared() if operators is None else operators
-        self.densities = _Declared() if densities is None else densities
-        self.currents = _Declared() if currents is None else currents
+        self.system: EvolutionSystem | None = None
+        self.coverings = {}
+        self.operators = _Declared()
+        self.densities = _Declared()
+        self.currents = _Declared()
         self.raw = raw
 
     def need_system(self, line: int | None = None) -> EvolutionSystem:
@@ -269,17 +264,9 @@ class _Checker(_Parser):
         return a.const
 
 
-# Parentheses and signs nest the recursive descent.  Where Python's
-# recursion limit strikes depends on the hooks' own frames, so a text that
-# could nest this deep is built rather than checked.
-_NESTING_BUDGET = 200
-
-
 def _checks(text: str, ctx: JetContext, operator: bool = False) -> bool:
     """True when `text` is sure to build, False when the checker is unsure;
     a ParseError it raises is the one the build raises."""
-    if 5 * text.count("(") + text.count("-") + text.count("+") > _NESTING_BUDGET:
-        return False
     try:
         _Checker(text, ctx, operator).parse()
     except _Unsure:

@@ -982,6 +982,12 @@ def split_identifier(token: str) -> tuple[str, str | None]:
     return base, sub
 
 
+# The deepest nesting the grammar reads: each '(' and each sign opens a
+# level while its operand is read.  The descent takes at most three frames
+# a level, which keeps it inside Python's recursion limit.
+MAX_NESTING = 200
+
+
 class _Parser:
     """Recursive-descent parser over the shared expression grammar.
 
@@ -1002,6 +1008,7 @@ class _Parser:
     def __init__(self, text: str, ctx):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.ctx = ctx
 
     # -- hooks ---------------------------------------------------------------
@@ -1030,8 +1037,6 @@ class _Parser:
         """The whole input as one expression."""
         try:
             result = self.parse_expr()
-        except RecursionError:
-            raise ParseError("expression nested too deeply", self.tokens[self.pos][2]) from None
         except ExponentOverflow as exc:
             raise ParseError(str(exc), self.tokens[self.pos - 1][2]) from None
         typ, _, pos = self.tokens[self.pos]
@@ -1069,6 +1074,11 @@ class _Parser:
                 raise ParseError("division by zero", pos)
             acc = acc / c
 
+    def open_level(self, pos: int):
+        if self.depth == MAX_NESTING:
+            raise ParseError("expression nested too deeply", pos)
+        self.depth += 1
+
     def parse_factor(self):
         """A sign and a factor, or an atom (a number, an identifier or a
         parenthesised expression) with an optional `^n`."""
@@ -1086,13 +1096,17 @@ class _Parser:
                                  "the longest one allowed", pos) from None
             atom = self.number(value)
         elif typ == "op" and val == "(":
+            self.open_level(pos)
             atom = self.parse_expr()
+            self.depth -= 1
             typ, val, pos = tokens[self.pos]
             self.pos += 1
             if typ != "op" or val != ")":
                 raise ParseError("expected ')'", pos)
         elif typ == "op" and val in "+-":
+            self.open_level(pos)
             inner = self.parse_factor()
+            self.depth -= 1
             return inner if val == "+" else -inner
         else:
             raise ParseError("expected a number, identifier or '('", pos)

@@ -268,25 +268,16 @@ def _test_covector_names(ctx: JetContext, n: int) -> list[str]:
     return list(islice((name for name in names if name not in taken), n))
 
 
-def _coefficient_linearization_applied(op: CDiffOp, phi: list[DiffPoly], psi: list[DiffPoly]) -> list[DiffPoly]:
-    """(ell_A(phi))(psi): the operator whose coefficients are differentiated
-    along the evolutionary field of phi, applied to psi.  phi is padded with
-    zeros up to the context's dependent variables (the covectors on the
-    widened context of the Jacobi criterion), which the coefficients of A
-    do not hold."""
-    ctx = op.ctx
-    phi = list(phi) + [DiffPoly.zero()] * (ctx.m - len(phi))
-    entries = [[{sigma: evolutionary(ctx, phi, a) for sigma, a in e.items()} for e in row] for row in op.entries]
-    return CDiffOp(op.space, op.rows, op.cols, entries).apply(psi)
-
-
 def jacobi_criterion_density(op: CDiffOp) -> Density:
-    """The cyclic criterion density sum_cyc <ell_A(A(p))(q), r> in three
-    covector arguments p, q, r of m components each.  They are the dependent
-    variables m + k*m + c of a widened context, which adds 3m fresh names to
-    the operator's dependent variables; the operator is re-hosted on that
-    free context, and the density lives on it.  A is m x m, with m the
-    number of dependent variables: DimensionMismatch otherwise."""
+    """The cyclic criterion density sum_cyc <X_{A(p)}(A(q)), r> in three
+    covector arguments p, q, r of m components each, X_phi the evolutionary
+    derivation of phi.  They are the dependent variables m + k*m + c of a
+    widened context, which adds 3m fresh names to the operator's dependent
+    variables; the operator is re-hosted on that free context, and the
+    density lives on it.  A(p) has no covector components, so X_{A(p)}
+    differentiates the coefficients of A alone: X_{A(p)}(A(q)) is
+    ell_A(A(p))(q).  A is m x m, with m the number of dependent variables:
+    DimensionMismatch otherwise."""
     ctx = op.ctx
     m = ctx.m
     if (op.rows, op.cols) != (m, m):
@@ -295,12 +286,11 @@ def jacobi_criterion_density(op: CDiffOp) -> Density:
                       ctx.parameters, ctx.has_time)
     op = CDiffOp(wide, op.rows, op.cols, op.entries)
     covecs = [[DiffPoly.var(wide.jet(m + k * m + c)) for c in range(m)] for k in range(3)]
+    images = [op.apply(c) for c in covecs]
     parts = []
     for k in range(3):
-        p, q, r = covecs[k], covecs[(k + 1) % 3], covecs[(k + 2) % 3]
-        ap = op.apply(p)
-        lq = _coefficient_linearization_applied(op, ap, q)
-        parts.extend(comp * rr for comp, rr in zip(lq, r))
+        field = images[k] + [DiffPoly.zero()] * (3 * m)
+        parts.extend(evolutionary(wide, field, aq) * r for aq, r in zip(images[(k + 1) % 3], covecs[(k + 2) % 3]))
     return Density(wide, DiffPoly.sum(parts))
 
 

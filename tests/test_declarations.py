@@ -99,11 +99,25 @@ def test_a_declaration_the_checker_cannot_vouch_for_is_built(tmp_path, capsys, l
     assert capsys.readouterr().out == "2*u\n"
 
 
-def test_a_deeply_nested_declaration_is_built_when_read(tmp_path, count_builds):
+def test_a_deeply_nested_declaration_is_checked_when_read(tmp_path, count_builds):
+    """Up to the grammar's 200 levels, the checker reads what the build would."""
+    for depth in (60, 200):
+        path = tmp_path / f"deep{depth}.eqn"
+        path.write_text(HEADER + "operator B = " + "(" * depth + "D_x" + ")" * depth + "\n")
+        eq = parse_equation_file(str(path))
+        assert count_builds == []
+        assert eq.operators["B"] is eq.operators["B"] and len(count_builds) == 1
+        assert eq.operators["B"] == parse_operator("D_x", eq.ctx)
+        count_builds.clear()
+
+
+def test_a_declaration_nested_201_deep_fails_when_read(tmp_path, count_builds):
     path = tmp_path / "deep.eqn"
-    path.write_text(HEADER + "operator B = " + "(" * 60 + "D_x" + ")" * 60 + "\n")
-    eq = parse_equation_file(str(path))
-    assert len(count_builds) == 1 and eq.operators["B"] == parse_operator("D_x", eq.ctx)
+    path.write_text(HEADER + "operator B = " + "(" * 201 + "D_x" + ")" * 201 + "\n")
+    with pytest.raises(InputError) as err:
+        parse_equation_file(str(path))
+    assert str(err.value) == "line 4: in operator 'B': expression nested too deeply (at position 200)"
+    assert count_builds == []
 
 
 # --------------------------------------------------------------------------

@@ -75,15 +75,37 @@ def test_a_malformed_text_raises_one_error_on_every_path(tmp_path, text, message
     assert str(err.value) == f"line {DENSITY_LINE}: in density 'H': {message} (at position {at})"
 
 
-def test_a_3000_deep_nesting_is_refused_on_every_path(tmp_path, capsys):
-    text = "(" * 3000 + "u" + ")" * 3000
+def _refused_at_200(tmp_path, capsys, text):
+    """The grammar counts its own levels, so the position is the text's,
+    whoever calls the parser."""
+    expected = "expression nested too deeply (at position 200)"
     for build in (CTX.parse, lambda t: parse_operator(t, CTX)):
-        with pytest.raises(ParseError, match=r"^expression nested too deeply \(at position \d+\)$"):
+        with pytest.raises(ParseError) as err:
             build(text)
+        assert (str(err.value), err.value.pos) == (expected, 200)
     path = _density_file(tmp_path, text)
+    with pytest.raises(InputError) as err:
+        parse_equation_file(path)
+    assert str(err.value) == f"line {DENSITY_LINE}: in density 'H': {expected}"
     assert main(["linearize", path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: line {DENSITY_LINE}: in density 'H': expression nested too deeply (at position ")
+    assert capsys.readouterr().err == f"error: line {DENSITY_LINE}: in density 'H': {expected}\n"
+
+
+def test_a_3000_deep_nesting_is_refused_on_every_path(tmp_path, capsys):
+    _refused_at_200(tmp_path, capsys, "(" * 3000 + "u" + ")" * 3000)
+
+
+@pytest.mark.parametrize("text", ["(" * 201 + "u" + ")" * 201, "-" * 201 + "u", "(-" * 101 + "u" + ")" * 101],
+                         ids=["parentheses", "signs", "both"])
+def test_the_201st_level_is_refused_at_its_token(tmp_path, capsys, text):
+    _refused_at_200(tmp_path, capsys, text)
+
+
+@pytest.mark.parametrize("text", ["(" * 200 + "u" + ")" * 200, "-" * 200 + "u", "(-" * 100 + "u" + ")" * 100])
+def test_200_levels_are_read_on_every_path(tmp_path, text):
+    assert CTX.parse(text) == CTX.parse("u")
+    assert parse_operator(text, CTX) == parse_operator("u", CTX)
+    assert parse_equation_file(_density_file(tmp_path, text)).densities["H"].value == CTX.parse("u")
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetcalc import cdiff, detsolve, hamrec
-from jetcalc.cli import main, parse_operator
+from jetcalc.cli import main, parse_equation_file, parse_operator
 from jetcalc.dalg import DiffPoly
 from jetcalc.jetspace import EvolutionSystem, JetContext, prefix_derivatives
 from jetcalc.cdiff import CartanShadow, CDiffOp, linearization
@@ -254,6 +254,49 @@ def test_jacobi_on_skew_operators(ctx, rows, hamiltonian):
     assert is_skew_adjoint(op)
     assert jacobi_check(op) is hamiltonian
     assert is_divergence(jacobi_criterion_density(op)) is hamiltonian
+
+
+def _reference_criterion_density(op):
+    """sum_cyc <ell_A(A(p))(q), r> built as the operator whose coefficients
+    are differentiated along the evolutionary field of A(p), applied to q."""
+    ctx, m = op.ctx, op.ctx.m
+    wide = JetContext(ctx.independent, ctx.dependent + tuple(hamrec._test_covector_names(ctx, 3 * m)),
+                      ctx.parameters, ctx.has_time)
+    op = CDiffOp(wide, m, m, op.entries)
+    covecs = [[DiffPoly.var(wide.jet(m + k * m + c)) for c in range(m)] for k in range(3)]
+    parts = []
+    for k in range(3):
+        p, q, r = covecs[k], covecs[(k + 1) % 3], covecs[(k + 2) % 3]
+        phi = op.apply(p) + [DiffPoly.zero()] * (3 * m)
+        entries = [[{s: cdiff.evolutionary(wide, phi, a) for s, a in e.items()} for e in row] for row in op.entries]
+        parts.extend(c * rr for c, rr in zip(CDiffOp(wide, m, m, entries).apply(q), r))
+    return Density(wide, DiffPoly.sum(parts))
+
+
+NLS1 = parse_equation_file(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                        "perfbench", "eqn", "nls1.eqn")).ctx
+
+
+@pytest.mark.parametrize("rows", [
+    [["D_x"]],
+    [["D_x^3 + (2/3)*u*D_x + (1/3)*u_x"]],
+    [["D_x^3 + u^2*D_x + u*u_x"]],
+    [["0", "1"], ["-1", "0"]],
+    [["D_x", "v*w"], ["-v*w", "w*D_x + D_x*w + v_x"]],
+], ids=["A1", "A2", "skew-not-jacobi", "nls1-constant", "nls1-jet-coefficients"])
+def test_the_criterion_density_is_the_coefficient_linearization(ctx, rows):
+    """X_{A(p)}(A(q)) = ell_A(A(p))(q): A(p) has no covector components, so
+    the evolutionary derivation differentiates the coefficients alone."""
+    op = _matrix(ctx if len(rows) == 1 else NLS1, rows)
+    assert jacobi_criterion_density(op) == _reference_criterion_density(op)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.fractions(-5, 5, max_denominator=7), st.fractions(-5, 5, max_denominator=7))
+def test_the_criterion_density_of_the_kdv_family_is_the_coefficient_linearization(a, b):
+    ctx = JetContext(("x", "t"), ("u",), has_time=True)
+    op = parse_operator(f"D_x^3 + ({a} + {b}*u)*D_x + ({b}/2)*u_x", ctx)
+    assert jacobi_criterion_density(op) == _reference_criterion_density(op)
 
 
 def test_the_jacobi_criterion_needs_an_operator_on_every_dependent_variable():
