@@ -48,7 +48,10 @@ Kernel invariants, which every operation keeps:
   never a chain of `+`, which copies the partial sum at every step.  Keyed
   maps of polynomials (operator entries, Cartan maps, form components)
   accumulate through it too: `cdiff._collect` groups terms by key and
-  sums each group once.
+  sums each group once.  `DiffPoly.integration`, the inverse of
+  `derivation` for one `derive(i, .)`, keeps its remainder in one
+  numerator dict and subtracts each pass's derive(i, h1) through `_merge`,
+  the merge loop `sum` runs on.
 - `DiffPoly.derivation` is the only derivation primitive; total,
   restricted, extended and evolutionary derivatives are image maps over it.
   Each space answers `derive(i, p)` with its own: the free D_i of a
@@ -496,25 +499,7 @@ class DiffPoly:
             if out is None:
                 out = dict(first.num)
                 den = first.den
-            items = p.num.items()
-            if p.den != den:
-                common = lcm(den, p.den)
-                if common != den:
-                    out = {f: c * (common // den) for f, c in out.items()}
-                if common != p.den:
-                    items = [(f, c * (common // p.den)) for f, c in items]
-                den = common
-            get = out.get
-            for f, c in items:
-                s = get(f)
-                if s is None:
-                    out[f] = c
-                else:
-                    s += c
-                    if s:
-                        out[f] = s
-                    else:
-                        del out[f]
+            den = _merge(out, den, p)
         if out is None:
             return first or _ZERO
         return DiffPoly._make(out, den) if out else _ZERO
@@ -811,6 +796,79 @@ class DiffPoly:
         _check(out)
         return DiffPoly._make(out, self.den * den_i)
 
+    def integration(self, derive: Callable[[int, "DiffPoly"], "DiffPoly"], jet: Callable[[int, MultiIndex], VarId],
+                    i: int, q: int = 0) -> tuple[list["DiffPoly"], "DiffPoly", bool]:
+        """The inverse of the derivation `derive(i, .)` on the positive-order
+        jets: integrates them from the top order downwards and returns the
+        parts h1 found, the remainder g = self - sum derive(i, h1), and
+        whether g is down to jets of order 0.  `jet(j, sigma)` names the jet
+        variables u^j_sigma.
+
+        At each pass the coefficients of the highest-order jet variables are
+        demanded (a) to contain derivatives in the direction i, (b) to enter
+        linearly with coefficients of lower order, and (c) to admit a joint
+        antiderivative h1, which is vacuous for one such variable; a failure
+        proves self is not in the image, and the pass returns g with False.
+        The coefficients are read from g's numerators, and derive(i, -h1) is
+        merged into them in place, so g lives in one dict over the passes.
+
+        Termination.  `q` is the highest jet order that `derive(i, .)` can
+        bring in besides the shifted jets: 0 for the total derivative, the
+        highest jet order of the x-expressions of a covering.  While the top
+        order k of g exceeds q, derive(i, h1) and D_i h1 agree at order k; if
+        g = D_i H, the top jets of g come from the jets of H one order lower,
+        whose coefficients are derivatives of H that depend on no other jets
+        of that order, so removing derive(i, h1) strictly lowers k.  Once
+        k <= q it stays there, and the x-expressions may bring order-k terms
+        back (w_x = u_x takes g = w*u_x through two passes at order 1).  From
+        then on a pass must instead shrink the multiset of (nonlocal degree,
+        jet order) pairs of g's monomials (`_profile`): it removes every
+        order-k monomial and, when the x-expressions are free of nonlocal
+        variables, adds only monomials of lower order or of lower nonlocal
+        degree.  Both measures are well-founded, so the loop ends; a pass
+        that lowers neither returns g with False.
+        """
+        num, den = dict(self.num), self.den
+        parts = []
+        last = None
+        while True:
+            # A jet's sort key is (JET, j, order, sigma).
+            jets = [v for v in compress(_VARS, _field_bytes(reduce(or_, num, 0) & _KIND_MASKS.get(JET, 0))) if v[2]]
+            if not jets:
+                return parts, DiffPoly._make(num, den) if num else _ZERO, True
+            k = max(v[2] for v in jets)
+            measure = (k,) if k > q else (q, _profile(num))
+            if last is not None and measure >= last:
+                break
+            last = measure
+            top = sorted(v for v in jets if v[2] == k)
+            high = sum(map(_unit, top)) * MAX_EXPONENT
+            coeffs = []
+            for v in top:
+                if i not in v.idx[1]:
+                    break
+                unit = _unit(v)
+                off = unit.bit_length() - 1
+                a = {}
+                for m, c in num.items():
+                    e = (m >> off) & MAX_EXPONENT
+                    if e:
+                        a[m - unit] = c * e
+                if reduce(or_, a) & high:
+                    break
+                coeffs.append((jet(v.idx[0], mi_remove_one(v.idx[1], i)), DiffPoly._make(a, den)))
+            else:
+                (w, a), *rest = coeffs
+                h1 = a.antiderivative(w)
+                for w, a in rest:
+                    h1 += (a - h1.partial(w)).antiderivative(w)
+                if not rest or all(h1.partial(w) == a for w, a in coeffs):
+                    den = _merge(num, den, derive(i, -h1))
+                    parts.append(h1)
+                    continue
+            break  # the pass failed (a), (b) or (c)
+        return parts, DiffPoly._make(num, den), False
+
     def substitute(self, bindings: Mapping[VarId, "DiffPoly"]) -> "DiffPoly":
         """Simultaneous substitution of variables by polynomials.
 
@@ -841,10 +899,11 @@ class DiffPoly:
         """The antiderivative in v whose every term holds v: c*v^e*rest
         becomes c/(e+1)*v^(e+1)*rest."""
         unit = _unit(v)
-        raised = {m + unit: (c, _exponent(m, unit) + 1) for m, c in self.num.items()}
-        _check(raised)
-        top = lcm(*(e for _, e in raised.values()))
-        return DiffPoly._make({m: c * (top // e) for m, (c, e) in raised.items()}, self.den * top)
+        raised = [_exponent(m, unit) + 1 for m in self.num]
+        top = lcm(*raised)
+        out = {m + unit: c * (top // e) for (m, c), e in zip(self.num.items(), raised)}
+        _check(out)
+        return DiffPoly._make(out, self.den * top)
 
     # -- printing ----------------------------------------------------------
 
@@ -852,8 +911,10 @@ class DiffPoly:
         """Terms in `order_key` order, read from the field bytes: the
         support's variables are ranked in VarId order once, and a monomial
         sorts by (-degree, unknown bits, its exponents from the highest
-        variable down), which orders like `_monomial_key`.  A support that
-        holds one variable under two names (from two contexts) is refused."""
+        variable down), which orders like `_monomial_key`.  `compress` picks a
+        term's nonzero exponents, so the loop that formats factors runs over
+        a term's few factors, not the whole support.  A support that holds
+        one variable under two names (from two contexts) is refused."""
         num, den = self.num, self.den
         if not num:
             return "0"
@@ -868,7 +929,7 @@ class DiffPoly:
         parts: list[str] = []
         try:
             for (_, low, exps), c in keyed:
-                factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+                factors = [name if e == 1 else f"{name}^{e}" for name, e in compress(zip(names, exps), exps)]
                 factors.reverse()
                 if low:
                     factors.append(unknown_var(low ^ _UNKNOWN_FLAG).name)
@@ -892,6 +953,43 @@ class DiffPoly:
 
 _ZERO = DiffPoly()
 _new_poly = object.__new__
+
+
+def _merge(out: dict[int, int], den: int, p: DiffPoly) -> int:
+    """Add p into the numerators `out` over `den`, in place, and return
+    the denominator of the sum: both sides are lifted to the common one
+    only when p brings a larger one.  The merge loop of every accumulator."""
+    items = p.num.items()
+    if p.den != den:
+        common = lcm(den, p.den)
+        if common != den:
+            k = common // den
+            for f, c in out.items():
+                out[f] = c * k
+        if common != p.den:
+            k = common // p.den
+            items = [(f, c * k) for f, c in items]
+        den = common
+    get = out.get
+    for f, c in items:
+        s = get(f)
+        if s is None:
+            out[f] = c
+        else:
+            s += c
+            if s:
+                out[f] = s
+            else:
+                del out[f]
+    return den
+
+
+def _profile(num: Iterable[int]) -> list[tuple[int, int]]:
+    """(nonlocal degree, highest jet order) of each monomial, largest first;
+    as lists these compare like the multisets they list."""
+    nonlocals, jets = _KIND_MASKS.get(NONLOCAL, 0), _KIND_MASKS.get(JET, 0)
+    return sorted(((sum(_field_bytes(m & nonlocals)), max((len(v.idx[1]) for v in _field_vars(m & jets)), default=0))
+                   for m in num), reverse=True)
 
 
 # --------------------------------------------------------------------------

@@ -28,10 +28,8 @@ from .jetspace import EvolutionSystem, JetContext, NotInternal, RegimeMismatch, 
 from .cdiff import CartanShadow, CDiffOp, DimensionMismatch, contract, evolutionary, linearization
 from .variational import (
     Density,
-    NotExactDerivative,
     VerificationFailed,
     euler,
-    integrate_top_down,
     is_generating_function,
 )
 from .detsolve import LinearSystem, match_coefficients, nullspace
@@ -153,8 +151,8 @@ def dx_inverse_extended(cov: Covering, g: DiffPoly) -> DiffPoly:
     """Solve D̃_x h = g inside the covering ring (one spatial variable).
 
     Positive-order jets are integrated top-down as in the local case
-    (`integrate_top_down` with the extended derivative and q the highest jet
-    order in the layers' x-expressions, which also argues termination); the
+    (`DiffPoly.integration` with the extended derivative and q the highest
+    jet order in the layers' x-expressions, which also argues termination); the
     jet-free remainder (which may involve nonlocal variables) is matched
     against an exact linear ansatz over the remainder's variables, the
     nonlocal variables, and x.
@@ -165,10 +163,9 @@ def dx_inverse_extended(cov: Covering, g: DiffPoly) -> DiffPoly:
     x = ctx.spatial_indices[0]
     q = max((len(v.idx[1]) for layer in cov.layers for v in layer.exprs[x].variables() if v.kind == JET),
             default=0)
-    try:
-        parts, g = integrate_top_down(cov, g, x, q)
-    except NotExactDerivative as exc:
-        raise NonlocalObstruction(exc.remainder) from None
+    parts, g, exact = g.integration(cov.derive, ctx.jet, x, q)
+    if not exact:
+        raise NonlocalObstruction(g)
     if not g.has_kind(JET) and not g.has_kind(NONLOCAL):
         return DiffPoly.sum(parts + [g.antiderivative(ctx.base(x))])
     h2 = _remainder_ansatz(cov, g, x)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .dalg import JET, NONLOCAL, DiffPoly, Immutable, MultiIndex, mi_remove_one
+from .dalg import JET, NONLOCAL, DiffPoly, Immutable, MultiIndex
 from .jetspace import EvolutionSystem, GeneralSystem, JetContext, prefix_derivatives, total_derivative
 from .cdiff import flow_linearization, linearization
 
@@ -120,78 +120,12 @@ def is_divergence(density: Density) -> bool:
     return all(comp.is_zero() for comp in euler(density))
 
 
-def integrate_top_down(space, g: DiffPoly, i: int, q: int = 0) -> tuple[list[DiffPoly], DiffPoly]:
-    """Integrate the positive-order jets of g against `space.derive(i, .)`
-    from the top order downwards: returns the parts h1 found and the
-    remainder g - sum derive(i, h1), which has jets of order 0 only.
-
-    At each pass the coefficients of the highest-order jet variables are
-    demanded (a) to contain derivatives in the direction i, (b) to enter
-    linearly with coefficients of lower order, and (c) to admit a joint
-    antiderivative; any failure proves g is not in the image, and
-    NotExactDerivative reports the offending remainder.
-
-    Termination.  `q` is the highest jet order that `derive(i, .)` can bring
-    in besides the shifted jets: 0 for the total derivative, the highest jet
-    order of the x-expressions of a covering.  While the top order k of g
-    exceeds q, derive(i, h1) and D_i h1 agree at order k; if g = D_i H, the
-    top jets of g come from the jets of H one order lower, whose coefficients
-    are derivatives of H that depend on no other jets of that order, so
-    removing derive(i, h1) strictly lowers k.  Once k <= q it stays there,
-    and the x-expressions may bring order-k terms back (w_x = u_x takes
-    g = w*u_x through two passes at order 1).  From then on a pass must
-    instead shrink the multiset of (nonlocal degree, jet order) pairs of g's
-    monomials (`_profile`): it removes every order-k monomial and, when the
-    x-expressions are free of nonlocal variables, adds only monomials of
-    lower order or of lower nonlocal degree.  Both measures are
-    well-founded, so the loop ends; a pass that lowers neither is reported
-    as not exact.
-    """
-    ctx, derive = space.ctx, space.derive
-    parts = []
-    last = None
-    while True:
-        jets = [v for v in g.variables() if v.kind == JET and v.idx[1]]
-        if not jets:
-            return parts, g
-        k = max(len(v.idx[1]) for v in jets)
-        measure = (k,) if k > q else (q, _profile(g))
-        if last is not None and measure >= last:
-            raise NotExactDerivative(g)
-        last = measure
-        top = sorted(v for v in jets if len(v.idx[1]) == k)
-        coeffs = []
-        for v in top:
-            if i not in v.idx[1]:
-                raise NotExactDerivative(g)
-            a = g.partial(v)
-            if any(w.kind == JET and len(w.idx[1]) >= k for w in a.variables()):
-                raise NotExactDerivative(g)
-            coeffs.append((ctx.jet(v.idx[0], mi_remove_one(v.idx[1], i)), a))
-        h1 = DiffPoly.zero()
-        for w, a in coeffs:
-            h1 = h1 + (a - h1.partial(w)).antiderivative(w)
-        for w, a in coeffs:
-            if h1.partial(w) != a:
-                raise NotExactDerivative(g)
-        g = g - derive(i, h1)
-        parts.append(h1)
-
-
-def _profile(g: DiffPoly) -> list[tuple[int, int]]:
-    """(nonlocal degree, highest jet order) of each monomial, largest first;
-    as lists these compare like the multisets they list."""
-    return sorted(((sum(e for v, e in mono if v.kind == NONLOCAL),
-                    max((len(v.idx[1]) for v, _ in mono if v.kind == JET), default=0))
-                   for mono in g.terms), reverse=True)
-
-
 def dx_inverse(ctx: JetContext, g: DiffPoly, i: int = 0) -> DiffPoly:
-    """Find h with D_i h = g: `integrate_top_down` with the total derivative,
-    then the antiderivative in x_i of the jet-free remainder."""
+    """Find h with D_i h = g: `DiffPoly.integration` with the total
+    derivative, then the antiderivative in x_i of the jet-free remainder."""
     if g.has_kind(NONLOCAL):
         raise ValueError("use the covering-aware inverse for nonlocal expressions")
-    parts, g = integrate_top_down(ctx, g, i)
+    parts, g, _ = g.integration(ctx.derive, ctx.jet, i)
     if g.has_kind(JET):
         raise NotExactDerivative(g)
     parts.append(g.antiderivative(ctx.base(i)))

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
 from math import gcd, lcm
+from operator import or_
 
 import jetcalc
 import pytest
@@ -26,13 +27,19 @@ from hypothesis import assume, example, given, settings, strategies as st
 from jetcalc.dalg import (
     BASE,
     JET,
+    MAX_EXPONENT,
     NONLOCAL,
     PARAM,
     UNKNOWN,
     DiffPoly,
     ExponentOverflow,
     VarId,
+    _UNKNOWN_FLAG,
+    _VARS,
     _monomial_key,
+    _print_key,
+    _print_rank,
+    _two_names,
     unknown_var,
 )
 from jetcalc.cdiff import CDiffOp, _collect
@@ -256,6 +263,87 @@ def test_printing_refuses_one_variable_under_two_names():
         with pytest.raises(ValueError, match="'x' and 'y' are one variable under two names|"
                                              "'y' and 'x' are one variable under two names"):
             str(p)
+
+
+# The packed printer as it was before it picked each term's nonzero
+# exponents: it walks every variable of the support for each term.
+def support_walk_str(p: DiffPoly) -> str:
+    num, den = p.num, p.den
+    if not num:
+        return "0"
+    width, ranked = _print_rank(reduce(or_, num))
+    refusal = _two_names([_VARS[k] for k in ranked])
+    if refusal:
+        raise refusal
+    down = ranked[::-1]
+    names = [_VARS[k].name for k in down]
+    keyed = sorted(zip(map(_print_key(width, down), num), num.values()))
+    parts = []
+    try:
+        for (_, low, exps), c in keyed:
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+            factors.reverse()
+            if low:
+                factors.append(unknown_var(low ^ _UNKNOWN_FLAG).name)
+            body = "*".join(factors)
+            mag = abs(c)
+            g = gcd(mag, den)
+            coef = str(mag // g) if g == den else f"{mag // g}/{den // g}"
+            chunk = coef if not body else body if coef == "1" else f"{coef}*{body}"
+            if not parts:
+                parts.append(chunk if c > 0 else "-" + chunk)
+            else:
+                parts.append(("+ " if c > 0 else "- ") + chunk)
+    except ValueError:
+        raise ValueError(f"a coefficient longer than {sys.get_int_max_str_digits()} digits, "
+                         "the most a report prints") from None
+    return " ".join(parts)
+
+
+@st.composite
+def edge_printable_polys(draw):
+    """The shapes a printer gets wrong first: a constant, one variable to a
+    power up to MAX_EXPONENT, unknowns alone, and a general sum, each with
+    negative and non-integral coefficients."""
+    c = draw(print_coefficients.filter(bool))
+    v = draw(st.sampled_from(PRINT_VARS))
+    shape = draw(st.sampled_from(["constant", "one variable", "unknowns", "sum"]))
+    if shape == "constant":
+        return DiffPoly.const(c)
+    if shape == "one variable":
+        return DiffPoly.sum(DiffPoly.var(v) ** e * DiffPoly.const(draw(print_coefficients))
+                            for e in draw(st.lists(st.integers(0, MAX_EXPONENT), min_size=1, max_size=4)))
+    if shape == "unknowns":
+        return DiffPoly.combination([DiffPoly.const(draw(print_coefficients)) for _ in range(draw(st.integers(1, 4)))],
+                                    draw(st.integers(0, 40)))
+    return draw(printable_polys()) * DiffPoly.var(v) ** draw(st.integers(0, MAX_EXPONENT - 3))
+
+
+@KERNEL
+@given(st.one_of(edge_printable_polys(), printable_polys()))
+@example(DiffPoly.const(Fraction(-3, 4)))
+@example(DiffPoly.var(PRINT_VARS[2]) ** MAX_EXPONENT)
+def test_printing_matches_the_support_walk(p):
+    assert str(p) == support_walk_str(p)
+
+
+def test_printing_refusals_keep_their_messages():
+    """One variable under two names, and a coefficient with more digits
+    than str() converts."""
+    other = JetContext(("y", "t"), ("u", "v"), has_time=True)
+    refused = [PRINT_CTX.parse("x*u") * other.parse("y")]
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        huge = DiffPoly.const(10 ** limit) * PRINT_CTX.parse("u")
+        refused += [huge, huge / 7]
+    for p in refused:
+        with pytest.raises(ValueError) as got:
+            str(p)
+        with pytest.raises(ValueError) as want:
+            support_walk_str(p)
+        assert str(got.value) == str(want.value)
+    if limit:
+        assert str(got.value) == f"a coefficient longer than {limit} digits, the most a report prints"
 
 
 def old_sort_key(v: VarId) -> tuple:
