@@ -2,7 +2,8 @@
 
 Reads an equation-definition file, dispatches the requested computation, and
 renders a human-readable or machine-readable (JSON) report.  Exit codes:
-0 success, 1 verification failure, 2 input error.
+0 success, 1 verification failure, 2 input error or a report that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
@@ -805,7 +807,17 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    sys.stdout.write(rep.emit(args.format))
+    try:
+        sys.stdout.write(rep.emit(args.format))
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full disk: no report, so no verdict
+        sys.stderr.write(f"error: cannot write the report: {exc}\n")
+        # The unwritten bytes stay buffered, and the interpreter's flush at
+        # exit would fail on them again: send them to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     return code
 
 

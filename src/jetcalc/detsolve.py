@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, prod
 from typing import Callable, Hashable, Mapping
 
-from .dalg import Coef, DiffPoly, Immutable, MultiIndex, NonlinearInUnknowns, param_var
+from .dalg import _UNKNOWN_FLAG, Coef, DiffPoly, Immutable, MultiIndex, NonlinearInUnknowns, param_var
 from .jetspace import EvolutionSystem, JetContext, multi_indices_up_to, prefix_derivatives
 from .cdiff import (
     CartanShadow,
@@ -62,15 +62,24 @@ class Ansatz(Immutable):
         return {"jet-order": self.jet_order, "poly-deg": self.poly_deg, "base-deg": self.base_deg}
 
 
-def ansatz_monomials(ctx: JetContext, a: Ansatz) -> list[DiffPoly]:
+def ansatz_monomials(ctx: JetContext, a: Ansatz, slots: int = 1) -> list[DiffPoly]:
     """The monomial pool over internal jets (spatial multi-indices only),
     deterministically ordered by the canonical monomial order (degree
-    descending, then the fixed variable order): `DiffPoly.pool`."""
+    descending, then the fixed variable order): `DiffPoly.pool`.
+
+    ValueError, before any monomial is built, if `slots` templates over the
+    pool need more unknowns than a template holds.  The jets and the base
+    variables share no variable, so the pool has exactly
+    prod C(|group| + deg, deg) monomials."""
     jets = [ctx.jet(j, s) for j in range(ctx.m) for s in multi_indices_up_to(ctx.spatial_indices, a.jet_order)]
     bases = [ctx.base(i) for i in range(ctx.n)]
     if a.include_params:
         bases += [param_var(p) for p in ctx.parameters]
-    return DiffPoly.pool([(jets, a.poly_deg), (bases, a.base_deg)])
+    groups = [(jets, a.poly_deg), (bases, a.base_deg)]
+    unknowns = slots * prod(comb(len(vs) + deg, deg) for vs, deg in groups)
+    if unknowns > _UNKNOWN_FLAG:
+        raise ValueError(f"the ansatz needs {unknowns} unknowns, but a template holds at most {_UNKNOWN_FLAG}")
+    return DiffPoly.pool(groups)
 
 
 class TemplateBuilder:
@@ -101,7 +110,7 @@ class TemplateBuilder:
 def build_symmetry_template(ctx: JetContext, a: Ansatz) -> tuple[list[DiffPoly], TemplateBuilder]:
     """One template per dependent component over consecutive unknowns: slot
     j is slot 0 with every unknown index raised by j*N, N the pool size."""
-    tb = TemplateBuilder(ansatz_monomials(ctx, a), list(range(ctx.m)))
+    tb = TemplateBuilder(ansatz_monomials(ctx, a, ctx.m), list(range(ctx.m)))
     return tb.templates(), tb
 
 
@@ -142,7 +151,8 @@ def build_shadow_template(ctx: JetContext, a: Ansatz) -> tuple[CartanShadow, Tem
     sigmas = multi_indices_up_to(ctx.spatial_indices, a.jet_order)
     keys = ([ctx.nonlocal_(layer) for layer in range(len(ctx.nonlocals))]
             + [ctx.jet(alpha, s) for alpha in range(ctx.m) for s in sigmas])
-    tb = TemplateBuilder(ansatz_monomials(ctx, a), [(j, v) for j in range(ctx.m) for v in keys])
+    slots = [(j, v) for j in range(ctx.m) for v in keys]
+    tb = TemplateBuilder(ansatz_monomials(ctx, a, len(slots)), slots)
     templates = tb.templates()
     return CartanShadow(ctx, tuple(dict(zip(keys, templates[j * len(keys):])) for j in range(ctx.m))), tb
 

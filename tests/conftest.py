@@ -1,10 +1,23 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from jetcalc.dalg import DiffPoly
 from jetcalc.jetspace import EvolutionSystem, JetContext, multi_indices_up_to
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def fresh_python(*args, env=None, **run):
+    """`subprocess.run` of `python *args` in a fresh interpreter that imports
+    jetcalc from SRC: `env` adds to the environment, `run` to the keywords
+    (stdout and stderr are captured, and the run times out at 120 s)."""
+    run = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "timeout": 120, **run}
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=SRC, **(env or {})), **run)
 
 
 @pytest.fixture

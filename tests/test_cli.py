@@ -1,8 +1,12 @@
+import ast
+import errno
 import importlib.util
 import json
 import os
-import subprocess
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +15,7 @@ from jetcalc.cdiff import CDiffOp
 from jetcalc.dalg import DiffPoly, _Parser
 from jetcalc.jetspace import JetContext
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+from conftest import SRC, fresh_python
 
 BURGERS = """\
 # Burgers equation and its potential covering
@@ -597,7 +601,7 @@ def test_currents_need_one_spatial_variable_before_the_solve(capsys, monkeypatch
     code, out, err = run(capsys, "conslaws", os.path.join(STOCK, "nls2.eqn"), "--order", "2", "--deg", "2",
                          "--currents")
     assert (code, out) == (2, "")
-    assert "error: current reconstruction needs exactly one spatial variable" in err
+    assert err == "error: current reconstruction needs exactly one spatial variable\n"
 
 def test_jobs_flag_is_gone(burgers_file, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -642,11 +646,137 @@ sys.exit(main(sys.argv[2:]))
     ("current", ["conslaws", "--order", "1", "--deg", "1", "--currents"]),
 ])
 def test_certificates_survive_python_O(burgers_file, target, argv):
-    env = dict(os.environ, PYTHONPATH=SRC)
-    cmd = [sys.executable, "-O", "-c", SABOTAGE, target, argv[0], burgers_file] + argv[1:]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    proc = fresh_python("-O", "-c", SABOTAGE, target, argv[0], burgers_file, *argv[1:], text=True)
     assert proc.returncode == 1, proc.stderr
     assert "verification failed" in proc.stderr
+
+
+def test_no_code_rests_on_assert_or_debug():
+    """`python -O` drops `assert` statements, makes `__debug__` false and
+    sets `sys.flags.optimize`.  jetcalc uses none of them, so every path,
+    the certificates' included, runs alike with and without -O; the two
+    sabotaged runs above witness it end to end."""
+    found = []
+    for path in sorted(Path(SRC, "jetcalc").rglob("*.py")):
+        found += [f"{path}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), path))
+                  if isinstance(node, ast.Assert) or getattr(node, "id", None) == "__debug__"
+                  or getattr(node, "attr", None) in ("__debug__", "optimize")]
+    assert found == []
+
+
+# --------------------------------------------------------------------------
+# One table of CLI runs: (id, command line, exit code, check).  The check is
+# None, a condition on the JSON document on stdout, or (stream, pattern): the
+# regex matches a line of stdout ("out") or stderr ("err"), as `grep -q`
+# would.  An .eqn file is a stock file, or one of WRITTEN, written to tmp_path.
+
+WRITTEN = {
+    "unused.eqn": lambda: Path(STOCK, "burgers.eqn").read_bytes() + b"operator B = u^100*u^100*D_x\n",
+    "half.eqn": lambda: b"independent: x, t(time)\ndependent: u\nevolution: u_t = u_{xxx} + 3/2*u*u_x\n",
+    "bom.eqn": lambda: b"\xef\xbb\xbf" + Path(STOCK, "burgers.eqn").read_bytes(),
+}
+TABLE = [
+    ("help", "--help", 0, None),
+    ("unused", "euler unused.eqn --density u", 2, None),
+    ("flow", "flow kdv.eqn --op A2 --density u^2/2 --format structured", 0, None),
+    ("burgers-symmetries", "symmetries burgers.eqn --order 2 --deg 2 --xt-deg 2 --format structured", 0, None),
+    ("burgers-currents", "conslaws burgers.eqn --order 4 --deg 1 --xt-deg 0 --currents --format structured", 0, None),
+    ("burgers-recursion", "recursion burgers.eqn --order 1 --deg 2 --xt-deg 2 --format structured", 0, None),
+    ("homotopy", "inverse-problem kdv.eqn --psi 'u^2/2 + u_{xx}' --format structured", 0, None),
+    ("local-shadow", "apply-recursion burgers.eqn --order 1 --deg 1 --to u_x --format structured", 0, None),
+    ("burgers_shadows", "recursion burgers.eqn --covering pot --order 1 --deg 1 --format structured", 0,
+     lambda doc: doc["basis"] == ["om(u)", "1/2*u*om(u) + om(u_x) + 1/2*u_x*th(w)"]),
+    ("layer", "apply-recursion kdv.eqn --covering pot --order 2 --deg 1 --to 'x*u_x + 3*t*(u*u_x + u_{xxx}) + 2*u' "
+     "--times 2", 1, ("out", r"non-integrable remainder: 1/2\*u\^2$")),
+    ("nls_sym", "symmetries nls1.eqn --order 2 --deg 2 --xt-deg 1 --format structured", 0,
+     lambda doc: len(doc["basis"]) == 3 and ["t*v_x - 1/2*x*w", "1/2*x*v + t*w_x"] in doc["basis"]),
+    ("nls_cl", "conslaws nls1.eqn --order 2 --deg 2 --xt-deg 0 --format structured", 0,
+     lambda doc: len(doc["basis"]) == 2),
+    ("current", "verify-current burgers.eqn --current '(u, u)' --format structured", 1, None),
+    ("kdv_sym7", "symmetries kdv.eqn --order 7 --deg 3 --xt-deg 1 --format structured", 0,
+     lambda doc: len(doc["basis"]) == 5 and "u_x" in doc["basis"]),
+    ("kdv_cl6", "conslaws kdv.eqn --order 6 --deg 3 --xt-deg 1 --format structured", 0,
+     lambda doc: len(doc["basis"]) == 5),
+    ("jacobi", "check-hamiltonian kdv.eqn --op A2 --format structured", 0, lambda doc: doc["jacobi"] is True),
+    ("skew_not_jacobi", "check-hamiltonian kdv.eqn --op 'D_x^3 + u^2*D_x + u*u_x' --format structured", 1,
+     lambda doc: doc["skew-adjoint"] is True and doc["jacobi"] is False),
+    ("inverse", "inverse-problem kdv.eqn --psi u_x --format structured", 1, lambda doc: doc["self-adjoint"] is False),
+    ("kdv-currents", "conslaws kdv.eqn --order 2 --deg 2 --currents --format structured", 0, None),
+    ("half_sym", "symmetries half.eqn --order 3 --deg 2 --xt-deg 1 --format structured", 0,
+     lambda doc: doc["basis"] == ["9/4*t*u*u_x + 1/2*x*u_x + 3/2*t*u_{xxx} + u", "u_x", "3/2*u*u_x + u_{xxx}",
+                                  "3/2*t*u_x + 1"]),
+    ("half_cl", "conslaws half.eqn --order 4 --deg 3 --currents --format structured", 0,
+     lambda doc: len(doc["basis"]) == 4 and len(doc["currents"]) == 4
+     and all(set(J) != {"0"} for J in doc["currents"])),
+    ("bom", "linearize bom.eqn", 0, None),
+    ("neg", "euler burgers.eqn --density=-u^2 --format structured", 0, lambda doc: doc["result"] == "-2*u"),
+    ("family", "check-hamiltonian kdv.eqn --op 'D_x^3 + (2/3 + 5/7*u)*D_x + 5/14*u_x' --format structured", 0,
+     lambda doc: doc["jacobi"] is True),
+    ("nested-200", "euler burgers.eqn --density " + "(" * 200 + "u^2" + ")" * 200, 0, None),
+    ("deep", "euler burgers.eqn --density " + "(" * 201 + "u^2" + ")" * 201, 2, ("err", r"\(at position 200\)$")),
+    ("nls_currents", "conslaws nls1.eqn --order 2 --deg 2 --currents --format structured", 0,
+     lambda doc: len(doc["currents"]) == 2 and all(set(c) != {"0"} for c in doc["currents"])),
+]
+
+
+@pytest.mark.parametrize("line, code, check", [row[1:] for row in TABLE], ids=[row[0] for row in TABLE])
+def test_run_exits_and_reports_as_tabled(tmp_path, capsys, line, code, check):
+    argv = shlex.split(line)
+    for i, arg in enumerate(argv):
+        if arg in WRITTEN:
+            (tmp_path / arg).write_bytes(WRITTEN[arg]())
+            argv[i] = str(tmp_path / arg)
+        elif arg.endswith(".eqn"):
+            argv[i] = os.path.join(STOCK, arg)
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse ends a --help run
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code, err
+    if callable(check):
+        assert check(json.loads(out)), out
+    elif check:
+        stream, pattern = check
+        assert re.search(pattern, {"out": out, "err": err}[stream], re.M), (out, err)
+
+
+# --------------------------------------------------------------------------
+# The exit-code contract at the process boundary
+
+
+def _cli(*argv, **run):
+    return fresh_python("-m", "jetcalc.cli", *argv, text=True, **run)
+
+
+def test_a_report_no_reader_takes_exits_2_with_one_error_line():
+    read, write = os.pipe()
+    os.close(read)  # the reader closes before the report is written
+    try:
+        proc = _cli("apply-recursion", os.path.join(STOCK, "burgers.eqn"), "--covering", "pot", "--order", "1",
+                    "--deg", "1", "--to", "u_x", "--times", "16", stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, f"error: cannot write the report: [Errno {errno.EPIPE}] "
+                                                 f"{os.strerror(errno.EPIPE)}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def test_a_report_to_a_full_device_exits_2_with_one_error_line():
+    with open("/dev/full", "w") as full:
+        proc = _cli("symmetries", os.path.join(STOCK, "burgers.eqn"), "--order", "1", "--deg", "1",
+                    "--format", "structured", stdout=full)
+    assert (proc.returncode, proc.stderr) == (2, f"error: cannot write the report: [Errno {errno.ENOSPC}] "
+                                                 f"{os.strerror(errno.ENOSPC)}\n")
+
+
+def test_an_ansatz_past_the_template_capacity_is_refused_before_it_is_built():
+    """C(21 + 8, 8) = 4292145 monomials of degree at most 8 in u, ..., u_{x^20},
+    past the 2^22 unknowns of a template: exit 2 at once, not after building
+    the pool (the run times out after 10 s)."""
+    proc = _cli("symmetries", os.path.join(STOCK, "kdv.eqn"), "--order", "20", "--deg", "8", timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: the ansatz needs 4292145 unknowns, but a template holds at most 4194304\n")
 
 
 # --------------------------------------------------------------------------
@@ -657,12 +787,6 @@ def test_parser_is_built_once():
     from jetcalc.cli import build_parser
 
     assert build_parser() is build_parser()
-
-
-def fresh_process(*argv):
-    proc = subprocess.run([sys.executable, "-m", "jetcalc.cli", *argv], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
-    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.mark.parametrize("first, second", [
@@ -678,7 +802,8 @@ def test_consecutive_calls_do_not_leak_arguments(burgers_file, kdv_file, capsys,
     first = [files.get(a, a) for a in first]
     second = [files.get(a, a) for a in second] + ["--format", "structured"]
     run(capsys, *first)
-    assert run(capsys, *second) == fresh_process(*second)
+    proc = _cli(*second)
+    assert run(capsys, *second) == (proc.returncode, proc.stdout, proc.stderr)
 
 
 def test_argparse_rejection_leaves_the_parser_usable(kdv_file, capsys):

@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement
 
 from jetcalc import detsolve
 from jetcalc.cli import main, parse_equation_file
-from jetcalc.dalg import UNKNOWN, DiffPoly, ExponentOverflow, param_var, unknown_var
+from jetcalc.dalg import _UNKNOWN_FLAG, UNKNOWN, DiffPoly, ExponentOverflow, param_var, unknown_var
 from jetcalc.jetspace import EvolutionSystem, JetContext, multi_indices_up_to, prefix_derivatives, total_derivative
 from jetcalc.cdiff import CartanShadow, CDiffOp, flow_linearization, linearization, jacobi_bracket
 from jetcalc.detsolve import (
@@ -61,6 +61,23 @@ def test_packed_pool_equals_the_decoded_reference(spatial, m, jet_order, poly_de
     ctx = JetContext(("x", "y")[:spatial] + ("t",), ("u", "v")[:m], ("a", "b"), has_time=True)
     a = Ansatz(jet_order, poly_deg, base_deg, include_params)
     assert ansatz_monomials(ctx, a) == _reference_pool(ctx, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spatial=st.integers(1, 2), m=st.integers(1, 2), jet_order=st.integers(0, 2), poly_deg=st.integers(0, 3),
+       base_deg=st.integers(0, 2), include_params=st.booleans())
+def test_the_pool_is_counted_exactly_before_it_is_built(spatial, m, jet_order, poly_deg, base_deg, include_params):
+    """`slots` templates over the pool are refused exactly when they need
+    more unknowns than a template holds, so the count made before building
+    is the pool's length."""
+    ctx = JetContext(("x", "y")[:spatial] + ("t",), ("u", "v")[:m], ("a", "b"), has_time=True)
+    a = Ansatz(jet_order, poly_deg, base_deg, include_params)
+    n = len(ansatz_monomials(ctx, a))
+    fits = _UNKNOWN_FLAG // n
+    assert len(ansatz_monomials(ctx, a, fits)) == n
+    with pytest.raises(ValueError, match=f"^the ansatz needs {(fits + 1) * n} unknowns, but a template holds at "
+                                         f"most {_UNKNOWN_FLAG}$"):
+        ansatz_monomials(ctx, a, fits + 1)
 
 
 @pytest.mark.parametrize("a, message", [

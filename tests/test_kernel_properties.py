@@ -8,10 +8,8 @@ variational bicomplex.
 """
 
 import copy
-import os
 import pickle
 import random
-import subprocess
 import sys
 from fractions import Fraction
 from functools import reduce
@@ -19,7 +17,6 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import or_
 
-import jetcalc
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
@@ -47,6 +44,8 @@ from jetcalc.detsolve import LinearSystem, match_coefficients, nullspace
 from jetcalc.jetspace import EvolutionSystem, JetContext, total_derivative
 from jetcalc.hamrec import make_covering
 from jetcalc.variational import Density, dx_inverse, euler
+
+from conftest import fresh_python
 
 CTX = JetContext(("x", "t"), ("u", "v"), has_time=True)
 VARS = [CTX.base(0), CTX.base(1), CTX.jet(0), CTX.jet(0, (0,)), CTX.jet(1, (0, 0)), CTX.jet(1, (0, 1)),
@@ -149,7 +148,6 @@ def test_pickle_and_copy_roundtrip(p):
         assert [v.name for f in q.terms for v, _ in f] == [v.name for f in p.terms for v, _ in f]
 
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(jetcalc.__file__)))
 PICKLE_POLY = """
 import pickle, sys
 from fractions import Fraction
@@ -159,9 +157,7 @@ p = DiffPoly.var(param_var("a")) * DiffPoly.var(param_var("b")).scale(Fraction(1
 
 
 def run_under_hash_seed(seed: int, code: str, stdin: bytes = b"") -> bytes:
-    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=SRC)
-    return subprocess.run([sys.executable, "-c", PICKLE_POLY + code], input=stdin, capture_output=True,
-                          env=env, check=True, timeout=120).stdout
+    return fresh_python("-c", PICKLE_POLY + code, env={"PYTHONHASHSEED": str(seed)}, input=stdin, check=True).stdout
 
 
 def test_pickle_does_not_carry_the_hash_across_processes():

@@ -11,6 +11,8 @@ that computed them:
   function listed with it;
 * every self-adjoint `inverse-problem` answer is a Lagrangian of the given
   section: its Euler-Lagrange expressions are the `--psi` components;
+* every section an `inverse-problem` answer calls not self-adjoint has
+  ell_psi - ell_psi^* != 0;
 * every generating function of a `conslaws` golden without `--currents`
   solves the cosymmetry equation D_t psi + ell_f^*(psi) = 0, and the same
   function plus u_x does not;
@@ -168,6 +170,36 @@ def test_self_adjoint_inverse_problem_lagrangians_give_back_psi():
             assert sympy.expand(e - p) == 0, (argv, doc["result"])
         checked += 1
     assert checked >= 10
+
+
+def _linearization_minus_adjoint(space, psi):
+    """ell_psi(p) - ell_psi^*(p) at new functions p_b, one per component,
+    from the definitions: ell_psi(p)_b = sum_{a,sigma} dpsi_b/du^a_sigma
+    D_sigma p_a and ell_psi^*(p)_a = sum_{b,sigma} (-D)_sigma (p_b
+    dpsi_b/du^a_sigma), over the jets u^a_sigma in psi."""
+    def D(expr, sigma):
+        return sympy.diff(expr, *sigma) if sigma else expr
+
+    funcs = list(space.funcs.values())
+    aux = [sympy.Function(f"p{b}")(*space.xs.values()) for b in range(len(psi))]
+    jets = [(f, a, ()) for a, f in enumerate(funcs)]
+    jets += [(d, funcs.index(d.expr), d.variables) for d in set().union(*(c.atoms(sympy.Derivative) for c in psi))]
+    return [sympy.expand(sum(sympy.diff(c, d) * D(aux[a], sigma) for d, a, sigma in jets)
+                         - sum((-1) ** len(sigma) * D(p * sympy.diff(q, d), sigma)
+                               for d, a, sigma in jets if a == b for p, q in zip(aux, psi)))
+            for b, c in enumerate(psi)]
+
+
+def test_non_self_adjoint_inverse_problem_sections_differ_from_their_adjoint():
+    checked = 0
+    for argv, doc in _goldens("inverse-problem"):
+        if doc["self-adjoint"]:
+            continue
+        space = Space(argv[1])
+        psi = [space.parse(argv[k + 1]) for k, a in enumerate(argv) if a == "--psi"]
+        assert _linearization_minus_adjoint(space, psi) != [0] * len(psi), argv
+        checked += 1
+    assert checked == 12
 
 
 def test_verify_current_goldens_are_the_sympy_divergence_on_the_equation():

@@ -11,10 +11,7 @@ of unknowns.
 
 import os
 import pickle
-import subprocess
-import sys
 
-import jetcalc
 import pytest
 
 from jetcalc import dalg
@@ -31,7 +28,8 @@ from jetcalc.dalg import (
 from jetcalc.detsolve import Ansatz, symmetries
 from jetcalc.jetspace import EvolutionSystem, JetContext
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(jetcalc.__file__)))
+from conftest import SRC, fresh_python
+
 KDV = os.path.join(os.path.dirname(SRC), "perfbench", "eqn", "kdv.eqn")
 
 
@@ -135,9 +133,7 @@ def test_pickles_load_in_a_process_whose_table_has_another_order():
     text = "a*u_{xx}*w + 3/2*x*t*u^2 - b*u_x^3"
     eq = parse_equation_file(KDV)
     p = eq.ctx.with_nonlocals(["w"]).parse(text)
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", SEED_OTHER_ORDER, KDV, text], input=pickle.dumps((p, eq)),
-                         capture_output=True, env=env, check=True, timeout=120).stdout.decode()
+    out = fresh_python("-c", SEED_OTHER_ORDER, KDV, text, input=pickle.dumps((p, eq)), check=True).stdout.decode()
     lines = out.splitlines()
     assert lines[0] == "True True True"
     assert lines[1:] == [str(p), str(eq.system.f[0]), str(eq.operators["A2"]),

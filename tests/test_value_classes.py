@@ -1,10 +1,7 @@
 """The hand-written value classes: equality, immutability, pickling and
 validation, and an import of the CLI that loads no `dataclasses`."""
 
-import os
 import pickle
-import subprocess
-import sys
 
 import pytest
 
@@ -22,14 +19,13 @@ from jetcalc.cli import EquationFile
 from jetcalc.dalg import DiffPoly, jet_var
 from jetcalc.hamrec import Layer
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+from conftest import fresh_python
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     code = ("import sys; before = set(sys.modules); import jetcalc.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    out = fresh_python("-c", code, text=True, check=True).stdout
     added = set(out.split())
     assert "jetcalc.cli" in added
     assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
