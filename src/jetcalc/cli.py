@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from collections.abc import Mapping
 from fractions import Fraction
 
 from .dalg import MAX_EXPONENT, DiffPoly, ParseError, _Parser, split_identifier
@@ -24,6 +23,7 @@ from .variational import (
     ConservedCurrent,
     Density,
     NotExactDerivative,
+    NotGeneratingFunction,
     NotVariational,
     VerificationFailed,
     current_from_gf,
@@ -51,36 +51,6 @@ class InputError(ValueError):
         self.line = line
 
 
-class _Later(functools.partial):
-    """A declaration that was checked but is not built yet."""
-
-
-class _Declared(Mapping):
-    """The named declarations of one kind.  A value held as a `_Later` is
-    built on its first lookup and kept."""
-
-    def __init__(self):
-        self._values: dict[str, object] = {}
-
-    def add(self, name: str, value):
-        self._values[name] = value
-
-    def __getitem__(self, name: str):
-        value = self._values[name]
-        if type(value) is _Later:
-            value = self._values[name] = value()
-        return value
-
-    def __contains__(self, name) -> bool:
-        return name in self._values
-
-    def __iter__(self):
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-
 class EquationFile:
     __slots__ = ("path", "ctx", "system", "coverings", "operators", "densities", "currents", "raw")
 
@@ -89,9 +59,9 @@ class EquationFile:
         self.ctx = ctx
         self.system: EvolutionSystem | None = None
         self.coverings = {}
-        self.operators = _Declared()
-        self.densities = _Declared()
-        self.currents = _Declared()
+        self.operators: dict[str, str] = {}  # name -> text, built like a literal on each lookup
+        self.densities: dict[str, str] = {}
+        self.currents: dict[str, str] = {}
         self.raw = raw
 
     def need_system(self, line: int | None = None) -> EvolutionSystem:
@@ -428,24 +398,23 @@ def parse_equation_file(path: str) -> EquationFile:
         except (NotFlat, ValueError) as exc:
             raise InputError(f"covering '{name}': {exc}", no)
 
-    # Each named declaration is checked now and built on its first lookup;
-    # one the checker is unsure of is built now, so it fails as it would.
+    # Each named declaration is checked now and kept as its text; one the
+    # checker is unsure of is built now, so it fails as it would, and the
+    # value is dropped.
     tables = {"operator": eq.operators, "density": eq.densities, "current": eq.currents}
     for kind, name, payload, no in named:
         try:
-            if kind == "operator":
-                build = _Later(parse_operator, payload, ctx)
-                sure = _checks(payload, ctx, operator=True)
-            elif kind == "density":
-                build = _Later(_density, ctx, payload)
-                sure = _checks(payload, ctx)
-            else:
+            if kind == "operator" and not _checks(payload, ctx, operator=True):
+                parse_operator(payload, ctx)
+            elif kind == "density" and not _checks(payload, ctx):
+                _density(ctx, payload)
+            elif kind == "current":
                 texts = _components(payload, "current needs a parenthesized component tuple", no)
-                build = _Later(_current, ctx, texts)
-                sure = all(_checks(t, ctx) for t in texts)
-            tables[kind].add(name, build if sure else build())
+                if not all(_checks(t, ctx) for t in texts):
+                    _current(ctx, texts)
         except ParseError as exc:
             raise InputError(f"in {kind} '{name}': {exc}", no)
+        tables[kind][name] = payload
     return eq
 
 
@@ -481,15 +450,11 @@ def _ansatz_of(args) -> Ansatz:
 
 
 def _lookup_density(eq: EquationFile, ref: str) -> Density:
-    if ref in eq.densities:
-        return eq.densities[ref]
-    return _density(eq.ctx, ref)
+    return _density(eq.ctx, eq.densities.get(ref, ref))
 
 
 def _lookup_operator(eq: EquationFile, ref: str) -> CDiffOp:
-    if ref in eq.operators:
-        return eq.operators[ref]
-    return parse_operator(ref, eq.ctx)
+    return parse_operator(eq.operators.get(ref, ref), eq.ctx)
 
 
 def _hamiltonian_operator(eq: EquationFile, ref: str) -> CDiffOp:
@@ -504,9 +469,7 @@ def _hamiltonian_operator(eq: EquationFile, ref: str) -> CDiffOp:
 
 
 def _lookup_current(eq: EquationFile, ref: str) -> ConservedCurrent:
-    if ref in eq.currents:
-        return eq.currents[ref]
-    return _current(eq.ctx, _components(ref, f"unknown current '{ref.strip()}'"))
+    return _current(eq.ctx, _components(eq.currents.get(ref, ref), f"unknown current '{ref.strip()}'"))
 
 
 def _basis_report(command: str, eq: EquationFile, a: Ansatz, basis, heading: str, render) -> Report:
@@ -552,7 +515,7 @@ def cmd_conslaws(eq: EquationFile, args) -> tuple[Report, int]:
                 J = current_from_gf(sysm, list(s))
                 recon.append([str(c) for c in J.components])
                 rep.text(f"  current for {_vec_str(s)}: ({', '.join(str(c) for c in J.components)})")
-            except (NotExactDerivative, NotVariational) as exc:
+            except (NotExactDerivative, NotGeneratingFunction) as exc:
                 recon.append(None)
                 rep.text(f"  current for {_vec_str(s)}: obstructed ({exc})")
                 exit_code = 1

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from jetcalc.cli import InputError, main, parse_equation_file, parse_operator
+from jetcalc.cli import InputError, _lookup_operator, main, parse_equation_file, parse_operator
 from jetcalc.cdiff import CDiffOp
 from jetcalc.dalg import DiffPoly, _Parser
 from jetcalc.jetspace import JetContext
@@ -90,7 +90,8 @@ def test_operator_parsing(kdv_file):
     expected = (dx.compose(dx).compose(dx)
                 + CDiffOp.mult(ctx, ctx.parse("2/3*u")).compose(dx)
                 + CDiffOp.mult(ctx, ctx.parse("1/3*u_x")))
-    assert eq.operators["A2"] == expected
+    assert eq.operators["A2"] == "D_x^3 + (2/3)*u*D_x + (1/3)*u_x"
+    assert _lookup_operator(eq, "A2") == expected
     reparsed = parse_operator(str(expected), ctx)
     assert reparsed == expected
 
@@ -674,6 +675,7 @@ WRITTEN = {
     "unused.eqn": lambda: Path(STOCK, "burgers.eqn").read_bytes() + b"operator B = u^100*u^100*D_x\n",
     "half.eqn": lambda: b"independent: x, t(time)\ndependent: u\nevolution: u_t = u_{xxx} + 3/2*u*u_x\n",
     "bom.eqn": lambda: b"\xef\xbb\xbf" + Path(STOCK, "burgers.eqn").read_bytes(),
+    "airy.eqn": lambda: b"independent: x, t(time)\ndependent: u\nevolution: u_t = u_{xxx}\n",
 }
 TABLE = [
     ("help", "--help", 0, None),
@@ -716,6 +718,20 @@ TABLE = [
     ("deep", "euler burgers.eqn --density " + "(" * 201 + "u^2" + ")" * 201, 2, ("err", r"\(at position 200\)$")),
     ("nls_currents", "conslaws nls1.eqn --order 2 --deg 2 --currents --format structured", 0,
      lambda doc: len(doc["currents"]) == 2 and all(set(c) != {"0"} for c in doc["currents"])),
+    # u_x is a cosymmetry of Airy's equation but no variational derivative:
+    # its current is obstructed, and the rest of the report still prints.
+    ("airy-currents", "conslaws airy.eqn --order 1 --deg 1 --currents", 1,
+     ("out", r"^  current for u_x: obstructed \(section is not a variational derivative\)$")),
+    ("airy-currents-structured", "conslaws airy.eqn --order 1 --deg 1 --currents --format structured", 1,
+     lambda doc: doc["basis"] == ["u", "u_x", "1"]
+     and doc["currents"] == [["1/2*u^2", "1/2*u_x^2 - u*u_{xx}"], None, ["u", "-u_{xx}"]]),
+    # Parameters join the base variables, under the --xt-deg bound.
+    ("params", "symmetries kdv.eqn --order 1 --deg 1 --xt-deg 1 --params --format structured", 0,
+     lambda doc: doc["basis"] == ["u_x*a", "u_x*b", "u_x", "t*u_x + 1"]),
+    ("no-params", "symmetries kdv.eqn --order 1 --deg 1 --xt-deg 1 --format structured", 0,
+     lambda doc: doc["basis"] == ["u_x", "t*u_x + 1"]),
+    ("params-xt-deg-0", "symmetries kdv.eqn --order 1 --deg 1 --params --format structured", 0,
+     lambda doc: doc["basis"] == ["u_x"]),
 ]
 
 

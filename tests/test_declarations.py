@@ -1,8 +1,9 @@
 """Named declarations of an equation file (`operator`, `density`, `current`).
 
 Every declaration is checked when the file is read, used or not, and gets
-the verdict and the message of building it there; it is built into a
-CDiffOp, Density or ConservedCurrent only when a command first looks it up.
+the verdict and the message of building it there.  It is kept as its text,
+and each lookup builds that text into a CDiffOp, Density or
+ConservedCurrent through the same call as a literal.
 """
 
 import pickle
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetcalc import cli
-from jetcalc.cli import InputError, main, parse_equation_file, parse_operator
+from jetcalc.cli import (InputError, _lookup_current, _lookup_density, _lookup_operator, main,
+                         parse_equation_file, parse_operator)
 from jetcalc.dalg import ParseError
 from jetcalc.jetspace import JetContext
 
@@ -27,7 +29,7 @@ current J = (u, -(u^2/2 + u_x))
 
 @pytest.fixture
 def count_builds(monkeypatch):
-    """The number of `parse_operator` calls so far, counted from here on."""
+    """The arguments of each `parse_operator` call, counted from here on."""
     calls = []
     real = cli.parse_operator
     monkeypatch.setattr(cli, "parse_operator", lambda *a: calls.append(a) or real(*a))
@@ -40,22 +42,25 @@ def test_declarations_are_built_on_first_lookup(tmp_path, count_builds):
     eq = parse_equation_file(str(path))
     assert count_builds == [] and set(eq.operators) == {"A1", "A2"} and len(eq.operators) == 2
     assert "A2" in eq.operators and "A3" not in eq.operators and count_builds == []
-    a2 = eq.operators["A2"]
-    assert len(count_builds) == 1 and eq.operators["A2"] is a2 and len(count_builds) == 1
+    a2 = _lookup_operator(eq, "A2")
+    # The name reaches the call a literal does, with its text.
+    assert count_builds == [("D_x^3 + (2/3)*u*D_x + (1/3)*u_x", eq.ctx)]
     assert a2 == parse_operator("D_x^3 + (2/3)*u*D_x + (1/3)*u_x", eq.ctx)
-    assert eq.densities["H2"].value == eq.ctx.parse("u^2/2")
-    assert eq.currents["J"].components == (eq.ctx.parse("u"), eq.ctx.parse("-(u^2/2 + u_x)"))
+    assert _lookup_operator(eq, "A2") == a2 and len(count_builds) == 2
+    assert _lookup_density(eq, "H2").value == eq.ctx.parse("u^2/2")
+    assert _lookup_current(eq, "J").components == (eq.ctx.parse("u"), eq.ctx.parse("-(u^2/2 + u_x)"))
 
 
 def test_an_equation_file_pickles_before_and_after_its_lookups(tmp_path):
     path = tmp_path / "kdv.eqn"
     path.write_text(KDV)
     eq = parse_equation_file(str(path))
-    eq.operators["A1"]
+    _lookup_operator(eq, "A1")
     copy = pickle.loads(pickle.dumps(eq))
     for name in ("A1", "A2"):
-        assert copy.operators[name] == eq.operators[name]
-    assert copy.densities["H2"] == eq.densities["H2"] and copy.currents["J"] == eq.currents["J"]
+        assert _lookup_operator(copy, name) == _lookup_operator(eq, name)
+    assert _lookup_density(copy, "H2") == _lookup_density(eq, "H2")
+    assert _lookup_current(copy, "J") == _lookup_current(eq, "J")
 
 
 # The parent's messages: an unused declaration fails as if it were built.
@@ -106,8 +111,9 @@ def test_a_deeply_nested_declaration_is_checked_when_read(tmp_path, count_builds
         path.write_text(HEADER + "operator B = " + "(" * depth + "D_x" + ")" * depth + "\n")
         eq = parse_equation_file(str(path))
         assert count_builds == []
-        assert eq.operators["B"] is eq.operators["B"] and len(count_builds) == 1
-        assert eq.operators["B"] == parse_operator("D_x", eq.ctx)
+        b = _lookup_operator(eq, "B")
+        assert len(count_builds) == 1
+        assert b == parse_operator("D_x", eq.ctx)
         count_builds.clear()
 
 
@@ -156,12 +162,12 @@ def _eager(kind, text):
         return "error", str(exc)
 
 
-def _lazy(eq, kind):
+def _looked_up(eq, kind):
     if kind == "operator":
-        return eq.operators["Z"]
+        return _lookup_operator(eq, "Z")
     if kind == "density":
-        return eq.densities["Z"].value
-    return eq.currents["Z"].components
+        return _lookup_density(eq, "Z").value
+    return _lookup_current(eq, "Z").components
 
 
 @pytest.fixture(scope="module")
@@ -180,4 +186,4 @@ def test_reading_a_declaration_agrees_with_building_it(scratch_file, kind, text)
             parse_equation_file(str(scratch_file))
         assert str(err.value) == f"line 4: in {kind} 'Z': {value}"
     else:
-        assert _lazy(parse_equation_file(str(scratch_file)), kind) == value
+        assert _looked_up(parse_equation_file(str(scratch_file)), kind) == value

@@ -18,7 +18,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from jetcalc.cli import InputError, main, parse_equation_file, parse_operator
+from jetcalc.cli import InputError, _lookup_density, main, parse_equation_file, parse_operator
 from jetcalc.dalg import DiffPoly, ExponentOverflow, NonlinearInUnknowns, ParseError
 from jetcalc.jetspace import JetContext
 
@@ -105,7 +105,7 @@ def test_the_201st_level_is_refused_at_its_token(tmp_path, capsys, text):
 def test_200_levels_are_read_on_every_path(tmp_path, text):
     assert CTX.parse(text) == CTX.parse("u")
     assert parse_operator(text, CTX) == parse_operator("u", CTX)
-    assert parse_equation_file(_density_file(tmp_path, text)).densities["H"].value == CTX.parse("u")
+    assert _lookup_density(parse_equation_file(_density_file(tmp_path, text)), "H").value == CTX.parse("u")
 
 
 # --------------------------------------------------------------------------

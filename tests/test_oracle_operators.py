@@ -14,6 +14,10 @@ no jetcalc code, one per derivative regime:
 * extended D̃ (the potential coverings): every `apply-recursion` iterate
   solves the linearized equation on the equation, D_t phi = ell_f(phi) once
   time derivatives are replaced through u_t = f;
+* restricted D_t on a system: every element phi of the NLS `symmetries`
+  golden solves D_t phi^j = ell_{f^j}(phi) for each component j once time
+  derivatives are replaced through the equation, and the first one with
+  v_x*w added to its v-component does not;
 * Hamiltonian operators (the declared A1 and A2 of kdv.eqn): every `flow`
   answer is A(E(H)), and every `bracket` answer is the density
   E(H2)*A(E(H1)) up to a total divergence, with its Euler image as the
@@ -187,21 +191,41 @@ def test_linearize_goldens_are_the_linearized_equation():
     assert checked == 4
 
 
+def _symmetry_residual(space, phi):
+    """D_t phi^j - ell_{f^j}(phi) on the equation, one per component j."""
+    t = list(space.xs.values())[-1]
+    return [sympy.expand(space.on_equation(sympy.diff(phi[dep], t), t)
+                         - _frechet(space, space.parse(space.evolution[dep]), phi))
+            for dep in space.funcs]
+
+
 def test_recursion_iterates_solve_the_linearized_equation():
     """Every iterate of the `--times 3` goldens and the first three of the
     long ones; all 26 long iterates would take minutes."""
     checked = 0
     for argv, doc in _goldens("apply-recursion"):
         space = Space(argv[1])
-        _, t = space.xs.values()
         (dep,) = space.funcs
-        f = space.parse(space.evolution[dep])
         for text in doc["result"][:3]:
-            phi = space.parse(text)
-            residual = space.on_equation(sympy.diff(phi, t), t) - _frechet(space, f, {dep: phi})
-            assert sympy.expand(residual) == 0, (argv, text)
+            assert _symmetry_residual(space, {dep: space.parse(text)}) == [0], (argv, text)
             checked += 1
     assert checked == 30
+
+
+def test_nls_symmetries_solve_the_linearized_system():
+    checked = 0
+    for argv, doc in _goldens("symmetries"):
+        if "nls1.eqn" not in argv[1]:
+            continue
+        space = Space(argv[1])
+        for element in doc["basis"]:
+            phi = dict(zip(space.funcs, map(space.parse, element)))
+            assert _symmetry_residual(space, phi) == [0, 0], (argv, element)
+            checked += 1
+        first = dict(zip(space.funcs, map(space.parse, doc["basis"][0])))
+        first["v"] += space.parse("v_x*w")
+        assert _symmetry_residual(space, first) != [0, 0], argv
+    assert checked == 6
 
 
 def _hamiltonian(space, argv, *options):

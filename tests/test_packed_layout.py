@@ -15,7 +15,7 @@ import pickle
 import pytest
 
 from jetcalc import dalg
-from jetcalc.cli import main, parse_equation_file
+from jetcalc.cli import _lookup_operator, main, parse_equation_file
 from jetcalc.dalg import (
     MAX_EXPONENT,
     DiffPoly,
@@ -113,7 +113,7 @@ def test_a_product_of_two_contexts_that_share_a_variable_does_not_decode():
 
 SEED_OTHER_ORDER = """
 import pickle, sys
-from jetcalc.cli import parse_equation_file
+from jetcalc.cli import _lookup_operator, parse_equation_file
 from jetcalc.jetspace import JetContext
 # Fill the table in an order of its own before anything is loaded.
 other = JetContext(("x", "t"), ("u",), ("b", "a"), has_time=True, nonlocals=("w",))
@@ -124,7 +124,7 @@ q = again.ctx.with_nonlocals(["w"]).parse(sys.argv[2])
 print(p == q, eq.ctx == again.ctx, eq.system.f == again.system.f)
 print(str(p))
 print(str(eq.system.f[0]))
-print(str(eq.operators["A2"]))
+print(str(_lookup_operator(eq, "A2")))
 print(str(eq.coverings["pot"].layers[0].exprs[1]))
 """
 
@@ -136,7 +136,7 @@ def test_pickles_load_in_a_process_whose_table_has_another_order():
     out = fresh_python("-c", SEED_OTHER_ORDER, KDV, text, input=pickle.dumps((p, eq)), check=True).stdout.decode()
     lines = out.splitlines()
     assert lines[0] == "True True True"
-    assert lines[1:] == [str(p), str(eq.system.f[0]), str(eq.operators["A2"]),
+    assert lines[1:] == [str(p), str(eq.system.f[0]), str(_lookup_operator(eq, "A2")),
                          str(eq.coverings["pot"].layers[0].exprs[1])]
 
 

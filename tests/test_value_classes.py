@@ -97,7 +97,7 @@ def test_equation_files_do_not_share_their_tables():
     for table in ("coverings", "operators", "densities", "currents"):
         assert getattr(first, table) is not getattr(second, table) and len(getattr(first, table)) == 0
     first.coverings["pot"] = None
-    first.densities.add("H", Density(ctx, ctx.parse("u")))
+    first.densities["H"] = "u"
     assert not second.coverings and "H" not in second.densities
     assert (first.system, first.raw) == (None, b"") and first.input_hash() == second.input_hash()
 
