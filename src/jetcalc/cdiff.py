@@ -144,11 +144,6 @@ class CDiffOp:
         return hash((self.rows, self.cols,
                      tuple(tuple(frozenset(e.items()) for e in row) for row in self.entries)))
 
-    def _derivatives(self, p: DiffPoly) -> Callable[[MultiIndex], DiffPoly]:
-        """sigma -> D_sigma(p), memoized so that multi-indices sharing a
-        prefix derive it once."""
-        return prefix_derivatives(self.space.derive, p)
-
     def _check_compatible(self, other: "CDiffOp"):
         if self.space is not other.space and self.space != other.space:
             raise RegimeMismatch("operators live on different spaces")
@@ -182,7 +177,7 @@ class CDiffOp:
 
     def apply(self, vec: Sequence[DiffPoly]) -> list[DiffPoly]:
         """Componentwise sum_sigma a_sigma D_sigma(v), canonical."""
-        return self.apply_derivatives([self._derivatives(v) for v in vec])
+        return self.apply_derivatives([prefix_derivatives(self.space.derive, v) for v in vec])
 
     def apply_derivatives(self, derivs: Sequence[Callable[[MultiIndex], DiffPoly]]) -> list[DiffPoly]:
         """`apply` to the vector v with derivs[c](sigma) = D_sigma(v^c) in the
@@ -201,7 +196,7 @@ class CDiffOp:
         """Terms of sum_k row[k] o col[k], each (sum a_s D_s) o (sum b_t D_t)
         expanded with D pushed right."""
         for e2, e1 in zip(row, col):
-            derivs = [(t, self._derivatives(b)) for t, b in e1.items()]
+            derivs = [(t, prefix_derivatives(self.space.derive, b)) for t, b in e1.items()]
             for s, a in e2.items():
                 for t, db in derivs:
                     for rho, rest, w in mi_splittings(s):
@@ -227,7 +222,7 @@ class CDiffOp:
         def terms(e: Entry) -> Iterator[tuple[MultiIndex, DiffPoly]]:
             for s, a in e.items():
                 sign = -1 if len(s) % 2 else 1
-                da = self._derivatives(a)
+                da = prefix_derivatives(self.space.derive, a)
                 for rho, rest, w in mi_splittings(s):
                     coef = da(rho).scale(w * sign)
                     if coef:
@@ -493,15 +488,14 @@ def cartan_differential(p: DiffPoly, ctx: JetContext) -> CartanShadow:
     return CartanShadow(ctx, ({v: p.partial(v) for v in p.variables() if v.kind in (JET, NONLOCAL)},))
 
 
-def _cmap_derive(cmap: CartanMap, i: int, space,
-                 derive: Callable[[int, DiffPoly], DiffPoly]) -> Iterator[tuple[VarId, DiffPoly]]:
+def _cmap_derive(cmap: CartanMap, i: int, space) -> Iterator[tuple[VarId, DiffPoly]]:
     """Terms of the Lie action of the space's i-th total derivative on a
-    Cartan-form value: derives coefficients with `derive` (the space's) and
-    maps the form of each variable v to d_C(image_i(v)), read from the
-    space's image map of its i-th derivative."""
+    Cartan-form value: derives coefficients with `space.derive` and maps
+    the form of each variable v to d_C(image_i(v)), read from the space's
+    image map of its i-th derivative."""
     image = space.image(i)
     for v, coef in cmap.items():
-        yield v, derive(i, coef)
+        yield v, space.derive(i, coef)
         if v.kind == NONLOCAL and v.idx[0] >= len(space.ctx.nonlocals):
             raise RegimeMismatch(f"the space has no covering layer {v.idx[0]}")
         dv = image(v)
@@ -518,27 +512,17 @@ def shadow_residual(sh: CartanShadow, space) -> CartanShadow:
 
     with the derivatives of `space` (an evolution system or a covering)
     throughout.  A shadow solves the equation iff every Cartan coefficient
-    of the result vanishes.  One call derives each (i, coefficient) once:
-    a coefficient recurs under the shifted key of its derivative and
-    across keys and components.
+    of the result vanishes.
     """
     ctx = space.ctx
     if len(sh.comps) != ctx.m:
         raise DimensionMismatch("shadow must have one component per dependent variable")
-    memo: dict[tuple[int, DiffPoly], DiffPoly] = {}
-
-    def derive(i: int, p: DiffPoly) -> DiffPoly:
-        got = memo.get((i, p))
-        if got is None:
-            got = memo[i, p] = space.derive(i, p)
-        return got
-
-    derivs = [prefix_derivatives(lambda i, c: _collect(_cmap_derive(c, i, space, derive)), comp)
+    derivs = [prefix_derivatives(lambda i, c: _collect(_cmap_derive(c, i, space)), comp)
               for comp in sh.comps]
     ell = flow_linearization(space)
 
     def terms(beta: int) -> Iterator[tuple[VarId, DiffPoly]]:
-        yield from _cmap_derive(sh.comps[beta], ctx.time_index, space, derive)
+        yield from _cmap_derive(sh.comps[beta], ctx.time_index, space)
         for alpha, entry in enumerate(ell.entries[beta]):
             for sigma, coef in entry.items():
                 neg = -coef

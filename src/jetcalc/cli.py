@@ -52,10 +52,9 @@ class InputError(ValueError):
 
 
 class EquationFile:
-    __slots__ = ("path", "ctx", "system", "coverings", "operators", "densities", "currents", "raw")
+    __slots__ = ("ctx", "system", "coverings", "operators", "densities", "currents", "raw")
 
-    def __init__(self, path: str, ctx: JetContext, raw: bytes = b""):
-        self.path = path
+    def __init__(self, ctx: JetContext, raw: bytes = b""):
         self.ctx = ctx
         self.system: EvolutionSystem | None = None
         self.coverings = {}
@@ -342,7 +341,7 @@ def parse_equation_file(path: str) -> EquationFile:
         raise InputError(str(exc), next((no for no in lines if ambiguous_subscript(
             [nm for nm in independent if declared["variable", nm] <= no])), None))
 
-    eq = EquationFile(path, ctx, raw=raw)
+    eq = EquationFile(ctx, raw=raw)
 
     if evolution:
         if time_name is None:
@@ -601,7 +600,11 @@ def cmd_check_hamiltonian(eq: EquationFile, args) -> tuple[Report, int]:
 def cmd_flow(eq: EquationFile, args) -> tuple[Report, int]:
     op = _hamiltonian_operator(eq, args.op)
     H = _lookup_density(eq, args.density)
-    flow = hamiltonian_flow(op, H)
+    try:
+        flow = hamiltonian_flow(op, H)
+    except NotInternal as exc:
+        raise InputError(f"the flow A(E(H)) of --op and --density is not an evolution equation: its component "
+                         f"{eq.ctx.dependent[exc.component]} contains time derivative {exc.jet}")
     rep = Report("flow", eq)
     rep.set("result", _vec_str(flow.f))
     for j, name in enumerate(eq.ctx.dependent):

@@ -377,7 +377,7 @@ class DiffPoly:
     module docstring.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, terms: Mapping[Factors, Coef] | None = None):
         # Fractions arrive reduced, so the lcm of their denominators is
@@ -385,7 +385,6 @@ class DiffPoly:
         terms = terms or {}
         self.den = den = lcm(*(c.denominator for c in terms.values()))
         self.num = {_encode(f): c.numerator * (den // c.denominator) for f, c in terms.items() if c}
-        self._hash = None
 
     @staticmethod
     def _make(num: dict[int, int], den: int = 1) -> "DiffPoly":
@@ -399,7 +398,6 @@ class DiffPoly:
         p = _new_poly(DiffPoly)
         p.num = num
         p.den = den
-        p._hash = None
         return p
 
     @property
@@ -611,10 +609,7 @@ class DiffPoly:
         return isinstance(other, DiffPoly) and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.den, frozenset(self.num.items())))
-        return h
+        return hash((self.den, frozenset(self.num.items())))
 
     def variables(self) -> set[VarId]:
         """The variables self depends on; template unknowns are coefficients,
@@ -691,7 +686,6 @@ class DiffPoly:
         p = _new_poly(DiffPoly)
         p.num = {m + k: c for m, c in num.items()}
         p.den = self.den
-        p._hash = None
         return p
 
     # -- calculus ----------------------------------------------------------

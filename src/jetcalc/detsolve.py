@@ -115,29 +115,18 @@ def build_symmetry_template(ctx: JetContext, a: Ansatz) -> tuple[list[DiffPoly],
 
 
 def slot_derivatives(space, templates: list[DiffPoly]) -> list[Callable[[MultiIndex], DiffPoly]]:
-    """Derivative memos of the slots of `build_symmetry_template`, in the
+    """Derivatives of the slots of `build_symmetry_template`, in the
     derivatives of `space`: one `prefix_derivatives(space.derive, .)` for
-    slot 0, and for slot j the memoized view that offsets its values by
-    j*N unknowns (`DiffPoly.offset_unknowns`).  D_sigma(slot j) is that
+    slot 0, and for slot j the view that offsets its values by j*N
+    unknowns (`DiffPoly.offset_unknowns`).  D_sigma(slot j) is that
     offset, for D̄_t too, since no derivation acts on an unknown."""
     first = prefix_derivatives(space.derive, templates[0])
     stride = len(templates[0])  # one term per monomial of the pool
-    views = [first] + [_offset_view(first, j * stride) for j in range(1, len(templates))]
+    views = [first] + [lambda sigma, k=j * stride: first(sigma).offset_unknowns(k)
+                       for j in range(1, len(templates))]
     if any(view(()) != t for view, t in zip(views, templates)):
         raise ValueError("the slots are not offsets of slot 0")
     return views
-
-
-def _offset_view(at: Callable[[MultiIndex], DiffPoly], k: int) -> Callable[[MultiIndex], DiffPoly]:
-    memo: dict[MultiIndex, DiffPoly] = {}
-
-    def view(sigma: MultiIndex) -> DiffPoly:
-        got = memo.get(sigma)
-        if got is None:
-            got = memo[sigma] = at(sigma).offset_unknowns(k)
-        return got
-
-    return view
 
 
 def build_shadow_template(ctx: JetContext, a: Ansatz) -> tuple[CartanShadow, TemplateBuilder]:

@@ -39,6 +39,8 @@ from .dalg import (
     mi_remove_one,
     nonlocal_var,
     param_var,
+    parse,
+    split_identifier,
 )
 
 
@@ -140,8 +142,6 @@ class JetContext(Immutable):
 
     def u(self, name_with_subscript: str) -> VarId:
         """Convenience lookup by printed form, e.g. ctx.u('u_{xx}')."""
-        from .dalg import split_identifier
-
         base, sub = split_identifier(name_with_subscript)
         return self.resolve_identifier(base, sub, 0)
 
@@ -193,9 +193,7 @@ class JetContext(Immutable):
         raise UnknownIdentifier(f"{base}_{sub}", pos)
 
     def parse(self, text: str) -> DiffPoly:
-        from .dalg import parse as _parse
-
-        return _parse(text, self)
+        return parse(text, self)
 
     @property
     def ctx(self) -> "JetContext":
@@ -299,7 +297,7 @@ def multi_indices_up_to(indices: Sequence[int], order: int) -> list[MultiIndex]:
         nxt = {mi_add(s, i) for s in layer for i in indices}
         layer = sorted(nxt, key=mi_key)
         out.extend(layer)
-    return sorted(set(out), key=mi_key)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -346,7 +344,7 @@ class EvolutionSystem:
                     raise ValueError("right-hand sides must be covering-free")
                 if v.kind == JET and t in v.idx[1]:
                     err = NotInternal(f"right-hand side {j} contains time derivative {v.name}")
-                    err.component = j  # so that a reader of equation files can cite its line
+                    err.component, err.jet = j, v.name  # so that a caller can cite the line or the jet
                     raise err
         self.ctx = ctx
         self.f = tuple(f)

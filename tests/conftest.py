@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import random
 import subprocess
@@ -18,6 +19,19 @@ def fresh_python(*args, env=None, **run):
     (stdout and stderr are captured, and the run times out at 120 s)."""
     run = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "timeout": 120, **run}
     return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=SRC, **(env or {})), **run)
+
+
+def perfbench_jobs():
+    """The benchmark's `perfbench/jobs.py`, loaded as a module: its job
+    lists and `poly`, a reader of printed polynomials that uses no jetcalc."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_jobs", os.path.join(os.path.dirname(SRC), "perfbench", "jobs.py"))
+    jobs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    try:
+        spec.loader.exec_module(jobs)
+    finally:
+        del sys.modules[spec.name]
+    return jobs
 
 
 @pytest.fixture

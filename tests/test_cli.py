@@ -1,6 +1,6 @@
 import ast
 import errno
-import importlib.util
+import importlib
 import json
 import os
 import re
@@ -15,7 +15,7 @@ from jetcalc.cdiff import CDiffOp
 from jetcalc.dalg import DiffPoly, _Parser
 from jetcalc.jetspace import JetContext
 
-from conftest import SRC, fresh_python
+from conftest import SRC, fresh_python, perfbench_jobs
 
 BURGERS = """\
 # Burgers equation and its potential covering
@@ -134,18 +134,12 @@ def _calculus_query_operators():
     """(equation file, text) of every operator text of the benchmark's
     calculus_queries jobs, at its default and its held-out seed: the
     `--op` texts, and the declarations that an `--op` name refers to."""
-    perfbench = os.path.join(os.path.dirname(SRC), "perfbench")
-    spec = importlib.util.spec_from_file_location("perfbench_jobs", os.path.join(perfbench, "jobs.py"))
-    jobs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
-    try:
-        spec.loader.exec_module(jobs)
-    finally:
-        del sys.modules[spec.name]
+    jobs = perfbench_jobs()
     texts = set()
     for seed in (jobs.DEFAULT_SEED, jobs.HELD_OUT_SEED):
         for job in jobs.WORKLOADS["calculus_queries"](seed).jobs:
             if "--op" in job.argv:
-                path = os.path.join(os.path.dirname(perfbench), job.argv[1])
+                path = os.path.join(os.path.dirname(SRC), job.argv[1])
                 with open(path) as fh:
                     declared = dict(line[len("operator"):].split("=", 1) for line in fh
                                     if line.startswith("operator "))
@@ -732,6 +726,12 @@ TABLE = [
      lambda doc: doc["basis"] == ["u_x", "t*u_x + 1"]),
     ("params-xt-deg-0", "symmetries kdv.eqn --order 1 --deg 1 --params --format structured", 0,
      lambda doc: doc["basis"] == ["u_x"]),
+    # A(E(H)) with a time derivative is no evolution equation; the error
+    # names the flow, not a right-hand side the user never wrote.
+    ("flow-d_t", "flow kdv.eqn --op D_t --density u^2/2", 2,
+     ("err", r"^(?!.*right-hand side).*\bflow\b.*time derivative u_t$")),
+    ("flow-u_t-density", "flow kdv.eqn --op A1 --density u_t^2", 2,
+     ("err", r"^(?!.*right-hand side).*\bflow\b.*time derivative u_\{xtt\}$")),
 ]
 
 

@@ -201,7 +201,8 @@ def _symmetry_residual(space, phi):
 
 def test_recursion_iterates_solve_the_linearized_equation():
     """Every iterate of the `--times 3` goldens and the first three of the
-    long ones; all 26 long iterates would take minutes."""
+    long ones; all 26 long iterates would take minutes (`test_oracle_iterates`
+    checks all 50 without sympy)."""
     checked = 0
     for argv, doc in _goldens("apply-recursion"):
         space = Space(argv[1])

@@ -93,7 +93,7 @@ def test_frozen_values_survive_a_pickle_round_trip():
 
 def test_equation_files_do_not_share_their_tables():
     ctx = JetContext(("x",), ("u",))
-    first, second = EquationFile("a.eqn", ctx), EquationFile("b.eqn", ctx)
+    first, second = EquationFile(ctx), EquationFile(ctx)
     for table in ("coverings", "operators", "densities", "currents"):
         assert getattr(first, table) is not getattr(second, table) and len(getattr(first, table)) == 0
     first.coverings["pot"] = None
