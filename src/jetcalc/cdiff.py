@@ -7,9 +7,10 @@ the free D on a JetContext, the restricted derivatives on an evolution
 system (the time index refers to D̄_t), the extended ones on a covering.
 The functions on forms and shadows take the space whose derivative they
 use in the same way (`horizontal_differential`, `shadow_residual`).
-`contract` and `CDiffOp.apply_derivatives` take a vector by its memo of
-derivatives, `prefix_derivatives(space.derive, .)` per component, so that
-the consumers of one vector derive it once.
+`CDiffOp.apply_derivatives` takes a vector by its memo of derivatives,
+`prefix_derivatives(space.derive, .)` per component, so that the consumers
+of one vector derive it once; `contract` takes a field by its image map,
+which reads the jets from that memo.
 
 Cartan-form-valued sections (shadows) are keyed by the VarId of the jet or
 covering variable v of each form om(v) or th(v).  A total derivative acts on
@@ -471,10 +472,9 @@ class CartanShadow(Immutable):
             ks = f"om({v.name})" if v.kind == JET else f"th({v.name})"
             if p == DiffPoly.const(1):
                 bits.append(ks)
-            elif len(p) == 1 and not str(p).startswith("-"):
-                bits.append(f"{p}*{ks}")
-            else:
-                bits.append(f"({p})*{ks}")
+                continue
+            text = str(p)
+            bits.append(f"{text}*{ks}" if len(p) == 1 and not text.startswith("-") else f"({text})*{ks}")
         return " + ".join(bits)
 
     def __str__(self) -> str:
@@ -532,22 +532,15 @@ def shadow_residual(sh: CartanShadow, space) -> CartanShadow:
     return CartanShadow(sh.ctx, tuple(_collect(terms(beta)) for beta in range(ctx.m)))
 
 
-def contract(derivs: Sequence[Callable[[MultiIndex], DiffPoly]],
-             sh: CartanShadow) -> tuple[list[DiffPoly], list[dict[int, DiffPoly]]]:
-    """Contraction of an evolutionary field phi into a shadow.
+def contract(image: Callable[[VarId], DiffPoly], sh: CartanShadow) -> list[DiffPoly]:
+    """Contraction of an evolutionary field into a shadow: component r is
+    sum_v c_v * image(v) over the forms om(v), th(v) of sh.comps[r] with
+    coefficients c_v.
 
-    The field comes as derivs[j](sigma) = D_sigma(phi^j) in the derivatives
-    of the space phi lives on (`prefix_derivatives(space.derive, phi^j)`), so
-    phi may hold the variables of a covering.  Jet keys resolve as
-    om^j_sigma -> derivs[j](sigma); covering keys cannot be resolved without
-    integrating the covering relations, so their coefficients are returned
-    unevaluated: for output component r, residues[r] maps each covering
-    layer to the coefficient in front of its contact form.
+    `image` is the field's image map: a jet u^j_sigma goes to
+    D_sigma(phi^j) in the derivatives of the space phi lives on (read from
+    `prefix_derivatives(space.derive, phi^j)`), so phi may hold the
+    variables of a covering, and a covering variable w^a to the field's
+    value on it, which integrating the covering relations gives.
     """
-    ctx = sh.ctx
-    if len(derivs) != ctx.m:
-        raise DimensionMismatch(f"symmetry vector needs {ctx.m} components")
-    local = [DiffPoly.sum(coef * derivs[v.idx[0]](v.idx[1]) for v, coef in cmap.items() if v.kind == JET)
-             for cmap in sh.comps]
-    residues = [_collect((v.idx[0], coef) for v, coef in cmap.items() if v.kind == NONLOCAL) for cmap in sh.comps]
-    return local, residues
+    return [DiffPoly.sum(coef * image(v) for v, coef in cmap.items()) for cmap in sh.comps]

@@ -509,14 +509,14 @@ def cmd_conslaws(eq: EquationFile, args) -> tuple[Report, int]:
     exit_code = 0
     if args.currents:
         recon = []
-        for s in basis.solutions:
+        for s, shown in zip(basis.solutions, rep.doc["basis"]):
             try:
                 J = current_from_gf(sysm, list(s))
                 recon.append([str(c) for c in J.components])
-                rep.text(f"  current for {_vec_str(s)}: ({', '.join(str(c) for c in J.components)})")
+                rep.text(f"  current for {shown}: ({', '.join(recon[-1])})")
             except (NotExactDerivative, NotGeneratingFunction) as exc:
                 recon.append(None)
-                rep.text(f"  current for {_vec_str(s)}: obstructed ({exc})")
+                rep.text(f"  current for {shown}: obstructed ({exc})")
                 exit_code = 1
         rep.set("currents", recon)
     return rep, exit_code
@@ -524,10 +524,10 @@ def cmd_conslaws(eq: EquationFile, args) -> tuple[Report, int]:
 
 def cmd_euler(eq: EquationFile, args) -> tuple[Report, int]:
     d = _lookup_density(eq, args.density)
-    comps = euler(d)
+    comps = [str(c) for c in euler(d)]
     rep = Report("euler", eq)
     rep.set("result", _vec_str(comps))
-    rep.text("; ".join(str(c) for c in comps))
+    rep.text("; ".join(comps))
     return rep, 0
 
 
@@ -564,9 +564,10 @@ def cmd_inverse_problem(eq: EquationFile, args) -> tuple[Report, int]:
     rep.set("self-adjoint", True)
     check = euler(L)
     verified = all((a - b).is_zero() for a, b in zip(check, psi))
-    rep.set("result", str(L.value))
+    result = str(L.value)
+    rep.set("result", result)
     rep.set("verified", [verified])
-    rep.text(f"self-adjoint: yes; Lagrangian density: {L.value}")
+    rep.text(f"self-adjoint: yes; Lagrangian density: {result}")
     return rep, 0 if verified else 1
 
 
@@ -575,10 +576,11 @@ def cmd_verify_current(eq: EquationFile, args) -> tuple[Report, int]:
     J = _lookup_current(eq, args.current)
     residual = divergence_residual(sysm, J)
     ok = residual.is_zero()
+    shown = str(residual)
     rep = Report("verify-current", eq)
     rep.set("result", ok)
-    rep.set("residual", str(residual))
-    rep.text("conserved: yes" if ok else f"conserved: no; residual: {residual}")
+    rep.set("residual", shown)
+    rep.text("conserved: yes" if ok else f"conserved: no; residual: {shown}")
     return rep, 0 if ok else 1
 
 
@@ -605,10 +607,11 @@ def cmd_flow(eq: EquationFile, args) -> tuple[Report, int]:
     except NotInternal as exc:
         raise InputError(f"the flow A(E(H)) of --op and --density is not an evolution equation: its component "
                          f"{eq.ctx.dependent[exc.component]} contains time derivative {exc.jet}")
+    comps = [str(c) for c in flow.f]
     rep = Report("flow", eq)
-    rep.set("result", _vec_str(flow.f))
-    for j, name in enumerate(eq.ctx.dependent):
-        rep.text(f"{name}_{eq.ctx.independent[-1]} = {flow.f[j]}")
+    rep.set("result", _vec_str(comps))
+    for name, comp in zip(eq.ctx.dependent, comps):
+        rep.text(f"{name}_{eq.ctx.independent[-1]} = {comp}")
     return rep, 0
 
 
@@ -617,12 +620,13 @@ def cmd_bracket(eq: EquationFile, args) -> tuple[Report, int]:
     H1 = _lookup_density(eq, args.density)
     H2 = _lookup_density(eq, args.density2)
     br = poisson_bracket(op, H1, H2)
+    density, image = str(br.density.value), [str(c) for c in br.euler_image]
     rep = Report("bracket", eq)
-    rep.set("result", str(br.density.value))
-    rep.set("euler-image", [str(c) for c in br.euler_image])
+    rep.set("result", density)
+    rep.set("euler-image", image)
     rep.set("trivial", br.is_trivial)
-    rep.text(f"bracket density: {br.density.value}")
-    rep.text(f"euler image: {'; '.join(str(c) for c in br.euler_image)}")
+    rep.text(f"bracket density: {density}")
+    rep.text(f"euler image: {'; '.join(image)}")
     rep.text(f"zero in cohomology: {'yes' if br.is_trivial else 'no'}")
     return rep, 0
 
@@ -658,8 +662,9 @@ def cmd_apply_recursion(eq: EquationFile, args) -> tuple[Report, int]:
     phi = [space.ctx.parse(p) for p in args.to]
     if len(phi) != space.ctx.m:
         raise InputError(f"--to needs {space.ctx.m} components")
+    shadow = str(sh)
     rep = Report("apply-recursion", eq)
-    rep.set("shadow", str(sh))
+    rep.set("shadow", shadow)
     results, verified = [], []
     iterates = shadow_iterates(sh, phi, space)
     for _ in range(args.times):
@@ -680,7 +685,7 @@ def cmd_apply_recursion(eq: EquationFile, args) -> tuple[Report, int]:
         verified.append(True)
     rep.set("result", results)
     rep.set("verified", verified)
-    rep.text(f"shadow: {sh}")
+    rep.text(f"shadow: {shadow}")
     for k, r in enumerate(results, start=1):
         rep.text(f"  iterate {k}: {r}")
     return rep, 0

@@ -49,9 +49,10 @@ Kernel invariants, which every operation keeps:
   maps of polynomials (operator entries, Cartan maps, form components)
   accumulate through it too: `cdiff._collect` groups terms by key and
   sums each group once.  `DiffPoly.integration`, the inverse of
-  `derivation` for one `derive(i, .)`, keeps its remainder in one
-  numerator dict and subtracts each pass's derive(i, h1) through `_merge`,
-  the merge loop `sum` runs on.
+  `derivation` for one `derive(i, .)`, returns (h, rho) with
+  g = derive(i, h) + rho; it keeps rho in one numerator dict and
+  subtracts each pass's derive(i, h1) through `_merge`, the merge loop
+  `sum` runs on.
 - `DiffPoly.derivation` is the only derivation primitive; total,
   restricted, extended and evolutionary derivatives are image maps over it.
   Each space answers `derive(i, p)` with its own: the free D_i of a
@@ -224,6 +225,7 @@ _LOW_BITS = 24
 _LOW = (1 << _LOW_BITS) - 1
 _LOW_GUARD = 1 << (_LOW_BITS - 1)
 _UNKNOWN_FLAG = 1 << (_LOW_BITS - 2)
+MAX_UNKNOWNS = _UNKNOWN_FLAG  # the unknown indices a template holds: 0..MAX_UNKNOWNS - 1
 
 # The field table: process-wide and append-only.  Field i holds the exponent
 # of _VARS[i]; a variable gets its field the first time it is seen.  Keys are
@@ -791,18 +793,19 @@ class DiffPoly:
         return DiffPoly._make(out, self.den * den_i)
 
     def integration(self, derive: Callable[[int, "DiffPoly"], "DiffPoly"], jet: Callable[[int, MultiIndex], VarId],
-                    i: int, q: int = 0) -> tuple[list["DiffPoly"], "DiffPoly", bool]:
+                    i: int, q: int = 0) -> tuple["DiffPoly", "DiffPoly"]:
         """The inverse of the derivation `derive(i, .)` on the positive-order
-        jets: integrates them from the top order downwards and returns the
-        parts h1 found, the remainder g = self - sum derive(i, h1), and
-        whether g is down to jets of order 0.  `jet(j, sigma)` names the jet
-        variables u^j_sigma.
+        jets: integrates them from the top order downwards and returns
+        (h, rho) with self = derive(i, h) + rho, where rho is the remainder
+        g of the last pass; it holds no jet of positive order exactly when
+        every pass got through.  `jet(j, sigma)` names the jet variables
+        u^j_sigma.
 
         At each pass the coefficients of the highest-order jet variables are
         demanded (a) to contain derivatives in the direction i, (b) to enter
         linearly with coefficients of lower order, and (c) to admit a joint
         antiderivative h1, which is vacuous for one such variable; a failure
-        proves self is not in the image, and the pass returns g with False.
+        above order q proves self is not in the image, and the pass returns.
         The coefficients are read from g's numerators, and derive(i, -h1) is
         merged into them in place, so g lives in one dict over the passes.
 
@@ -820,7 +823,8 @@ class DiffPoly:
         order-k monomial and, when the x-expressions are free of nonlocal
         variables, adds only monomials of lower order or of lower nonlocal
         degree.  Both measures are well-founded, so the loop ends; a pass
-        that lowers neither returns g with False.
+        that lowers neither returns.  A pass that fails at k <= q proves
+        nothing: derive(i, .) of a layer can bring back the jets left in g.
         """
         num, den = dict(self.num), self.den
         parts = []
@@ -829,7 +833,7 @@ class DiffPoly:
             # A jet's sort key is (JET, j, order, sigma).
             jets = [v for v in compress(_VARS, _field_bytes(reduce(or_, num, 0) & _KIND_MASKS.get(JET, 0))) if v[2]]
             if not jets:
-                return parts, DiffPoly._make(num, den) if num else _ZERO, True
+                break
             k = max(v[2] for v in jets)
             measure = (k,) if k > q else (q, _profile(num))
             if last is not None and measure >= last:
@@ -861,7 +865,7 @@ class DiffPoly:
                     parts.append(h1)
                     continue
             break  # the pass failed (a), (b) or (c)
-        return parts, DiffPoly._make(num, den), False
+        return DiffPoly.sum(parts), DiffPoly._make(num, den)
 
     def substitute(self, bindings: Mapping[VarId, "DiffPoly"]) -> "DiffPoly":
         """Simultaneous substitution of variables by polynomials.

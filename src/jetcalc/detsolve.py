@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb, gcd, prod
 from typing import Callable, Hashable, Mapping
 
-from .dalg import _UNKNOWN_FLAG, Coef, DiffPoly, Immutable, MultiIndex, NonlinearInUnknowns, param_var
+from .dalg import MAX_UNKNOWNS, Coef, DiffPoly, Immutable, MultiIndex, NonlinearInUnknowns, param_var
 from .jetspace import EvolutionSystem, JetContext, multi_indices_up_to, prefix_derivatives
 from .cdiff import (
     CartanShadow,
@@ -77,8 +77,8 @@ def ansatz_monomials(ctx: JetContext, a: Ansatz, slots: int = 1) -> list[DiffPol
         bases += [param_var(p) for p in ctx.parameters]
     groups = [(jets, a.poly_deg), (bases, a.base_deg)]
     unknowns = slots * prod(comb(len(vs) + deg, deg) for vs, deg in groups)
-    if unknowns > _UNKNOWN_FLAG:
-        raise ValueError(f"the ansatz needs {unknowns} unknowns, but a template holds at most {_UNKNOWN_FLAG}")
+    if unknowns > MAX_UNKNOWNS:
+        raise ValueError(f"the ansatz needs {unknowns} unknowns, but a template holds at most {MAX_UNKNOWNS}")
     return DiffPoly.pool(groups)
 
 

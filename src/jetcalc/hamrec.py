@@ -6,9 +6,10 @@ derivatives are prescribed: D̃_i = D̄_i + sum_a X_i^a d/dw^a.  Flatness
 an equation (`ctx`, `f`, `dsigma_f`, `check_internal`, `image`, `derive`),
 and its `ctx` names its layers; `derive(i, p)` is the derivation of the
 image map `image(i)`, which the Cartan-form calculus reads too.  Applying
-a recursion shadow to a symmetry contracts the Cartan coefficients and
-resolves each covering form by integrating the corresponding relation
-equation in the spatial direction.
+a recursion shadow to a symmetry is one image map per step, which the
+contraction reads: the jets go to the symmetry's derivatives, and each
+covering variable to its layer image, which integrates the layer's
+relation in the spatial direction.
 The Jacobi criterion takes its three covector arguments as dependent
 variables of a widened context, on which the operator is re-hosted.  Its
 density is linear in each covector, so the Euler components of the first
@@ -20,7 +21,7 @@ also contract iterate k + 1 and give its layer images.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, count, islice
+from itertools import count, islice
 from typing import Callable, Iterator, Sequence
 
 from .dalg import JET, NONLOCAL, DiffPoly, Immutable, MultiIndex, VarId
@@ -150,12 +151,13 @@ def make_covering(base: EvolutionSystem, layers: Sequence[tuple[str, Sequence[Di
 def dx_inverse_extended(cov: Covering, g: DiffPoly) -> DiffPoly:
     """Solve D̃_x h = g inside the covering ring (one spatial variable).
 
-    Positive-order jets are integrated top-down as in the local case
-    (`DiffPoly.integration` with the extended derivative and q the highest
-    jet order in the layers' x-expressions, which also argues termination); the
-    jet-free remainder (which may involve nonlocal variables) is matched
-    against an exact linear ansatz over the remainder's variables, the
-    nonlocal variables, and x.
+    `DiffPoly.integration` with the extended derivative and q, the highest
+    jet order in the layers' x-expressions, gives (h, rho) with
+    g = D̃_x h + rho.  A rho with no jet and no covering variable is
+    integrated in x.  A rho of jet order at most q, where D̃_x of a layer
+    can bring back the jets that are left, is matched against an exact
+    linear ansatz over its variables, the covering variables and x; above
+    q, the failed pass proves that rho is no D̃_x image.
     """
     ctx = cov.ctx
     if ctx.n != 2:
@@ -163,26 +165,24 @@ def dx_inverse_extended(cov: Covering, g: DiffPoly) -> DiffPoly:
     x = ctx.spatial_indices[0]
     q = max((len(v.idx[1]) for layer in cov.layers for v in layer.exprs[x].variables() if v.kind == JET),
             default=0)
-    parts, g, exact = g.integration(cov.derive, ctx.jet, x, q)
-    if not exact:
-        raise NonlocalObstruction(g)
-    if not g.has_kind(JET) and not g.has_kind(NONLOCAL):
-        return DiffPoly.sum(parts + [g.antiderivative(ctx.base(x))])
-    h2 = _remainder_ansatz(cov, g, x)
-    if h2 is None:
-        raise NonlocalObstruction(g)
-    return DiffPoly.sum(parts + [h2])
+    h, rho = g.integration(cov.derive, ctx.jet, x, q)
+    if not rho.has_kind(JET) and not rho.has_kind(NONLOCAL):
+        return h + rho.antiderivative(ctx.base(x))
+    if all(len(v.idx[1]) <= q for v in rho.variables() if v.kind == JET):
+        h2 = _remainder_ansatz(cov, rho, x)
+        if h2 is not None:
+            return h + h2
+    raise NonlocalObstruction(rho)
 
 
 def _remainder_ansatz(cov: Covering, r: DiffPoly, x: int) -> DiffPoly | None:
-    """Exact linear solve of D̃_x h = lambda*r over a pool of N monomials:
-    h is over unknowns 0..N-1, and lambda is unknown N."""
+    """Exact linear solve of D̃_x h = lambda*r over a `DiffPoly.pool` of N
+    monomials: h is over unknowns 0..N-1, and lambda is unknown N.  The
+    pool's constant is a free column with no lambda, so h never holds it."""
     ctx = cov.ctx
     pool_vars = sorted(r.variables() | {ctx.nonlocal_(a) for a in range(len(cov.layers))}
                        | {ctx.base(x)})
-    degree = r.total_degree() + 1
-    monos = [DiffPoly.monomial(combo)
-             for d in range(1, degree + 1) for combo in combinations_with_replacement(pool_vars, d)]
+    monos = DiffPoly.pool([(pool_vars, r.total_degree() + 1)])
     n = len(monos)
     residual = cov.derive(x, DiffPoly.combination(monos, 0)) - DiffPoly.combination([r], n)
     system = LinearSystem(n + 1, [])
@@ -211,10 +211,11 @@ def apply_shadow(sh: CartanShadow, phi: Sequence[DiffPoly], space) -> list[DiffP
 def shadow_iterates(sh: CartanShadow, phi: Sequence[DiffPoly], space) -> Iterator[list[DiffPoly]]:
     """R(phi), R(R(phi)), ... for the recursion shadow R, each certified.
 
-    Jet Cartan coefficients contract to D_sigma(phi); each covering form
-    contributes a nonlocal factor a with D̃_x a = (evolutionary field of the
-    lifted symmetry applied to X_x), resolved layer by layer through the
-    extended integration.  Each output (which may involve nonlocal
+    Each step is one image map of the lifted symmetry: a jet u^j_sigma goes
+    to D̃_sigma(phi^j) and a covering variable w^a to the resolved layer
+    a, the solution of D̃_x a = (the image map applied to X_x^a), found
+    layer by layer through the extended integration.  The contraction
+    reads the same map.  Each output (which may involve nonlocal
     variables) is post-verified against the linearization equation of
     `space`.
 
@@ -223,26 +224,24 @@ def shadow_iterates(sh: CartanShadow, phi: Sequence[DiffPoly], space) -> Iterato
     dropped when iterate k + 1 has its own, so at most one lives at a time
     and none outlives the generator.
     """
+    ctx = space.ctx
+    if len(phi) != sh.ctx.m:
+        raise DimensionMismatch(f"symmetry vector needs {sh.ctx.m} components")
+    top = max((v.idx[0] for cmap in sh.comps for v in cmap if v.kind == NONLOCAL), default=-1)
+    if top >= len(ctx.nonlocals):
+        raise RegimeMismatch(f"the space has no covering layer {top}")
+
+    def image(v: VarId) -> DiffPoly | None:
+        if v.kind == JET:
+            return derivs[v.idx[0]](v.idx[1])
+        return resolved[v.idx[0]] if v.kind == NONLOCAL else None
+
     derivs = [prefix_derivatives(space.derive, q) for q in phi]
     while True:
-        local, residues = contract(derivs, sh)
-        used_layers = {a for res in residues for a in res}
-        resolved: dict[int, DiffPoly] = {}
-        if used_layers:
-            top = max(used_layers)
-            if top >= len(space.ctx.nonlocals):
-                raise RegimeMismatch(f"the space has no covering layer {top}")
-            x = space.ctx.spatial_indices[0]
-
-            def image(v: VarId) -> DiffPoly | None:
-                if v.kind == JET:
-                    return derivs[v.idx[0]](v.idx[1])
-                return resolved[v.idx[0]] if v.kind == NONLOCAL else None
-
-            for a in range(top + 1):
-                resolved[a] = dx_inverse_extended(space, space.expr(x, a).derivation(image))
-        result = [DiffPoly.sum([comp] + [coef * resolved[a] for a, coef in res.items()])
-                  for comp, res in zip(local, residues)]
+        resolved = []
+        for a in range(top + 1):
+            resolved.append(dx_inverse_extended(space, space.expr(ctx.spatial_indices[0], a).derivation(image)))
+        result = contract(image, sh)
         derivs = [prefix_derivatives(space.derive, q) for q in result]
         residual = extended_linearization_residual(space, derivs)
         if any(r for r in residual):

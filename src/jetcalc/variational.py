@@ -122,14 +122,14 @@ def is_divergence(density: Density) -> bool:
 
 def dx_inverse(ctx: JetContext, g: DiffPoly, i: int = 0) -> DiffPoly:
     """Find h with D_i h = g: `DiffPoly.integration` with the total
-    derivative, then the antiderivative in x_i of the jet-free remainder."""
+    derivative gives (h, rho), and h plus the antiderivative in x_i of rho
+    when rho holds no jet."""
     if g.has_kind(NONLOCAL):
         raise ValueError("use the covering-aware inverse for nonlocal expressions")
-    parts, g, _ = g.integration(ctx.derive, ctx.jet, i)
-    if g.has_kind(JET):
-        raise NotExactDerivative(g)
-    parts.append(g.antiderivative(ctx.base(i)))
-    return DiffPoly.sum(parts)
+    h, rho = g.integration(ctx.derive, ctx.jet, i)
+    if rho.has_kind(JET):
+        raise NotExactDerivative(rho)
+    return h + rho.antiderivative(ctx.base(i))
 
 
 def self_adjoint_test(ctx: JetContext, psi: list[DiffPoly]) -> bool:

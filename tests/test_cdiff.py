@@ -1,6 +1,6 @@
 import pytest
 
-from jetcalc.dalg import DiffPoly, nonlocal_var
+from jetcalc.dalg import JET, DiffPoly, nonlocal_var
 from jetcalc.jetspace import GeneralSystem, JetContext, prefix_derivatives
 from jetcalc.cdiff import (
     CartanShadow,
@@ -28,6 +28,14 @@ def Dx(ctx):
 
 def mult(ctx, text):
     return CDiffOp.mult(ctx, ctx.parse(text))
+
+
+def field_image(space, phi, layers=()):
+    """The image map of the field phi on `space`: u^j_sigma goes to
+    D_sigma(phi^j), and the covering variable w^a to the fixed polynomial
+    layers[a]."""
+    derivs = [prefix_derivatives(space.derive, p) for p in phi]
+    return lambda v: derivs[v.idx[0]](v.idx[1]) if v.kind == JET else layers[v.idx[0]]
 
 
 def test_apply_examples(ctx):
@@ -100,9 +108,14 @@ def test_operations_drop_cancelled_entries(ctx):
     th = two.nonlocal_(0)
     sh = CartanShadow(two, ({two.jet(0): DiffPoly.const(1), th: w - w},
                             {th: w + w, two.jet(0, (0,)): -w}))
-    local, residues = contract([prefix_derivatives(two.derive, two.parse(c)) for c in ("u", "v")], sh)
+    assert sh.comps[0] == {two.jet(0): DiffPoly.const(1)}
+    # At w -> 0 the contraction is the jet part; at w -> 1 it adds the
+    # coefficient of th(w).
+    phi = [two.parse("u"), two.parse("v")]
+    local = contract(field_image(two, phi, [DiffPoly.zero()]), sh)
     assert local == [two.parse("u"), two.parse("-u_x^2/2")]
-    assert residues == [{}, {0: two.parse("u_x")}]
+    at_one = contract(field_image(two, phi, [DiffPoly.const(1)]), sh)
+    assert [a - b for a, b in zip(at_one, local)] == [DiffPoly.zero(), two.parse("u_x")]
 
 
 def test_adjoint_matrix_transposes(ctx, rng):
@@ -253,15 +266,14 @@ def test_cartan_differential_examples(ctx):
 def test_contract_examples(ctx):
     ident = CartanShadow.identity(ctx)
     phi = [ctx.parse("u*u_x + u_{xx}")]
-    local, residues = contract([prefix_derivatives(ctx.derive, q) for q in phi], ident)
-    assert local == phi and residues == [{}]
+    assert contract(field_image(ctx, phi), ident) == phi  # no layer: the map sends no w anywhere
 
     sh = CartanShadow(ctx, ({ctx.jet(0, (0,)): DiffPoly.const(1), ctx.jet(0): ctx.parse("u/2")},))
-    local, _ = contract([prefix_derivatives(ctx.derive, ctx.parse("u_x"))], sh)
+    local = contract(field_image(ctx, [ctx.parse("u_x")]), sh)
     assert local[0] == ctx.parse("u_{xx} + u*u_x/2")
 
     sh2 = CartanShadow(ctx, ({ctx.jet(0): ctx.parse("u")},))
-    local, _ = contract([prefix_derivatives(ctx.derive, ctx.parse("u_x^2"))], sh2)
+    local = contract(field_image(ctx, [ctx.parse("u_x^2")]), sh2)
     assert local[0] == ctx.parse("u*u_x^2")
 
 
@@ -274,11 +286,15 @@ def test_contract_derives_a_nonlocal_phi_through_the_covering(burgers, ctx):
     sh = CartanShadow(scope, ({scope.jet(0, (0,)): DiffPoly.const(1), scope.jet(0): scope.parse("u/2"),
                                scope.nonlocal_(0): scope.parse("u_x/2")},))
     # om(u_x) -> D̃_x(u_x*w) = u_{xx}*w + u_x*u, since D̃_x w = u.
-    local, residues = contract([prefix_derivatives(pot.derive, scope.parse("u_x*w"))], sh)
+    # At w -> 0 the contraction is the jet part; at w -> 1 it adds the
+    # coefficient of th(w).
+    phi = [scope.parse("u_x*w")]
+    local = contract(field_image(pot, phi, [DiffPoly.zero()]), sh)
     assert local == [scope.parse("u_{xx}*w + u*u_x + u*u_x*w/2")]
-    assert residues == [{0: scope.parse("u_x/2")}]
+    at_one = contract(field_image(pot, phi, [DiffPoly.const(1)]), sh)
+    assert [a - b for a, b in zip(at_one, local)] == [scope.parse("u_x/2")]
     with pytest.raises(RegimeMismatch):
-        contract([prefix_derivatives(burgers.derive, scope.parse("u_x*w"))], sh)
+        contract(field_image(burgers, phi, [DiffPoly.zero()]), sh)
 
 
 def test_shadow_residual_identity_is_zero(burgers):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from jetcalc.cli import InputError, _lookup_operator, main, parse_equation_file, parse_operator
-from jetcalc.cdiff import CDiffOp
+from jetcalc.cdiff import CartanShadow, CDiffOp
 from jetcalc.dalg import DiffPoly, _Parser
 from jetcalc.jetspace import JetContext
 
@@ -311,6 +311,10 @@ def test_apply_recursion_rejects_negative_times(burgers_file, capsys):
 
 KDV_SCALING = "x*u_x + 3*t*(u*u_x + u_{xxx}) + 2*u"
 TWO_LAYERS = "covering pot2: w_x = u ; w_t = u^2/2 + u_{xx} ; v_x = u^2/2 ; v_t = u^3/3 + u*u_{xx} - u_x^2/2\n"
+# pot2 and z, the potential of the density H1 = u^3/6 - u_x^2/2, whose
+# x-expression holds u_x.
+THREE_LAYERS = ("covering pot3: w_x = u ; w_t = u^2/2 + u_{xx} ; v_x = u^2/2 ; v_t = u^3/3 + u*u_{xx} - u_x^2/2"
+                " ; z_x = u^3/6 - u_x^2/2 ; z_t = u^4/8 - u*u_x^2 + u^2*u_{xx}/2 + u_{xx}^2/2 - u_x*u_{xxx}\n")
 
 
 def _kdv_recursion(capsys, path, covering, *argv):
@@ -670,6 +674,7 @@ WRITTEN = {
     "half.eqn": lambda: b"independent: x, t(time)\ndependent: u\nevolution: u_t = u_{xxx} + 3/2*u*u_x\n",
     "bom.eqn": lambda: b"\xef\xbb\xbf" + Path(STOCK, "burgers.eqn").read_bytes(),
     "airy.eqn": lambda: b"independent: x, t(time)\ndependent: u\nevolution: u_t = u_{xxx}\n",
+    "kdv3.eqn": lambda: Path(STOCK, "kdv.eqn").read_bytes() + (TWO_LAYERS + THREE_LAYERS).encode(),
 }
 TABLE = [
     ("help", "--help", 0, None),
@@ -732,6 +737,15 @@ TABLE = [
      ("err", r"^(?!.*right-hand side).*\bflow\b.*time derivative u_t$")),
     ("flow-u_t-density", "flow kdv.eqn --op A1 --density u_t^2", 2,
      ("err", r"^(?!.*right-hand side).*\bflow\b.*time derivative u_\{xtt\}$")),
+    # The third iterate of the KdV scaling symmetry needs z; pot2 lacks it,
+    # and the fourth needs a further layer.
+    ("pot2-third", f"apply-recursion kdv3.eqn --covering pot2 --order 2 --deg 1 --to '{KDV_SCALING}' --times 3", 1,
+     ("out", r"^obstruction: nonlocal obstruction; non-integrable remainder: 35/18\*t\*u\^3\*u_x \+ 5/6\*x\*u\^2\*u_x"
+             r" \+ 8/9\*u\^3 \+ 1/3\*u\*u_x\*w - 5/6\*u_x\^2 \+ 1/3\*u_x\*v$")),
+    ("pot3-third", f"apply-recursion kdv3.eqn --covering pot3 --order 2 --deg 1 --to '{KDV_SCALING}' --times 3 "
+     "--format structured", 0, lambda doc: doc["verified"] == [True, True, True]),
+    ("pot3-fourth", f"apply-recursion kdv3.eqn --covering pot3 --order 2 --deg 1 --to '{KDV_SCALING}' --times 4", 1,
+     ("out", r"^obstruction: nonlocal obstruction; non-integrable remainder: (?!.*xxx).*u_\{xx\}")),
 ]
 
 
@@ -755,6 +769,43 @@ def test_run_exits_and_reports_as_tabled(tmp_path, capsys, line, code, check):
     elif check:
         stream, pattern = check
         assert re.search(pattern, {"out": out, "err": err}[stream], re.M), (out, err)
+
+
+# One row of each command that shows a value both in the document and on a
+# text line: (command line, exit code).
+RENDERED = [
+    ("euler kdv.eqn --density H1", 0),
+    ("bracket kdv.eqn --op A2 --density H1 --density2 H2", 0),
+    ("conslaws kdv.eqn --order 2 --deg 2 --currents", 0),
+    ("verify-current burgers.eqn --current '(u, u)'", 1),
+    ("inverse-problem kdv.eqn --psi 'u^2/2 + u_{xx}'", 0),
+    ("flow kdv.eqn --op A2 --density u^2/2", 0),
+    ("apply-recursion burgers.eqn --covering pot --order 1 --deg 1 --to u_x --times 2", 0),
+]
+
+
+@pytest.mark.parametrize("line, code", RENDERED, ids=[line.split()[0] for line, _ in RENDERED])
+def test_each_reported_value_is_rendered_once(capsys, monkeypatch, line, code):
+    """The document and the text lines share one rendering of each value:
+    no polynomial or shadow is printed twice by one command."""
+    seen = {}  # id -> [object, count]; holding the object keeps its id unique
+
+    def counting(cls):
+        render = cls.__str__
+
+        def counted(self):
+            seen.setdefault(id(self), [self, 0])[1] += 1
+            return render(self)
+        monkeypatch.setattr(cls, "__str__", counted)
+
+    counting(DiffPoly)
+    counting(CartanShadow)
+    argv = shlex.split(line)
+    argv[1] = os.path.join(STOCK, argv[1])
+    assert main(argv) == code
+    capsys.readouterr()
+    assert seen
+    assert [(type(obj).__name__, n) for obj, n in seen.values() if n > 1] == []
 
 
 # --------------------------------------------------------------------------

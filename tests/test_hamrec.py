@@ -139,6 +139,17 @@ def test_dx_inverse_extended(pot, ctx):
         dx_inverse_extended(pot, pot.parse("w"))
 
 
+def test_a_layer_with_jets_integrates_its_own_x_expression(kdv, ctx):
+    """z_x = u^3/6 - u_x^2/2 holds u_x, so q = 1.  Top-down integration
+    stops at u_x^2, which enters nonlinearly; the remainder has jet order
+    1 <= q, and the remainder solve finds z."""
+    pot3 = make_covering(kdv, [("w", [ctx.parse("u"), ctx.parse("u^2/2 + u_{xx}")]),
+                               ("v", [ctx.parse("u^2/2"), ctx.parse("u^3/3 + u*u_{xx} - u_x^2/2")]),
+                               ("z", [ctx.parse("u^3/6 - u_x^2/2"),
+                                      ctx.parse("u^4/8 - u*u_x^2 + u^2*u_{xx}/2 + u_{xx}^2/2 - u_x*u_{xxx}")])])
+    assert dx_inverse_extended(pot3, pot3.parse("u^3/6 - u_x^2/2")) == pot3.parse("z")
+
+
 def test_dx_inverse_extended_stops_when_the_top_order_does_not_fall():
     ctx = JetContext(("x", "t"), ("u", "v"), has_time=True)
     heat = EvolutionSystem(ctx, [ctx.parse("u_{xx}"), ctx.parse("v_{xx}")])
@@ -426,6 +437,24 @@ def test_kdv_scaling_recursion_goes_through_the_remainder_solve(monkeypatch, cap
 
 
 PERFBENCH = os.path.dirname(os.path.dirname(KDV_FILE))
+
+
+def test_a_remainder_above_q_is_an_obstruction_without_the_remainder_solve(monkeypatch, capsys):
+    """In `pot` (q = 0) a remainder with jets of positive order is no D̃_x
+    image, so the obstruction is reported without building a pool over its
+    many variables."""
+    calls = []
+    monkeypatch.setattr(hamrec, "_remainder_ansatz", lambda *args: calls.append(args))
+    code = main(["apply-recursion", os.path.join(PERFBENCH, "eqn", "burgers.eqn"), "--covering", "pot",
+                 "--order", "1", "--deg", "1", "--to", "u^3*u_x^2*u_{xx}*u_{xxx}*u_{xxxx}*u_{xxxxx}*x^3*t^3*w^3",
+                 "--times", "1", "--format", "structured"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1 and calls == []
+    assert doc["obstruction"] == (
+        "nonlocal obstruction; non-integrable remainder: -3/2*x^3*t^3*u^4*u_x^2*u_{xx}*u_{xxx}*u_{xxxx}^2*w^2"
+        " - 3/2*x^3*t^3*u^2*u_x^3*u_{xx}*u_{xxx}*u_{xxxx}^2*w^3 - x^3*t^3*u^3*u_x*u_{xx}^2*u_{xxx}*u_{xxxx}^2*w^3"
+        " - 1/2*x^3*t^3*u^3*u_x^2*u_{xxx}^2*u_{xxxx}^2*w^3 - 1/2*x^3*t^3*u^3*u_x^2*u_{xx}*u_{xxxx}^3*w^3"
+        " - 3/2*x^2*t^3*u^3*u_x^2*u_{xx}*u_{xxx}*u_{xxxx}^2*w^3")
 # The accessor of a derivative memo: a `Covering.derive` call made from it
 # derives an iterate (or the input) for the certificate, the contraction or
 # the layer images.
@@ -488,8 +517,8 @@ def test_each_derivative_of_an_iterate_is_taken_once(tmp_path, monkeypatch, caps
     ("kdv", hamrec.Covering, ["--covering", "pot", "--order", "2", "--deg", "1"],
      ["om(u)", "2/3*u*om(u) + om(u_{xx}) + 1/3*u_x*th(w)"]),
     ("burgers", EvolutionSystem, ["--order", "3", "--deg", "2", "--xt-deg", "2"], ["om(u)"]),
-])
-def test_each_shadow_residual_derives_a_coefficient_once(monkeypatch, capsys, eqn, space, ansatz, basis):
+], ids=["kdv-pot", "burgers"])
+def test_every_shadow_residual_call_derives_through_the_given_space(monkeypatch, capsys, eqn, space, ansatz, basis):
     """`shadow_residual` derives through the space it is given, once for
     the residual of the template and once in the check of each solution."""
     calls = []

@@ -2,16 +2,18 @@
 using no jetcalc code for the check.
 
 The potential KdV covering with two layers has w_x = u, w_t = u^2/2 + u_xx
-and v_x = u^2/2, v_t = u^3/3 + u*u_xx - u_x^2/2.  Here w and v are plain
-symbols, u_0, u_1, ... stand for u, u_x, ..., and the extended total
-derivatives are written out by hand:
+and v_x = u^2/2, v_t = u^3/3 + u*u_xx - u_x^2/2; the third layer adds
+z_x = u^3/6 - u_x^2/2, z_t = u^4/8 - u u_x^2 + u^2 u_xx/2 + u_xx^2/2 -
+u_x u_xxx.  Here w, v and z are plain symbols, u_0, u_1, ... stand for u,
+u_x, ..., and the extended total derivatives are written out by hand:
 
-    D̃_x = d/dx + sum_k u_{k+1} d/du_k + u d/dw + u^2/2 d/dv,
-    D̃_t = d/dt + sum_k D_x^k(f) d/du_k + w_t d/dw + v_t d/dv,
+    D̃_x = d/dx + sum_k u_{k+1} d/du_k + u d/dw + u^2/2 d/dv + z_x d/dz,
+    D̃_t = d/dt + sum_k D_x^k(f) d/du_k + w_t d/dw + v_t d/dv + z_t d/dz,
 
 with f = u*u_x + u_xxx.  A symmetry phi of the covered equation solves the
 extended linearization D̃_t phi = u_x*phi + u*D̃_x phi + D̃_x^3 phi.  The
-iterates come from `apply-recursion ... --times 2` on that covering.
+iterates come from `apply-recursion ... --times 2` on the two-layer
+covering and `--times 3` on the three-layer one.
 """
 
 import json
@@ -29,23 +31,29 @@ dependent: u
 evolution: u_t = u*u_x + u_{xxx}
 covering pot2: w_x = u ; w_t = u^2/2 + u_{xx} ; v_x = u^2/2 ; v_t = u^3/3 + u*u_{xx} - u_x^2/2
 """
+KDV3 = KDV2 + """\
+covering pot3: w_x = u ; w_t = u^2/2 + u_{xx} ; v_x = u^2/2 ; v_t = u^3/3 + u*u_{xx} - u_x^2/2 ; z_x = u^3/6 - u_x^2/2 ; \
+z_t = u^4/8 - u*u_x^2 + u^2*u_{xx}/2 + u_{xx}^2/2 - u_x*u_{xxx}
+"""
 
 ORDER = 16
-x, t, w, v = sympy.symbols("x t w v")
+x, t, w, v, z = sympy.symbols("x t w v z")
 U = sympy.symbols(f"u0:{ORDER}")
 LAYERS = {w: (U[0], U[0] ** 2 / 2 + U[2]),
-          v: (U[0] ** 2 / 2, U[0] ** 3 / 3 + U[0] * U[2] - U[1] ** 2 / 2)}
+          v: (U[0] ** 2 / 2, U[0] ** 3 / 3 + U[0] * U[2] - U[1] ** 2 / 2),
+          z: (U[0] ** 3 / 6 - U[1] ** 2 / 2,
+              U[0] ** 4 / 8 - U[0] * U[1] ** 2 + U[0] ** 2 * U[2] / 2 + U[2] ** 2 / 2 - U[1] * U[3])}
 F = U[0] * U[1] + U[3]
 
 _JET = re.compile(r"u_\{(x+)\}|u_(x+)|\bu\b")
 
 
 def parse(text):
-    """jetcalc text in u, its x-jets, x, t, w and v to a sympy expression."""
+    """jetcalc text in u, its x-jets, x, t, w, v and z to a sympy expression."""
     def jet(m):
         return f"u{len(m.group(1) or m.group(2) or '')}"
 
-    names = {str(s): s for s in (x, t, w, v) + U}
+    names = {str(s): s for s in (x, t, w, v, z) + U}
     return sympy.sympify(_JET.sub(jet, text).replace("^", "**"), locals=names)
 
 
@@ -94,3 +102,16 @@ def test_a_perturbed_nonlocal_iterate_fails_the_oracle(iterates):
     for text, term in ((first, "1/3*u_x*w"), (second, "1/3*u_x*v")):
         assert term in text
         assert linearization_residual(parse(text.replace(term, "1/2" + term[3:]))) != 0
+
+
+def test_the_third_iterate_in_three_layers_solves_the_extended_linearization(tmp_path, capsys):
+    """The third iterate of the scaling symmetry, which `pot2` obstructs,
+    integrates through z; changing its z term breaks it."""
+    path = tmp_path / "kdv3.eqn"
+    path.write_text(KDV3)
+    assert main(["apply-recursion", str(path), "--covering", "pot3", "--order", "2", "--deg", "1",
+                 "--to", "x*u_x + 3*t*(u*u_x + u_{xxx}) + 2*u", "--times", "3", "--format", "structured"]) == 0
+    third = json.loads(capsys.readouterr().out)["result"][2]
+    assert len(sympy.Add.make_args(parse(third))) == 36 and "5/9*u_x*z" in third
+    assert linearization_residual(parse(third)) == 0
+    assert linearization_residual(parse(third.replace("5/9*u_x*z", "1/2*u_x*z"))) != 0

@@ -276,15 +276,18 @@ def _reference_profile(g):
 
 
 def assert_integrates_like_the_reference(space, g, i=0, q=0):
-    """Equal parts and remainder, or the same NotExactDerivative remainder;
-    returns whether g was integrated down to jets of order 0."""
-    parts, rest, exact = g.integration(space.derive, space.ctx.jet, i, q)
+    """h equal to the sum of the reference parts and an equal remainder, or
+    the same NotExactDerivative remainder; returns whether g was integrated
+    down to jets of order 0, which is whether the remainder holds no jet of
+    positive order."""
+    h, rest = g.integration(space.derive, space.ctx.jet, i, q)
+    exact = not any(v.kind == JET and v.idx[1] for v in rest.variables())
     try:
-        want = _reference_integrate_top_down(space, g, i, q)
+        parts, want = _reference_integrate_top_down(space, g, i, q)
     except NotExactDerivative as exc:
         assert not exact and rest == exc.remainder
     else:
-        assert exact and (parts, rest) == want
+        assert exact and (h, rest) == (DiffPoly.sum(parts), want)
     return exact
 
 
